@@ -18,14 +18,14 @@ than 20%.
 The same smoke run also measures the
 :class:`~repro.core.parallel.ParallelDecisionEngine` batch path on a
 random-schema workload with repeated queries (the navigator's traffic
-shape): per-request sequential kernel vs one ``decide_many`` batch at 4
-workers.  Verdicts must be byte-identical; the numbers go to
+shape): per-request sequential kernel vs one inline deduped
+``decide_many`` batch.  Verdicts must be byte-identical; the numbers go to
 ``BENCH_2.json`` and the gate fails below a 2x speedup.
 
 The run also prices the resilience layer: the same batch through a
 :class:`~repro.core.resilience.ResilientDecisionEngine` (fault-free)
 must return byte-identical verdicts at <=5% overhead versus the plain
-parallel engine, and a faulted pass (fixed-seed worker crashes and
+batch engine, and a faulted pass (fixed-seed worker crashes and
 cache-store failures) must stay correct-or-UNKNOWN.  The numbers go to
 ``BENCH_4.json``.
 
@@ -154,15 +154,12 @@ def test_implication_workload(benchmark, name):
     assert any(verdicts)
 
 
-@pytest.mark.parametrize("workers", [1, 4])
-def test_parallel_batch_workload(benchmark, workers):
-    """The engine's batch path at 1 and 4 workers (fresh cache per run)."""
+def test_parallel_batch_workload(benchmark):
+    """The engine's inline deduped batch path (fresh cache per run)."""
     batch = _batch_workload()
 
     def run():
-        with ParallelDecisionEngine(
-            max_workers=workers, cache=DecisionCache()
-        ) as engine:
+        with ParallelDecisionEngine(cache=DecisionCache()) as engine:
             return engine.decide_many(batch)
 
     verdicts = benchmark(run)
@@ -279,7 +276,8 @@ def _parallel_smoke(output_path, repeats=7):
     """Sequential kernel vs ``decide_many`` on the random-schema batch.
 
     Both paths answer the identical batch; the engine runs it as one
-    deduped concurrent batch at 4 workers over a fresh decision cache.
+    deduped batch on the calling thread over a fresh decision cache (the
+    speedup is dedup plus the cache the Theorem 1 tests share).
     Verdicts must be byte-identical (compared on their canonical JSON
     encoding, which is what BENCH_2.json records); the gate fails below
     a 2x speedup on the process CPU clock (interleaved repeats, median
@@ -301,14 +299,12 @@ def _parallel_smoke(output_path, repeats=7):
 
     def time_parallel():
         cpu = time.process_time()
-        with ParallelDecisionEngine(
-            max_workers=4, cache=DecisionCache()
-        ) as engine:
+        with ParallelDecisionEngine(cache=DecisionCache()) as engine:
             verdicts = engine.decide_many(batch)
             stats = engine.stats
         return time.process_time() - cpu, verdicts, stats
 
-    time_sequential()  # warm-up (imports, pool spin-up)
+    time_sequential()  # warm-up (imports)
     time_parallel()
     sequential_times = []
     parallel_times = []
@@ -339,9 +335,7 @@ def _parallel_smoke(output_path, repeats=7):
         )
 
     with tracing():
-        with ParallelDecisionEngine(
-            max_workers=4, cache=DecisionCache()
-        ) as engine:
+        with ParallelDecisionEngine(cache=DecisionCache()) as engine:
             traced_verdicts = engine.decide_many(batch)
         trace_summary = tracer().summary()
         trace_events = len(tracer().events())
@@ -354,8 +348,8 @@ def _parallel_smoke(output_path, repeats=7):
     report = {
         "benchmark": "parallel batch decisions (random-schema workload)",
         "baseline": "per-request sequential kernel, uncached",
-        "parallel": "ParallelDecisionEngine.decide_many, 4 workers, "
-        "fresh DecisionCache per run",
+        "parallel": "ParallelDecisionEngine.decide_many, inline deduped "
+        "batch, fresh DecisionCache per run",
         "requests": len(batch),
         "unique_requests": len(batch) // BATCH_REPEATS,
         "repeats": repeats,
@@ -406,9 +400,7 @@ def _resilience_smoke(output_path, repeats=7):
 
     def time_plain():
         cpu = time.process_time()
-        with ParallelDecisionEngine(
-            max_workers=4, cache=DecisionCache()
-        ) as engine:
+        with ParallelDecisionEngine(cache=DecisionCache()) as engine:
             verdicts = engine.decide_many(batch)
         return time.process_time() - cpu, verdicts
 
@@ -417,12 +409,12 @@ def _resilience_smoke(output_path, repeats=7):
     def time_resilient():
         cpu = time.process_time()
         with ResilientDecisionEngine(
-            retry=fast_retry, max_workers=4, cache=DecisionCache()
+            retry=fast_retry, cache=DecisionCache()
         ) as engine:
             verdicts = engine.decide_many(batch)
         return time.process_time() - cpu, verdicts
 
-    time_plain()  # warm-up (imports, pool spin-up)
+    time_plain()  # warm-up (imports)
     time_resilient()
     # Interleave the two engines so slow-machine noise hits both
     # evenly, and keep the collector from firing mid-sample.
@@ -481,7 +473,7 @@ def _resilience_smoke(output_path, repeats=7):
     # Faulted pass: worker crashes + cache-store failures, fixed seed
     # (the schedule the differential suite's hammer replays in CI).
     with ResilientDecisionEngine(
-        retry=fast_retry, max_workers=4, mode="thread", cache=DecisionCache()
+        retry=fast_retry, cache=DecisionCache()
     ) as engine:
         with inject_faults(
             "worker-crash:p=0.3,after=5;cache-store:p=0.3;seed=20020601"
@@ -502,7 +494,7 @@ def _resilience_smoke(output_path, repeats=7):
 
     report = {
         "benchmark": "resilient engine overhead (random-schema workload)",
-        "baseline": "ParallelDecisionEngine.decide_many, 4 workers, "
+        "baseline": "ParallelDecisionEngine.decide_many, inline, "
         "fresh DecisionCache per run",
         "resilient": "ResilientDecisionEngine (retry ladder + breaker), "
         "fault-free, same workload",
@@ -551,12 +543,10 @@ def _telemetry_smoke(output_path, telemetry_dir=None, repeats=7):
     batch = _batch_workload()
 
     def run_batch():
-        with ParallelDecisionEngine(
-            max_workers=4, cache=DecisionCache()
-        ) as engine:
+        with ParallelDecisionEngine(cache=DecisionCache()) as engine:
             return engine.decide_many(batch)
 
-    reference_verdicts = run_batch()  # warm-up (imports, pool spin-up)
+    reference_verdicts = run_batch()  # warm-up (imports)
 
     if telemetry_dir is None:
         telemetry_dir = tempfile.mkdtemp(prefix="repro-telemetry-")
@@ -655,7 +645,7 @@ def _telemetry_smoke(output_path, telemetry_dir=None, repeats=7):
 
     report = {
         "benchmark": "telemetry exporter overhead (random-schema workload)",
-        "baseline": "ParallelDecisionEngine.decide_many, 4 workers, "
+        "baseline": "ParallelDecisionEngine.decide_many, inline, "
         "tracing enabled, no exporters",
         "telemetry": "same workload with TelemetryPipeline installed "
         "(spans + events + audit streamed through the background writer)",
@@ -1130,9 +1120,7 @@ def _server_smoke(output_path, clients=8, rounds=3, iterations=4):
     from repro.generators.location import location_schema
 
     schema = location_schema()
-    engine = ResilientDecisionEngine(
-        ParallelDecisionEngine(max_workers=2, cache=DecisionCache())
-    )
+    engine = ResilientDecisionEngine(ParallelDecisionEngine(cache=DecisionCache()))
     server = DecisionServer(engine=engine, max_inflight=clients)
     server_thread = threading.Thread(target=server.run, daemon=True)
     server_thread.start()
@@ -1334,7 +1322,7 @@ def _main(argv=None):
     parallel = _parallel_smoke(bench2_path)
     print(
         f"parallel batch benchmark: sequential "
-        f"{parallel['sequential_s'] * 1000:.1f} ms, batch (4 workers) "
+        f"{parallel['sequential_s'] * 1000:.1f} ms, deduped batch "
         f"{parallel['parallel_s'] * 1000:.1f} ms "
         f"({parallel['speedup']:.1f}x), report -> {bench2_path}"
     )

@@ -144,24 +144,24 @@ def _engine_from_args(args: argparse.Namespace):
 
     ``--retries`` wraps the parallel engine in a
     :class:`~repro.core.resilience.ResilientDecisionEngine`: transient
-    failures are retried with backoff, a persistently failing pool
+    failures are retried with backoff, a persistently failing engine
     degrades to the sequential kernel, and a decision no rung can serve
     exits with code 4 instead of a traceback.
     """
-    workers = getattr(args, "workers", None)
     budget = _budget_from_args(args)
     retries = getattr(args, "retries", None)
     engine_name = getattr(args, "engine", None)
     if engine_name == "compiled":
         engine = CompiledDecisionEngine(budget=budget)
-    elif engine_name == "parallel":
-        engine = ParallelDecisionEngine(max_workers=workers or 2, budget=budget)
-    elif engine_name == "sequential":
-        engine = ParallelDecisionEngine(max_workers=1, budget=budget)
-    elif workers is None and budget is None and retries is None:
+    elif (
+        engine_name is None
+        and getattr(args, "workers", None) is None
+        and budget is None
+        and retries is None
+    ):
         return None
     else:
-        engine = ParallelDecisionEngine(max_workers=workers or 1, budget=budget)
+        engine = ParallelDecisionEngine(budget=budget)
     if retries is None:
         return engine
     return ResilientDecisionEngine(
@@ -486,7 +486,6 @@ def _cmd_soak(args: argparse.Namespace) -> int:
         seed=args.seed,
         families=args.families,
         per_family=args.per_family,
-        workers=getattr(args, "workers", None) or 2,
         retries=getattr(args, "retries", None) or 3,
         budget_ms=getattr(args, "budget_ms", None),
         check_every=args.check_every,
@@ -512,10 +511,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     engine = _engine_from_args(args)
     if engine is None:
-        engine = ResilientDecisionEngine(
-            max_workers=getattr(args, "workers", None) or 2,
-            budget=_budget_from_args(args),
-        )
+        engine = ResilientDecisionEngine(budget=_budget_from_args(args))
     server = DecisionServer(
         engine=engine,
         host=args.host,
@@ -530,6 +526,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     async def _run() -> None:
         await server.start()
+        if server.load_report is not None and server.load_report.found:
+            print(server.load_report.render(), file=sys.stderr)
         # The startup line is the contract scripts wait for; --port-file
         # carries the ephemeral port to clients that cannot parse stdout.
         print(f"listening on {server.host}:{server.port}", flush=True)
@@ -636,9 +634,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="decide through a parallel engine with N workers "
-        "(audit batches all categories; implies/summarizable/satisfiable "
-        "fan out their internal branches)",
+        help="decide through the batch engine (audit dedups and batches "
+        "all categories); decisions run on the calling thread, so N sizes "
+        "no pool and is accepted for existing scripts",
     )
     parser.add_argument(
         "--budget-ms",
@@ -666,9 +664,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="decide through an explicit engine: 'compiled' serves "
         "verdicts from the per-schema compiled decision artifact "
         "(incremental SAT with learned-clause reuse, interpreted-kernel "
-        "fallback), 'parallel' fans out over a worker pool "
-        "(honoring --workers), 'sequential' pins the service path to "
-        "one worker",
+        "fallback); 'parallel' and 'sequential' both name the batch "
+        "engine, which runs the interpreted kernel on the calling thread",
     )
     parser.add_argument(
         "--inject-faults",
@@ -867,7 +864,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     soak.add_argument(
         "--workers", type=int, metavar="N", default=argparse.SUPPRESS,
-        help="worker count for the parallel engine (default 2)",
+        help="accepted for existing scripts; the batch engine decides on "
+        "the calling thread and sizes no pool",
     )
     soak.add_argument(
         "--budget-ms", type=float, metavar="MS", default=argparse.SUPPRESS,
@@ -991,7 +989,9 @@ def main(argv: Optional[List[str]] = None) -> int:
 
             pipeline = TelemetryPipeline(telemetry_dir).install()
         cache_dir = getattr(args, "cache_dir", None)
-        if cache_dir:
+        # ``serve`` hands the directory to the DecisionServer, which loads
+        # and replay-verifies the store itself when it starts.
+        if cache_dir and args.command != "serve":
             from repro.core.cachestore import CacheStoreError, load_cache
             from repro.core.decisioncache import default_decision_cache
 

@@ -124,10 +124,10 @@ _STATS_LOCK = threading.Lock()
 class DimsatStats:
     """Work counters for one DIMSAT run.
 
-    Counters are updated through :meth:`incr`, which is atomic: the
-    parallel decision engine runs several branches of one search - all
-    sharing this object - on a thread pool, and a plain ``+=`` would lose
-    updates under that interleaving.
+    Counters are updated through :meth:`incr`, which is atomic: a stats
+    object may be read or :meth:`merge`-d by another thread while its
+    search runs, and a plain ``+=`` could lose an update under that
+    interleaving.
     """
 
     expand_calls: int = 0
@@ -296,7 +296,7 @@ class CircleCache:
         self.hits = 0
         self.misses = 0
         self._data: Dict[Tuple[Node, Subhierarchy], Node] = {}
-        # The cache is process-wide and the parallel engine reduces from
+        # The cache is process-wide and concurrent requests reduce from
         # many threads at once; the lock guards the lookup/insert *and*
         # the counters, so hits + misses always equals reduce() calls.
         self._lock = threading.Lock()
@@ -640,27 +640,15 @@ class _Search:
             self.budget.charge()
 
     def run(self) -> Iterator[FrozenDimension]:
-        state = _GState.initial(self.category)
-        yield from self._expand(state, self.category, frozenset())
-
-    def initial_jobs(self) -> Tuple[_GState, List[Tuple[_GState, Category, FrozenSet[Category]]]]:
-        """The root state and its first-level branch jobs.
-
-        This is the parallel engine's entry point: each returned job is an
-        independent ``(state, category, parents)`` continuation that can
-        run on its own worker via :meth:`expand_from`; together they cover
-        exactly the search :meth:`run` performs.  The root expansion is
-        charged here, mirroring ``_expand``'s prologue.
-        """
-        self._charge_expansion()
-        state = _GState.initial(self.category)
-        self._record("expand", state, self.category, frozenset())
-        return state, list(self._branch_jobs(state))
+        yield from self.expand_from(
+            (_GState.initial(self.category), self.category, frozenset())
+        )
 
     def expand_from(
         self, job: Tuple[_GState, Category, FrozenSet[Category]]
     ) -> Iterator[FrozenDimension]:
-        """Resume the search at one branch job (parallel fan-out)."""
+        """Run EXPAND from one ``(state, category, parents)`` job;
+        :meth:`run` enters the search here with the root job."""
         yield from self._expand(*job)
 
     # The recursive EXPAND of Figure 6, as a generator so callers can stop
@@ -726,9 +714,8 @@ class _Search:
         """The child expansions of one incomplete state (Figure 6 lines
         6-17), as ``(state, category, parents)`` jobs.
 
-        Factored out of ``_expand`` so the parallel engine can enumerate
-        the first level of branching and dispatch each job to a worker;
-        the sequential search simply recurses over them in order.
+        Each job is an independent continuation :meth:`expand_from` can
+        resume; the search recurses over them in order.
         """
         if not state.top:
             # Only reachable with cycle pruning disabled: a cycle swallowed

@@ -10,7 +10,7 @@ serializes to JSON through :meth:`MetricsRegistry.snapshot` (the CLI's
 
 Naming convention: dotted ``subsystem.metric`` names, e.g.
 ``decision_cache.hits``, ``circle_cache.misses``,
-``engine.queue_wait_ms``, ``budget.exceeded``, ``resilience.retries``,
+``engine.batch_deduped``, ``budget.exceeded``, ``resilience.retries``,
 ``faults.worker-crash``.  The registry creates metrics on first use, so
 readers never race creators.
 

@@ -1,56 +1,48 @@
-"""A parallel batch decision engine over the satisfiability kernel.
+"""The batch decision engine over the satisfiability kernel.
 
-Two independence results of the paper make its decision procedures
-embarrassingly parallel:
-
-* **Theorem 1** reduces schema-level summarizability to one implication
-  test *per bottom category* - the tests share nothing but the schema, so
-  they can run concurrently and the first failing bottom settles the
-  verdict (the rest are cancelled);
-* **Theorem 3** reduces category satisfiability to the existence of a
-  frozen dimension, and DIMSAT's EXPAND enumerates *independent* candidate
-  branches - each first-level branch job can run on its own worker, and
-  the first witness cancels the losers.
-
-:class:`ParallelDecisionEngine` exploits both, plus a third level the OLAP
-layers need most: **request-level batching**.  ``decide_many`` takes a
-whole batch of ``(schema, query)`` pairs - the aggregate navigator's
-candidate sweep, the view selector's trial evaluations, a service's
-queued traffic - deduplicates them by schema fingerprint and canonical
-query key (the same keys the
-:class:`~repro.core.decisioncache.DecisionCache` uses), and fans the
-unique decisions out across a thread or process pool.
+The paper reduces every decision to one sequential primitive: Theorem 2
+turns implication into unsatisfiability of the root in
+``(G, SIGMA | {NOT alpha})``, Theorem 1 turns summarizability into one
+implication test per bottom category, and Theorem 3 makes satisfiability
+a DIMSAT search for a frozen dimension.  :class:`ParallelDecisionEngine`
+runs those reductions as they are, on the caller's thread, and adds the
+one level the OLAP layers need most: **request-level batching**.
+``decide_many`` takes a whole batch of ``(schema, query)`` pairs - the
+aggregate navigator's candidate sweep, the view selector's trial
+evaluations, a service's queued traffic - and deduplicates them by schema
+fingerprint and canonical query key (the same keys the
+:class:`~repro.core.decisioncache.DecisionCache` uses), so each distinct
+question is decided once per batch.
 
 Executor modes
 --------------
 
-``mode="thread"``
-    One shared :class:`~concurrent.futures.ThreadPoolExecutor`.  Single
-    decisions (``dimsat``/``implies``/``is_summarizable``) additionally
-    fan out their internal branches; caches are shared in-process, so
-    every worker's verdict warms the same
-    :class:`~repro.core.decisioncache.DecisionCache`.
+``mode="thread"`` (default)
+    Single decisions and batches run on the calling thread.  Concurrency
+    comes from the caller: the decision server already runs concurrent
+    requests on its own executor, and every one of them warms the same
+    shared :class:`~repro.core.decisioncache.DecisionCache`.  The kernel is
+    pure Python, so a pool of threads inside one decision would only add
+    scheduling cost under the GIL.
 ``mode="process"``
-    One shared :class:`~concurrent.futures.ProcessPoolExecutor` for
-    ``decide_many``.  Schemas cross the boundary as their canonical JSON
-    text (hierarchy + constraint *texts*), not as pickled ASTs: each
-    worker re-parses and hash-conses the constraints into its own intern
-    table, keyed by schema fingerprint, so a schema is re-interned once
-    per worker no matter how many requests mention it.  Single decisions
-    fall back to the in-process sequential kernel (fanning out the
-    branches of *one* decision across processes would ship more state
-    than it saves).
+    One shared :class:`~concurrent.futures.ProcessPoolExecutor` (sized by
+    ``max_workers``) for ``decide_many``.  Schemas cross the boundary as
+    their canonical JSON text (hierarchy + constraint *texts*), not as
+    pickled ASTs: each worker re-parses and hash-conses the constraints
+    into its own intern table, keyed by schema fingerprint, so a schema is
+    re-interned once per worker no matter how many requests mention it.
+    Single decisions run in-process.
 
 Robustness
 ----------
 
-Every decision gets a fresh :class:`~repro.core.budget.DecisionBudget`
-derived from the engine's template: node/time ceilings raise
-:class:`~repro.errors.BudgetExceeded` (never a wrong verdict, never a
-cache entry), and losing branches are cancelled cooperatively through the
-budget's cancel flag.  When no executor can be created - or a process
-pool breaks mid-flight - the engine degrades to the sequential kernel and
-keeps answering.
+Every decision computed (not answered from the cache) passes the
+per-decision fault checkpoint once and gets a fresh
+:class:`~repro.core.budget.DecisionBudget` from the engine's template:
+node/time ceilings raise :class:`~repro.errors.BudgetExceeded` (never a
+wrong verdict, never a cache entry).  When the process pool cannot be
+created - or breaks mid-flight - the engine decides the batch in-process
+and keeps answering.
 """
 
 from __future__ import annotations
@@ -58,14 +50,7 @@ from __future__ import annotations
 import os
 import threading
 import time
-from concurrent.futures import (
-    Executor,
-    FIRST_COMPLETED,
-    Future,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    wait,
-)
+from concurrent.futures import Executor, ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -74,31 +59,26 @@ from repro.constraints.ast import Node, Not
 from repro.constraints.atoms import validate_constraint
 from repro.constraints.parser import parse
 from repro.constraints.printer import unparse
-from repro.core.auditlog import AUDIT
-from repro.core.budget import BudgetSpec, DecisionBudget, DecisionCancelled
+from repro.core.auditlog import AUDIT, _verdict_of
+from repro.core.budget import BudgetSpec, DecisionBudget
 from repro.core.decisioncache import (
     USE_DEFAULT_CACHE,
     DecisionCache,
     _options_key,
     resolve_cache,
 )
-from repro.core.dimsat import (
-    DimsatOptions,
-    DimsatResult,
-    _Search,
-    _trivial_all_result,
-    dimsat,
-)
+from repro.core.dimsat import DimsatOptions, DimsatResult, dimsat
 from repro.core.faults import FAULTS
-from repro.core.implication import ImplicationResult, is_implied
+from repro.core.implication import ImplicationResult, implies, is_implied
 from repro.core.metrics import METRICS
 from repro.core.schema import DimensionSchema
 from repro.core.trace import TRACER
 from repro.core.summarizability import (
     _check_categories,
+    is_summarizable_in_schema,
     summarizability_constraints,
 )
-from repro.errors import BudgetExceeded, ReproError, SchemaError
+from repro.errors import ReproError
 
 
 #: A normalized decision request: ``("dimsat", category)``,
@@ -111,11 +91,7 @@ RequestKey = Tuple[Any, ...]
 #: Request kinds ``decide_many`` understands.
 REQUEST_KINDS = ("dimsat", "implies", "summarizable")
 
-#: Time from task submission to the moment a worker picks it up - the
-#: pool's congestion signal (milliseconds).
-_H_QUEUE_WAIT = METRICS.histogram("engine.queue_wait_ms")
 _M_DISPATCHED = METRICS.counter("engine.tasks_dispatched")
-_M_CANCELLED = METRICS.counter("engine.tasks_cancelled")
 _M_DEDUPED = METRICS.counter("engine.batch_deduped")
 
 
@@ -161,26 +137,26 @@ class EngineStats:
     decisions: int = 0
     #: Requests received by ``decide_many`` (before dedup).
     batch_requests: int = 0
-    #: Requests answered by batch dedup instead of a worker.
+    #: Requests answered by batch dedup instead of a decision.
     batch_deduped: int = 0
-    #: Branch/bottom tasks dispatched to workers.
+    #: Requests dispatched to the process pool.
     tasks_dispatched: int = 0
-    #: Tasks cancelled cooperatively after the verdict settled.
-    tasks_cancelled: int = 0
-    #: Decisions served by the sequential fallback path.
+    #: Process-mode batches decided in-process because no pool was usable.
     sequential_fallbacks: int = 0
 
 
 class ParallelDecisionEngine:
-    """Batched, concurrent decision serving with budgets and cancellation.
+    """Batched decision serving with dedup and per-decision budgets.
 
     Parameters
     ----------
     max_workers:
-        Pool size; ``None`` uses ``os.cpu_count()``.  ``<= 1`` disables
-        the pool entirely (pure sequential fallback).
+        Process pool size (``mode="process"`` only); ``None`` uses
+        ``os.cpu_count()``.  ``<= 1`` decides process-mode batches
+        in-process.
     mode:
-        ``"thread"`` (default) or ``"process"`` - see the module
+        ``"thread"`` (default: decide on the calling thread) or
+        ``"process"`` (batches on a process pool) - see the module
         docstring for the trade-off.
     budget:
         A :class:`~repro.core.budget.DecisionBudget` *template*: every
@@ -196,7 +172,7 @@ class ParallelDecisionEngine:
         process-wide cache warm.
 
     The engine is itself thread-safe and can be shared; use it as a
-    context manager or call :meth:`shutdown` to release the pool.
+    context manager or call :meth:`shutdown` to release the process pool.
     """
 
     def __init__(
@@ -225,35 +201,29 @@ class ParallelDecisionEngine:
     # ------------------------------------------------------------------
 
     def _get_executor(self) -> Optional[Executor]:
-        """The shared pool, or ``None`` when running sequentially."""
-        if self.max_workers <= 1 or self._executor_failed or self._closed:
+        """The shared process pool, or ``None`` when deciding in-process
+        (always in thread mode)."""
+        if (
+            self.mode != "process"
+            or self.max_workers <= 1
+            or self._executor_failed
+            or self._closed
+        ):
             return None
         with self._lock:
             if self._executor is None:
                 try:
                     FAULTS.pool_create()
-                    if self.mode == "process":
-                        self._executor = ProcessPoolExecutor(
-                            max_workers=self.max_workers
-                        )
-                    else:
-                        self._executor = ThreadPoolExecutor(
-                            max_workers=self.max_workers,
-                            thread_name_prefix="repro-decide",
-                        )
+                    self._executor = ProcessPoolExecutor(max_workers=self.max_workers)
                 except (OSError, RuntimeError):
-                    # No processes/threads available (sandboxes, resource
-                    # limits): remember and serve sequentially from now on.
+                    # No processes available (sandboxes, resource limits):
+                    # remember and decide in-process from now on.
                     self._executor_failed = True
                     return None
             return self._executor
 
-    def _note_fallback(self) -> None:
-        with self._lock:
-            self.stats.sequential_fallbacks += 1
-
     def shutdown(self, wait_for_tasks: bool = True) -> None:
-        """Release the worker pool (idempotent)."""
+        """Release the process pool (idempotent)."""
         with self._lock:
             executor, self._executor = self._executor, None
             self._closed = True
@@ -270,12 +240,12 @@ class ParallelDecisionEngine:
     # Budgets
     # ------------------------------------------------------------------
 
-    def _fresh_budget(self) -> DecisionBudget:
-        """A per-decision budget (always concrete, so cancellation works
-        even when no ceiling was configured)."""
-        if self.budget_template is not None:
-            return self.budget_template.fresh()
-        return DecisionBudget()
+    def _fresh_budget(self) -> Optional[DecisionBudget]:
+        """A per-decision copy of the budget template (``None`` when the
+        engine has no ceilings)."""
+        if self.budget_template is None:
+            return None
+        return self.budget_template.fresh()
 
     def _budget_spec(self) -> Optional[BudgetSpec]:
         if self.budget_template is None:
@@ -283,16 +253,12 @@ class ParallelDecisionEngine:
         return self.budget_template.spec()
 
     # ------------------------------------------------------------------
-    # Single decisions: branch-level fan-out (thread mode)
+    # Single decisions: one cache lookup, then the reduction on a miss
     # ------------------------------------------------------------------
 
     def dimsat(self, schema: DimensionSchema, category: Category) -> DimsatResult:
-        """Category satisfiability with the engine's parallel fan-out.
-
-        The *verdict* is deterministic and memoized under the same cache
-        key the sequential kernel uses; the ``witness`` may be any frozen
-        dimension (whichever branch won the race).
-        """
+        """Category satisfiability, memoized under the same cache key the
+        sequential kernel uses."""
         with self._lock:
             self.stats.decisions += 1
         if self.cache is not None:
@@ -306,7 +272,7 @@ class ParallelDecisionEngine:
         return self.dimsat(schema, category).satisfiable
 
     def implies(self, schema: DimensionSchema, constraint: object) -> ImplicationResult:
-        """``ds |= alpha`` via Theorem 2, refuted with the parallel search."""
+        """``ds |= alpha`` via Theorem 2."""
         with self._lock:
             self.stats.decisions += 1
         node: Node = parse(constraint) if isinstance(constraint, str) else constraint  # type: ignore[assignment]
@@ -326,8 +292,7 @@ class ParallelDecisionEngine:
         target: Category,
         sources: Iterable[Category],
     ) -> bool:
-        """Theorem 1 with the per-bottom-category implication tests fanned
-        out across the pool; the first failing bottom cancels the rest."""
+        """Theorem 1: one implication test per bottom category."""
         with self._lock:
             self.stats.decisions += 1
         source_key = tuple(sorted(set(sources)))
@@ -342,89 +307,20 @@ class ParallelDecisionEngine:
         return self._summarizable_fanout(schema, target, source_key)
 
     def _dimsat_fanout(self, schema: DimensionSchema, category: Category) -> DimsatResult:
-        options = self.options or DimsatOptions()
+        """Theorem 3: the DIMSAT search, after the fault checkpoint and
+        under a fresh budget, on the calling thread.  The name is kept for
+        the benchmark's hooks (``perfbench/tracer.py`` wraps it by name)."""
+        FAULTS.worker()
         budget = self._fresh_budget()
-        executor = self._get_executor() if self.mode == "thread" else None
-        if executor is None:
-            self._note_fallback()
-            FAULTS.worker()
-            return dimsat(schema, category, options, budget)
-        if not schema.hierarchy.has_category(category):
-            raise SchemaError(f"unknown category {category!r}")
-        if category == ALL:
-            return _trivial_all_result(options)
-
-        search = _Search(schema, category, options, budget=budget)
-        _root_state, jobs = search.initial_jobs()
-        if not jobs:
-            return DimsatResult(
-                satisfiable=False, witness=None, stats=search.stats, trace=search.trace
-            )
-
-        submitted = time.perf_counter()
-
-        def run_branch(job: Tuple[object, ...]) -> object:
-            _H_QUEUE_WAIT.observe((time.perf_counter() - submitted) * 1000.0)
-            FAULTS.worker()
-            try:
-                return next(search.expand_from(job), None)  # type: ignore[arg-type]
-            except DecisionCancelled:
-                # The verdict settled elsewhere; this branch's work is moot.
-                return None
-
-        futures: List[Future] = [executor.submit(run_branch, job) for job in jobs]
-        with self._lock:
-            self.stats.tasks_dispatched += len(futures)
-        _M_DISPATCHED.inc(len(futures))
-        if TRACER.enabled:
-            TRACER.event(
-                "engine.dispatch", kind="dimsat", category=category, tasks=len(futures)
-            )
-        witness = None
-        budget_error: Optional[BudgetExceeded] = None
-        pending = set(futures)
-        try:
-            while pending:
-                done, pending = wait(pending, return_when=FIRST_COMPLETED)
-                for future in done:
-                    try:
-                        result = future.result()
-                    except BudgetExceeded as exc:
-                        budget_error = exc
-                        budget.cancel()
-                        continue
-                    if result is not None and witness is None:
-                        witness = result
-                        # Cooperative cancellation: one frozen dimension
-                        # settles satisfiability, the losers stop at their
-                        # next budget checkpoint.
-                        budget.cancel()
-                        with self._lock:
-                            self.stats.tasks_cancelled += len(pending)
-                        _M_CANCELLED.inc(len(pending))
-                        if TRACER.enabled and pending:
-                            TRACER.event(
-                                "engine.cancel", kind="dimsat", losers=len(pending)
-                            )
-        except BaseException:
-            # A branch died for a reason the race does not understand (an
-            # injected fault, a real OSError): cancel the survivors so the
-            # failed decision cannot leak running work into the pool.
-            budget.cancel()
-            raise
-        if witness is None and budget_error is not None:
-            # Some branch ran out of budget and no other branch found a
-            # witness: "unsatisfiable" would be unsound, so re-raise.
-            raise budget_error
-        budget.publish()
-        return DimsatResult(
-            satisfiable=witness is not None,
-            witness=witness,
-            stats=search.stats,
-            trace=search.trace,
-        )
+        result = dimsat(schema, category, self.options, budget)
+        if budget is not None:
+            budget.publish()
+        return result
 
     def _implies_fanout(self, schema: DimensionSchema, node: Node) -> ImplicationResult:
+        """Theorem 2: ``ds |= alpha`` iff the root of ``alpha`` is
+        unsatisfiable once ``NOT alpha`` joins the constraints.  The name
+        is kept for the benchmark's hooks."""
         root = validate_constraint(schema.hierarchy, node)
         extended = schema.with_constraints([Not(node)])
         result = self._dimsat_fanout(extended, root)
@@ -440,91 +336,24 @@ class ParallelDecisionEngine:
         target: Category,
         sources: Tuple[Category, ...],
     ) -> bool:
-        options = self.options
-        tests = [
-            (bottom, node)
+        """Theorem 1: the implication test of every bottom category, the
+        first failing one settling "no".  The name is kept for the
+        benchmark's hooks."""
+        FAULTS.worker()
+        budget = self._fresh_budget()
+        verdict = all(
+            is_implied(schema, node, self.options, cache=self.cache, budget=budget)
             for bottom, node in summarizability_constraints(
                 schema.hierarchy, target, sources
             )
             if bottom != ALL
-        ]
-        executor = self._get_executor() if self.mode == "thread" else None
-        if executor is None or len(tests) <= 1:
-            if executor is None:
-                self._note_fallback()
-            FAULTS.worker()
-            budget = self._fresh_budget()
-            return all(
-                is_implied(schema, node, options, cache=self.cache, budget=budget)
-                for _bottom, node in tests
-            )
-
-        budget = self._fresh_budget()
-        submitted = time.perf_counter()
-
-        def run_bottom(node: Node) -> Optional[bool]:
-            _H_QUEUE_WAIT.observe((time.perf_counter() - submitted) * 1000.0)
-            FAULTS.worker()
-            try:
-                return is_implied(
-                    schema, node, options, cache=self.cache, budget=budget
-                )
-            except DecisionCancelled:
-                return None
-
-        futures = [executor.submit(run_bottom, node) for _bottom, node in tests]
-        with self._lock:
-            self.stats.tasks_dispatched += len(futures)
-        _M_DISPATCHED.inc(len(futures))
-        if TRACER.enabled:
-            TRACER.event(
-                "engine.dispatch",
-                kind="summarizable",
-                target=target,
-                tasks=len(futures),
-            )
-        verdict = True
-        budget_error: Optional[BudgetExceeded] = None
-        pending = set(futures)
-        try:
-            while pending:
-                done, pending = wait(pending, return_when=FIRST_COMPLETED)
-                for future in done:
-                    try:
-                        implied = future.result()
-                    except BudgetExceeded as exc:
-                        budget_error = exc
-                        budget.cancel()
-                        continue
-                    if implied is False and verdict:
-                        verdict = False
-                        # One bottom category violates Theorem 1's
-                        # implication: the answer is "no" whatever the
-                        # others say.
-                        budget.cancel()
-                        with self._lock:
-                            self.stats.tasks_cancelled += len(pending)
-                        _M_CANCELLED.inc(len(pending))
-                        if TRACER.enabled and pending:
-                            TRACER.event(
-                                "engine.cancel",
-                                kind="summarizable",
-                                losers=len(pending),
-                            )
-        except BaseException:
-            # See _dimsat_fanout: a faulted bottom must not leave its
-            # siblings running after the decision has already failed.
-            budget.cancel()
-            raise
-        if verdict and budget_error is not None:
-            # Every finished bottom passed, but at least one was aborted:
-            # "yes" would be unsound.
-            raise budget_error
-        budget.publish()
+        )
+        if budget is not None:
+            budget.publish()
         return verdict
 
     # ------------------------------------------------------------------
-    # The batch API: request-level fan-out with cross-request dedup
+    # The batch API: cross-request dedup
     # ------------------------------------------------------------------
 
     def decide_many(
@@ -536,13 +365,10 @@ class ParallelDecisionEngine:
         Requests are normalized (see :func:`normalize_request`), deduped
         by ``(schema fingerprint, canonical request)`` so each distinct
         question is decided exactly once per batch, and the unique
-        decisions run concurrently on the pool (each inside its own fresh
-        budget).  Verdicts come back as booleans aligned with the input
-        order: satisfiable / implied / summarizable.
-
-        Requests inside a batch run the sequential kernel per worker -
-        batching parallelizes *across* requests; use the single-decision
-        methods for *intra*-decision fan-out.
+        decisions run on the calling thread (process mode: on the pool),
+        each inside its own fresh budget.  Verdicts come back as booleans
+        aligned with the input order: satisfiable / implied /
+        summarizable.
 
         A request that fails (a budget abort, a worker fault) raises; use
         :meth:`try_decide_many` when the batch must survive individual
@@ -562,16 +388,13 @@ class ParallelDecisionEngine:
 
         Each element of the returned list (aligned with the input order)
         is either the boolean verdict or the exception instance that
-        request's decision raised - one crashed worker no longer takes
+        request's decision raised - one failed decision does not take
         down the rest of the batch.  Malformed requests still raise
         immediately from :func:`normalize_request` (they are caller bugs,
         not service faults).  Duplicated requests share one decision, so
         they also share one failure.
         """
         pairs = [(schema, normalize_request(request)) for schema, request in items]
-        with self._lock:
-            self.stats.batch_requests += len(pairs)
-
         unique: Dict[Tuple[str, RequestKey], List[int]] = {}
         order: List[Tuple[Tuple[str, RequestKey], DimensionSchema, RequestKey]] = []
         for index, (schema, key) in enumerate(pairs):
@@ -582,6 +405,7 @@ class ParallelDecisionEngine:
             unique[ukey].append(index)
         deduped = len(pairs) - len(order)
         with self._lock:
+            self.stats.batch_requests += len(pairs)
             self.stats.batch_deduped += deduped
         _M_DEDUPED.inc(deduped)
         if TRACER.enabled:
@@ -591,36 +415,24 @@ class ParallelDecisionEngine:
 
         results: Dict[Tuple[str, RequestKey], object] = {}
         executor = self._get_executor()
-        if executor is None:
-            self._note_fallback()
-            for ukey, schema, key in order:
-                try:
-                    results[ukey] = self._decide_sequential(schema, key)
-                except Exception as exc:
-                    results[ukey] = exc
-        elif self.mode == "process":
+        if executor is not None:
             self._decide_many_process(executor, order, results)
-        else:
-            submitted = time.perf_counter()
-
-            def run_request(schema: DimensionSchema, key: RequestKey) -> bool:
-                _H_QUEUE_WAIT.observe((time.perf_counter() - submitted) * 1000.0)
-                return self._decide_sequential(schema, key)
-
-            futures = {
-                executor.submit(run_request, schema, key): ukey
-                for ukey, schema, key in order
-            }
-            with self._lock:
-                self.stats.tasks_dispatched += len(futures)
-            _M_DISPATCHED.inc(len(futures))
-            for future, ukey in futures.items():
+        elif self.mode == "process":
+            self._note_fallback()
+        # Thread mode decides everything here; process mode only what a
+        # broken pool left undecided.
+        for ukey, schema, key in order:
+            if ukey not in results:
                 try:
-                    results[ukey] = future.result()
+                    results[ukey] = _verdict_of(_decide_inline(self, schema, key))
                 except Exception as exc:
                     results[ukey] = exc
 
         return [results[(schema.fingerprint(), key)] for schema, key in pairs]
+
+    def _note_fallback(self) -> None:
+        with self._lock:
+            self.stats.sequential_fallbacks += 1
 
     def _decide_many_process(
         self,
@@ -632,9 +444,9 @@ class ParallelDecisionEngine:
 
         Schemas travel as canonical JSON text; workers re-intern them once
         per fingerprint (see :func:`_process_decide`).  A broken pool
-        degrades to the in-process sequential path for the remaining
-        requests instead of failing the batch; other per-task failures
-        are captured into ``results`` for the caller to classify.
+        marks the engine's pool failed and leaves the remaining requests
+        for the caller to decide in-process; other per-task failures are
+        captured into ``results`` for the caller to classify.
         """
         from concurrent.futures.process import BrokenProcessPool
 
@@ -656,6 +468,7 @@ class ParallelDecisionEngine:
             }
             with self._lock:
                 self.stats.tasks_dispatched += len(futures)
+            _M_DISPATCHED.inc(len(futures))
             for future, ukey in futures.items():
                 try:
                     results[ukey] = future.result()
@@ -667,74 +480,74 @@ class ParallelDecisionEngine:
             with self._lock:
                 self._executor_failed = True
             self._note_fallback()
-            for ukey, schema, key in order:
-                if ukey not in results:
-                    try:
-                        results[ukey] = self._decide_sequential(schema, key)
-                    except Exception as exc:
-                        results[ukey] = exc
-
-    def _decide_sequential(self, schema: DimensionSchema, key: RequestKey) -> bool:
-        """One normalized request on the sequential kernel (runs inside a
-        pool worker in thread mode)."""
-        budget = (
-            self.budget_template.fresh() if self.budget_template is not None else None
-        )
-        return _decide(schema, key, self.options, self.cache, budget)
 
 
 # ----------------------------------------------------------------------
-# Request execution (shared by thread workers and process workers)
+# Request execution (shared by the calling thread and process workers)
 # ----------------------------------------------------------------------
+
+
+def _decide_inline(engine: Any, schema: DimensionSchema, request: Sequence[object]) -> object:
+    """One request on the calling thread through the sequential kernel,
+    with ``engine``'s cache, options and a fresh copy of its budget.
+
+    The batch path and the resilience ladder's sequential rung (over a
+    parallel or a compiled engine) both decide here; ``request`` is a
+    normalized key or an ``("implies", node)`` pair.  Returns the kernel's
+    result: a :class:`~repro.core.dimsat.DimsatResult`, an
+    :class:`~repro.core.implication.ImplicationResult`, or the
+    summarizability boolean.
+    """
+    return _decide(schema, request, engine.options, engine.cache, engine._fresh_budget())
 
 
 def _decide(
     schema: DimensionSchema,
-    key: RequestKey,
+    request: Sequence[object],
     options: Optional[DimsatOptions],
     cache: Optional[DecisionCache],
     budget: Optional[DecisionBudget],
-) -> bool:
-    # The per-decision fault checkpoint: every batch worker (thread or
-    # process) and the sequential fallback pass through here, so injected
-    # worker faults hit all rungs of the resilience ladder uniformly.
+) -> object:
+    # The per-decision fault checkpoint: the batch path (in-process or a
+    # process worker) and the ladder's sequential rung pass through here
+    # once per decision, so injected worker faults hit every rung of the
+    # resilience ladder uniformly.
     FAULTS.worker()
     if cache is not None or not AUDIT.enabled:
         # Cached decisions are audited inside DecisionCache.memoize
         # (which also knows the hit/miss flag); only the uncached path
         # needs a record here.
-        return _dispatch(schema, key, options, cache, budget)
+        return _dispatch(schema, request, options, cache, budget)
     start = time.perf_counter()
-    verdict = _dispatch(schema, key, options, cache, budget)
+    result = _dispatch(schema, request, options, cache, budget)
     AUDIT.record_decision(
         schema,
-        key,
+        normalize_request(request),
         _options_key(options),
-        verdict,
+        result,
         (time.perf_counter() - start) * 1000.0,
         cache_hit=False,
     )
-    return verdict
+    return result
 
 
 def _dispatch(
     schema: DimensionSchema,
-    key: RequestKey,
+    request: Sequence[object],
     options: Optional[DimsatOptions],
     cache: Optional[DecisionCache],
     budget: Optional[DecisionBudget],
-) -> bool:
-    from repro.core.implication import is_category_satisfiable
-    from repro.core.summarizability import is_summarizable_in_schema
-
-    kind = key[0]
+) -> object:
+    kind = request[0]
     if kind == "dimsat":
-        return is_category_satisfiable(schema, key[1], options, cache, budget)
+        if cache is not None:
+            return cache.dimsat(schema, request[1], options, budget)
+        return dimsat(schema, request[1], options, budget)
     if kind == "implies":
-        return is_implied(schema, key[1], options, cache, budget)
+        return implies(schema, request[1], options, cache, budget)
     if kind == "summarizable":
         return is_summarizable_in_schema(
-            schema, key[1], key[2], options, cache, budget
+            schema, request[1], request[2], options, cache, budget
         )
     raise ReproError(f"unknown decision request kind {kind!r}")  # pragma: no cover
 
@@ -763,4 +576,6 @@ def _process_decide(
         _WORKER_SCHEMAS[fingerprint] = schema
     budget = DecisionBudget.from_spec(budget_spec)
     # Each worker keeps its own process-wide cache warm across requests.
-    return _decide(schema, key, options, default_decision_cache(), budget)
+    return _verdict_of(
+        _decide(schema, key, options, default_decision_cache(), budget)
+    )

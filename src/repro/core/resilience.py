@@ -8,7 +8,7 @@ first-class *answerable* state rather than a crash; this module gives
 the decision stack the same property.  :class:`ResilientDecisionEngine`
 wraps a parallel engine with a three-rung **degradation ladder**:
 
-1. **parallel** - the wrapped engine (fan-out, batching, dedup), with
+1. **parallel** - the wrapped engine (batching, dedup), with
    per-decision retry: exponential backoff, deterministic jitter, a
    configurable attempt cap.  Transient failures (``OSError``, injected
    faults, broken pools) are retried; everything else is not.
@@ -45,19 +45,18 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro._types import Category
-from repro.core.auditlog import AUDIT
-from repro.core.dimsat import DimsatResult, dimsat
-from repro.core.faults import FAULTS
-from repro.core.implication import ImplicationResult, implies as run_implies
+from repro.constraints.parser import parse
+from repro.core.auditlog import AUDIT, _verdict_of
+from repro.core.dimsat import DimsatResult
+from repro.core.implication import ImplicationResult
 from repro.core.metrics import METRICS
 from repro.core.parallel import (
     ParallelDecisionEngine,
     RequestKey,
-    _decide,
+    _decide_inline,
     normalize_request,
 )
 from repro.core.schema import DimensionSchema
-from repro.core.summarizability import is_summarizable_in_schema
 from repro.core.trace import TRACER
 from repro.errors import BudgetExceeded, DecisionUnavailable, ReproError
 
@@ -356,16 +355,16 @@ class ResilientDecisionEngine:
     def _ladder(
         self,
         schema: DimensionSchema,
-        label: str,
+        request: Tuple[Any, ...],
         parallel_run: Callable[[], Any],
-        sequential_run: Callable[[], Any],
-        request: Optional[Tuple[Any, ...]] = None,
     ) -> Any:
         """Single-decision ladder; raises ``DecisionUnavailable`` at the
-        bottom.  ``request`` is the canonical request key, recorded on the
-        audit log when every rung fails (successful rungs are audited at
-        the cache/kernel layer they answer from)."""
+        bottom.  The sequential rung decides ``request`` through the
+        wrapped engine's inline kernel path; ``request`` is also recorded
+        on the audit log when every rung fails (successful rungs are
+        audited at the cache/kernel layer they answer from)."""
         self.stats.decisions += 1
+        label = request[0]
         fingerprint = schema.fingerprint()
         token = zlib.crc32(f"{label}:{fingerprint}".encode("utf-8"))
         failures: List[AttemptRecord] = []
@@ -396,7 +395,10 @@ class ResilientDecisionEngine:
             if TRACER.enabled:
                 TRACER.event("resilience.degrade", kind=label, to="sequential")
             ok, value, attempts = self._run_rung(
-                "sequential", sequential_run, failures, token ^ 0x5E0
+                "sequential",
+                lambda: _decide_inline(self.engine, schema, request),
+                failures,
+                token ^ 0x5E0,
             )
             total_attempts += attempts
             if ok:
@@ -411,9 +413,9 @@ class ResilientDecisionEngine:
                 TRACER.event(
                     "resilience.unknown", kind=label, attempts=total_attempts
                 )
-            if AUDIT.enabled and request is not None:
+            if AUDIT.enabled:
                 AUDIT.record_unknown(
-                    schema, request, total_attempts, failures
+                    schema, normalize_request(request), total_attempts, failures
                 )
         raise DecisionUnavailable(
             f"{label} decision unavailable after {total_attempts} attempts "
@@ -427,22 +429,10 @@ class ResilientDecisionEngine:
 
     def dimsat(self, schema: DimensionSchema, category: Category) -> DimsatResult:
         """Category satisfiability through the ladder."""
-
-        def sequential() -> DimsatResult:
-            FAULTS.worker()
-            budget = self.engine._fresh_budget()
-            if self.engine.cache is not None:
-                return self.engine.cache.dimsat(
-                    schema, category, self.engine.options, budget
-                )
-            return dimsat(schema, category, self.engine.options, budget)
-
         return self._ladder(
             schema,
-            "dimsat",
+            ("dimsat", category),
             lambda: self.engine.dimsat(schema, category),
-            sequential,
-            request=("dimsat", category),
         )
 
     def is_satisfiable(self, schema: DimensionSchema, category: Category) -> bool:
@@ -451,25 +441,13 @@ class ResilientDecisionEngine:
     def implies(
         self, schema: DimensionSchema, constraint: object
     ) -> ImplicationResult:
-        """``ds |= alpha`` through the ladder."""
-
-        def sequential() -> ImplicationResult:
-            FAULTS.worker()
-            budget = self.engine._fresh_budget()
-            if self.engine.cache is not None:
-                return self.engine.cache.implies(
-                    schema, constraint, self.engine.options, budget
-                )
-            return run_implies(
-                schema, constraint, self.engine.options, cache=None, budget=budget
-            )
-
+        """``ds |= alpha`` through the ladder (the constraint is parsed
+        once, here)."""
+        node = parse(constraint) if isinstance(constraint, str) else constraint
         return self._ladder(
             schema,
-            "implies",
-            lambda: self.engine.implies(schema, constraint),
-            sequential,
-            request=normalize_request(("implies", constraint)),
+            ("implies", node),
+            lambda: self.engine.implies(schema, node),
         )
 
     def is_implied(self, schema: DimensionSchema, constraint: object) -> bool:
@@ -483,25 +461,10 @@ class ResilientDecisionEngine:
     ) -> bool:
         """Theorem 1 through the ladder."""
         source_key = tuple(sorted(set(sources)))
-
-        def sequential() -> bool:
-            FAULTS.worker()
-            budget = self.engine._fresh_budget()
-            return is_summarizable_in_schema(
-                schema,
-                target,
-                source_key,
-                self.engine.options,
-                self.engine.cache,
-                budget,
-            )
-
         return self._ladder(
             schema,
-            "summarizable",
+            ("summarizable", target, source_key),
             lambda: self.engine.is_summarizable(schema, target, source_key),
-            sequential,
-            request=("summarizable", target, source_key),
         )
 
     # ------------------------------------------------------------------
@@ -633,7 +596,7 @@ class ResilientDecisionEngine:
             token = zlib.crc32(repr(key).encode("utf-8"))
             ok, value, attempts = self._run_rung(
                 "sequential",
-                lambda: self._sequential_decide(schema, key),
+                lambda: _verdict_of(_decide_inline(self.engine, schema, key)),
                 failures[index],
                 token,
             )
@@ -671,17 +634,6 @@ class ResilientDecisionEngine:
             assert outcome is not None, f"request {index} left undecided"
             _H_ATTEMPTS.observe(outcome.attempts)
         return outcomes  # type: ignore[return-value]
-
-    def _sequential_decide(self, schema: DimensionSchema, key: RequestKey) -> bool:
-        """One normalized request on the in-process sequential kernel
-        (the ladder's second rung; passes the worker fault checkpoint
-        inside :func:`repro.core.parallel._decide`)."""
-        budget = (
-            self.engine.budget_template.fresh()
-            if self.engine.budget_template is not None
-            else None
-        )
-        return _decide(schema, key, self.engine.options, self.engine.cache, budget)
 
     def report(self) -> str:
         """A human-readable stats block."""

@@ -58,7 +58,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.core.decisioncache import DecisionCache
 from repro.core.metrics import METRICS
@@ -72,6 +72,9 @@ from repro.core.wire import (
     write_frame_async,
 )
 from repro.errors import BudgetExceeded, DecisionUnavailable, ReproError
+
+if TYPE_CHECKING:
+    from repro.core.cachestore import LoadReport
 
 __all__ = ["DecisionServer", "ServerStats", "DECISION_OPS", "ALL_OPS"]
 
@@ -138,7 +141,7 @@ class DecisionServer:
         verify_cache_on_load: bool = True,
     ) -> None:
         if engine is None:
-            engine = ResilientDecisionEngine(max_workers=2)
+            engine = ResilientDecisionEngine()
         elif not isinstance(engine, ResilientDecisionEngine):
             engine = ResilientDecisionEngine(engine)
         if max_inflight < 1:
@@ -167,6 +170,9 @@ class DecisionServer:
         self._stop_event: Optional[asyncio.Event] = None
         self._stopping = False
         self._saved = False
+        #: What :meth:`start` loaded from ``cache_dir`` (``None`` until then,
+        #: or when the store could not be read).
+        self.load_report: Optional[LoadReport] = None
         #: Set once the socket is bound - lets a thread that launched
         #: :meth:`run` in the background wait for :attr:`port`.
         self.started = threading.Event()
@@ -214,7 +220,7 @@ class DecisionServer:
             from repro.core.cachestore import CacheStoreError, load_cache
 
             try:
-                load_cache(
+                self.load_report = load_cache(
                     self.cache,
                     self.cache_dir,
                     verify_replay=self.verify_cache_on_load,

@@ -104,7 +104,6 @@ class SoakConfig:
     #: Operations per mixed-trace cycle per case (traces regenerate with
     #: a bumped seed when exhausted).
     trace_ops: int = 40
-    workers: int = 2
     retries: int = 3
     budget_ms: Optional[float] = None
     #: Run the compiled-vs-sequential cross-check on every Nth decision.
@@ -248,9 +247,9 @@ class SoakReport:
 def build_soak_engine(config: SoakConfig) -> ResilientDecisionEngine:
     """The resilient engine the soak drives, per ``config.engine``.
 
-    ``sequential`` is the parallel engine pinned to one worker - the
-    in-repo sequential service path behind the same retry/degradation
-    ladder the other two get.
+    ``parallel`` and ``sequential`` are the same batch engine, which
+    decides on the calling thread; both names stay for the CLI.  Every
+    engine sits behind the same retry/degradation ladder.
     """
     budget = (
         DecisionBudget(time_ms=config.budget_ms)
@@ -259,10 +258,8 @@ def build_soak_engine(config: SoakConfig) -> ResilientDecisionEngine:
     )
     if config.engine == "compiled":
         inner: Any = CompiledDecisionEngine(budget=budget)
-    elif config.engine == "parallel":
-        inner = ParallelDecisionEngine(max_workers=config.workers, budget=budget)
     else:
-        inner = ParallelDecisionEngine(max_workers=1, budget=budget)
+        inner = ParallelDecisionEngine(budget=budget)
     return ResilientDecisionEngine(
         inner,
         retry=RetryPolicy(max_attempts=max(1, config.retries)),

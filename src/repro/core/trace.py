@@ -3,7 +3,7 @@
 The ROADMAP's production target needs the reasoning core to be
 *observable*: a slow DIMSAT call should be attributable to its CHECK
 branches, a navigator query to the summarizability decisions it ran,
-a parallel batch to its queue waits and cancellations.  This module
+a batch to its dedup and the decisions it ran.  This module
 provides the substrate every reasoning layer instruments itself with:
 
 * :class:`Tracer` - a process-wide recorder of **spans** (named,
@@ -23,7 +23,7 @@ provides the substrate every reasoning layer instruments itself with:
 Span names are dotted and stable (``dimsat.decide``, ``dimsat.check``,
 ``implication.decide``, ``summarizability.bottom``,
 ``navigator.answer``, ``viewselect.evaluate``, ``resilience.decide``
-...), as are event names (``engine.dispatch``, ``decision_cache.lookup``
+...), as are event names (``engine.batch``, ``decision_cache.lookup``
 / ``decision_cache.store_failed``, ``resilience.retry`` /
 ``resilience.degrade`` / ``resilience.unknown`` ...); the event schema is
 documented in ``docs/TUTORIAL.md`` (Observability) and the span-to-paper

@@ -1,4 +1,4 @@
-"""Budget exhaustion and cancellation semantics.
+"""Budget exhaustion semantics.
 
 The contract under test: a blown budget raises the typed
 :class:`~repro.errors.BudgetExceeded` - it never produces a wrong verdict
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.budget import DecisionBudget, DecisionCancelled
+from repro.core.budget import DecisionBudget
 from repro.core.decisioncache import DecisionCache
 from repro.core.dimsat import DimsatOptions, SearchBudgetExceeded, dimsat
 from repro.core.implication import implies, is_category_satisfiable, is_implied
@@ -50,13 +50,6 @@ class TestDecisionBudget:
             budget.charge()
         assert budget.nodes_charged == 1000
 
-    def test_cancel_wins_over_exhaustion(self):
-        budget = DecisionBudget(max_nodes=0)
-        budget.cancel()
-        assert budget.cancelled
-        with pytest.raises(DecisionCancelled):
-            budget.charge()
-
     def test_negative_parameters_rejected(self):
         with pytest.raises(ValueError):
             DecisionBudget(max_nodes=-1)
@@ -66,10 +59,9 @@ class TestDecisionBudget:
     def test_fresh_copies_ceilings_not_state(self):
         budget = DecisionBudget(max_nodes=5, time_ms=60_000.0)
         budget.charge(5)
-        budget.cancel()
         copy = budget.fresh()
         assert copy.max_nodes == 5 and copy.time_ms == 60_000.0
-        assert copy.nodes_charged == 0 and not copy.cancelled
+        assert copy.nodes_charged == 0
         copy.charge(5)
 
     def test_spec_round_trip(self):
@@ -160,8 +152,8 @@ class TestCachesStayVerdictClean:
         assert cache.is_summarizable(schema, "Country", ["State", "Province"]) is False
 
     def test_engine_abort_leaves_cache_clean(self, schema):
-        """A budget abort inside the parallel fan-out (with cancelled
-        branches in flight) must leave the shared cache verdict-clean."""
+        """A budget abort inside the engine's single-decision path must
+        leave the shared cache verdict-clean."""
         cache = DecisionCache()
         with ParallelDecisionEngine(
             max_workers=4, budget=DecisionBudget(max_nodes=0), cache=cache

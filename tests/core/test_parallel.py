@@ -2,18 +2,23 @@
 
 The differential harness (:mod:`tests.test_differential`) covers verdict
 agreement on random schemas; this file pins down the engine's mechanics -
-request normalization, batch dedup accounting, fallback behaviour,
-lifecycle, witness validity under the branch race, and the DimsatStats
+request normalization, batch dedup accounting, the process pool's
+fallback and lifecycle, the inline thread mode (no pool threads, warm
+hits that never reach the kernel), witness validity, and the DimsatStats
 regression (concurrent CHECK totals must equal the sequential run's).
 """
 
 from __future__ import annotations
+
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from repro.core.budget import DecisionBudget
 from repro.core.decisioncache import DecisionCache
 from repro.core.dimsat import dimsat
+from repro.core.faults import inject_faults
 from repro.core.parallel import ParallelDecisionEngine, normalize_request
 from repro.errors import ReproError, SchemaError
 from repro.generators.location import location_schema
@@ -54,23 +59,28 @@ class TestNormalizeRequest:
 
 class TestBatchAPI:
     def test_dedup_counts_and_alignment(self, schema):
-        with ParallelDecisionEngine(max_workers=4, cache=DecisionCache()) as engine:
-            batch = [
-                (schema, ("dimsat", "Store")),
-                (schema, ("dimsat", "City")),
-                (schema, ("dimsat", "Store")),
-                (schema, ("summarizable", "Country", ["City"])),
-                (schema, ("summarizable", "Country", ("City",))),
-            ]
-            verdicts = engine.decide_many(batch)
-            assert verdicts == [True, True, True, True, True]
-            assert engine.stats.batch_requests == 5
-            assert engine.stats.batch_deduped == 2
-            assert engine.stats.tasks_dispatched == 3
+        batch = [
+            (schema, ("dimsat", "Store")),
+            (schema, ("dimsat", "City")),
+            (schema, ("dimsat", "Store")),
+            (schema, ("summarizable", "Country", ["City"])),
+            (schema, ("summarizable", "Country", ("City",))),
+        ]
+        # Inline, nothing is dispatched; the process pool gets one task
+        # per unique request.
+        for mode, dispatched in (("thread", 0), ("process", 3)):
+            with ParallelDecisionEngine(
+                max_workers=2, mode=mode, cache=DecisionCache()
+            ) as engine:
+                verdicts = engine.decide_many(batch)
+                assert verdicts == [True, True, True, True, True]
+                assert engine.stats.batch_requests == 5
+                assert engine.stats.batch_deduped == 2
+                assert engine.stats.tasks_dispatched == dispatched
 
     def test_cross_batch_dedup_via_cache(self, schema):
         cache = DecisionCache()
-        with ParallelDecisionEngine(max_workers=4, cache=cache) as engine:
+        with ParallelDecisionEngine(cache=cache) as engine:
             batch = [(schema, ("dimsat", "Store")), (schema, ("implies", "Store.City"))]
             engine.decide_many(batch)
             before = cache.stats.misses
@@ -84,7 +94,7 @@ class TestBatchAPI:
 
         rebuilt = schema_from_json(schema_to_json(schema))
         assert rebuilt is not schema
-        with ParallelDecisionEngine(max_workers=2, cache=DecisionCache()) as engine:
+        with ParallelDecisionEngine(cache=DecisionCache()) as engine:
             batch = [
                 (schema, ("dimsat", "Store")),
                 (rebuilt, ("dimsat", "Store")),
@@ -94,45 +104,89 @@ class TestBatchAPI:
             assert engine.stats.batch_deduped == 1
 
     def test_empty_batch(self, schema):
-        with ParallelDecisionEngine(max_workers=2) as engine:
+        with ParallelDecisionEngine() as engine:
             assert engine.decide_many([]) == []
 
     def test_uncached_engine(self, schema):
-        with ParallelDecisionEngine(max_workers=2, cache=None) as engine:
+        with ParallelDecisionEngine(cache=None) as engine:
             assert engine.is_satisfiable(schema, "Store") is True
             assert engine.decide_many([(schema, ("dimsat", "Store"))]) == [True]
 
 
 class TestFallbackAndLifecycle:
     def test_single_worker_runs_sequentially(self, schema):
-        with ParallelDecisionEngine(max_workers=1, cache=DecisionCache()) as engine:
+        with ParallelDecisionEngine(
+            max_workers=1, mode="process", cache=DecisionCache()
+        ) as engine:
             assert engine.is_satisfiable(schema, "Store") is True
             assert engine.decide_many([(schema, ("dimsat", "City"))]) == [True]
-            assert engine.stats.sequential_fallbacks >= 2
+            assert engine.stats.sequential_fallbacks >= 1
             assert engine.stats.tasks_dispatched == 0
 
     def test_shutdown_is_idempotent_and_degrades_gracefully(self, schema):
-        engine = ParallelDecisionEngine(max_workers=4, cache=DecisionCache())
-        assert engine.is_satisfiable(schema, "Store") is True
+        engine = ParallelDecisionEngine(
+            max_workers=2, mode="process", cache=DecisionCache()
+        )
+        assert engine.decide_many([(schema, ("dimsat", "Store"))]) == [True]
         engine.shutdown()
         engine.shutdown()
-        # A closed engine still answers, sequentially.
-        assert engine.is_satisfiable(schema, "City") is True
+        # A closed engine still answers, in-process.
+        assert engine.decide_many([(schema, ("dimsat", "City"))]) == [True]
         assert engine.stats.sequential_fallbacks >= 1
 
     def test_unknown_category_raises_in_parallel_path(self, schema):
-        with ParallelDecisionEngine(max_workers=4, cache=None) as engine:
+        with ParallelDecisionEngine(cache=None) as engine:
             with pytest.raises(SchemaError):
                 engine.is_satisfiable(schema, "Galaxy")
 
 
+class TestInlineThreadMode:
+    def test_no_decision_threads_start(self, schema):
+        """Thread mode decides on the caller's thread: no pool thread ever
+        starts, for single decisions or batches."""
+        before = {t.ident for t in threading.enumerate()}
+        with ParallelDecisionEngine(max_workers=8, cache=None) as engine:
+            assert engine._get_executor() is None
+            assert engine.is_satisfiable(schema, "Store") is True
+            assert engine.is_implied(schema, "Store.City.Country") is True
+            assert engine.is_summarizable(schema, "Country", ["City"]) is True
+            batch = [(schema, ("dimsat", c)) for c in ("Store", "City", "State")]
+            assert engine.decide_many(batch) == [True, True, True]
+            started = [
+                t.name for t in threading.enumerate() if t.ident not in before
+            ]
+        assert not any(name.startswith("repro-decide") for name in started)
+        assert started == []
+
+    def test_warm_single_decision_skips_kernel_and_fault_checkpoint(
+        self, schema, monkeypatch
+    ):
+        engine = ParallelDecisionEngine(cache=DecisionCache())
+        engine.dimsat(schema, "Store")
+        engine.implies(schema, "Store.City.Country")
+        engine.is_summarizable(schema, "Country", ["City"])
+
+        def boom(*_args, **_kwargs):
+            raise AssertionError("warm hit left the cache")
+
+        monkeypatch.setattr(ParallelDecisionEngine, "_dimsat_fanout", boom)
+        monkeypatch.setattr(ParallelDecisionEngine, "_summarizable_fanout", boom)
+        # A crash armed on every worker checkpoint: a warm hit must never
+        # reach one.
+        with inject_faults("worker-crash:p=1.0;seed=1") as injector:
+            assert engine.dimsat(schema, "Store").satisfiable
+            assert engine.implies(schema, "Store.City.Country").implied
+            assert engine.is_summarizable(schema, "Country", ["City"]) is True
+        assert injector.opportunities() == {"worker-crash": 0}
+
+
 class TestWitnessValidity:
     def test_parallel_witness_materializes(self, schema):
-        """Whichever branch wins the race, the witness must be a real
-        frozen dimension whose instance conforms to the schema."""
+        """The engine's witness must be a real frozen dimension whose
+        instance conforms to the schema, every time it is recomputed."""
         from repro.constraints.semantics import satisfies_all
 
-        with ParallelDecisionEngine(max_workers=4, cache=None) as engine:
+        with ParallelDecisionEngine(cache=None) as engine:
             for _ in range(5):
                 result = engine.dimsat(schema, "Store")
                 assert result.satisfiable
@@ -142,17 +196,20 @@ class TestWitnessValidity:
 
 class TestStatsRegression:
     def test_concurrent_check_totals_match_sequential(self, schema):
-        """Regression for the DimsatStats `+=` race: on an unsatisfiable
-        category every branch runs to exhaustion (no cancellation), so the
-        concurrent branches' shared counters must total exactly what the
-        sequential search counts.  With non-atomic increments this test
-        loses updates and the totals drift low."""
+        """On an unsatisfiable category the search runs to exhaustion, so
+        each of several concurrent uncached decisions (the decision
+        server's executor runs requests side by side, sharing the circle
+        cache) must count exactly what the sequential search counts."""
         doomed = make_unsatisfiable(schema, "Store")
         sequential = dimsat(doomed, "Store")
         assert not sequential.satisfiable
-        with ParallelDecisionEngine(max_workers=8, cache=None) as engine:
-            for _ in range(3):
-                result = engine.dimsat(doomed, "Store")
+        with ParallelDecisionEngine(cache=None) as engine, ThreadPoolExecutor(
+            max_workers=8
+        ) as pool:
+            results = list(
+                pool.map(lambda _: engine.dimsat(doomed, "Store"), range(8))
+            )
+            for result in results:
                 assert not result.satisfiable
                 assert result.stats.expand_calls == sequential.stats.expand_calls
                 assert result.stats.check_calls == sequential.stats.check_calls

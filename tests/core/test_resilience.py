@@ -146,18 +146,37 @@ class TestRetries:
 
 class TestDegradation:
     def test_pool_exhaustion_degrades_inside_parallel_engine(self, schema):
-        # The wrapped engine's own sequential fallback absorbs pool
-        # exhaustion; the ladder's parallel rung still answers.
+        # The wrapped engine's own in-process fallback absorbs process
+        # pool exhaustion; the ladder's parallel rung still answers.
         with inject_faults("pool-exhaustion:p=1.0;seed=1"):
             engine = ResilientDecisionEngine(
-                retry=FAST_RETRY, max_workers=2, mode="thread",
+                retry=FAST_RETRY, max_workers=2, mode="process",
                 cache=DecisionCache(),
             )
             try:
                 outcome = engine.decide(schema, ("dimsat", "City"))
                 assert outcome.ok and outcome.verdict is True
+                assert outcome.rung == "parallel"
+                assert engine.engine.stats.sequential_fallbacks == 1
             finally:
                 engine.shutdown()
+
+    def test_worker_crash_walks_single_decisions_to_unknown(self, engine, schema):
+        requests = [
+            lambda: engine.dimsat(schema, "City"),
+            lambda: engine.implies(schema, "Store.City.Country"),
+            lambda: engine.is_summarizable(schema, "Country", ["City"]),
+        ]
+        for decide in requests:
+            with inject_faults("worker-crash:p=1.0;seed=3") as injector:
+                with pytest.raises(DecisionUnavailable) as info:
+                    decide()
+            rungs = [f.rung for f in info.value.failures]
+            assert rungs == ["parallel"] * 3 + ["sequential"] * 3
+            assert {f.error_type for f in info.value.failures} == {"InjectedFault"}
+            # Each attempt passes the worker fault checkpoint exactly once.
+            assert injector.opportunities() == {"worker-crash": 6}
+        assert engine.stats.unknown_verdicts == 3
 
     def test_persistent_fault_degrades_to_unknown(self, engine, schema):
         with inject_faults("worker-crash:p=1.0;seed=3"):
@@ -285,3 +304,42 @@ class TestConstruction:
         engine.decide(schema, ("dimsat", "City"))
         text = engine.report()
         assert "decisions" in text and "unknown verdicts" in text
+
+
+class TestWarmSingleDecisions:
+    def _warm(self, engine, schema):
+        engine.dimsat(schema, "Store")
+        engine.implies(schema, "Store.City.Country")
+        engine.is_summarizable(schema, "Country", ["City"])
+
+    def test_warm_hits_skip_kernel_and_fault_checkpoint(
+        self, engine, schema, monkeypatch
+    ):
+        self._warm(engine, schema)
+
+        def boom(*_args, **_kwargs):
+            raise AssertionError("warm hit left the cache")
+
+        for name in ("_dimsat_fanout", "_implies_fanout", "_summarizable_fanout"):
+            monkeypatch.setattr(ParallelDecisionEngine, name, boom)
+        with inject_faults("worker-crash:p=1.0;seed=1") as injector:
+            assert engine.dimsat(schema, "Store").satisfiable
+            assert engine.implies(schema, "Store.City.Country").implied
+            assert engine.is_summarizable(schema, "Country", ["City"]) is True
+        assert injector.opportunities() == {"worker-crash": 0}
+        assert engine.stats.degraded_sequential == 0
+
+    def test_warm_implies_parses_once(self, engine, schema, monkeypatch):
+        from repro.constraints import parser
+
+        self._warm(engine, schema)
+        parses = []
+        init = parser._Parser.__init__
+
+        def counting_init(self, text):
+            parses.append(text)
+            init(self, text)
+
+        monkeypatch.setattr(parser._Parser, "__init__", counting_init)
+        assert engine.implies(schema, "Store.City.Country").implied
+        assert len(parses) <= 1

@@ -299,6 +299,60 @@ class TestCacheDir:
         assert os.path.exists(os.path.join(cache_dir, "decisions.cache"))
 
 
+    def test_serve_replays_each_persisted_entry_once(
+        self, schema_file, tmp_path, capsys, monkeypatch
+    ):
+        """``--cache-dir serve`` loads the store once - the server owns the
+        load - and still reports it and saves it back on stop."""
+        import threading
+        import time
+
+        from repro.core import cachestore
+        from repro.core.client import DecisionClient
+        from repro.core.decisioncache import DecisionCache
+
+        cache_dir = str(tmp_path / "cache")
+        assert main(["--cache-dir", cache_dir, "audit", schema_file]) == 0
+        stored = cachestore.load_cache(
+            DecisionCache(), cache_dir, verify_replay=False
+        ).loaded
+        assert stored > 0
+
+        loads = []
+        load_cache = cachestore.load_cache
+
+        def counting_load(*args, **kwargs):
+            report = load_cache(*args, **kwargs)
+            loads.append(report.replayed)
+            return report
+
+        monkeypatch.setattr(cachestore, "load_cache", counting_load)
+        port_file = tmp_path / "port"
+        exit_codes = []
+        server = threading.Thread(
+            target=lambda: exit_codes.append(
+                main(
+                    [
+                        "--cache-dir", cache_dir, "serve", "--port", "0",
+                        "--port-file", str(port_file),
+                    ]
+                )
+            )
+        )
+        server.start()
+        deadline = time.monotonic() + 30
+        while not (port_file.exists() and port_file.read_text().strip()):
+            assert time.monotonic() < deadline, "server never wrote its port"
+            time.sleep(0.01)
+        client = DecisionClient("127.0.0.1", int(port_file.read_text()))
+        client.shutdown()
+        client.close()
+        server.join(timeout=30)
+        assert exit_codes == [0]
+        assert loads == [stored]
+        assert "cache-load:" in capsys.readouterr().err
+
+
 class TestExitPathPersistence:
     """Every exit path - Ctrl-C, uncaught exceptions, failing telemetry
     teardown - must still land the warm cache on disk."""

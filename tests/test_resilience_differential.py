@@ -28,7 +28,7 @@ from repro.core.decisioncache import DecisionCache
 from repro.core.dimsat import dimsat
 from repro.core.faults import inject_faults
 from repro.core.implication import is_implied
-from repro.core.parallel import ParallelDecisionEngine, _decide
+from repro.core.parallel import ParallelDecisionEngine
 from repro.core.resilience import ResilientDecisionEngine, RetryPolicy
 from repro.core.summarizability import is_summarizable_in_schema
 from repro.generators.location import LOCATION_CONSTRAINTS, location_schema
@@ -185,7 +185,7 @@ def test_cache_poisoning_hammer():
         for full_key, stored in list(cache._data.items()):
             fingerprint, key = full_key[0], full_key[1:]
             assert fingerprint == schema.fingerprint()
-            recomputed = _decide(schema, key[:-1], None, None, None)
+            recomputed = _sequential_oracle(schema, key[:-1])
             stored_verdict = (
                 stored if isinstance(stored, bool)
                 else getattr(stored, "satisfiable", getattr(stored, "implied", None))

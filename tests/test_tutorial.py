@@ -119,6 +119,52 @@ class TestSection7Navigation:
         assert plan.kind == "rewritten"
 
 
+class TestSection10BatchedDecisions:
+    def test_batch_dedups_and_decides_on_the_calling_thread(self, ds):
+        """'requests are deduplicated by schema fingerprint and canonical
+        query, each unique one is decided once' and 'The engine decides
+        on the calling thread.'"""
+        import threading
+
+        from repro.core import DecisionBudget, DecisionCache, ParallelDecisionEngine
+
+        before = {t.ident for t in threading.enumerate()}
+        with ParallelDecisionEngine(
+            budget=DecisionBudget(time_ms=500), cache=DecisionCache()
+        ) as engine:
+            verdicts = engine.decide_many([
+                (ds, ("dimsat", "Shipment")),
+                (ds, ("implies", "Shipment -> Region")),
+                (ds, ("summarizable", "Region", ["Center", "Gateway"])),
+                (ds, ("dimsat", "Shipment")),
+            ])
+            assert engine.stats.batch_deduped == 1
+            assert engine.stats.tasks_dispatched == 0
+        assert verdicts == [
+            True,
+            implies(ds, "Shipment -> Region").implied,
+            is_summarizable_in_schema(ds, "Region", ["Center", "Gateway"]),
+            True,
+        ]
+        assert {t.ident for t in threading.enumerate()} <= before
+
+    def test_metrics_table_names_live_metrics(self, ds):
+        """The engine and budget rows of the Section 11 metrics table."""
+        from repro.core import DecisionBudget, DecisionCache, ParallelDecisionEngine
+        from repro.core.metrics import metrics_registry
+
+        with ParallelDecisionEngine(
+            budget=DecisionBudget(max_nodes=0), cache=DecisionCache()
+        ) as engine:
+            engine.try_decide_many([(ds, ("dimsat", "Shipment"))] * 2)
+        counters = metrics_registry().snapshot()["counters"]
+        for name in ("engine.batch_deduped", "engine.tasks_dispatched",
+                     "budget.exceeded"):
+            assert name in counters
+        for gone in ("engine.tasks_cancelled", "budget.cancelled"):
+            assert gone not in counters
+
+
 class TestSection11Observability:
     def test_traced_decision_records_the_documented_spans(self, ds):
         from repro.core.trace import tracer, tracing
@@ -237,7 +283,7 @@ class TestSection17Serving:
 
         server = DecisionServer(
             engine=ResilientDecisionEngine(
-                ParallelDecisionEngine(max_workers=2, cache=DecisionCache())
+                ParallelDecisionEngine(cache=DecisionCache())
             )
         )
         thread = threading.Thread(target=server.run, daemon=True)
