@@ -8,9 +8,11 @@ module adds that capability on top of the navigator:
 
 * :func:`apply_delta` - merge a batch of new facts into one view;
 * :class:`MaintainedNavigator` - an
-  :class:`~repro.olap.navigator.AggregateNavigator` whose materialized
-  views follow fact appends incrementally, with the usual cost advantage
-  (delta-sized work instead of full rebuilds).
+  :class:`~repro.olap.navigator.AggregateNavigator` whose fact table and
+  materialized views absorb an append without touching the facts already
+  loaded: the table grows in O(|delta|) through
+  :meth:`~repro.olap.facttable.FactTable.extended` and each view merges
+  the delta's own aggregate.
 
 Deletions are *not* supported for SUM/COUNT/MIN/MAX - inverting MIN/MAX
 needs the full history - which mirrors real OLAP engines' append-only
@@ -213,23 +215,30 @@ class SchemaEditor:
     def drop_constraint(self, constraint: object) -> DimensionSchema:
         """Remove one constraint from SIGMA, matched by canonical text.
 
+        When SIGMA holds several copies, only the last one goes, so a
+        drop undoes the latest :meth:`add_constraint` of the same text.
         Raises :class:`SchemaError` when no constraint matches.
         """
         node = parse(constraint) if isinstance(constraint, str) else constraint
         doomed = unparse(node)  # type: ignore[arg-type]
-        kept = [n for n in self.schema.constraints if unparse(n) != doomed]
-        if len(kept) == len(self.schema.constraints):
-            raise SchemaError(f"no constraint matches {doomed!r}")
-        return self._commit(DimensionSchema(self.schema.hierarchy, kept))
+        kept = list(self.schema.constraints)
+        for index in range(len(kept) - 1, -1, -1):
+            if unparse(kept[index]) == doomed:
+                del kept[index]
+                return self._commit(DimensionSchema(self.schema.hierarchy, kept))
+        raise SchemaError(f"no constraint matches {doomed!r}")
 
 
 class MaintainedNavigator(AggregateNavigator):
     """An aggregate navigator whose views track fact appends.
 
-    ``append(rows)`` extends the fact table and patches every materialized
-    view with the delta - each view pays O(|delta|) instead of a full
-    rebuild.  Query answering is inherited unchanged, so rewrites keep
-    their correctness guarantees over the grown data.
+    ``append(rows)`` validates only the new rows, extends the fact table
+    in place (:meth:`~repro.olap.facttable.FactTable.extended`) and patches
+    every materialized view with the delta: each view pays for the delta
+    and a copy of its own cells, and nothing rescans or copies the facts
+    already loaded.  Query answering is inherited unchanged, so rewrites
+    keep their correctness guarantees over the grown data.  Like the fact
+    table, a navigator has a single writer.
 
     Constraint maintenance rides along: :meth:`add_constraint` and
     :meth:`drop_constraint` swap in an edited schema (via
@@ -241,17 +250,36 @@ class MaintainedNavigator(AggregateNavigator):
     def append(
         self, rows: Iterable[Tuple[Member, Mapping[str, float]]]
     ) -> int:
-        """Load new facts; returns the number of rows appended."""
+        """Load new facts; returns the number of rows appended.
+
+        A rejected batch (a non-base member, or measures other than the
+        table's) raises :class:`OlapError` and changes nothing.  Tables
+        handed out earlier keep their own rows.
+
+        >>> from repro.generators.location import location_instance
+        >>> from repro.olap.aggregates import SUM
+        >>> before = FactTable(location_instance(), [("s1", {"sales": 10.0})])
+        >>> navigator = MaintainedNavigator(before)
+        >>> navigator.materialize("Country", SUM, "sales").cells
+        {'Canada': 10.0}
+        >>> navigator.append([("s2", {"sales": 7.0})])
+        1
+        >>> navigator.answer("Country", SUM, "sales")[0].cells
+        {'Canada': 17.0}
+        >>> len(before), len(navigator.facts)
+        (1, 2)
+        """
         delta = FactTable(self.instance, rows)
         if len(delta) == 0:
             return 0
-        merged_rows: List[Tuple[Member, Mapping[str, float]]] = [
-            (fact.member, fact.measures) for fact in self.facts
-        ]
-        merged_rows.extend((fact.member, fact.measures) for fact in delta)
-        self.facts = FactTable(self.instance, merged_rows)
-        for key, view in list(self._views.items()):
-            self._views[key] = apply_delta(self.instance, view, delta)
+        # Every view is patched before the table grows, so a batch that
+        # any step rejects leaves the navigator as it was.
+        views = {
+            key: apply_delta(self.instance, view, delta)
+            for key, view in self._views.items()
+        }
+        self.facts = self.facts.extended(delta)
+        self._views.update(views)
         return len(delta)
 
     # ------------------------------------------------------------------

@@ -68,3 +68,53 @@ class TestAccessors:
 
     def test_repr(self, facts):
         assert "3 facts" in repr(facts)
+
+
+class TestExtended:
+    @pytest.fixture()
+    def facts(self, loc_instance):
+        return FactTable(loc_instance, [("s1", {"sales": 1.0}), ("s3", {"sales": 2.0})])
+
+    def delta(self, loc_instance, *members):
+        return FactTable(loc_instance, [(m, {"sales": 9.0}) for m in members])
+
+    def test_earlier_handle_keeps_its_prefix(self, loc_instance, facts):
+        grown = facts.extended(self.delta(loc_instance, "s4", "s5"))
+        assert grown.members() == ["s1", "s3", "s4", "s5"]
+        assert len(facts) == 2
+        assert facts.members() == ["s1", "s3"]
+        assert grown.measures == facts.measures
+
+    def test_branches_do_not_leak_rows(self, loc_instance, facts):
+        left = facts.extended(self.delta(loc_instance, "s4"))
+        right = facts.extended(self.delta(loc_instance, "s5"))
+        left_again = left.extended(self.delta(loc_instance, "s6"))
+        assert facts.members() == ["s1", "s3"]
+        assert left.members() == ["s1", "s3", "s4"]
+        assert right.members() == ["s1", "s3", "s5"]
+        assert left_again.members() == ["s1", "s3", "s4", "s6"]
+
+    def test_tip_iterates_as_a_plain_list(self, loc_instance, facts):
+        grown = facts.extended(self.delta(loc_instance, "s4"))
+        assert type(iter(grown)) is type(iter([]))
+
+    def test_empty_delta_returns_the_same_table(self, loc_instance, facts):
+        assert facts.extended(FactTable(loc_instance, [])) is facts
+
+    def test_empty_table_takes_the_delta_measures(self, loc_instance):
+        grown = FactTable(loc_instance, []).extended(self.delta(loc_instance, "s1"))
+        assert grown.measures == frozenset({"sales"})
+
+    def test_mismatched_measures_rejected(self, loc_instance, facts):
+        other = FactTable(loc_instance, [("s4", {"profit": 1.0})])
+        with pytest.raises(OlapError):
+            facts.extended(other)
+        assert facts.extended(self.delta(loc_instance, "s4")).members() == [
+            "s1", "s3", "s4",
+        ]
+
+    def test_member_outside_the_instance_rejected(self, loc_instance, chain_instance, facts):
+        foreign = FactTable(chain_instance, [("d1", {"sales": 1.0})])
+        with pytest.raises(OlapError):
+            facts.extended(foreign)
+        assert len(facts) == 2

@@ -179,3 +179,77 @@ class TestMaintainedNavigator:
         )
         assert navigator.append([]) == 0
         assert len(navigator.facts) == len(BASE_ROWS)
+
+    @pytest.mark.parametrize(
+        "bad_rows",
+        [
+            [("s5", {"sales": 1.0}), ("s6", {"profit": 1.0})],  # mixed in the batch
+            [("s5", {"profit": 1.0})],                          # not the table's
+            [("s5", {"sales": 1.0, "profit": 1.0})],            # a superset
+            [("s5", {"sales": 1.0}), ("Toronto", {"sales": 1.0})],  # non-base
+            [("ghost", {"sales": 1.0})],                        # unknown
+        ],
+        ids=["mixed", "other-measure", "superset", "non-base", "unknown"],
+    )
+    @pytest.mark.parametrize("with_views", [False, True])
+    def test_rejected_append_changes_nothing(
+        self, loc_instance, loc_schema, bad_rows, with_views
+    ):
+        from repro.olap import SUM
+
+        navigator = MaintainedNavigator(
+            FactTable(loc_instance, BASE_ROWS), schema=loc_schema
+        )
+        if with_views:
+            navigator.materialize("City", SUM, "sales")
+            navigator.materialize("Country", SUM, "sales")
+        facts = navigator.facts
+        views = dict(navigator._views)
+        with pytest.raises(OlapError):
+            navigator.append(bad_rows)
+        assert navigator.facts is facts
+        assert len(navigator.facts) == len(BASE_ROWS)
+        assert navigator._views == views
+        # The table is still the log's tip: the next good batch extends it.
+        navigator.append(DELTA_ROWS)
+        assert [f.member for f in navigator.facts] == [
+            m for m, _ in BASE_ROWS + DELTA_ROWS
+        ]
+
+    def test_rejected_view_delta_changes_nothing(self, loc_instance):
+        """A view over a measure the (then empty) table never carried
+        fails its delta; the table must not grow either."""
+        from repro.olap import SUM
+
+        navigator = MaintainedNavigator(FactTable(loc_instance, []))
+        navigator.materialize("City", SUM, "profit")
+        views = dict(navigator._views)
+        with pytest.raises(OlapError):
+            navigator.append(DELTA_ROWS)
+        assert len(navigator.facts) == 0
+        assert navigator._views == views
+
+    def test_append_constructs_only_the_delta(
+        self, loc_instance, loc_schema, monkeypatch
+    ):
+        """Work bound: an append builds one Fact per new row, never a
+        copy of the history."""
+        from repro.olap import SUM, facttable
+
+        history = [("s1", {"sales": float(i)}) for i in range(50)]
+        navigator = MaintainedNavigator(
+            FactTable(loc_instance, history), schema=loc_schema
+        )
+        navigator.materialize("City", SUM, "sales")
+        built = []
+
+        class CountingFact(facttable.Fact):
+            def __init__(self, *args, **kwargs):
+                built.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(facttable, "Fact", CountingFact)
+        for _ in range(3):
+            assert navigator.append(DELTA_ROWS) == len(DELTA_ROWS)
+        assert len(built) == 3 * len(DELTA_ROWS)
+        assert len(navigator.facts) == len(history) + 3 * len(DELTA_ROWS)

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.constraints.printer import unparse
 from repro.core import (
     DecisionCache,
     DimensionSchema,
@@ -60,6 +61,43 @@ class TestConstraintEdits:
         with pytest.raises(SchemaError):
             editor.drop_constraint("Base -> A")
         assert editor.schema is schema  # untouched
+
+    def test_drop_removes_only_the_last_copy(self, schema, cache):
+        editor = SchemaEditor(schema, cache)
+        editor.add_constraint("C -> T")
+        editor.add_constraint("Base -> A")
+        editor.drop_constraint("C -> T")
+        assert [unparse(n) for n in editor.schema.constraints] == [
+            "Base -> C",
+            "C -> T",
+            "Base -> A",
+        ]
+
+    def test_mixed_trace_edits_replay_verbatim(self, cache):
+        """Regression: the trace adds the same weakening twice (seed 2
+        adds ``Store -> City or Store -> City`` while a copy is pending),
+        and dropping the first copy used to remove both, so the second
+        drop raised.  Every drop must restore SIGMA as it was before the
+        add it undoes."""
+        from repro.generators.location import location_schema
+        from repro.generators.workloads import mixed_trace
+
+        start = location_schema()
+        trace = mixed_trace(start, n_ops=120, seed=2, weights={"edit": 1.0})
+        editor = SchemaEditor(start, cache)
+        pending = []
+        duplicated = False
+        for op in trace:
+            if op[1] == "add-implied":
+                texts = [unparse(n) for n in editor.schema.constraints]
+                duplicated |= unparse(op[2]) in texts
+                pending.append((op[2], texts))
+                editor.add_constraint(op[2])
+            else:
+                node, before = pending.pop()
+                editor.drop_constraint(node)
+                assert [unparse(n) for n in editor.schema.constraints] == before
+        assert duplicated
 
 
 class TestHierarchyEdits:

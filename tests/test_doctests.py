@@ -23,6 +23,7 @@ MODULES = [
     "repro.constraints.parser",
     "repro.olap.cubeview",
     "repro.olap.facttable",
+    "repro.olap.maintenance",
     "repro.olap.engine",
     "repro.io.csvload",
     "repro.io.ascii",
