@@ -363,7 +363,6 @@ def _parallel_smoke(output_path, repeats=7):
         "engine_stats": {
             "batch_requests": engine_stats.batch_requests,
             "batch_deduped": engine_stats.batch_deduped,
-            "tasks_dispatched": engine_stats.tasks_dispatched,
         },
         "tracing": {
             "verdicts_identical": True,

@@ -77,7 +77,10 @@ trace-event / Perfetto flamegraph), and a ``MANIFEST.json`` with the
 drop counters.  Off, the instrumented hot paths cost one attribute
 check.
 
-The global ``--engine compiled`` flag serves every decision through the
+Every decision subcommand goes through one engine, built by
+:func:`~repro.core.resilience.build_engine`.  The default
+``--engine sequential`` runs the interpreted kernel on the calling
+thread; ``--engine compiled`` serves every decision through the
 per-schema compiled tier (:mod:`repro.core.compile`): the first decision
 pays one compilation, later ones are SAT calls over the artifact with
 all previously learned clauses in place.
@@ -89,7 +92,8 @@ backoff, sequential degradation, typed UNKNOWN), and
 the command (drills and testing; see :mod:`repro.core.faults` for the
 spec grammar).  Exit codes: 0 yes/ok, 1 negative verdict, 2 usage or
 input error, 3 budget exceeded, 4 decision unavailable (every rung of
-the resilience ladder failed).
+the resilience ladder failed, or an injected fault hit an engine without
+``--retries``).
 """
 
 from __future__ import annotations
@@ -104,19 +108,17 @@ from repro.constraints.semantics import failures
 from repro.core import (
     ALL,
     CompilationError,
-    CompiledDecisionEngine,
     DecisionBudget,
-    ParallelDecisionEngine,
-    ResilientDecisionEngine,
-    RetryPolicy,
+    InjectedFault,
+    build_engine,
     compiled_artifact_store,
     dimsat,
     enumerate_frozen_dimensions,
     implies,
     inject_faults,
     is_summarizable_in_schema,
-    satisfiability_report,
 )
+from repro.core.resilience import ENGINE_NAMES
 from repro.core.schema import DimensionSchema
 from repro.errors import BudgetExceeded, DecisionUnavailable, ReproError
 from repro.io import (
@@ -139,58 +141,37 @@ def _budget_from_args(args: argparse.Namespace) -> Optional[DecisionBudget]:
 
 
 def _engine_from_args(args: argparse.Namespace):
-    """The decision engine ``--workers``/``--budget-ms``/``--retries``
-    asked for, else ``None`` (the plain sequential entry points).
+    """The decision engine ``--engine``/``--budget-ms``/``--retries`` ask
+    for (see :func:`~repro.core.resilience.build_engine`).
 
-    ``--retries`` wraps the parallel engine in a
+    ``--retries`` wraps it in a
     :class:`~repro.core.resilience.ResilientDecisionEngine`: transient
     failures are retried with backoff, a persistently failing engine
     degrades to the sequential kernel, and a decision no rung can serve
-    exits with code 4 instead of a traceback.
+    exits with code 4 instead of a traceback.  Without it the engine is
+    bare, so a blown ``--budget-ms`` exits with code 3.
     """
-    budget = _budget_from_args(args)
-    retries = getattr(args, "retries", None)
-    engine_name = getattr(args, "engine", None)
-    if engine_name == "compiled":
-        engine = CompiledDecisionEngine(budget=budget)
-    elif (
-        engine_name is None
-        and getattr(args, "workers", None) is None
-        and budget is None
-        and retries is None
-    ):
-        return None
-    else:
-        engine = ParallelDecisionEngine(budget=budget)
-    if retries is None:
-        return engine
-    return ResilientDecisionEngine(
-        engine, retry=RetryPolicy(max_attempts=max(1, retries))
+    return build_engine(
+        getattr(args, "engine", None) or "sequential",
+        budget=_budget_from_args(args),
+        retries=getattr(args, "retries", None),
     )
 
 
 def _cmd_audit(args: argparse.Namespace) -> int:
     schema = _load_schema(args.schema)
-    engine = _engine_from_args(args)
-    unknown = 0
-    if engine is not None:
-        with engine:
-            categories = [
-                c for c in sorted(schema.hierarchy.categories) if c != ALL
-            ]
-            requests = [(schema, ("dimsat", c)) for c in categories]
-            if hasattr(engine, "decide_many_outcomes"):
-                # Resilient engine: a category no rung could decide shows
-                # as UNKN instead of killing the audit.
-                outcomes = engine.decide_many_outcomes(requests)
-                verdicts = [o.verdict for o in outcomes]
-            else:
-                verdicts = engine.decide_many(requests)
-        report = dict(zip(categories, verdicts))
-        report[ALL] = True
-    else:
-        report = satisfiability_report(schema)
-    bad = 0
+    categories = [c for c in sorted(schema.hierarchy.categories) if c != ALL]
+    requests = [(schema, ("dimsat", c)) for c in categories]
+    with _engine_from_args(args) as engine:
+        if hasattr(engine, "decide_many_outcomes"):
+            # Resilient engine: a category no rung could decide shows as
+            # UNKN instead of killing the audit.
+            verdicts = [o.verdict for o in engine.decide_many_outcomes(requests)]
+        else:
+            verdicts = engine.decide_many(requests)
+    report = dict(zip(categories, verdicts))
+    report[ALL] = True
+    bad = unknown = 0
     for category, satisfiable in sorted(report.items()):
         if satisfiable is None:
             marker = "UNKN"
@@ -214,12 +195,8 @@ def _cmd_audit(args: argparse.Namespace) -> int:
 
 def _cmd_implies(args: argparse.Namespace) -> int:
     schema = _load_schema(args.schema)
-    engine = _engine_from_args(args)
-    if engine is not None:
-        with engine:
-            result = engine.implies(schema, args.constraint)
-    else:
-        result = implies(schema, args.constraint)
+    with _engine_from_args(args) as engine:
+        result = engine.implies(schema, args.constraint)
     if result.implied:
         print("implied")
         return 0
@@ -231,12 +208,8 @@ def _cmd_implies(args: argparse.Namespace) -> int:
 
 def _cmd_summarizable(args: argparse.Namespace) -> int:
     schema = _load_schema(args.schema)
-    engine = _engine_from_args(args)
-    if engine is not None:
-        with engine:
-            verdict = engine.is_summarizable(schema, args.target, args.sources)
-    else:
-        verdict = is_summarizable_in_schema(schema, args.target, args.sources)
+    with _engine_from_args(args) as engine:
+        verdict = engine.is_summarizable(schema, args.target, args.sources)
     print("yes" if verdict else "no")
     return 0 if verdict else 1
 
@@ -436,12 +409,8 @@ def _span_depth(spans: List[dict], span: dict) -> int:
 
 def _cmd_satisfiable(args: argparse.Namespace) -> int:
     schema = _load_schema(args.schema)
-    engine = _engine_from_args(args)
-    if engine is not None:
-        with engine:
-            result = engine.dimsat(schema, args.category)
-    else:
-        result = dimsat(schema, args.category)
+    with _engine_from_args(args) as engine:
+        result = engine.dimsat(schema, args.category)
     if result.satisfiable:
         print(f"satisfiable: {result.witness.describe()}")
         return 0
@@ -509,11 +478,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     from repro.core.server import DecisionServer
 
-    engine = _engine_from_args(args)
-    if engine is None:
-        engine = ResilientDecisionEngine(budget=_budget_from_args(args))
     server = DecisionServer(
-        engine=engine,
+        engine=_engine_from_args(args),
         host=args.host,
         port=args.port,
         cache_dir=getattr(args, "cache_dir", None),
@@ -630,15 +596,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(checksum and schema-fingerprint checks still apply)",
     )
     parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="decide through the batch engine (audit dedups and batches "
-        "all categories); decisions run on the calling thread, so N sizes "
-        "no pool and is accepted for existing scripts",
-    )
-    parser.add_argument(
         "--budget-ms",
         type=float,
         default=None,
@@ -654,18 +611,18 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="serve decisions through the resilient engine: up to N "
         "attempts per ladder rung with exponential backoff, sequential "
-        "degradation when the parallel engine keeps failing, and exit "
-        "code 4 when no rung could produce a verdict",
+        "degradation when the engine keeps failing, and exit code 4 when "
+        "no rung could produce a verdict",
     )
     parser.add_argument(
         "--engine",
-        choices=["compiled", "parallel", "sequential"],
+        choices=ENGINE_NAMES,
         default=None,
-        help="decide through an explicit engine: 'compiled' serves "
-        "verdicts from the per-schema compiled decision artifact "
-        "(incremental SAT with learned-clause reuse, interpreted-kernel "
-        "fallback); 'parallel' and 'sequential' both name the batch "
-        "engine, which runs the interpreted kernel on the calling thread",
+        help="the engine every decision goes through: 'sequential' "
+        "(default) runs the interpreted kernel on the calling thread, "
+        "with batch dedup; 'compiled' serves verdicts from the per-schema "
+        "compiled decision artifact (incremental SAT with learned-clause "
+        "reuse, interpreted-kernel fallback)",
     )
     parser.add_argument(
         "--inject-faults",
@@ -674,7 +631,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="activate the deterministic fault-injection harness for the "
         "command (testing/drills); SPEC is 'kind[:field=value,...];...' "
         "with kinds worker-crash, slow-worker, oserror, cache-store, "
-        "pool-exhaustion, e.g. 'worker-crash:p=0.3;seed=7'",
+        "e.g. 'worker-crash:p=0.3;seed=7'; worker faults fire on computed "
+        "(not cached) decisions, and --retries absorbs them",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -854,18 +812,13 @@ def build_parser() -> argparse.ArgumentParser:
     # never clobbers values the parent parser already captured.
     soak.add_argument(
         "--engine",
-        choices=["compiled", "parallel", "sequential"],
+        choices=ENGINE_NAMES,
         default=argparse.SUPPRESS,
         help="engine behind the resilience ladder (default compiled)",
     )
     soak.add_argument(
         "--inject-faults", metavar="SPEC", default=argparse.SUPPRESS,
         help="deterministic fault spec for the whole soak",
-    )
-    soak.add_argument(
-        "--workers", type=int, metavar="N", default=argparse.SUPPRESS,
-        help="accepted for existing scripts; the batch engine decides on "
-        "the calling thread and sizes no pool",
     )
     soak.add_argument(
         "--budget-ms", type=float, metavar="MS", default=argparse.SUPPRESS,
@@ -1019,6 +972,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         # Must precede the ReproError arm: DecisionUnavailable is a
         # ReproError, but "no rung could answer" deserves its own exit
         # code so operators can tell degradation from bad input.
+        print(f"decision unavailable: {error}", file=sys.stderr)
+        return 4
+    except InjectedFault as error:
+        # Without --retries no ladder absorbs an injected worker fault.
         print(f"decision unavailable: {error}", file=sys.stderr)
         return 4
     except BudgetExceeded as error:

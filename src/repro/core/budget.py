@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.core.metrics import METRICS
 from repro.errors import BudgetExceeded
@@ -32,12 +32,6 @@ from repro.errors import BudgetExceeded
 _M_EXCEEDED = METRICS.counter("budget.exceeded")
 _G_LAST_NODES = METRICS.gauge("budget.last_nodes_charged")
 _H_NODES = METRICS.histogram("budget.nodes_per_decision")
-
-
-#: Picklable description of a budget: ``(max_nodes, time_ms)``.  Process
-#: workers rebuild a fresh :class:`DecisionBudget` from this (locks do
-#: not cross process boundaries).
-BudgetSpec = Tuple[Optional[int], Optional[float]]
 
 
 class DecisionBudget:
@@ -136,10 +130,6 @@ class DecisionBudget:
             "nodes_charged": self._nodes,
         }
 
-    def spec(self) -> BudgetSpec:
-        """The picklable ``(max_nodes, time_ms)`` description."""
-        return (self.max_nodes, self.time_ms)
-
     def fresh(self) -> "DecisionBudget":
         """A new budget with the same limits and a restarted clock.
 
@@ -148,14 +138,6 @@ class DecisionBudget:
         starve the next.
         """
         return DecisionBudget(self.max_nodes, self.time_ms)
-
-    @classmethod
-    def from_spec(cls, spec: Optional[BudgetSpec]) -> Optional["DecisionBudget"]:
-        """Rebuild a budget shipped across a process boundary."""
-        if spec is None:
-            return None
-        max_nodes, time_ms = spec
-        return cls(max_nodes=max_nodes, time_ms=time_ms)
 
     def __repr__(self) -> str:
         return (

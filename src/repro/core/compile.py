@@ -30,9 +30,9 @@ artifact:
 
 :class:`CompiledDecisionEngine` wires the artifact into the existing
 stack: verdicts memoize through the same
-:class:`~repro.core.decisioncache.DecisionCache` keys the sequential and
-parallel engines use (so caches interoperate and verdicts stay
-byte-identical), trace spans and metrics flow through the PR 3
+:class:`~repro.core.decisioncache.DecisionCache` keys the sequential
+kernel and the interpreted engine use (so caches interoperate and
+verdicts stay byte-identical), trace spans and metrics flow through the
 observability layer, every served verdict lands in the PR 5 audit log
 (replayable by ``repro-olap audit-verify``), and any compilation failure
 - a numeric category, a query with comparison atoms, a subhierarchy
@@ -49,7 +49,6 @@ from __future__ import annotations
 
 import itertools
 import threading
-import time
 from dataclasses import dataclass, field
 from typing import (
     Callable,
@@ -85,6 +84,7 @@ from repro.core.budget import DecisionBudget
 from repro.core.decisioncache import (
     USE_DEFAULT_CACHE,
     _options_key,
+    memoize_or_audit,
     resolve_cache,
 )
 from repro.core.dimsat import (
@@ -103,8 +103,10 @@ from repro.core.hierarchy import ALL, Category
 from repro.core.implication import ImplicationResult, implies as run_implies
 from repro.core.instance import TOP_MEMBER
 from repro.core.metrics import METRICS
+from repro.core.parallel import decide_batch, raise_first_failure
 from repro.core.satsolver import Solver
 from repro.core.schema import DimensionSchema
+from repro.core.summarizability import _check_categories, summarizable_by_bottoms
 from repro.core.trace import TRACER
 from repro.errors import ReproError, SchemaError
 
@@ -758,7 +760,7 @@ class CompiledDecisionEngine:
     as its primary rung (compile failures then ride the existing
     degradation ladder).  Verdicts memoize through the shared
     :class:`~repro.core.decisioncache.DecisionCache` under the *same
-    keys* as the sequential and parallel engines - the compiled tier
+    keys* as the interpreted engine - the compiled tier
     changes where cold verdicts come from, never what they are.
 
     The compiled tier always decides under default
@@ -797,29 +799,7 @@ class CompiledDecisionEngine:
             return None
         return self.budget_template.fresh()
 
-    # -- memoization / audit glue ---------------------------------------
-
-    def _memoized(
-        self,
-        schema: DimensionSchema,
-        key: Tuple[object, ...],
-        compute: Callable[[], object],
-    ) -> object:
-        if self.cache is not None:
-            return self.cache.memoize(schema, key, compute)
-        if AUDIT.enabled:
-            start = time.perf_counter()
-            value = compute()
-            AUDIT.record_decision(
-                schema,
-                key[:-1],
-                key[-1],
-                value,
-                (time.perf_counter() - start) * 1000.0,
-                cache_hit=False,
-            )
-            return value
-        return compute()
+    # -- fallback accounting -------------------------------------------
 
     def _note_fallback(self, kind: str, error: CompilationError) -> None:
         with self._lock:
@@ -839,8 +819,8 @@ class CompiledDecisionEngine:
         if category == ALL:
             return _trivial_all_result(DimsatOptions())
         key = ("dimsat", category, self._options_key)
-        return self._memoized(  # type: ignore[return-value]
-            schema, key, lambda: self._dimsat_uncached(schema, category)
+        return memoize_or_audit(  # type: ignore[return-value]
+            self.cache, schema, key, lambda: self._dimsat_uncached(schema, category)
         )
 
     def _dimsat_uncached(
@@ -877,7 +857,8 @@ class CompiledDecisionEngine:
             # Nothing will consume the memo key; skip serializing it.
             return self._implies_uncached(schema, node, root_category)
         key = ("implies", unparse(node), self._options_key)
-        return self._memoized(  # type: ignore[return-value]
+        return memoize_or_audit(  # type: ignore[return-value]
+            self.cache,
             schema,
             key,
             lambda: self._implies_uncached(schema, node, root_category),
@@ -935,12 +916,11 @@ class CompiledDecisionEngine:
         each other's learned clauses within each root solver, and
         repeated source sets hit the registered-query memo outright.
         """
-        from repro.core.summarizability import _check_categories
-
         source_key = tuple(sorted(set(sources)))
         _check_categories(schema.hierarchy, target, source_key)
         key = ("summarizable", target, source_key, self._options_key)
-        return self._memoized(  # type: ignore[return-value]
+        return memoize_or_audit(  # type: ignore[return-value]
+            self.cache,
             schema,
             key,
             lambda: self._summarizable_uncached(schema, target, source_key),
@@ -952,23 +932,17 @@ class CompiledDecisionEngine:
         target: Category,
         sources: Tuple[Category, ...],
     ) -> bool:
-        from repro.core.summarizability import summarizability_constraints
-
-        with TRACER.span(
-            "compiled.decide", kind="summarizable", target=target
-        ) as span:
-            for bottom, node in summarizability_constraints(
-                schema.hierarchy, target, sources
-            ):
-                if bottom == ALL:
-                    continue
-                # The generated constraint is rooted at its bottom, so
-                # re-validation (and its hierarchy walk) is redundant.
-                if not self._implies_uncached(schema, node, bottom).implied:
-                    span.set(summarizable=False)
-                    return False
-            span.set(summarizable=True)
-        return True
+        with TRACER.span("compiled.decide", kind="summarizable", target=target):
+            # The generated constraint is rooted at its bottom, so
+            # re-validation (and its hierarchy walk) is redundant.
+            return summarizable_by_bottoms(
+                schema,
+                target,
+                sources,
+                lambda bottom, node: self._implies_uncached(
+                    schema, node, bottom
+                ).implied,
+            )
 
     # -- the batch API ---------------------------------------------------
 
@@ -977,59 +951,28 @@ class CompiledDecisionEngine:
         items: Iterable[Tuple[DimensionSchema, Sequence[object]]],
     ) -> List[bool]:
         """Batch verdicts aligned with the input order (the navigator /
-        view-selection entry point).  Requests are normalized and deduped
-        like the parallel engine's batches; each unique request is one
-        artifact decision."""
-        results = self.try_decide_many(items)
-        for result in results:
-            if isinstance(result, BaseException):
-                raise result
-        return results  # type: ignore[return-value]
+        view-selection entry point); see
+        :func:`~repro.core.parallel.decide_batch`."""
+        return raise_first_failure(self.try_decide_many(items))
 
     def try_decide_many(
         self,
         items: Iterable[Tuple[DimensionSchema, Sequence[object]]],
     ) -> List[object]:
         """:meth:`decide_many` with per-request fault containment."""
-        from repro.core.parallel import normalize_request
-
-        pairs = [
-            (schema, normalize_request(request)) for schema, request in items
-        ]
-        answered: Dict[Tuple[str, Tuple[object, ...]], object] = {}
-        out: List[object] = []
-        for schema, request in pairs:
-            ukey = (schema.fingerprint(), request)
-            if ukey not in answered:
-                try:
-                    answered[ukey] = self._decide_one(schema, request)
-                except Exception as error:  # noqa: BLE001 - contained per request
-                    answered[ukey] = error
-            out.append(answered[ukey])
-        return out
-
-    def _decide_one(
-        self, schema: DimensionSchema, request: Tuple[object, ...]
-    ) -> bool:
-        kind = request[0]
-        if kind == "dimsat":
-            return self.dimsat(schema, request[1]).satisfiable  # type: ignore[arg-type]
-        if kind == "implies":
-            return self.implies(schema, request[1]).implied
-        if kind == "summarizable":
-            return self.is_summarizable(
-                schema, request[1], tuple(request[2])  # type: ignore[arg-type]
-            )
-        raise SchemaError(f"unknown decision request kind {kind!r}")
+        return decide_batch(self, items)[0]
 
 
 def resolve_engine(engine: object, cache: object = USE_DEFAULT_CACHE) -> object:
     """Resolve the ``engine=`` argument the OLAP layers accept.
 
-    The string ``"compiled"`` becomes a :class:`CompiledDecisionEngine`
-    over the given cache; any other value (an engine object or ``None``)
-    passes through unchanged.
+    An engine name (``"compiled"``, ``"sequential"``) becomes that engine
+    over the given cache, built by
+    :func:`~repro.core.resilience.build_engine`; any other value (an
+    engine object or ``None``) passes through unchanged.
     """
-    if engine == "compiled":
-        return CompiledDecisionEngine(cache=cache)
+    if isinstance(engine, str):
+        from repro.core.resilience import build_engine
+
+        return build_engine(engine, cache=cache)
     return engine

@@ -196,19 +196,7 @@ class DecisionCache:
                 )
             return hit_value
         _M_MISSES.inc()
-        if AUDIT.enabled:
-            start = time.perf_counter()
-            value = compute()
-            AUDIT.record_decision(
-                schema,
-                key[:-1],
-                key[-1],
-                value,
-                (time.perf_counter() - start) * 1000.0,
-                cache_hit=False,
-            )
-        else:
-            value = compute()
+        value = memoize_or_audit(None, schema, key, compute)
         # Provenance is derived only after ``compute`` succeeded, and a
         # derivation failure degrades to ``None`` (= invalidate on any
         # edit) rather than failing the decision.
@@ -531,6 +519,36 @@ def _as_node(constraint: object):
     from repro.constraints.parser import parse
 
     return parse(constraint) if isinstance(constraint, str) else constraint
+
+
+def memoize_or_audit(
+    cache: Optional[DecisionCache],
+    schema: "DimensionSchema",
+    key: Tuple[object, ...],
+    compute: Callable[[], object],
+) -> object:
+    """Serve one decision through ``cache``, or compute it uncached.
+
+    Every engine's single decisions end here, so a served verdict is
+    audited exactly once either way: :meth:`DecisionCache.memoize`
+    records hits and misses, and without a cache the computed verdict is
+    recorded here.  ``key`` is ``(kind, query..., options)``.
+    """
+    if cache is not None:
+        return cache.memoize(schema, key, compute)
+    if not AUDIT.enabled:
+        return compute()
+    start = time.perf_counter()
+    value = compute()
+    AUDIT.record_decision(
+        schema,
+        key[:-1],
+        key[-1],
+        value,
+        (time.perf_counter() - start) * 1000.0,
+        cache_hit=False,
+    )
+    return value
 
 
 _DEFAULT_CACHE = DecisionCache()

@@ -115,7 +115,7 @@ class DimsatOptions:
 
 #: One process-wide lock for every :class:`DimsatStats` instance.  A
 #: module-level lock (rather than a per-instance one) keeps the dataclass
-#: picklable for process-pool workers and its generated ``__eq__`` exact;
+#: picklable and its generated ``__eq__`` exact;
 #: counter increments are rare enough that contention is negligible.
 _STATS_LOCK = threading.Lock()
 

@@ -1,17 +1,18 @@
 """A resilient decision service: retries, circuit breaking, degradation.
 
-The :class:`~repro.core.parallel.ParallelDecisionEngine` answers heavy
-traffic fast, but a worker crash, a hung pool, or a flaky cache store
+The decision engines (:class:`~repro.core.parallel.ParallelDecisionEngine`,
+:class:`~repro.core.compile.CompiledDecisionEngine`) answer heavy
+traffic fast, but a crashed or hung decision, or a flaky cache store,
 takes a whole request (or batch) down with an exception.  Bertossi &
 Milani's ontological multidimensional model treats inconsistency as a
 first-class *answerable* state rather than a crash; this module gives
 the decision stack the same property.  :class:`ResilientDecisionEngine`
-wraps a parallel engine with a three-rung **degradation ladder**:
+wraps an engine with a three-rung **degradation ladder**:
 
 1. **parallel** - the wrapped engine (batching, dedup), with
    per-decision retry: exponential backoff, deterministic jitter, a
    configurable attempt cap.  Transient failures (``OSError``, injected
-   faults, broken pools) are retried; everything else is not.
+   faults, broken executors) are retried; everything else is not.
 2. **sequential** - the in-process sequential kernel with a fresh
    budget, also retried.  A :class:`CircuitBreaker` per schema
    fingerprint sends traffic straight here while the parallel rung
@@ -47,13 +48,16 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tupl
 from repro._types import Category
 from repro.constraints.parser import parse
 from repro.core.auditlog import AUDIT, _verdict_of
+from repro.core.budget import DecisionBudget
+from repro.core.compile import CompiledDecisionEngine
+from repro.core.decisioncache import USE_DEFAULT_CACHE
 from repro.core.dimsat import DimsatResult
 from repro.core.implication import ImplicationResult
 from repro.core.metrics import METRICS
 from repro.core.parallel import (
     ParallelDecisionEngine,
     RequestKey,
-    _decide_inline,
+    _decide,
     normalize_request,
 )
 from repro.core.schema import DimensionSchema
@@ -176,10 +180,10 @@ class CircuitBreaker:
 
     ``failure_threshold`` consecutive parallel-rung failures for one key
     open the circuit: traffic for that key skips straight to the
-    sequential rung (no pool churn on a schema that keeps crashing
-    workers).  After ``cooldown_ms`` the circuit half-opens - the next
-    decision probes the parallel rung again; success closes the circuit,
-    failure re-opens it for another cooldown.
+    sequential rung (no retry churn on a schema that keeps failing).
+    After ``cooldown_ms`` the circuit half-opens - the next decision
+    probes the parallel rung again; success closes the circuit, failure
+    re-opens it for another cooldown.
     """
 
     def __init__(
@@ -248,21 +252,23 @@ class ResilienceStats:
 
 
 class ResilientDecisionEngine:
-    """The degradation-ladder wrapper around a parallel decision engine.
+    """The degradation-ladder wrapper around a decision engine.
 
     Parameters
     ----------
     engine:
-        The wrapped :class:`~repro.core.parallel.ParallelDecisionEngine`;
-        built from ``engine_kwargs`` when omitted.
+        The wrapped engine (a
+        :class:`~repro.core.parallel.ParallelDecisionEngine` or a
+        :class:`~repro.core.compile.CompiledDecisionEngine`); a
+        ``ParallelDecisionEngine`` built from ``engine_kwargs`` when
+        omitted.
     retry:
         The :class:`RetryPolicy` (attempt cap, backoff, jitter).
     breaker:
         The :class:`CircuitBreaker` guarding the parallel rung.
     engine_kwargs:
         Forwarded to :class:`ParallelDecisionEngine` when ``engine`` is
-        ``None`` (``max_workers``, ``mode``, ``budget``, ``options``,
-        ``cache``).
+        ``None`` (``budget``, ``options``, ``cache``).
 
     The single-decision surface (:meth:`dimsat`, :meth:`implies`,
     :meth:`is_summarizable`, ...) mirrors the wrapped engine's but raises
@@ -396,7 +402,7 @@ class ResilientDecisionEngine:
                 TRACER.event("resilience.degrade", kind=label, to="sequential")
             ok, value, attempts = self._run_rung(
                 "sequential",
-                lambda: _decide_inline(self.engine, schema, request),
+                lambda: _decide(self.engine, schema, request),
                 failures,
                 token ^ 0x5E0,
             )
@@ -596,7 +602,7 @@ class ResilientDecisionEngine:
             token = zlib.crc32(repr(key).encode("utf-8"))
             ok, value, attempts = self._run_rung(
                 "sequential",
-                lambda: _verdict_of(_decide_inline(self.engine, schema, key)),
+                lambda: _verdict_of(_decide(self.engine, schema, key)),
                 failures[index],
                 token,
             )
@@ -646,3 +652,42 @@ class ResilientDecisionEngine:
             f"  breaker open skips   {self.stats.breaker_open_skips}",
         ]
         return "\n".join(lines)
+
+
+#: The engine names :func:`build_engine` knows: the interpreted kernel
+#: behind batch dedup, and the compiled tier.
+ENGINE_NAMES = ("sequential", "compiled")
+
+
+def build_engine(
+    name: str = "sequential",
+    budget: Optional[DecisionBudget] = None,
+    retries: Optional[int] = None,
+    cache: object = USE_DEFAULT_CACHE,
+) -> Any:
+    """Build a decision engine by name: the one constructor behind the
+    CLI, the soak, the decision server and the OLAP layers' ``engine=``
+    strings.
+
+    ``sequential`` is the :class:`ParallelDecisionEngine` (the
+    interpreted kernel on the calling thread, with batch dedup);
+    ``compiled`` is the
+    :class:`~repro.core.compile.CompiledDecisionEngine`.  ``budget`` is
+    the per-decision budget template.  With ``retries`` the engine is
+    wrapped in a :class:`ResilientDecisionEngine` allowing that many
+    attempts per ladder rung; without, it is returned bare, so failures
+    surface as the engine raises them.
+    """
+    if name == "compiled":
+        engine: Any = CompiledDecisionEngine(cache=cache, budget=budget)
+    elif name == "sequential":
+        engine = ParallelDecisionEngine(budget=budget, cache=cache)
+    else:
+        raise ReproError(
+            f"unknown engine {name!r}; expected one of {ENGINE_NAMES}"
+        )
+    if retries is None:
+        return engine
+    return ResilientDecisionEngine(
+        engine, retry=RetryPolicy(max_attempts=max(1, retries))
+    )

@@ -62,7 +62,7 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.core.decisioncache import DecisionCache
 from repro.core.metrics import METRICS
-from repro.core.resilience import ResilientDecisionEngine
+from repro.core.resilience import ResilientDecisionEngine, build_engine
 from repro.core.schema import DimensionSchema
 from repro.core.trace import TRACER
 from repro.core.wire import (
@@ -112,9 +112,11 @@ class DecisionServer:
     ----------
     engine:
         The :class:`~repro.core.resilience.ResilientDecisionEngine`
-        serving every verdict.  A plain engine (parallel / compiled) is
-        wrapped, so the degradation ladder is always in front of
-        clients: a worker crash degrades, it never disconnects.
+        serving every verdict.  A plain engine (sequential / compiled)
+        is wrapped, so the degradation ladder is always in front of
+        clients: a worker crash degrades, it never disconnects.  The
+        default is :func:`~repro.core.resilience.build_engine`'s
+        sequential engine.
     host, port:
         Bind address.  ``port=0`` binds an ephemeral port; read
         :attr:`port` after :meth:`start`.
@@ -140,10 +142,10 @@ class DecisionServer:
         max_inflight: int = 8,
         verify_cache_on_load: bool = True,
     ) -> None:
-        if engine is None:
-            engine = ResilientDecisionEngine()
-        elif not isinstance(engine, ResilientDecisionEngine):
-            engine = ResilientDecisionEngine(engine)
+        if not isinstance(engine, ResilientDecisionEngine):
+            engine = ResilientDecisionEngine(
+                engine if engine is not None else build_engine()
+            )
         if max_inflight < 1:
             raise ReproError("max_inflight must be at least 1")
         self.engine = engine

@@ -3,7 +3,7 @@
 The correctness gates so far are point-in-time: one decision, one
 schema, one engine.  This module drives the whole stack - the
 :class:`~repro.core.resilience.ResilientDecisionEngine` over the
-sequential, parallel, or compiled engine - for a configurable duration
+sequential or compiled engine - for a configurable duration
 of mixed decide/navigate/edit traffic drawn from the adversarial corpus
 (:mod:`repro.generators.adversarial`), optionally under injected faults,
 and checks **metamorphic invariants** on every step instead of fixed
@@ -61,8 +61,11 @@ from repro.core.compile import (
 from repro.core.dimsat import dimsat
 from repro.core.implication import implies as run_implies
 from repro.core.instance import DimensionInstance
-from repro.core.parallel import ParallelDecisionEngine
-from repro.core.resilience import ResilientDecisionEngine, RetryPolicy
+from repro.core.resilience import (
+    ENGINE_NAMES,
+    ResilientDecisionEngine,
+    build_engine,
+)
 from repro.core.schema import DimensionSchema
 from repro.core.summarizability import is_summarizable_in_schema
 from repro.errors import ReproError
@@ -73,10 +76,6 @@ from repro.olap.aggregates import SUM
 from repro.olap.cubeview import CubeView, cube_view, recombine, views_equal
 from repro.olap.facttable import FactTable
 from repro.olap.maintenance import SchemaEditor
-
-#: The engines the soak harness can put behind the resilience ladder.
-SOAK_ENGINES = ("compiled", "parallel", "sequential")
-
 
 # ----------------------------------------------------------------------
 # Configuration and report types
@@ -118,10 +117,10 @@ class SoakConfig:
     falsifier_dir: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.engine not in SOAK_ENGINES:
+        if self.engine not in ENGINE_NAMES:
             raise ReproError(
                 f"unknown soak engine {self.engine!r}; expected one of "
-                f"{SOAK_ENGINES}"
+                f"{ENGINE_NAMES}"
             )
         if self.seconds < 0:
             raise ReproError("seconds must be non-negative")
@@ -240,30 +239,8 @@ class SoakReport:
 
 
 # ----------------------------------------------------------------------
-# Engine construction and the ground-truth oracle
+# The ground-truth oracle
 # ----------------------------------------------------------------------
-
-
-def build_soak_engine(config: SoakConfig) -> ResilientDecisionEngine:
-    """The resilient engine the soak drives, per ``config.engine``.
-
-    ``parallel`` and ``sequential`` are the same batch engine, which
-    decides on the calling thread; both names stay for the CLI.  Every
-    engine sits behind the same retry/degradation ladder.
-    """
-    budget = (
-        DecisionBudget(time_ms=config.budget_ms)
-        if config.budget_ms is not None
-        else None
-    )
-    if config.engine == "compiled":
-        inner: Any = CompiledDecisionEngine(budget=budget)
-    else:
-        inner = ParallelDecisionEngine(budget=budget)
-    return ResilientDecisionEngine(
-        inner,
-        retry=RetryPolicy(max_attempts=max(1, config.retries)),
-    )
 
 
 def oracle_decide(schema: DimensionSchema, request: Sequence[object]) -> bool:
@@ -543,7 +520,7 @@ class _SoakRun:
             self.report.cross_check_skips += 1
             return
         except Exception:
-            # Injected cache/pool faults can reach even a direct call;
+            # Injected faults can reach even a direct call;
             # a refusal to answer is the resilience layer's business,
             # not a compiled-tier divergence.
             self.report.cross_check_skips += 1
@@ -810,7 +787,15 @@ class _SoakRun:
 
     def run(self) -> SoakReport:
         config = self.config
-        engine = build_soak_engine(config)
+        engine = build_engine(
+            config.engine,
+            budget=(
+                DecisionBudget(time_ms=config.budget_ms)
+                if config.budget_ms is not None
+                else None
+            ),
+            retries=config.retries,
+        )
         started = time.monotonic()
         deadline = started + config.seconds
         min_steps = max(0, config.min_passes) * len(self.states)

@@ -26,7 +26,7 @@ characterization against Definition 6 executed on real fact tables.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.constraints.ast import FALSE, ExactlyOne, Implies, Node, RollsUpAtom, ThroughAtom
 from repro.constraints.semantics import satisfies
@@ -133,8 +133,29 @@ def _is_summarizable_uncached(
     implication_cache: object,
     budget: Optional[DecisionBudget] = None,
 ) -> bool:
-    """The Theorem 1 loop itself; per-bottom implication tests go through
-    ``implication_cache`` so overlapping source sets share work."""
+    """Theorem 1 on the interpreted kernel; per-bottom implication tests
+    go through ``implication_cache`` so overlapping source sets share
+    work."""
+    return summarizable_by_bottoms(
+        schema,
+        target,
+        sources,
+        lambda _bottom, node: is_implied(
+            schema, node, options, cache=implication_cache, budget=budget
+        ),
+    )
+
+
+def summarizable_by_bottoms(
+    schema: DimensionSchema,
+    target: Category,
+    sources: Iterable[Category],
+    implied: Callable[[Category, Node], bool],
+) -> bool:
+    """The Theorem 1 loop: ``implied(bottom, constraint)`` decides each
+    bottom category's constraint, and the first failing bottom settles
+    "no".  The interpreted kernel and the compiled tier differ only in
+    the implication test they pass."""
     _M_DECISIONS.inc()
     with TRACER.span(
         "summarizability.decide", target=target, sources=sorted(sources)
@@ -149,11 +170,9 @@ def _is_summarizable_uncached(
             with TRACER.span(
                 "summarizability.bottom", bottom=bottom, target=target
             ) as span:
-                implied = is_implied(
-                    schema, node, options, cache=implication_cache, budget=budget
-                )
-                span.set(implied=implied)
-            if not implied:
+                verdict = implied(bottom, node)
+                span.set(implied=verdict)
+            if not verdict:
                 outer.set(summarizable=False)
                 return False
         outer.set(summarizable=True)

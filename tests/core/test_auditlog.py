@@ -16,6 +16,7 @@ from repro.core.auditlog import (
 )
 from repro.core.decisioncache import DecisionCache
 from repro.core.implication import is_implied
+from repro.core.resilience import build_engine
 from repro.core.summarizability import is_summarizable_in_schema
 from repro.errors import ReproError
 from repro.generators.location import location_schema
@@ -106,6 +107,25 @@ class TestRecording:
             "parallel",
             "sequential",
         ]
+
+    @pytest.mark.parametrize("backend", ["sequential", "compiled"])
+    def test_uncached_engines_record_every_decision(
+        self, backend, audit_sink, tmp_path
+    ):
+        """Without a cache the engine itself audits: each single decision
+        leaves exactly one record, and the log replays clean."""
+        schema = location_schema()
+        engine = build_engine(backend, cache=None)
+        assert engine.dimsat(schema, "Store").satisfiable
+        assert engine.implies(schema, "Store -> City").implied
+        assert engine.is_summarizable(schema, "Country", ["City"])
+        kinds = [record["kind"] for record in audit_sink.records]
+        assert kinds == ["dimsat", "implies", "summarizable"]
+        assert not any(record["cache_hit"] for record in audit_sink.records)
+        report = verify_audit_log(
+            str(_write_log(tmp_path, audit_sink.records, schema))
+        )
+        assert report.ok and report.verified == 3
 
     def test_detached_log_records_nothing(self):
         schema = location_schema()

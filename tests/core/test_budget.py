@@ -64,12 +64,6 @@ class TestDecisionBudget:
         assert copy.nodes_charged == 0
         copy.charge(5)
 
-    def test_spec_round_trip(self):
-        budget = DecisionBudget(max_nodes=7, time_ms=123.0)
-        rebuilt = DecisionBudget.from_spec(budget.spec())
-        assert rebuilt.max_nodes == 7 and rebuilt.time_ms == 123.0
-        assert DecisionBudget.from_spec(None) is None
-
 
 class TestKernelBudgets:
     """Budgets threaded through the sequential decision procedures."""
@@ -156,21 +150,21 @@ class TestCachesStayVerdictClean:
         leave the shared cache verdict-clean."""
         cache = DecisionCache()
         with ParallelDecisionEngine(
-            max_workers=4, budget=DecisionBudget(max_nodes=0), cache=cache
+            budget=DecisionBudget(max_nodes=0), cache=cache
         ) as engine:
             with pytest.raises(BudgetExceeded):
                 engine.is_satisfiable(schema, "Store")
             with pytest.raises(BudgetExceeded):
                 engine.is_summarizable(schema, "Country", ["City"])
         assert len(cache) == 0
-        with ParallelDecisionEngine(max_workers=4, cache=cache) as engine:
+        with ParallelDecisionEngine(cache=cache) as engine:
             assert engine.is_satisfiable(schema, "Store") is True
             assert engine.is_summarizable(schema, "Country", ["City"]) is True
 
     def test_engine_batch_budget_abort_propagates(self, schema):
         cache = DecisionCache()
         with ParallelDecisionEngine(
-            max_workers=2, budget=DecisionBudget(max_nodes=0), cache=cache
+            budget=DecisionBudget(max_nodes=0), cache=cache
         ) as engine:
             with pytest.raises(BudgetExceeded):
                 engine.decide_many(

@@ -33,7 +33,7 @@ from repro.core import (
 )
 from repro.core.decisioncache import DecisionCache
 from repro.core.dimsat import DimsatOptions
-from repro.errors import SchemaError
+from repro.errors import ReproError, SchemaError
 from repro.generators.random_schema import RandomSchemaConfig, random_schema
 from repro.generators.suite import suite_schemas
 
@@ -283,7 +283,12 @@ class TestEngineIntegration:
         ]
 
     def test_resolve_engine_strings(self):
+        from repro.core.parallel import ParallelDecisionEngine
+
         assert isinstance(resolve_engine("compiled"), CompiledDecisionEngine)
+        assert isinstance(resolve_engine("sequential"), ParallelDecisionEngine)
+        with pytest.raises(ReproError):
+            resolve_engine("quantum")
         assert resolve_engine(None) is None
         sentinel = object()
         assert resolve_engine(sentinel) is sentinel

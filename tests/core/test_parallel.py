@@ -2,10 +2,10 @@
 
 The differential harness (:mod:`tests.test_differential`) covers verdict
 agreement on random schemas; this file pins down the engine's mechanics -
-request normalization, batch dedup accounting, the process pool's
-fallback and lifecycle, the inline thread mode (no pool threads, warm
-hits that never reach the kernel), witness validity, and the DimsatStats
-regression (concurrent CHECK totals must equal the sequential run's).
+request normalization, batch dedup accounting, the lifecycle, the
+inline mode (no pool threads, warm hits that never reach the kernel,
+single or batched), witness validity, and the DimsatStats regression
+(concurrent CHECK totals must equal the sequential run's).
 """
 
 from __future__ import annotations
@@ -52,10 +52,6 @@ class TestNormalizeRequest:
             with pytest.raises(ReproError):
                 normalize_request(bad)
 
-    def test_rejects_unknown_mode(self):
-        with pytest.raises(ReproError):
-            ParallelDecisionEngine(mode="fibers")
-
 
 class TestBatchAPI:
     def test_dedup_counts_and_alignment(self, schema):
@@ -66,17 +62,13 @@ class TestBatchAPI:
             (schema, ("summarizable", "Country", ["City"])),
             (schema, ("summarizable", "Country", ("City",))),
         ]
-        # Inline, nothing is dispatched; the process pool gets one task
-        # per unique request.
-        for mode, dispatched in (("thread", 0), ("process", 3)):
-            with ParallelDecisionEngine(
-                max_workers=2, mode=mode, cache=DecisionCache()
-            ) as engine:
-                verdicts = engine.decide_many(batch)
-                assert verdicts == [True, True, True, True, True]
-                assert engine.stats.batch_requests == 5
-                assert engine.stats.batch_deduped == 2
-                assert engine.stats.tasks_dispatched == dispatched
+        with ParallelDecisionEngine(cache=DecisionCache()) as engine:
+            verdicts = engine.decide_many(batch)
+            assert verdicts == [True, True, True, True, True]
+            assert engine.stats.batch_requests == 5
+            assert engine.stats.batch_deduped == 2
+            # Each unique request is one decision.
+            assert engine.stats.decisions == 3
 
     def test_cross_batch_dedup_via_cache(self, schema):
         cache = DecisionCache()
@@ -114,25 +106,13 @@ class TestBatchAPI:
 
 
 class TestFallbackAndLifecycle:
-    def test_single_worker_runs_sequentially(self, schema):
-        with ParallelDecisionEngine(
-            max_workers=1, mode="process", cache=DecisionCache()
-        ) as engine:
-            assert engine.is_satisfiable(schema, "Store") is True
-            assert engine.decide_many([(schema, ("dimsat", "City"))]) == [True]
-            assert engine.stats.sequential_fallbacks >= 1
-            assert engine.stats.tasks_dispatched == 0
-
     def test_shutdown_is_idempotent_and_degrades_gracefully(self, schema):
-        engine = ParallelDecisionEngine(
-            max_workers=2, mode="process", cache=DecisionCache()
-        )
+        engine = ParallelDecisionEngine(cache=DecisionCache())
         assert engine.decide_many([(schema, ("dimsat", "Store"))]) == [True]
         engine.shutdown()
         engine.shutdown()
-        # A closed engine still answers, in-process.
+        # A shut-down engine still answers: it owns nothing to release.
         assert engine.decide_many([(schema, ("dimsat", "City"))]) == [True]
-        assert engine.stats.sequential_fallbacks >= 1
 
     def test_unknown_category_raises_in_parallel_path(self, schema):
         with ParallelDecisionEngine(cache=None) as engine:
@@ -145,7 +125,7 @@ class TestInlineThreadMode:
         """Thread mode decides on the caller's thread: no pool thread ever
         starts, for single decisions or batches."""
         before = {t.ident for t in threading.enumerate()}
-        with ParallelDecisionEngine(max_workers=8, cache=None) as engine:
+        with ParallelDecisionEngine(cache=None) as engine:
             assert engine._get_executor() is None
             assert engine.is_satisfiable(schema, "Store") is True
             assert engine.is_implied(schema, "Store.City.Country") is True
@@ -177,6 +157,20 @@ class TestInlineThreadMode:
             assert engine.dimsat(schema, "Store").satisfiable
             assert engine.implies(schema, "Store.City.Country").implied
             assert engine.is_summarizable(schema, "Country", ["City"]) is True
+        assert injector.opportunities() == {"worker-crash": 0}
+
+    def test_warm_batch_skips_fault_checkpoint(self, schema):
+        """The batch path is the single path: a cached verdict asked
+        through ``decide_many`` never reaches the fault checkpoint."""
+        engine = ParallelDecisionEngine(cache=DecisionCache())
+        batch = [
+            (schema, ("dimsat", "Store")),
+            (schema, ("implies", "Store.City.Country")),
+            (schema, ("summarizable", "Country", ["City"])),
+        ]
+        assert engine.decide_many(batch) == [True, True, True]
+        with inject_faults("worker-crash:p=1.0;seed=1") as injector:
+            assert engine.decide_many(batch) == [True, True, True]
         assert injector.opportunities() == {"worker-crash": 0}
 
 

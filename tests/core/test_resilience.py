@@ -33,7 +33,7 @@ def schema():
 @pytest.fixture()
 def engine():
     built = ResilientDecisionEngine(
-        retry=FAST_RETRY, max_workers=2, mode="thread", cache=DecisionCache()
+        retry=FAST_RETRY, cache=DecisionCache()
     )
     yield built
     built.shutdown()
@@ -145,22 +145,6 @@ class TestRetries:
 
 
 class TestDegradation:
-    def test_pool_exhaustion_degrades_inside_parallel_engine(self, schema):
-        # The wrapped engine's own in-process fallback absorbs process
-        # pool exhaustion; the ladder's parallel rung still answers.
-        with inject_faults("pool-exhaustion:p=1.0;seed=1"):
-            engine = ResilientDecisionEngine(
-                retry=FAST_RETRY, max_workers=2, mode="process",
-                cache=DecisionCache(),
-            )
-            try:
-                outcome = engine.decide(schema, ("dimsat", "City"))
-                assert outcome.ok and outcome.verdict is True
-                assert outcome.rung == "parallel"
-                assert engine.engine.stats.sequential_fallbacks == 1
-            finally:
-                engine.shutdown()
-
     def test_worker_crash_walks_single_decisions_to_unknown(self, engine, schema):
         requests = [
             lambda: engine.dimsat(schema, "City"),
@@ -208,8 +192,7 @@ class TestDegradation:
         # would burn attempts on a certainty, so the ladder degrades
         # straight through to UNKNOWN with BudgetExceeded provenance.
         engine = ResilientDecisionEngine(
-            retry=FAST_RETRY, max_workers=2, mode="thread",
-            budget=DecisionBudget(max_nodes=0), cache=None,
+            retry=FAST_RETRY, budget=DecisionBudget(max_nodes=0), cache=None,
         )
         try:
             outcome = engine.decide(schema, ("dimsat", "City"))
@@ -227,8 +210,6 @@ class TestBreaker:
         engine = ResilientDecisionEngine(
             retry=RetryPolicy(max_attempts=1, base_delay_ms=0.0),
             breaker=CircuitBreaker(failure_threshold=2, cooldown_ms=60_000.0),
-            max_workers=2,
-            mode="thread",
             cache=DecisionCache(),
         )
         try:
@@ -257,7 +238,7 @@ class TestCacheCleanliness:
     def test_no_faulted_entry_ever_cached(self, schema):
         cache = DecisionCache()
         engine = ResilientDecisionEngine(
-            retry=FAST_RETRY, max_workers=2, mode="thread", cache=cache
+            retry=FAST_RETRY, cache=cache
         )
         try:
             with inject_faults("worker-crash:p=1.0;seed=3"):
@@ -272,7 +253,7 @@ class TestCacheCleanliness:
     def test_cache_store_fault_returns_verdict_stores_nothing(self, schema):
         cache = DecisionCache()
         engine = ResilientDecisionEngine(
-            retry=FAST_RETRY, max_workers=2, mode="thread", cache=cache
+            retry=FAST_RETRY, cache=cache
         )
         try:
             with inject_faults("cache-store:p=1.0;seed=1"):
@@ -289,15 +270,15 @@ class TestCacheCleanliness:
 
 class TestConstruction:
     def test_wraps_prebuilt_engine(self, schema):
-        inner = ParallelDecisionEngine(max_workers=1, cache=DecisionCache())
+        inner = ParallelDecisionEngine(cache=DecisionCache())
         with ResilientDecisionEngine(inner, retry=FAST_RETRY) as engine:
             assert engine.engine is inner
             assert engine.is_satisfiable(schema, "City") is True
 
     def test_rejects_engine_plus_kwargs(self):
-        inner = ParallelDecisionEngine(max_workers=1)
+        inner = ParallelDecisionEngine()
         with pytest.raises(ReproError):
-            ResilientDecisionEngine(inner, max_workers=4)
+            ResilientDecisionEngine(inner, cache=None)
         inner.shutdown()
 
     def test_report(self, engine, schema):
@@ -328,6 +309,26 @@ class TestWarmSingleDecisions:
             assert engine.is_summarizable(schema, "Country", ["City"]) is True
         assert injector.opportunities() == {"worker-crash": 0}
         assert engine.stats.degraded_sequential == 0
+
+    def test_warm_decide_serves_cached_verdict_on_parallel_rung(
+        self, engine, schema
+    ):
+        """``decide`` (the served ``decide`` op) batches through the
+        wrapped engine, which memoizes first: a cached verdict is served
+        on the parallel rung, past an armed crash, with no failure."""
+        self._warm(engine, schema)
+        requests = [
+            ("dimsat", "Store"),
+            ("implies", "Store.City.Country"),
+            ("summarizable", "Country", ["City"]),
+        ]
+        with inject_faults("worker-crash:p=1.0;seed=1") as injector:
+            outcomes = [engine.decide(schema, request) for request in requests]
+        for outcome in outcomes:
+            assert outcome.ok and outcome.verdict is True
+            assert outcome.rung == "parallel"
+            assert outcome.failures == ()
+        assert injector.opportunities() == {"worker-crash": 0}
 
     def test_warm_implies_parses_once(self, engine, schema, monkeypatch):
         from repro.constraints import parser

@@ -25,11 +25,9 @@ from repro.generators.location import location_schema
 from repro.io.json_io import schema_to_json
 
 
-def _engine(max_workers: int = 2) -> ResilientDecisionEngine:
+def _engine() -> ResilientDecisionEngine:
     """A resilient engine over a private cache (no global-state bleed)."""
-    return ResilientDecisionEngine(
-        ParallelDecisionEngine(max_workers=max_workers, cache=DecisionCache())
-    )
+    return ResilientDecisionEngine(ParallelDecisionEngine(cache=DecisionCache()))
 
 
 @contextmanager
@@ -200,7 +198,7 @@ class TestConcurrentClients:
             return frames
 
         # Reference: a fresh server, one client, strictly sequential.
-        with running_server(engine=_engine(max_workers=1)) as server:
+        with running_server(engine=_engine()) as server:
             with _client(server) as client:
                 reference = workload(client, client.load_schema(loc_schema))
 
@@ -243,7 +241,7 @@ class TestConcurrentClients:
     def test_busy_is_never_a_wrong_verdict(self, loc_schema):
         """Saturate a max_inflight=1 server: some calls get BUSY, and
         every non-busy response still matches the sequential kernel."""
-        engine = _engine(max_workers=1)
+        engine = _engine()
         real_implies = engine.implies
 
         def slow_implies(schema, constraint):

@@ -1,16 +1,18 @@
-"""Differential tests: parallel engine == sequential kernel == brute force.
+"""Differential tests: every engine == sequential kernel == brute force.
 
-The :class:`~repro.core.parallel.ParallelDecisionEngine` must be
-observationally identical to the sequential kernel, which in turn must
-agree with the first-principles brute-force oracle
-(:mod:`repro.baselines.bruteforce`).  On hypothesis-generated random
-schemas this file checks that three-way agreement for all three decision
-problems - category satisfiability, implication, and summarizability -
-across worker counts {1, 4} and both executor modes.
+The batch engines must be observationally identical to the sequential
+kernel, which in turn must agree with the first-principles brute-force
+oracle (:mod:`repro.baselines.bruteforce`).  On hypothesis-generated
+random schemas this file checks that three-way agreement for all three
+decision problems - category satisfiability, implication, and
+summarizability - for the interpreted engine
+(:class:`~repro.core.parallel.ParallelDecisionEngine`) and the compiled
+one (:class:`~repro.core.compile.CompiledDecisionEngine`), through their
+single-decision methods and through batches that repeat requests.
 
-Each engine gets its *own* decision cache so a verdict cached by one
-configuration can never be served to another: every configuration really
-computes its answers.
+Each engine gets its *own* decision cache (and the compiled one its own
+artifact store) so a verdict cached by one engine can never be served to
+another: every engine really computes its answers.
 """
 
 from __future__ import annotations
@@ -21,7 +23,9 @@ from hypothesis import strategies as st
 
 from repro._types import ALL
 from repro.baselines.bruteforce import brute_force_implies, brute_force_satisfiable
+from repro.constraints.printer import unparse
 from repro.errors import ConstraintError
+from repro.core.compile import CompiledArtifactStore, CompiledDecisionEngine
 from repro.core.decisioncache import DecisionCache
 from repro.core.dimsat import dimsat
 from repro.core.implication import is_implied
@@ -37,31 +41,16 @@ from tests.property.strategies import constraints
 
 SETTINGS = settings(max_examples=40, deadline=None)
 
-#: (mode, max_workers) configurations under test.  ``thread``/1 exercises
-#: the pure sequential-fallback path, ``thread``/4 the branch fan-out,
-#: ``process``/4 the cross-process batch path.
-CONFIGURATIONS = [("thread", 1), ("thread", 4), ("process", 4)]
-
 
 @pytest.fixture(scope="module")
 def engines():
-    """One long-lived engine per configuration, each with a private cache.
-
-    The process engine is created (and its pool forced into existence)
-    first, before any thread pool runs in this module, so the forked
-    workers never inherit a live thread.
-    """
-    built = {}
-    for mode, workers in CONFIGURATIONS:
-        engine = ParallelDecisionEngine(
-            max_workers=workers, mode=mode, cache=DecisionCache()
-        )
-        if mode == "process":
-            engine._get_executor()
-        built[(mode, workers)] = engine
-    yield built
-    for engine in built.values():
-        engine.shutdown()
+    """One long-lived engine per backend, each with a private cache."""
+    return {
+        "interpreted": ParallelDecisionEngine(cache=DecisionCache()),
+        "compiled": CompiledDecisionEngine(
+            cache=DecisionCache(), store=CompiledArtifactStore()
+        ),
+    }
 
 
 @st.composite
@@ -120,14 +109,13 @@ def test_dimsat_differential(engines, schema):
     assert sequential == oracle
     batch = [(schema, ("dimsat", c)) for c in categories]
     for config, engine in engines.items():
-        assert engine.decide_many(batch) == oracle, config
+        assert engine.decide_many(batch + batch) == oracle + oracle, config
 
 
 @SETTINGS
 @given(small_schemas())
 def test_dimsat_single_decision_differential(engines, schema):
-    """The branch-fan-out single-decision path agrees too (thread mode
-    parallelizes EXPAND's first-level branches here)."""
+    """The single-decision path agrees too."""
     categories = sorted(schema.hierarchy.categories - {ALL})
     for category in categories:
         expected = dimsat(schema, category).satisfiable
@@ -151,10 +139,11 @@ def test_implication_differential(engines, query, sigma):
     except ConstraintError:
         assume(False)
     assert is_implied(schema, query, cache=None) == oracle
-    batch = [(schema, ("implies", query))]
+    # The same question twice, once as a node and once as its text.
+    batch = [(schema, ("implies", query)), (schema, ("implies", unparse(query)))]
     for config, engine in engines.items():
         assert engine.is_implied(schema, query) == oracle, config
-        assert engine.decide_many(batch) == [oracle], config
+        assert engine.decide_many(batch) == [oracle, oracle], config
 
 
 @SETTINGS
@@ -163,10 +152,13 @@ def test_summarizability_differential(engines, case):
     schema, target, sources = case
     oracle = _brute_force_summarizable(schema, target, sources)
     assert is_summarizable_in_schema(schema, target, sources, cache=None) == oracle
-    batch = [(schema, ("summarizable", target, sources))]
+    batch = [
+        (schema, ("summarizable", target, sources)),
+        (schema, ("summarizable", target, list(reversed(sources)))),
+    ]
     for config, engine in engines.items():
         assert engine.is_summarizable(schema, target, sources) == oracle, config
-        assert engine.decide_many(batch) == [oracle], config
+        assert engine.decide_many(batch) == [oracle, oracle], config
 
 
 @SETTINGS

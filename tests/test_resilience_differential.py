@@ -67,7 +67,7 @@ def small_schemas(draw):
 @pytest.fixture(scope="module")
 def resilient():
     engine = ResilientDecisionEngine(
-        retry=FAST_RETRY, max_workers=4, mode="thread", cache=DecisionCache()
+        retry=FAST_RETRY, cache=DecisionCache()
     )
     yield engine
     engine.shutdown()
@@ -154,7 +154,7 @@ def test_cache_poisoning_hammer():
 
     cache = DecisionCache()
     engine = ResilientDecisionEngine(
-        retry=FAST_RETRY, max_workers=4, mode="thread", cache=cache
+        retry=FAST_RETRY, cache=cache
     )
     try:
         with inject_faults(HAMMER_SPEC) as injector:
@@ -204,7 +204,7 @@ def test_hammer_is_deterministic():
     def run():
         engine = ResilientDecisionEngine(
             retry=RetryPolicy(max_attempts=2, base_delay_ms=0.0),
-            max_workers=1, mode="thread", cache=DecisionCache(),
+            cache=DecisionCache(),
         )
         try:
             with inject_faults("worker-crash:p=0.5;seed=99") as injector:

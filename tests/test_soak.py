@@ -14,12 +14,11 @@ import pytest
 from repro.cli import main
 from repro.core.faults import inject_faults
 from repro.core import soak as soak_module
+from repro.core.resilience import ENGINE_NAMES, build_engine
 from repro.core.soak import (
-    SOAK_ENGINES,
     InvariantViolation,
     SoakConfig,
     SoakReport,
-    build_soak_engine,
     oracle_decide,
     run_soak,
 )
@@ -44,9 +43,10 @@ class TestConfig:
         with pytest.raises(ReproError):
             SoakConfig(check_every=0)
 
-    @pytest.mark.parametrize("engine", SOAK_ENGINES)
+    @pytest.mark.parametrize("engine", ENGINE_NAMES)
     def test_build_engine(self, engine):
-        resilient = build_soak_engine(SoakConfig(engine=engine))
+        config = SoakConfig(engine=engine)
+        resilient = build_engine(config.engine, retries=config.retries)
         try:
             assert resilient.retry.max_attempts == 3
         finally:
@@ -54,7 +54,7 @@ class TestConfig:
 
 
 class TestRunSoak:
-    @pytest.mark.parametrize("engine", SOAK_ENGINES)
+    @pytest.mark.parametrize("engine", ENGINE_NAMES)
     def test_clean_soak_per_engine(self, engine):
         report = run_soak(SoakConfig(engine=engine, **FAST))
         assert report.ok
@@ -119,7 +119,7 @@ class TestFaultedSoak:
         "engine,spec",
         [
             ("compiled", "worker-crash:p=0.3,seed=7;cache-store:p=0.2"),
-            ("parallel", "worker-crash:p=0.4,seed=3;pool-exhaustion:p=0.2"),
+            ("sequential", "worker-crash:p=0.4,seed=3"),
         ],
     )
     def test_faults_never_produce_wrong_verdicts(self, engine, spec):
@@ -177,7 +177,7 @@ class TestViolationMachinery:
         # not count as wrong or as a violation.
         report = run_soak(
             SoakConfig(
-                engine="parallel",
+                engine="sequential",
                 families=["np-boundary"],
                 budget_ms=0.0,
                 retries=1,
@@ -274,7 +274,7 @@ class TestSoakCli:
 class TestLongSoak:
     """The CI soak-smoke shape, one engine per test."""
 
-    @pytest.mark.parametrize("engine", SOAK_ENGINES)
+    @pytest.mark.parametrize("engine", ENGINE_NAMES)
     def test_thirty_second_soak(self, engine):
         report = run_soak(
             SoakConfig(engine=engine, seconds=30.0, seed=0, per_family=1)

@@ -121,7 +121,7 @@ class TestAdversarialSweep:
         assert rebuilt.fingerprint() == case.schema.fingerprint()
 
     def test_budgeted_engine_agrees_or_degrades(self, case):
-        engine = ParallelDecisionEngine(max_workers=2, budget=self.BUDGET)
+        engine = ParallelDecisionEngine(budget=self.BUDGET)
         try:
             (outcome,) = engine.try_decide_many(
                 [(case.schema, ("dimsat", case.root))]
