@@ -79,11 +79,13 @@ check.
 
 Every decision subcommand goes through one engine, built by
 :func:`~repro.core.resilience.build_engine`.  The default
-``--engine sequential`` runs the interpreted kernel on the calling
-thread; ``--engine compiled`` serves every decision through the
-per-schema compiled tier (:mod:`repro.core.compile`): the first decision
+``--engine compiled`` serves every decision through the per-schema
+compiled tier (:mod:`repro.core.compile`): the first decision on a root
 pays one compilation, later ones are SAT calls over the artifact with
-all previously learned clauses in place.
+all previously learned clauses in place, and a schema the tier cannot
+compile (numeric categories) falls back to the interpreted kernel.
+``--engine sequential`` runs the interpreted kernel on the calling
+thread.  ``--budget-ms`` bounds every cold decision on either engine.
 
 Resilience flags: ``--retries N`` serves decisions through the
 :class:`~repro.core.resilience.ResilientDecisionEngine` (retry with
@@ -149,10 +151,12 @@ def _engine_from_args(args: argparse.Namespace):
     failures are retried with backoff, a persistently failing engine
     degrades to the sequential kernel, and a decision no rung can serve
     exits with code 4 instead of a traceback.  Without it the engine is
-    bare, so a blown ``--budget-ms`` exits with code 3.
+    bare, so a blown ``--budget-ms`` exits with code 3.  Without
+    ``--engine``, ``build_engine`` picks its default.
     """
+    name = getattr(args, "engine", None)
     return build_engine(
-        getattr(args, "engine", None) or "sequential",
+        **({} if name is None else {"name": name}),
         budget=_budget_from_args(args),
         retries=getattr(args, "retries", None),
     )
@@ -618,11 +622,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine",
         choices=ENGINE_NAMES,
         default=None,
-        help="the engine every decision goes through: 'sequential' "
-        "(default) runs the interpreted kernel on the calling thread, "
-        "with batch dedup; 'compiled' serves verdicts from the per-schema "
-        "compiled decision artifact (incremental SAT with learned-clause "
-        "reuse, interpreted-kernel fallback)",
+        help="the engine every decision goes through: 'compiled' "
+        "(default) serves verdicts from the per-schema compiled decision "
+        "artifact (incremental SAT with learned-clause reuse, "
+        "interpreted-kernel fallback for schemas it cannot compile); "
+        "'sequential' runs the interpreted kernel on the calling thread, "
+        "with batch dedup",
     )
     parser.add_argument(
         "--inject-faults",

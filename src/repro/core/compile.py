@@ -43,6 +43,20 @@ Schemas with numeric categories (order predicates) are *not* compiled:
 their c-assignment domains are interval representatives whose truth
 tables do not map onto the boolean assignment variables used here, so
 the tier falls back to the interpreted kernel for them.
+
+This is the default engine: :func:`~repro.core.resilience.build_engine`
+builds it unless asked for ``"sequential"``, so the CLI, ``serve`` and
+the soak decide through it.  The interpreted kernel stays the fallback
+and the oracle (the resilience ladder's sequential rung, the cache-load
+replay and ``audit-verify`` all re-decide through it).
+
+The per-decision :class:`~repro.core.budget.DecisionBudget` bounds the
+compiled tier as it bounds the kernel: a root's build charges one unit
+per EXPAND branch (the kernel's unit), every SAT solve charges one unit
+on entry and one per conflict, and a :class:`CompilationError` fallback
+continues under the same budget.  A root whose build runs out is not
+stored (nor cached as a compile failure), and a solve that runs out
+leaves its solver usable with every learned clause still sound.
 """
 
 from __future__ import annotations
@@ -98,6 +112,7 @@ from repro.core.dimsat import (
     dimsat as run_dimsat,
     reduced_constraints,
 )
+from repro.core.faults import FAULTS
 from repro.core.frozen import FrozenDimension, Subhierarchy
 from repro.core.hierarchy import ALL, Category
 from repro.core.implication import ImplicationResult, implies as run_implies
@@ -148,7 +163,10 @@ class CompilationError(ReproError):
 
 
 def _complete_subhierarchies(
-    schema: DimensionSchema, root: Category, limit: int
+    schema: DimensionSchema,
+    root: Category,
+    limit: int,
+    budget: Optional[DecisionBudget] = None,
 ) -> List[Subhierarchy]:
     """Every complete subhierarchy of ``G`` rooted at ``root``.
 
@@ -157,6 +175,7 @@ def _complete_subhierarchies(
     search exactly; into pruning stays sound for the whole ``SIGMA |
     {NOT alpha}`` family because a negated query never adds an into
     constraint.  Raises :class:`CompilationError` past ``limit``.
+    ``budget`` is charged once per EXPAND branch, the kernel's unit.
     """
     search = _Search(schema, root, DimsatOptions())
     out: List[Subhierarchy] = []
@@ -164,6 +183,8 @@ def _complete_subhierarchies(
     def walk(
         state: _GState, current: Category, chosen: FrozenSet[Category]
     ) -> None:
+        if budget is not None:
+            budget.charge()
         if chosen:
             state = state.extend(current, chosen)
         if state.top == frozenset({ALL}):
@@ -288,7 +309,11 @@ class _RootCompilation:
     """
 
     def __init__(
-        self, schema: DimensionSchema, root: Category, limit: int
+        self,
+        schema: DimensionSchema,
+        root: Category,
+        limit: int,
+        budget: Optional[DecisionBudget] = None,
     ) -> None:
         self.schema = schema
         self.root = root
@@ -307,14 +332,16 @@ class _RootCompilation:
         #: Hash-consed query node -> (activation literal, negated query).
         self._queries: Dict[Node, Tuple[int, Node]] = {}
         self.subs: List[_CompiledSubhierarchy] = []
-        self._build(limit)
+        self._build(limit, budget)
 
     # -- construction ---------------------------------------------------
 
-    def _build(self, limit: int) -> None:
+    def _build(self, limit: int, budget: Optional[DecisionBudget]) -> None:
         cache = circle_cache()
         selectors: List[int] = []
-        for sub in _complete_subhierarchies(self.schema, self.root, limit):
+        for sub in _complete_subhierarchies(
+            self.schema, self.root, limit, budget
+        ):
             selector = self.solver.new_var()
             residual = reduced_constraints(
                 self.schema, self.root, sub, None, cache
@@ -469,7 +496,9 @@ class _RootCompilation:
     # -- solving --------------------------------------------------------
 
     def decide(
-        self, query: Optional[Node] = None
+        self,
+        query: Optional[Node] = None,
+        budget: Optional[DecisionBudget] = None,
     ) -> Tuple[bool, Optional[FrozenDimension]]:
         """Satisfiability of the root - plain (``query=None``) or in the
         schema extended with ``NOT query`` (the Theorem 2 test).
@@ -479,6 +508,7 @@ class _RootCompilation:
         reduced query, when present).  Verification failure raises
         :class:`CompilationError`, so a solver or encoding defect can
         only ever cost a fallback, never a wrong "satisfiable".
+        ``budget`` bounds the solve (see :meth:`Solver.solve`).
         """
         with self._lock:
             assumptions: List[int] = []
@@ -486,7 +516,15 @@ class _RootCompilation:
             if query is not None:
                 activation, negated = self.assume_query(query)
                 assumptions.append(activation)
-            if not self.solver.solve(assumptions):
+            # Unbudgeted solves keep the one-argument call: the benchmark
+            # tracer (perfbench/tracer.py) wraps ``Solver.solve(self,
+            # assumptions)`` by name.
+            solved = (
+                self.solver.solve(assumptions)
+                if budget is None
+                else self.solver.solve(assumptions, budget)
+            )
+            if not solved:
                 return False, None
             witness = self._decode_witness(negated)
             return True, witness
@@ -560,8 +598,15 @@ class CompiledArtifact:
         self._roots: Dict[Category, _RootCompilation] = {}
         self._lock = threading.Lock()
 
-    def root(self, category: Category) -> _RootCompilation:
-        """The compiled surface for one root, building it on first use."""
+    def root(
+        self, category: Category, budget: Optional[DecisionBudget] = None
+    ) -> _RootCompilation:
+        """The compiled surface for one root, building it on first use.
+
+        The build charges ``budget``; a build the budget aborts raises
+        :class:`~repro.errors.BudgetExceeded` and stores nothing, so the
+        next decision on this root builds it afresh.
+        """
         with self._lock:
             compiled = self._roots.get(category)
             if compiled is None:
@@ -569,7 +614,7 @@ class CompiledArtifact:
                     "compile.root", root=category, fingerprint=self.fingerprint
                 ) as span:
                     compiled = _RootCompilation(
-                        self.schema, category, self.max_subhierarchies
+                        self.schema, category, self.max_subhierarchies, budget
                     )
                     span.set(
                         subhierarchies=len(compiled.subs),
@@ -767,7 +812,19 @@ class CompiledDecisionEngine:
     :class:`~repro.core.dimsat.DimsatOptions` (``options`` is pinned to
     ``None``), which also keeps its audit records replayable by
     ``repro-olap audit-verify``.
+
+    ``budget`` is a per-decision template, as on the interpreted engine:
+    each computed decision charges one fresh copy across the root's
+    build (one unit per EXPAND branch), every solve (one unit on entry
+    and one per conflict) and, after a :class:`CompilationError`, the
+    kernel fallback.  A decision that runs out raises
+    :class:`~repro.errors.BudgetExceeded` and caches nothing.  Each
+    computed decision also passes the fault-injection worker checkpoint
+    once (:mod:`repro.core.faults`); a cached verdict passes neither.
     """
+
+    #: Its :func:`~repro.core.resilience.build_engine` name.
+    name = "compiled"
 
     def __init__(
         self,
@@ -799,6 +856,13 @@ class CompiledDecisionEngine:
             return None
         return self.budget_template.fresh()
 
+    def _start_decision(self) -> Optional[DecisionBudget]:
+        """Begin one computed decision: pass the fault checkpoint (as the
+        interpreted engine does, once per decision), then return the
+        decision's fresh budget."""
+        FAULTS.worker()
+        return self._fresh_budget()
+
     # -- fallback accounting -------------------------------------------
 
     def _note_fallback(self, kind: str, error: CompilationError) -> None:
@@ -820,22 +884,29 @@ class CompiledDecisionEngine:
             return _trivial_all_result(DimsatOptions())
         key = ("dimsat", category, self._options_key)
         return memoize_or_audit(  # type: ignore[return-value]
-            self.cache, schema, key, lambda: self._dimsat_uncached(schema, category)
+            self.cache,
+            schema,
+            key,
+            lambda: self._dimsat_uncached(schema, category, self._start_decision()),
         )
 
     def _dimsat_uncached(
-        self, schema: DimensionSchema, category: Category
+        self,
+        schema: DimensionSchema,
+        category: Category,
+        budget: Optional[DecisionBudget] = None,
     ) -> DimsatResult:
         try:
-            root = self.store.get(schema).root(category)
+            root = self.store.get(schema).root(category, budget)
             with TRACER.span(
                 "compiled.decide", kind="dimsat", category=category
             ) as span:
-                satisfiable, witness = root.decide()
+                satisfiable, witness = root.decide(budget=budget)
                 span.set(satisfiable=satisfiable)
         except CompilationError as error:
+            # The fallback continues the decision under the same budget.
             self._note_fallback("dimsat", error)
-            return run_dimsat(schema, category, None, self._fresh_budget())
+            return run_dimsat(schema, category, None, budget)
         # Advisory hot-path counter: a plain increment (GIL-coalesced)
         # instead of a lock round-trip on every served decision.
         self.stats.compiled_decisions += 1
@@ -848,20 +919,23 @@ class CompiledDecisionEngine:
         self, schema: DimensionSchema, constraint: object
     ) -> ImplicationResult:
         """Theorem 2 through the artifact: assume the query's activation
-        literal over the root's persistent solver."""
+        literal over the root's persistent solver.
+
+        The constraint is validated on a miss only, as the interpreted
+        engine does: one that fails validation is never cached, so a hit
+        needs no check."""
         node: Node = (
             parse(constraint) if isinstance(constraint, str) else constraint  # type: ignore[assignment]
         )
-        root_category = validate_constraint(schema.hierarchy, node)
         if self.cache is None and not AUDIT.enabled:
             # Nothing will consume the memo key; skip serializing it.
-            return self._implies_uncached(schema, node, root_category)
+            return self._implies_uncached(schema, node, None, self._start_decision())
         key = ("implies", unparse(node), self._options_key)
         return memoize_or_audit(  # type: ignore[return-value]
             self.cache,
             schema,
             key,
-            lambda: self._implies_uncached(schema, node, root_category),
+            lambda: self._implies_uncached(schema, node, None, self._start_decision()),
         )
 
     def _implies_uncached(
@@ -869,21 +943,21 @@ class CompiledDecisionEngine:
         schema: DimensionSchema,
         node: Node,
         root_category: Optional[Category] = None,
+        budget: Optional[DecisionBudget] = None,
     ) -> ImplicationResult:
         if root_category is None:
             root_category = validate_constraint(schema.hierarchy, node)
         try:
-            root = self.store.get(schema).root(root_category)
+            root = self.store.get(schema).root(root_category, budget)
             with TRACER.span(
                 "compiled.decide", kind="implies", root=root_category
             ) as span:
-                satisfiable, witness = root.decide(query=node)
+                satisfiable, witness = root.decide(node, budget)
                 span.set(implied=not satisfiable)
         except CompilationError as error:
+            # The fallback continues the decision under the same budget.
             self._note_fallback("implies", error)
-            return run_implies(
-                schema, node, None, cache=None, budget=self._fresh_budget()
-            )
+            return run_implies(schema, node, None, cache=None, budget=budget)
         # Advisory hot-path counter: a plain increment (GIL-coalesced)
         # instead of a lock round-trip on every served decision.
         self.stats.compiled_decisions += 1
@@ -923,7 +997,9 @@ class CompiledDecisionEngine:
             self.cache,
             schema,
             key,
-            lambda: self._summarizable_uncached(schema, target, source_key),
+            lambda: self._summarizable_uncached(
+                schema, target, source_key, self._start_decision()
+            ),
         )
 
     def _summarizable_uncached(
@@ -931,16 +1007,18 @@ class CompiledDecisionEngine:
         schema: DimensionSchema,
         target: Category,
         sources: Tuple[Category, ...],
+        budget: Optional[DecisionBudget] = None,
     ) -> bool:
         with TRACER.span("compiled.decide", kind="summarizable", target=target):
             # The generated constraint is rooted at its bottom, so
-            # re-validation (and its hierarchy walk) is redundant.
+            # re-validation (and its hierarchy walk) is redundant.  Every
+            # bottom's test charges the decision's one budget.
             return summarizable_by_bottoms(
                 schema,
                 target,
                 sources,
                 lambda bottom, node: self._implies_uncached(
-                    schema, node, bottom
+                    schema, node, bottom, budget
                 ).implied,
             )
 

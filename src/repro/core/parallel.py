@@ -91,26 +91,32 @@ def normalize_request(request: Sequence[object]) -> RequestKey:
     normalize to the same key, which is what the batch dedup and the
     decision cache key on.
     """
+    return _normalize(request)[0]
+
+
+def _normalize(request: Sequence[object]) -> Tuple[RequestKey, Optional[Node]]:
+    """:func:`normalize_request`, plus the parsed constraint of an
+    implication request (``None`` for the other kinds)."""
     if not request:
         raise ReproError("empty decision request")
     kind = request[0]
     if kind == "dimsat":
         if len(request) != 2:
             raise ReproError("dimsat requests are ('dimsat', category)")
-        return ("dimsat", request[1])
+        return ("dimsat", request[1]), None
     if kind == "implies":
         if len(request) != 2:
             raise ReproError("implication requests are ('implies', constraint)")
         constraint = request[1]
         node: Node = parse(constraint) if isinstance(constraint, str) else constraint  # type: ignore[assignment]
-        return ("implies", unparse(node))
+        return ("implies", unparse(node)), node
     if kind == "summarizable":
         if len(request) != 3:
             raise ReproError(
                 "summarizability requests are ('summarizable', target, sources)"
             )
         target, sources = request[1], request[2]
-        return ("summarizable", target, tuple(sorted(set(sources))))  # type: ignore[arg-type]
+        return ("summarizable", target, tuple(sorted(set(sources)))), None  # type: ignore[arg-type]
     raise ReproError(
         f"unknown decision request kind {kind!r}; expected one of {REQUEST_KINDS}"
     )
@@ -133,10 +139,11 @@ def decide_batch(
     number of requests the dedup answered.  Duplicated requests share one
     decision, so they also share one failure.  Malformed requests raise
     immediately from :func:`normalize_request` (they are caller bugs, not
-    service faults).
+    service faults).  An implication reaches the engine as the node
+    normalizing parsed, so its text is parsed once.
     """
-    pairs = [(schema, normalize_request(request)) for schema, request in items]
-    ukeys = [(schema.fingerprint(), key) for schema, key in pairs]
+    pairs = [(schema, *_normalize(request)) for schema, request in items]
+    ukeys = [(schema.fingerprint(), key) for schema, key, _node in pairs]
     unique = dict(zip(ukeys, pairs))
     deduped = len(pairs) - len(unique)
     _M_DEDUPED.inc(deduped)
@@ -146,13 +153,13 @@ def decide_batch(
         )
 
     answered: Dict[Tuple[str, RequestKey], object] = {}
-    for ukey, (schema, key) in unique.items():
+    for ukey, (schema, key, node) in unique.items():
         kind = key[0]
         try:
             if kind == "dimsat":
                 answered[ukey] = engine.dimsat(schema, key[1]).satisfiable
             elif kind == "implies":
-                answered[ukey] = engine.implies(schema, key[1]).implied
+                answered[ukey] = engine.implies(schema, node).implied
             else:
                 answered[ukey] = engine.is_summarizable(schema, key[1], key[2])
         except Exception as exc:  # noqa: BLE001 - contained per request
@@ -200,6 +207,9 @@ class ParallelDecisionEngine:
 
     The engine is thread-safe and can be shared.
     """
+
+    #: Its :func:`~repro.core.resilience.build_engine` name.
+    name = "sequential"
 
     def __init__(
         self,

@@ -654,38 +654,40 @@ class ResilientDecisionEngine:
         return "\n".join(lines)
 
 
-#: The engine names :func:`build_engine` knows: the interpreted kernel
-#: behind batch dedup, and the compiled tier.
-ENGINE_NAMES = ("sequential", "compiled")
+#: The engines :func:`build_engine` builds, by name: the interpreted
+#: kernel behind batch dedup, and the compiled tier.
+_ENGINES = {
+    engine.name: engine
+    for engine in (ParallelDecisionEngine, CompiledDecisionEngine)
+}
+ENGINE_NAMES = tuple(_ENGINES)
 
 
 def build_engine(
-    name: str = "sequential",
+    name: str = "compiled",
     budget: Optional[DecisionBudget] = None,
     retries: Optional[int] = None,
     cache: object = USE_DEFAULT_CACHE,
 ) -> Any:
     """Build a decision engine by name: the one constructor behind the
     CLI, the soak, the decision server and the OLAP layers' ``engine=``
-    strings.
+    strings, and the one place the default engine is named.
 
+    ``compiled`` (the default) is the
+    :class:`~repro.core.compile.CompiledDecisionEngine`, which falls back
+    to the interpreted kernel on schemas it cannot compile;
     ``sequential`` is the :class:`ParallelDecisionEngine` (the
-    interpreted kernel on the calling thread, with batch dedup);
-    ``compiled`` is the
-    :class:`~repro.core.compile.CompiledDecisionEngine`.  ``budget`` is
-    the per-decision budget template.  With ``retries`` the engine is
-    wrapped in a :class:`ResilientDecisionEngine` allowing that many
-    attempts per ladder rung; without, it is returned bare, so failures
-    surface as the engine raises them.
+    interpreted kernel on the calling thread, with batch dedup).
+    ``budget`` is the per-decision budget template.  With ``retries`` the
+    engine is wrapped in a :class:`ResilientDecisionEngine` allowing that
+    many attempts per ladder rung; without, it is returned bare, so
+    failures surface as the engine raises them.
     """
-    if name == "compiled":
-        engine: Any = CompiledDecisionEngine(cache=cache, budget=budget)
-    elif name == "sequential":
-        engine = ParallelDecisionEngine(budget=budget, cache=cache)
-    else:
+    if name not in _ENGINES:
         raise ReproError(
             f"unknown engine {name!r}; expected one of {ENGINE_NAMES}"
         )
+    engine = _ENGINES[name](budget=budget, cache=cache)
     if retries is None:
         return engine
     return ResilientDecisionEngine(

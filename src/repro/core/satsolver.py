@@ -18,7 +18,13 @@ the compiler produces (hundreds to a few thousand variables):
   enter learned clauses only as ordinary negated decision literals), so
   the lemmas survive across :meth:`~Solver.solve` calls and later
   queries on the same schema start from everything earlier queries
-  proved.
+  proved;
+* **budgeted solving** - :meth:`Solver.solve` optionally charges a
+  :class:`~repro.core.budget.DecisionBudget` once on entry and once per
+  conflict, so a compiled decision stops at the same node/time ceilings
+  the interpreted kernel honours.  An aborted solve rewinds to level
+  zero like any other; the clauses it learned are implied by the clause
+  database and stay.
 
 Literals use the DIMACS convention: variables are positive integers and
 ``-v`` is the negation of ``v``.  The solver is deliberately
@@ -32,6 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro.core.budget import DecisionBudget
 from repro.errors import ReproError
 
 __all__ = ["SatStats", "Solver"]
@@ -334,20 +341,29 @@ class Solver:
             return None
         return best_var if self._phase[best_var] else -best_var
 
-    def solve(self, assumptions: Sequence[int] = ()) -> bool:
+    def solve(
+        self,
+        assumptions: Sequence[int] = (),
+        budget: Optional[DecisionBudget] = None,
+    ) -> bool:
         """Decide satisfiability of the clause database under the given
         assumption literals.
 
         Returns ``True`` and captures a :meth:`model` on success; returns
         ``False`` when no assignment extends the assumptions.  The solver
         stays usable either way - learned clauses persist, the trail is
-        rewound to level zero.
+        rewound to level zero.  ``budget`` is charged once here and once
+        per conflict; when it runs out, the solve raises
+        :class:`~repro.errors.BudgetExceeded` and the solver stays just
+        as usable.
         """
         self.stats.solves += 1
         assumed = list(assumptions)
         for lit in assumed:
             if not isinstance(lit, int) or lit == 0 or abs(lit) > self._num_vars:
                 raise SatError(f"invalid assumption literal {lit!r}")
+        if budget is not None:
+            budget.charge()
         if self._unsat:
             return False
         self._backtrack(0)
@@ -362,6 +378,8 @@ class Solver:
                     if self._decision_level == 0:
                         self._unsat = True
                         return False
+                    if budget is not None:
+                        budget.charge()
                     learnt, back = self._analyze(conflict)
                     self._backtrack(back)
                     self._learn(learnt)

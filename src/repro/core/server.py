@@ -6,7 +6,11 @@ provenance-scoped rekeying across edits - but a CLI invocation still pays
 process startup and dies with its warm state.  :class:`DecisionServer`
 keeps that state resident: one process, one shared
 :class:`~repro.core.resilience.ResilientDecisionEngine`, many concurrent
-clients over the :mod:`repro.core.wire` protocol.
+clients over the :mod:`repro.core.wire` protocol.  Unless told otherwise
+it serves through :func:`~repro.core.resilience.build_engine`'s default,
+the compiled tier (:mod:`repro.core.compile`), which falls back to the
+interpreted kernel on schemas it cannot compile; the ``stats`` op names
+the engine and, for the compiled tier, counts those fallbacks.
 
 Architecture
 ------------
@@ -23,9 +27,12 @@ Architecture
   concurrently executing decisions the server answers ``status="busy"``
   *without evaluating the request* - a BUSY can always be retried and
   can never stand in for a verdict.  Per-decision ceilings ride on the
-  engine's own :class:`~repro.core.budget.DecisionBudget`
-  (``status="budget-exceeded"``), and a decision every resilience rung
-  failed comes back ``status="unknown"`` with its failure provenance.
+  engine's own :class:`~repro.core.budget.DecisionBudget` on either
+  engine (the compiled tier charges it while building a root and inside
+  every SAT solve): a decision the budget stopped on every resilience
+  rung comes back ``status="budget-exceeded"``, and one every rung
+  failed for any other reason ``status="unknown"``, both with their
+  failure provenance.
 * **Schemas are tenants, keyed by fingerprint.**  ``load-schema``
   registers a schema and returns its fingerprint; every decision op
   names the fingerprint it runs against.  An ``edit`` produces a new
@@ -58,11 +65,16 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Optional, Sequence
 
+from repro.core.compile import CompiledDecisionEngine
 from repro.core.decisioncache import DecisionCache
 from repro.core.metrics import METRICS
-from repro.core.resilience import ResilientDecisionEngine, build_engine
+from repro.core.resilience import (
+    AttemptRecord,
+    ResilientDecisionEngine,
+    build_engine,
+)
 from repro.core.schema import DimensionSchema
 from repro.core.trace import TRACER
 from repro.core.wire import (
@@ -86,6 +98,15 @@ _M_CONNECTIONS = METRICS.counter("server.connections")
 DECISION_OPS = ("decide", "implies", "summarizable", "navigate")
 #: Every op the server answers.
 ALL_OPS = DECISION_OPS + ("load-schema", "edit", "stats", "shutdown")
+
+
+def _unavailable_status(failures: Sequence[AttemptRecord]) -> str:
+    """The typed status of a decision no resilience rung answered:
+    ``budget-exceeded`` when the budget stopped every attempt (a retry
+    with a larger budget is sound), ``unknown`` otherwise."""
+    if failures and all(f.error_type == "BudgetExceeded" for f in failures):
+        return "budget-exceeded"
+    return "unknown"
 
 
 @dataclass
@@ -116,7 +137,7 @@ class DecisionServer:
         is wrapped, so the degradation ladder is always in front of
         clients: a worker crash degrades, it never disconnects.  The
         default is :func:`~repro.core.resilience.build_engine`'s
-        sequential engine.
+        default, the compiled engine.
     host, port:
         Bind address.  ``port=0`` binds an ephemeral port; read
         :attr:`port` after :meth:`start`.
@@ -449,10 +470,11 @@ class DecisionServer:
                     "error": str(error),
                 }
             except DecisionUnavailable as error:
-                span.set(status="unknown")
+                status = _unavailable_status(error.failures)
+                span.set(status=status)
                 return {
                     "op": op,
-                    "status": "unknown",
+                    "status": status,
                     "error": str(error),
                     "failures": [
                         record.as_dict() for record in error.failures
@@ -507,7 +529,7 @@ class DecisionServer:
         ])
         if outcome.unknown:
             return {
-                "status": "unknown",
+                "status": _unavailable_status(outcome.failures),
                 "verdict": None,
                 "attempts": outcome.attempts,
                 "failures": [f.as_dict() for f in outcome.failures],
@@ -662,4 +684,20 @@ class DecisionServer:
                 "degraded_sequential": self.engine.stats.degraded_sequential,
                 "unknown_verdicts": self.engine.stats.unknown_verdicts,
             },
+            "engine": self._engine_payload(),
         }
+
+    def _engine_payload(self) -> Dict[str, Any]:
+        """The serving engine's name; for the compiled tier also its
+        kernel fallbacks and its artifact store's counters."""
+        engine = self.engine.engine
+        payload: Dict[str, Any] = {"name": engine.name}
+        if isinstance(engine, CompiledDecisionEngine):
+            store = engine.store.stats
+            payload["fallbacks"] = engine.stats.fallbacks
+            payload["artifacts"] = {
+                "hits": store.hits,
+                "misses": store.misses,
+                "compile_failures": store.compile_failures,
+            }
+        return payload

@@ -9,7 +9,10 @@ Correctness anchors:
 * compile failures (numeric categories, comparison-atom queries) fall
   back to the interpreted kernel, never a wrong or missing verdict;
 * the engine's cache keys and audit records are byte-compatible with the
-  sequential path, so ``audit-verify`` can replay a compiled run.
+  sequential path, so ``audit-verify`` can replay a compiled run;
+* the per-decision budget bounds the root build, every solve and the
+  kernel fallback, and an aborted decision leaves the artifact sound;
+* ``build_engine`` builds the compiled engine by default.
 """
 
 from __future__ import annotations
@@ -24,7 +27,9 @@ from repro.core import (
     CompilationError,
     CompiledArtifactStore,
     CompiledDecisionEngine,
+    DecisionBudget,
     ResilientDecisionEngine,
+    build_engine,
     compiled_artifact_store,
     dimsat,
     implies,
@@ -33,7 +38,7 @@ from repro.core import (
 )
 from repro.core.decisioncache import DecisionCache
 from repro.core.dimsat import DimsatOptions
-from repro.errors import ReproError, SchemaError
+from repro.errors import BudgetExceeded, ReproError, SchemaError
 from repro.generators.random_schema import RandomSchemaConfig, random_schema
 from repro.generators.suite import suite_schemas
 
@@ -171,6 +176,161 @@ class TestDegradation:
         assert result.witness.root == ALL
 
 
+class TestBudget:
+    """The compiled tier charges the per-decision budget: one unit per
+    EXPAND branch of a root's build, one on entry to every solve and one
+    per conflict, and the kernel fallback continues on the same budget."""
+
+    @pytest.mark.parametrize(
+        "budget",
+        [DecisionBudget(max_nodes=0), DecisionBudget(time_ms=1e-7)],
+        ids=["0-nodes", "1e-7-ms"],
+    )
+    @pytest.mark.parametrize("built", [False, True], ids=["cold", "built"])
+    def test_exhausted_budget_raises(self, schemas, budget, built):
+        schema = schemas["retail"]
+        store = CompiledArtifactStore()
+        if built:
+            # The roots already exist, so the solve itself must charge.
+            plain = CompiledDecisionEngine(cache=None, store=store)
+            for category in ("Store", "City"):
+                plain.dimsat(schema, category)
+        engine = CompiledDecisionEngine(cache=None, budget=budget, store=store)
+        with pytest.raises(BudgetExceeded):
+            engine.dimsat(schema, "Store")
+        with pytest.raises(BudgetExceeded):
+            engine.implies(schema, schema.constraints[0])
+        with pytest.raises(BudgetExceeded):
+            engine.is_summarizable(schema, "Country", ["City"])
+        assert engine.stats.compiled_decisions == 0
+
+    def test_exhausted_budget_caches_nothing(self, schemas):
+        schema = schemas["retail"]
+        cache = DecisionCache()
+        engine = CompiledDecisionEngine(
+            cache=cache,
+            budget=DecisionBudget(max_nodes=0),
+            store=CompiledArtifactStore(),
+        )
+        with pytest.raises(BudgetExceeded):
+            engine.implies(schema, "Store.City")
+        assert len(cache) == 0
+
+    def test_root_answers_correctly_after_aborted_solves(self, schemas):
+        """A one-node budget pays the solve's entry charge and aborts at
+        the first conflict; the clauses learned before the abort stay
+        sound, so the same root then agrees with the kernel everywhere."""
+        for name, schema in schemas.items():
+            store = CompiledArtifactStore()
+            plain = CompiledDecisionEngine(cache=None, store=store)
+            categories = sorted(schema.hierarchy.categories - {ALL})
+            for category in categories:
+                plain.dimsat(schema, category)
+            artifact = store.get(schema)
+            roots = dict(artifact._roots)
+            queries = list(schema.constraints) + [
+                Not(node) for node in schema.constraints
+            ]
+            tight = CompiledDecisionEngine(
+                cache=None, budget=DecisionBudget(max_nodes=1), store=store
+            )
+            aborted = 0
+            for node in queries:
+                try:
+                    tight.implies(schema, node)
+                except BudgetExceeded:
+                    aborted += 1
+            assert aborted, name
+            for category in categories:
+                assert (
+                    plain.dimsat(schema, category).satisfiable
+                    == dimsat(schema, category).satisfiable
+                ), (name, category)
+            for node in queries:
+                assert (
+                    plain.implies(schema, node).implied
+                    == implies(schema, node).implied
+                ), (name, node)
+            # Every answer came from the roots the aborted solves used.
+            assert all(artifact._roots[c] is r for c, r in roots.items())
+            assert plain.stats.fallbacks == 0
+
+    def test_aborted_build_is_neither_stored_nor_a_failure(self, schemas):
+        schema = schemas["retail"]
+        store = CompiledArtifactStore()
+        engine = CompiledDecisionEngine(
+            cache=None, budget=DecisionBudget(max_nodes=2), store=store
+        )
+        with pytest.raises(BudgetExceeded):
+            engine.dimsat(schema, "Store")
+        assert store.get(schema).describe()["roots_compiled"] == 0
+        assert store.stats.compile_failures == 0
+        assert engine.stats.fallbacks == 0
+        # An unbudgeted decision then builds and keeps the root.
+        plain = CompiledDecisionEngine(cache=None, store=store)
+        assert plain.dimsat(schema, "Store").satisfiable
+        assert "Store" in store.get(schema).describe()["roots"]
+
+    def test_fallback_continues_under_the_same_budget(self, schemas):
+        """A build that fails to compile has already charged the budget,
+        and the kernel fallback charges that same budget: a node ceiling
+        the kernel alone fits in is exceeded by build plus fallback."""
+        schema = schemas["retail"]
+        alone = DecisionBudget()
+        dimsat(schema, "Store", None, alone)
+        limit = alone.nodes_charged
+        store = CompiledArtifactStore(max_subhierarchies=1)
+        engine = CompiledDecisionEngine(
+            cache=None, budget=DecisionBudget(max_nodes=limit), store=store
+        )
+        with pytest.raises(BudgetExceeded):
+            engine.dimsat(schema, "Store")
+        assert engine.stats.fallbacks == 1
+        roomy = CompiledDecisionEngine(
+            cache=None, budget=DecisionBudget(max_nodes=limit * 10), store=store
+        )
+        assert roomy.dimsat(schema, "Store").satisfiable
+        assert roomy.stats.fallbacks == 1
+
+
+class TestFaultCheckpoint:
+    def test_computed_decisions_pass_the_checkpoint_once(self, schemas):
+        """Like the interpreted engine, each computed decision passes the
+        worker checkpoint once (a summarizability decision once, not once
+        per bottom), and a cached verdict not at all."""
+        from repro.core.faults import inject_faults
+
+        schema = schemas["retail"]
+        engine = CompiledDecisionEngine(
+            cache=DecisionCache(), store=CompiledArtifactStore()
+        )
+        with inject_faults("slow-worker:delay_ms=0") as injector:
+            engine.dimsat(schema, "Store")
+            engine.implies(schema, "Store.City")
+            engine.is_summarizable(schema, "Country", ["City", "Province"])
+            engine.dimsat(schema, "Store")
+        assert injector.opportunities() == {"slow-worker": 3}
+
+    def test_worker_crash_fails_a_computed_decision(self, schemas):
+        from repro.core.faults import InjectedFault, inject_faults
+
+        schema = schemas["retail"]
+        cache = DecisionCache()
+        engine = CompiledDecisionEngine(cache=cache, store=CompiledArtifactStore())
+        with inject_faults("worker-crash:p=1.0;seed=1"):
+            with pytest.raises(InjectedFault):
+                engine.implies(schema, "Store.City")
+        assert len(cache) == 0
+
+
+class TestDefaultEngine:
+    def test_build_engine_defaults_to_compiled(self):
+        assert isinstance(build_engine(), CompiledDecisionEngine)
+        wrapped = build_engine(retries=2)
+        assert isinstance(wrapped, ResilientDecisionEngine)
+        assert isinstance(wrapped.engine, CompiledDecisionEngine)
+
+
 class TestArtifactStore:
     def test_hit_miss_counters(self, schemas):
         store = CompiledArtifactStore()
@@ -281,6 +441,25 @@ class TestEngineIntegration:
             dimsat(schema, "Store").satisfiable,
             dimsat(schema, "City").satisfiable,
         ]
+
+    def test_warm_implies_skips_validation(self, schemas, monkeypatch):
+        """A cached verdict is served before any validation: only a
+        constraint that passed validation was ever cached."""
+        import repro.core.compile as compile_module
+
+        schema = schemas["retail"]
+        engine = CompiledDecisionEngine(
+            cache=DecisionCache(), store=CompiledArtifactStore()
+        )
+        expected = engine.implies(schema, "Store.City").implied
+
+        def refuse(*_args):
+            raise AssertionError("a warm hit validated its constraint")
+
+        monkeypatch.setattr(compile_module, "validate_constraint", refuse)
+        assert engine.implies(schema, "Store.City").implied == expected
+        with pytest.raises(AssertionError):
+            engine.implies(schema, "Store.Country")
 
     def test_resolve_engine_strings(self):
         from repro.core.parallel import ParallelDecisionEngine

@@ -14,7 +14,9 @@ from repro.core.resilience import (
     CircuitBreaker,
     DecisionOutcome,
     ResilientDecisionEngine,
+    ENGINE_NAMES,
     RetryPolicy,
+    build_engine,
     classify_failure,
 )
 from repro.errors import BudgetExceeded, DecisionUnavailable, ReproError
@@ -329,6 +331,31 @@ class TestWarmSingleDecisions:
             assert outcome.rung == "parallel"
             assert outcome.failures == ()
         assert injector.opportunities() == {"worker-crash": 0}
+
+    @pytest.mark.parametrize("name", ENGINE_NAMES)
+    def test_warm_decide_parses_its_constraint_once(
+        self, name, schema, monkeypatch
+    ):
+        """The batch path hands the engine the node it parsed while
+        normalizing, so the engine does not parse the text again."""
+        from repro.constraints import parser
+
+        engine = ResilientDecisionEngine(
+            build_engine(name, cache=DecisionCache()), retry=FAST_RETRY
+        )
+        request = ("implies", "Store.City.Country")
+        assert engine.decide(schema, request).verdict is True
+        parses = []
+        init = parser._Parser.__init__
+
+        def counting_init(self, text):
+            parses.append(text)
+            init(self, text)
+
+        monkeypatch.setattr(parser._Parser, "__init__", counting_init)
+        outcome = engine.decide(schema, request)
+        assert outcome.ok and outcome.verdict is True
+        assert parses == ["Store.City.Country"]
 
     def test_warm_implies_parses_once(self, engine, schema, monkeypatch):
         from repro.constraints import parser

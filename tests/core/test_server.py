@@ -13,7 +13,12 @@ from contextlib import contextmanager
 
 import pytest
 
+from repro.core.budget import DecisionBudget
+from repro.core.compile import CompiledArtifactStore, CompiledDecisionEngine
 from repro.core.decisioncache import DecisionCache
+from repro.core.dimsat import dimsat
+from repro.core.faults import inject_faults
+from repro.core.hierarchy import ALL
 from repro.core.implication import is_implied
 from repro.core.parallel import ParallelDecisionEngine
 from repro.core.resilience import ResilientDecisionEngine
@@ -22,6 +27,7 @@ from repro.core.client import DecisionClient, ServerClosed
 from repro.core.summarizability import is_summarizable_in_schema
 from repro.core.wire import encode_frame
 from repro.generators.location import location_schema
+from repro.generators.random_schema import RandomSchemaConfig, random_schema
 from repro.io.json_io import schema_to_json
 
 
@@ -173,6 +179,78 @@ class TestWireOpsEndToEnd:
                 assert stats["connections_open"] >= 1
                 assert stats["cache"]["entries"] >= 1
                 assert stats["resilience"]["decisions"] >= 1
+                assert stats["engine"] == {"name": "sequential"}
+
+    def test_default_server_serves_the_compiled_engine(self):
+        server = DecisionServer()
+        try:
+            assert isinstance(server.engine.engine, CompiledDecisionEngine)
+        finally:
+            server.engine.shutdown()
+
+    def test_blown_budget_is_budget_exceeded_on_the_compiled_engine(
+        self, loc_schema
+    ):
+        """A budget that stops every rung is ``budget-exceeded``; a
+        worker fault on top of it makes the decision ``unknown``."""
+        cache = DecisionCache()
+        engine = CompiledDecisionEngine(
+            cache=cache,
+            budget=DecisionBudget(max_nodes=0),
+            store=CompiledArtifactStore(),
+        )
+        with running_server(engine=engine) as server:
+            with _client(server) as client:
+                fp = client.load_schema(loc_schema)
+                implied = client.implies(fp, "Store.City")
+                decided = client.decide(fp, ["dimsat", "Store"])
+                with inject_faults("worker-crash:p=1.0;seed=1"):
+                    faulted = client.implies(fp, "Store.City")
+        for response in (implied, decided):
+            assert response["status"] == "budget-exceeded", response
+            assert {f["error_type"] for f in response["failures"]} == {
+                "BudgetExceeded"
+            }
+        assert faulted["status"] == "unknown", faulted
+        assert len(cache) == 0
+
+    def test_stats_op_reports_compiled_fallbacks_and_artifacts(
+        self, loc_schema
+    ):
+        numeric = random_schema(
+            RandomSchemaConfig(
+                n_categories=5,
+                numeric_fraction=1.0,
+                attributed_fraction=1.0,
+                equality_constraint_prob=1.0,
+                seed=7,
+            )
+        )
+        category = sorted(numeric.hierarchy.categories - {ALL})[0]
+        engine = CompiledDecisionEngine(
+            cache=DecisionCache(), store=CompiledArtifactStore()
+        )
+        with running_server(engine=engine) as server:
+            with _client(server) as client:
+                fp = client.load_schema(loc_schema)
+                for constraint in IMPLIES_WORKLOAD:
+                    client.implies(fp, constraint)
+                stats = client.stats()
+                assert stats["engine"] == {
+                    "name": "compiled",
+                    "fallbacks": 0,
+                    "artifacts": {
+                        "hits": len(IMPLIES_WORKLOAD) - 1,
+                        "misses": 1,
+                        "compile_failures": 0,
+                    },
+                }
+                numeric_fp = client.load_schema(numeric)
+                response = client.decide(numeric_fp, ["dimsat", category])
+                assert response["verdict"] == dimsat(numeric, category).satisfiable
+                stats = client.stats()["engine"]
+                assert stats["fallbacks"] == 1
+                assert stats["artifacts"]["compile_failures"] == 1
 
 
 class TestConcurrentClients:

@@ -679,8 +679,88 @@ class TestWorkersAndBudget:
         )
         assert "budget exceeded" in capsys.readouterr().err
 
+    def test_exhausted_budget_exits_three_on_each_engine(self, tmp_path, capsys):
+        schema = location_schema().with_constraints(["City -> State"])
+        path = tmp_path / "fresh.json"
+        path.write_text(schema_to_json(schema))
+        for engine in ("compiled", "sequential"):
+            argv = ["--engine", engine, "--budget-ms", "1e-7"]
+            assert main([*argv, "implies", str(path), "Store.Country"]) == 3
+            assert "budget exceeded" in capsys.readouterr().err
+
     def test_generous_budget_is_harmless(self, schema_file, capsys):
         assert (
             main(["--budget-ms", "60000", "satisfiable", schema_file, "Store"]) == 0
         )
         assert "satisfiable" in capsys.readouterr().out
+
+
+class TestDefaultEngine:
+    @pytest.fixture()
+    def built(self, monkeypatch):
+        """The engines the CLI builds during the test."""
+        import repro.cli as cli
+
+        engines = []
+
+        def recording_build_engine(*args, **kwargs):
+            engine = cli_build_engine(*args, **kwargs)
+            engines.append(engine)
+            return engine
+
+        cli_build_engine = cli.build_engine
+        monkeypatch.setattr(cli, "build_engine", recording_build_engine)
+        return engines
+
+    def test_decisions_default_to_the_compiled_engine(
+        self, schema_file, built, capsys
+    ):
+        from repro.core import CompiledDecisionEngine
+
+        assert main(["implies", schema_file, "Store -> City"]) == 0
+        assert [type(e) for e in built] == [CompiledDecisionEngine]
+
+    def test_injected_worker_fault_exits_four(self, tmp_path, capsys):
+        """The fault drill holds on the default engine: a computed
+        decision hits the worker checkpoint, and with nothing to absorb
+        the fault the command exits with code 4."""
+        schema = location_schema().with_constraints(["City -> Country"])
+        path = tmp_path / "fresh.json"
+        path.write_text(schema_to_json(schema))
+        argv = ["--inject-faults", "worker-crash:p=1.0;seed=1"]
+        assert main([*argv, "implies", str(path), "Store.Country"]) == 4
+        assert "injected fault" in capsys.readouterr().err
+
+    def test_numeric_schema_falls_back_and_audit_verify_replays(
+        self, tmp_path, built, capsys
+    ):
+        from repro.core import ALL, default_decision_cache, dimsat
+        from repro.generators.random_schema import (
+            RandomSchemaConfig,
+            random_schema,
+        )
+
+        schema = random_schema(
+            RandomSchemaConfig(
+                n_categories=5,
+                numeric_fraction=1.0,
+                attributed_fraction=1.0,
+                equality_constraint_prob=1.0,
+                seed=11,
+            )
+        )
+        path = tmp_path / "numeric.json"
+        path.write_text(schema_to_json(schema))
+        category = sorted(schema.hierarchy.categories - {ALL})[-1]
+        default_decision_cache().clear()
+        directory = tmp_path / "telemetry"
+        code = main(
+            ["--telemetry-dir", str(directory), "satisfiable", str(path), category]
+        )
+        assert code == (0 if dimsat(schema, category).satisfiable else 1)
+        (engine,) = built
+        assert engine.stats.fallbacks == 1
+        capsys.readouterr()
+        assert main(["audit-verify", str(directory)]) == 0
+        out = capsys.readouterr().out
+        assert "divergences      0" in out

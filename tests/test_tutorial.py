@@ -147,6 +147,22 @@ class TestSection10BatchedDecisions:
         ]
         assert {t.ident for t in threading.enumerate()} <= before
 
+    def test_compiled_is_the_default_and_budgets_bind_either_engine(self, ds):
+        """'`--engine compiled` (the default) is the compiled tier of §14'
+        and '`--budget-ms` caps each decision's wall clock on either
+        engine'."""
+        from repro.core import CompiledDecisionEngine, DecisionBudget, build_engine
+        from repro.core.resilience import ENGINE_NAMES
+        from repro.errors import BudgetExceeded
+
+        assert isinstance(build_engine(), CompiledDecisionEngine)
+        for name in ENGINE_NAMES:
+            engine = build_engine(
+                name, budget=DecisionBudget(time_ms=1e-7), cache=None
+            )
+            with pytest.raises(BudgetExceeded):
+                engine.dimsat(ds, "Shipment")
+
     def test_metrics_table_names_live_metrics(self, ds):
         """The engine and budget rows of the Section 11 metrics table."""
         from repro.core import DecisionBudget, DecisionCache, ParallelDecisionEngine
