@@ -120,6 +120,7 @@ from repro.core import (
     inject_faults,
     is_summarizable_in_schema,
 )
+from repro.core.parallel import unknown_as_none
 from repro.core.resilience import ENGINE_NAMES
 from repro.core.schema import DimensionSchema
 from repro.errors import BudgetExceeded, DecisionUnavailable, ReproError
@@ -167,12 +168,9 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     categories = [c for c in sorted(schema.hierarchy.categories) if c != ALL]
     requests = [(schema, ("dimsat", c)) for c in categories]
     with _engine_from_args(args) as engine:
-        if hasattr(engine, "decide_many_outcomes"):
-            # Resilient engine: a category no rung could decide shows as
-            # UNKN instead of killing the audit.
-            verdicts = [o.verdict for o in engine.decide_many_outcomes(requests)]
-        else:
-            verdicts = engine.decide_many(requests)
+        # A category no resilience rung could decide shows as UNKN instead
+        # of killing the audit; any other failure raises.
+        verdicts = unknown_as_none(engine.try_decide_many(requests))
     report = dict(zip(categories, verdicts))
     report[ALL] = True
     bad = unknown = 0

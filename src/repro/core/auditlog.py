@@ -284,8 +284,10 @@ class AuditVerifyReport:
         return "\n".join(lines)
 
 
-def _replay(schema: object, request: List[object]) -> bool:
-    """Recompute one canonical request on the plain sequential kernel."""
+def _replay(schema: object, request: Sequence[object]) -> bool:
+    """Recompute one request on the plain sequential kernel, uncached:
+    the reference kernel dispatch of the audit replay, the cache-load
+    replay and the soak's oracle."""
     from repro.core.implication import is_category_satisfiable, is_implied
     from repro.core.summarizability import is_summarizable_in_schema
 

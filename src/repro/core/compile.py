@@ -64,6 +64,7 @@ from __future__ import annotations
 import itertools
 import threading
 from dataclasses import dataclass, field
+from functools import partial
 from typing import (
     Callable,
     Dict,
@@ -118,7 +119,7 @@ from repro.core.hierarchy import ALL, Category
 from repro.core.implication import ImplicationResult, implies as run_implies
 from repro.core.instance import TOP_MEMBER
 from repro.core.metrics import METRICS
-from repro.core.parallel import decide_batch, raise_first_failure
+from repro.core.parallel import decide_batch, raise_first_failure, try_ask
 from repro.core.satsolver import Solver
 from repro.core.schema import DimensionSchema
 from repro.core.summarizability import _check_categories, summarizable_by_bottoms
@@ -1038,7 +1039,7 @@ class CompiledDecisionEngine:
         items: Iterable[Tuple[DimensionSchema, Sequence[object]]],
     ) -> List[object]:
         """:meth:`decide_many` with per-request fault containment."""
-        return decide_batch(self, items)[0]
+        return decide_batch(items, partial(try_ask, self))[0]
 
 
 def resolve_engine(engine: object, cache: object = USE_DEFAULT_CACHE) -> object:

@@ -20,10 +20,11 @@ shared :class:`~repro.core.decisioncache.DecisionCache`.  The kernel is
 pure Python, so a pool inside one decision would only add scheduling
 cost under the GIL.
 
-The batch path is shared with the compiled tier: :func:`decide_batch`
-asks each unique request through the engine's own single-decision
-methods, so a batch request takes exactly the path of the same single
-call - one cache lookup first, the reduction only on a miss.
+The batch path is shared by every engine: :func:`decide_batch` dedups
+a batch and :func:`ask` puts each unique request to the engine's own
+single-decision methods, so a batch request takes exactly the path of
+the same single call - one cache lookup first, the reduction only on a
+miss.
 
 Robustness
 ----------
@@ -42,12 +43,14 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro._types import Category
 from repro.constraints.ast import Node
 from repro.constraints.parser import parse
 from repro.constraints.printer import unparse
+from repro.core.auditlog import _verdict_of
 from repro.core.budget import DecisionBudget
 from repro.core.decisioncache import (
     USE_DEFAULT_CACHE,
@@ -67,7 +70,7 @@ from repro.core.summarizability import (
     _is_summarizable_uncached,
     is_summarizable_in_schema,
 )
-from repro.errors import ReproError
+from repro.errors import DecisionUnavailable, ReproError
 
 
 #: A normalized decision request: ``("dimsat", category)``,
@@ -91,59 +94,94 @@ def normalize_request(request: Sequence[object]) -> RequestKey:
     normalize to the same key, which is what the batch dedup and the
     decision cache key on.
     """
-    return _normalize(request)[0]
+    return _key(resolve_request(request))
 
 
-def _normalize(request: Sequence[object]) -> Tuple[RequestKey, Optional[Node]]:
-    """:func:`normalize_request`, plus the parsed constraint of an
-    implication request (``None`` for the other kinds)."""
+def resolve_request(request: Sequence[object]) -> Tuple[Any, ...]:
+    """Validate a decision request into the form :func:`ask` takes: its
+    normalized key, except that an implication carries its parsed
+    constraint node (so the text is parsed once, and printed back only
+    when a key is needed).  Malformed requests raise
+    :class:`~repro.errors.ReproError` - they are caller bugs, not service
+    faults."""
     if not request:
         raise ReproError("empty decision request")
     kind = request[0]
     if kind == "dimsat":
         if len(request) != 2:
             raise ReproError("dimsat requests are ('dimsat', category)")
-        return ("dimsat", request[1]), None
+        return ("dimsat", request[1])
     if kind == "implies":
         if len(request) != 2:
             raise ReproError("implication requests are ('implies', constraint)")
         constraint = request[1]
-        node: Node = parse(constraint) if isinstance(constraint, str) else constraint  # type: ignore[assignment]
-        return ("implies", unparse(node)), node
+        if isinstance(constraint, str):
+            constraint = parse(constraint)
+        return ("implies", constraint)
     if kind == "summarizable":
         if len(request) != 3:
             raise ReproError(
                 "summarizability requests are ('summarizable', target, sources)"
             )
         target, sources = request[1], request[2]
-        return ("summarizable", target, tuple(sorted(set(sources)))), None  # type: ignore[arg-type]
+        return ("summarizable", target, tuple(sorted(set(sources))))  # type: ignore[arg-type]
     raise ReproError(
         f"unknown decision request kind {kind!r}; expected one of {REQUEST_KINDS}"
     )
 
 
-def decide_batch(
-    engine: Any,
-    items: Iterable[Tuple[DimensionSchema, Sequence[object]]],
-) -> Tuple[List[object], int]:
-    """Answer a batch through ``engine``'s own ``dimsat``, ``implies`` and
-    ``is_summarizable``: the batch path of every engine.
+def _key(request: Tuple[Any, ...]) -> RequestKey:
+    """The normalized key of a resolved request."""
+    if request[0] == "implies":
+        return ("implies", unparse(request[1]))
+    return request
 
-    Requests are normalized (see :func:`normalize_request`) and deduped by
-    ``(schema fingerprint, canonical request)``, so each distinct question
-    is asked once per batch, through the same memoize-first path as the
-    single call.  Returns the per-request results aligned with the input
-    order - each the boolean verdict (satisfiable / implied /
-    summarizable) or the exception that request's decision raised, so one
-    failed decision does not take down the rest of the batch - and the
-    number of requests the dedup answered.  Duplicated requests share one
-    decision, so they also share one failure.  Malformed requests raise
-    immediately from :func:`normalize_request` (they are caller bugs, not
-    service faults).  An implication reaches the engine as the node
-    normalizing parsed, so its text is parsed once.
+
+def ask(engine: Any, schema: DimensionSchema, request: Sequence[object]) -> object:
+    """Ask ``engine`` one request through its own ``dimsat``, ``implies``
+    or ``is_summarizable``: the one place a request is dispatched by kind
+    onto an engine.
+
+    ``request`` is well-formed (a resolved or normalized request, or the
+    raw form of one).  Returns the engine's result: a
+    :class:`~repro.core.dimsat.DimsatResult`, an
+    :class:`~repro.core.implication.ImplicationResult`, or the
+    summarizability boolean.
     """
-    pairs = [(schema, *_normalize(request)) for schema, request in items]
-    ukeys = [(schema.fingerprint(), key) for schema, key, _node in pairs]
+    kind = request[0]
+    if kind == "dimsat":
+        return engine.dimsat(schema, request[1])
+    if kind == "implies":
+        return engine.implies(schema, request[1])
+    return engine.is_summarizable(schema, request[1], request[2])
+
+
+def try_ask(engine: Any, schema: DimensionSchema, request: Sequence[object]) -> object:
+    """The verdict of :func:`ask`, or the exception the decision raised:
+    the bare engines' per-request step of :func:`decide_batch`, so one
+    failed decision does not take down the rest of the batch."""
+    try:
+        return _verdict_of(ask(engine, schema, request))
+    except Exception as exc:  # noqa: BLE001 - contained per request
+        return exc
+
+
+def decide_batch(
+    items: Iterable[Tuple[DimensionSchema, Sequence[object]]],
+    decide: Callable[[DimensionSchema, Tuple[Any, ...]], object],
+) -> Tuple[List[object], int]:
+    """Answer a batch with one ``decide(schema, request)`` call per
+    distinct request: the batch path of every engine.
+
+    Requests are resolved (see :func:`resolve_request`) and deduped by
+    ``(schema fingerprint, normalized request)``, so each distinct
+    question is decided once per batch and duplicated requests share one
+    answer.  Returns the answers aligned with the input order, and the
+    number of requests the dedup answered.  Malformed requests raise
+    before anything is decided.
+    """
+    pairs = [(schema, resolve_request(request)) for schema, request in items]
+    ukeys = [(schema.fingerprint(), _key(request)) for schema, request in pairs]
     unique = dict(zip(ukeys, pairs))
     deduped = len(pairs) - len(unique)
     _M_DEDUPED.inc(deduped)
@@ -151,19 +189,9 @@ def decide_batch(
         TRACER.event(
             "engine.batch", requests=len(pairs), unique=len(unique), deduped=deduped
         )
-
-    answered: Dict[Tuple[str, RequestKey], object] = {}
-    for ukey, (schema, key, node) in unique.items():
-        kind = key[0]
-        try:
-            if kind == "dimsat":
-                answered[ukey] = engine.dimsat(schema, key[1]).satisfiable
-            elif kind == "implies":
-                answered[ukey] = engine.implies(schema, node).implied
-            else:
-                answered[ukey] = engine.is_summarizable(schema, key[1], key[2])
-        except Exception as exc:  # noqa: BLE001 - contained per request
-            answered[ukey] = exc
+    answered = {
+        ukey: decide(schema, request) for ukey, (schema, request) in unique.items()
+    }
     return [answered[ukey] for ukey in ukeys], deduped
 
 
@@ -174,6 +202,21 @@ def raise_first_failure(results: List[object]) -> List[bool]:
         if isinstance(result, BaseException):
             raise result
     return results  # type: ignore[return-value]
+
+
+def unknown_as_none(results: List[object]) -> List[Optional[bool]]:
+    """``try_decide_many`` results as verdicts, with ``None`` (UNKNOWN)
+    for each :class:`~repro.errors.DecisionUnavailable`; any other
+    failure raises, as ``decide_many`` does."""
+    for result in results:
+        if isinstance(result, BaseException) and not isinstance(
+            result, DecisionUnavailable
+        ):
+            raise result
+    return [
+        None if isinstance(result, DecisionUnavailable) else result  # type: ignore[misc]
+        for result in results
+    ]
 
 
 @dataclass
@@ -362,7 +405,7 @@ class ParallelDecisionEngine:
     ) -> List[object]:
         """:meth:`decide_many` with per-request fault containment: each
         element is the verdict or the exception that request raised."""
-        results, deduped = decide_batch(self, items)
+        results, deduped = decide_batch(items, partial(try_ask, self))
         with self._lock:
             self.stats.batch_requests += len(results)
             self.stats.batch_deduped += deduped

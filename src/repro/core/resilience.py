@@ -7,16 +7,18 @@ takes a whole request (or batch) down with an exception.  Bertossi &
 Milani's ontological multidimensional model treats inconsistency as a
 first-class *answerable* state rather than a crash; this module gives
 the decision stack the same property.  :class:`ResilientDecisionEngine`
-wraps an engine with a three-rung **degradation ladder**:
+wraps an engine with a three-rung **degradation ladder**, which every
+decision walks once - a single call, :meth:`ResilientDecisionEngine.decide`,
+or each unique request of a batch:
 
-1. **parallel** - the wrapped engine (batching, dedup), with
-   per-decision retry: exponential backoff, deterministic jitter, a
-   configurable attempt cap.  Transient failures (``OSError``, injected
-   faults, broken executors) are retried; everything else is not.
+1. **parallel** - the wrapped engine, asked the one request, with
+   retry: exponential backoff, deterministic jitter, a configurable
+   attempt cap.  Transient failures (``OSError``, injected faults,
+   broken executors) are retried; everything else is not.
 2. **sequential** - the in-process sequential kernel with a fresh
    budget, also retried.  A :class:`CircuitBreaker` per schema
-   fingerprint sends traffic straight here while the parallel rung
-   keeps failing, and lets it back after a cooldown.
+   fingerprint, checked per request, sends traffic straight here while
+   the parallel rung keeps failing, and lets it back after a cooldown.
 3. **UNKNOWN** - a typed verdict-free outcome
    (:class:`DecisionOutcome` with ``status="unknown"``, or a raised
    :class:`~repro.errors.DecisionUnavailable`) carrying the full failure
@@ -56,9 +58,12 @@ from repro.core.implication import ImplicationResult
 from repro.core.metrics import METRICS
 from repro.core.parallel import (
     ParallelDecisionEngine,
-    RequestKey,
     _decide,
+    ask,
+    decide_batch,
     normalize_request,
+    raise_first_failure,
+    resolve_request,
 )
 from repro.core.schema import DimensionSchema
 from repro.core.trace import TRACER
@@ -240,6 +245,31 @@ class CircuitBreaker:
             return "open"
 
 
+def _settle(
+    span: Any,
+    verdict: Optional[bool],
+    rung: str,
+    attempts: int,
+    failures: List[AttemptRecord],
+) -> DecisionOutcome:
+    """The outcome of a finished ladder walk (``verdict`` ``None``:
+    UNKNOWN)."""
+    span.set(rung=rung, attempts=attempts)
+    _H_ATTEMPTS.observe(attempts)
+    status = "unknown" if verdict is None else "ok"
+    return DecisionOutcome(verdict, status, rung, attempts, tuple(failures))
+
+
+def _unavailable(label: str, outcome: DecisionOutcome) -> DecisionUnavailable:
+    """The error the raising surfaces report for an UNKNOWN outcome."""
+    error_types = sorted({record.error_type for record in outcome.failures})
+    return DecisionUnavailable(
+        f"{label} decision unavailable after {outcome.attempts} attempts "
+        f"({', '.join(error_types)})",
+        outcome.failures,
+    )
+
+
 @dataclass
 class ResilienceStats:
     """Cumulative counters for one :class:`ResilientDecisionEngine`."""
@@ -273,9 +303,11 @@ class ResilientDecisionEngine:
     The single-decision surface (:meth:`dimsat`, :meth:`implies`,
     :meth:`is_summarizable`, ...) mirrors the wrapped engine's but raises
     :class:`~repro.errors.DecisionUnavailable` instead of transient
-    errors; the batch surface adds :meth:`decide_many_outcomes`, whose
-    per-request :class:`DecisionOutcome` records are never exceptions -
-    the form a service loop wants.
+    errors.  :meth:`try_decide_many` keeps the bare engines' batch
+    contract (a verdict or an exception per request, here always a
+    ``DecisionUnavailable``); :meth:`decide` and
+    :meth:`decide_many_outcomes` return :class:`DecisionOutcome` records
+    instead of exceptions - the form a service loop wants.
     """
 
     def __init__(
@@ -313,29 +345,25 @@ class ResilientDecisionEngine:
     # The ladder
     # ------------------------------------------------------------------
 
-    def _sleep(self, rung_attempt: int, token: int) -> None:
-        delay = self.retry.delay_ms(rung_attempt, token)
-        if delay > 0:
-            time.sleep(delay / 1000.0)
-
     def _run_rung(
         self,
         rung: str,
         run: Callable[[], Any],
         failures: List[AttemptRecord],
-        token: int,
+        label: str,
+        fingerprint: str,
     ) -> Tuple[bool, Any, int]:
         """Run one ladder rung with retries.
 
         Returns ``(succeeded, value, attempts_made)``.  Fatal errors are
         re-raised; degradable errors (budget aborts) end the rung after
-        one attempt - the same ceilings would abort again.
+        one attempt - the same ceilings would abort again.  The backoff
+        jitter token is a CRC32 of the rung, request kind and schema
+        fingerprint, computed only when a retry sleeps.
         """
-        attempts = 0
         for attempt in range(self.retry.max_attempts):
-            attempts += 1
             try:
-                return True, run(), attempts
+                return True, run(), attempt + 1
             except Exception as exc:
                 kind = classify_failure(exc)
                 if kind == "fatal":
@@ -344,7 +372,7 @@ class ResilientDecisionEngine:
                     AttemptRecord(rung, attempt, type(exc).__name__, str(exc))
                 )
                 if kind == "degradable":
-                    break
+                    return False, None, attempt + 1
                 if attempt + 1 < self.retry.max_attempts:
                     self.stats.retries += 1
                     _M_RETRIES.inc()
@@ -355,39 +383,47 @@ class ResilientDecisionEngine:
                             attempt=attempt,
                             error=type(exc).__name__,
                         )
-                    self._sleep(attempt, token)
-        return False, None, attempts
+                    token = zlib.crc32(
+                        f"{rung}:{label}:{fingerprint}".encode("utf-8")
+                    )
+                    delay = self.retry.delay_ms(attempt, token)
+                    if delay > 0:
+                        time.sleep(delay / 1000.0)
+        return False, None, self.retry.max_attempts
 
     def _ladder(
-        self,
-        schema: DimensionSchema,
-        request: Tuple[Any, ...],
-        parallel_run: Callable[[], Any],
-    ) -> Any:
-        """Single-decision ladder; raises ``DecisionUnavailable`` at the
-        bottom.  The sequential rung decides ``request`` through the
-        wrapped engine's inline kernel path; ``request`` is also recorded
-        on the audit log when every rung fails (successful rungs are
-        audited at the cache/kernel layer they answer from)."""
+        self, schema: DimensionSchema, request: Tuple[Any, ...]
+    ) -> Tuple[Any, DecisionOutcome]:
+        """Walk the rungs for one resolved request (see
+        :func:`~repro.core.parallel.resolve_request`): every decision of
+        this engine, single or batched, goes through here.
+
+        Returns the answering rung's result (``None`` for UNKNOWN) and the
+        request's :class:`DecisionOutcome`.  An UNKNOWN is recorded on the
+        audit log (successful rungs are audited at the cache/kernel layer
+        they answer from).
+        """
         self.stats.decisions += 1
         label = request[0]
         fingerprint = schema.fingerprint()
-        token = zlib.crc32(f"{label}:{fingerprint}".encode("utf-8"))
         failures: List[AttemptRecord] = []
-        total_attempts = 0
         with TRACER.span("resilience.decide", kind=label) as span:
             if self.breaker.allow(fingerprint):
                 ok, value, attempts = self._run_rung(
-                    "parallel", parallel_run, failures, token
+                    "parallel",
+                    lambda: ask(self.engine, schema, request),
+                    failures,
+                    label,
+                    fingerprint,
                 )
-                total_attempts += attempts
                 if ok:
                     self.breaker.record_success(fingerprint)
-                    span.set(rung="parallel", attempts=total_attempts)
-                    _H_ATTEMPTS.observe(total_attempts)
-                    return value
+                    return value, _settle(
+                        span, _verdict_of(value), "parallel", attempts, failures
+                    )
                 self.breaker.record_failure(fingerprint)
             else:
+                attempts = 0
                 self.stats.breaker_open_skips += 1
                 _M_BREAKER_SKIPS.inc()
                 failures.append(
@@ -400,34 +436,35 @@ class ResilientDecisionEngine:
             _M_DEGRADED.inc()
             if TRACER.enabled:
                 TRACER.event("resilience.degrade", kind=label, to="sequential")
-            ok, value, attempts = self._run_rung(
+            ok, value, tried = self._run_rung(
                 "sequential",
                 lambda: _decide(self.engine, schema, request),
                 failures,
-                token ^ 0x5E0,
+                label,
+                fingerprint,
             )
-            total_attempts += attempts
+            attempts += tried
             if ok:
-                span.set(rung="sequential", attempts=total_attempts)
-                _H_ATTEMPTS.observe(total_attempts)
-                return value
+                return value, _settle(
+                    span, _verdict_of(value), "sequential", attempts, failures
+                )
             self.stats.unknown_verdicts += 1
             _M_UNKNOWN.inc()
-            _H_ATTEMPTS.observe(total_attempts)
-            span.set(rung="unknown", attempts=total_attempts)
             if TRACER.enabled:
-                TRACER.event(
-                    "resilience.unknown", kind=label, attempts=total_attempts
-                )
+                TRACER.event("resilience.unknown", kind=label, attempts=attempts)
             if AUDIT.enabled:
                 AUDIT.record_unknown(
-                    schema, normalize_request(request), total_attempts, failures
+                    schema, normalize_request(request), attempts, failures
                 )
-        raise DecisionUnavailable(
-            f"{label} decision unavailable after {total_attempts} attempts "
-            f"({', '.join(sorted({f.error_type for f in failures}))})",
-            tuple(failures),
-        )
+            return None, _settle(span, None, "unknown", attempts, failures)
+
+    def _answer(self, schema: DimensionSchema, request: Tuple[Any, ...]) -> Any:
+        """One request's result through the ladder; raises
+        :class:`~repro.errors.DecisionUnavailable` on UNKNOWN."""
+        value, outcome = self._ladder(schema, request)
+        if outcome.unknown:
+            raise _unavailable(request[0], outcome)
+        return value
 
     # ------------------------------------------------------------------
     # Single decisions (mirror the wrapped engine's surface)
@@ -435,11 +472,7 @@ class ResilientDecisionEngine:
 
     def dimsat(self, schema: DimensionSchema, category: Category) -> DimsatResult:
         """Category satisfiability through the ladder."""
-        return self._ladder(
-            schema,
-            ("dimsat", category),
-            lambda: self.engine.dimsat(schema, category),
-        )
+        return self._answer(schema, ("dimsat", category))
 
     def is_satisfiable(self, schema: DimensionSchema, category: Category) -> bool:
         return self.dimsat(schema, category).satisfiable
@@ -450,11 +483,7 @@ class ResilientDecisionEngine:
         """``ds |= alpha`` through the ladder (the constraint is parsed
         once, here)."""
         node = parse(constraint) if isinstance(constraint, str) else constraint
-        return self._ladder(
-            schema,
-            ("implies", node),
-            lambda: self.engine.implies(schema, node),
-        )
+        return self._answer(schema, ("implies", node))
 
     def is_implied(self, schema: DimensionSchema, constraint: object) -> bool:
         return self.implies(schema, constraint).implied
@@ -466,179 +495,63 @@ class ResilientDecisionEngine:
         sources: Iterable[Category],
     ) -> bool:
         """Theorem 1 through the ladder."""
-        source_key = tuple(sorted(set(sources)))
-        return self._ladder(
-            schema,
-            ("summarizable", target, source_key),
-            lambda: self.engine.is_summarizable(schema, target, source_key),
+        return self._answer(
+            schema, ("summarizable", target, tuple(sorted(set(sources))))
         )
 
     # ------------------------------------------------------------------
-    # Batches
+    # Outcomes and batches
     # ------------------------------------------------------------------
 
     def decide(
         self, schema: DimensionSchema, request: Sequence[object]
     ) -> DecisionOutcome:
         """One request as a :class:`DecisionOutcome` (never raises for
-        service faults)."""
-        return self.decide_many_outcomes([(schema, request)])[0]
+        service faults; a malformed request still raises)."""
+        return self._ladder(schema, resolve_request(request))[1]
 
     def decide_many(
         self,
         items: Iterable[Tuple[DimensionSchema, Sequence[object]]],
     ) -> List[bool]:
-        """Boolean verdicts aligned with the input order.
+        """Boolean verdicts aligned with the input order; raises the first
+        request's :class:`~repro.errors.DecisionUnavailable` when any
+        decision degraded to UNKNOWN (use :meth:`try_decide_many` or
+        :meth:`decide_many_outcomes` to keep the rest of the batch)."""
+        return raise_first_failure(self.try_decide_many(items))
 
-        Drop-in for :meth:`ParallelDecisionEngine.decide_many`; raises
-        :class:`~repro.errors.DecisionUnavailable` when any decision
-        degraded to UNKNOWN (use :meth:`decide_many_outcomes` to keep the
-        rest of the batch).
-        """
-        outcomes = self.decide_many_outcomes(items)
-        unknown = [o for o in outcomes if o.unknown]
-        if unknown:
-            raise DecisionUnavailable(
-                f"{len(unknown)} of {len(outcomes)} batch decisions "
-                "unavailable after retries and sequential fallback",
-                unknown[0].failures,
+    def try_decide_many(
+        self,
+        items: Iterable[Tuple[DimensionSchema, Sequence[object]]],
+    ) -> List[object]:
+        """The bare engines' batch contract: per request, the verdict or
+        a :class:`~repro.errors.DecisionUnavailable` (UNKNOWN), aligned
+        with the input order.  Fatal errors raise."""
+        pairs = list(items)
+        return [
+            outcome.verdict if outcome.ok else _unavailable(request[0], outcome)
+            for (_schema, request), outcome in zip(
+                pairs, self.decide_many_outcomes(pairs)
             )
-        return [o.verdict for o in outcomes]  # type: ignore[misc]
+        ]
 
     def decide_many_outcomes(
         self,
         items: Iterable[Tuple[DimensionSchema, Sequence[object]]],
     ) -> List[DecisionOutcome]:
-        """The batch ladder: every request gets an outcome, never an
-        exception (service faults; malformed requests still raise).
+        """Every request's :class:`DecisionOutcome`, never an exception
+        for service faults (malformed requests and fatal errors still
+        raise).
 
-        Round 1 sends the whole batch through the wrapped engine's
-        :meth:`~repro.core.parallel.ParallelDecisionEngine.try_decide_many`
-        (deduped, concurrent); failed requests are retried as shrinking
-        sub-batches with backoff, then degraded to the sequential kernel,
-        then - only if that also fails - answered UNKNOWN with their full
-        failure provenance.
+        The batch is deduped by
+        :func:`~repro.core.parallel.decide_batch`, and each unique
+        request walks the ladder once, exactly as :meth:`decide` would:
+        duplicated requests share one outcome.
         """
-        pairs = list(items)
-        self.stats.decisions += len(pairs)
-        outcomes: List[Optional[DecisionOutcome]] = [None] * len(pairs)
-        failures: List[List[AttemptRecord]] = [[] for _ in pairs]
-        attempts_made = [0] * len(pairs)
-
-        # Partition by breaker state up front: open circuits go straight
-        # to the sequential rung.
-        parallel_pending: List[int] = []
-        sequential_pending: List[int] = []
-        for index, (schema, _request) in enumerate(pairs):
-            if self.breaker.allow(schema.fingerprint()):
-                parallel_pending.append(index)
-            else:
-                self.stats.breaker_open_skips += 1
-                _M_BREAKER_SKIPS.inc()
-                failures[index].append(
-                    AttemptRecord(
-                        "parallel", 0, "CircuitOpen",
-                        f"circuit open for schema {schema.fingerprint()[:12]}",
-                    )
-                )
-                sequential_pending.append(index)
-
-        # Rung 1: the parallel engine, whole-batch, retried in rounds.
-        for attempt in range(self.retry.max_attempts):
-            if not parallel_pending:
-                break
-            sub = [pairs[i] for i in parallel_pending]
-            results = self.engine.try_decide_many(sub)
-            retry_round: List[int] = []
-            for index, result in zip(parallel_pending, results):
-                attempts_made[index] += 1
-                schema = pairs[index][0]
-                if not isinstance(result, BaseException):
-                    outcomes[index] = DecisionOutcome(
-                        verdict=bool(result),
-                        status="ok",
-                        rung="parallel",
-                        attempts=attempts_made[index],
-                        failures=tuple(failures[index]),
-                    )
-                    self.breaker.record_success(schema.fingerprint())
-                    continue
-                kind = classify_failure(result)
-                if kind == "fatal":
-                    raise result
-                failures[index].append(
-                    AttemptRecord(
-                        "parallel", attempt, type(result).__name__, str(result)
-                    )
-                )
-                self.breaker.record_failure(schema.fingerprint())
-                if kind == "retryable" and attempt + 1 < self.retry.max_attempts:
-                    retry_round.append(index)
-                    self.stats.retries += 1
-                    _M_RETRIES.inc()
-                else:
-                    sequential_pending.append(index)
-            parallel_pending = retry_round
-            if parallel_pending and attempt + 1 < self.retry.max_attempts:
-                if TRACER.enabled:
-                    TRACER.event(
-                        "resilience.retry",
-                        rung="parallel",
-                        attempt=attempt,
-                        requests=len(parallel_pending),
-                    )
-                self._sleep(attempt, token=attempt)
-
-        # Rung 2: the sequential kernel, per request, retried.
-        for index in sorted(sequential_pending):
-            schema, request = pairs[index]
-            key: RequestKey = normalize_request(request)
-            self.stats.degraded_sequential += 1
-            _M_DEGRADED.inc()
-            if TRACER.enabled:
-                TRACER.event(
-                    "resilience.degrade", kind=str(key[0]), to="sequential"
-                )
-            token = zlib.crc32(repr(key).encode("utf-8"))
-            ok, value, attempts = self._run_rung(
-                "sequential",
-                lambda: _verdict_of(_decide(self.engine, schema, key)),
-                failures[index],
-                token,
-            )
-            attempts_made[index] += attempts
-            if ok:
-                outcomes[index] = DecisionOutcome(
-                    verdict=bool(value),
-                    status="ok",
-                    rung="sequential",
-                    attempts=attempts_made[index],
-                    failures=tuple(failures[index]),
-                )
-            else:
-                self.stats.unknown_verdicts += 1
-                _M_UNKNOWN.inc()
-                if TRACER.enabled:
-                    TRACER.event(
-                        "resilience.unknown",
-                        kind=str(key[0]),
-                        attempts=attempts_made[index],
-                    )
-                if AUDIT.enabled:
-                    AUDIT.record_unknown(
-                        schema, key, attempts_made[index], failures[index]
-                    )
-                outcomes[index] = DecisionOutcome(
-                    verdict=None,
-                    status="unknown",
-                    rung="unknown",
-                    attempts=attempts_made[index],
-                    failures=tuple(failures[index]),
-                )
-
-        for index, outcome in enumerate(outcomes):
-            assert outcome is not None, f"request {index} left undecided"
-            _H_ATTEMPTS.observe(outcome.attempts)
+        outcomes, deduped = decide_batch(
+            items, lambda schema, request: self._ladder(schema, request)[1]
+        )
+        self.stats.decisions += deduped
         return outcomes  # type: ignore[return-value]
 
     def report(self) -> str:

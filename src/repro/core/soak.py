@@ -52,22 +52,22 @@ from repro._types import Category
 from repro.baselines.homogenize import homogenize, is_null_member
 from repro.constraints.ast import Node
 from repro.constraints.printer import unparse
+from repro.core.auditlog import _replay, _verdict_of
 from repro.core.budget import DecisionBudget
 from repro.core.compile import (
     CompilationError,
     CompiledArtifactStore,
     CompiledDecisionEngine,
 )
-from repro.core.dimsat import dimsat
 from repro.core.implication import implies as run_implies
 from repro.core.instance import DimensionInstance
+from repro.core.parallel import ask
 from repro.core.resilience import (
     ENGINE_NAMES,
     ResilientDecisionEngine,
     build_engine,
 )
 from repro.core.schema import DimensionSchema
-from repro.core.summarizability import is_summarizable_in_schema
 from repro.errors import ReproError
 from repro.generators.adversarial import AdversarialCase, adversarial_corpus
 from repro.generators.random_schema import shrink_schema, write_falsifier
@@ -246,33 +246,11 @@ class SoakReport:
 def oracle_decide(schema: DimensionSchema, request: Sequence[object]) -> bool:
     """Ground truth for one decision request.
 
-    Direct sequential kernel calls with ``cache=None``: no
-    fault-injection sites, no decision cache, no audit records - the
-    reference every engine verdict is compared against.
+    The audit replay's direct sequential kernel calls with
+    ``cache=None``: no fault-injection sites, no decision cache, no audit
+    records - the reference every engine verdict is compared against.
     """
-    kind = request[0]
-    if kind == "dimsat":
-        return dimsat(schema, request[1]).satisfiable  # type: ignore[arg-type]
-    if kind == "implies":
-        return run_implies(schema, request[1], cache=None).implied
-    if kind == "summarizable":
-        return is_summarizable_in_schema(
-            schema, request[1], request[2], cache=None  # type: ignore[arg-type]
-        )
-    raise ReproError(f"unknown request kind {kind!r}")
-
-
-def _compiled_decide(
-    engine: CompiledDecisionEngine,
-    schema: DimensionSchema,
-    request: Sequence[object],
-) -> bool:
-    kind = request[0]
-    if kind == "dimsat":
-        return engine.dimsat(schema, request[1]).satisfiable  # type: ignore[arg-type]
-    if kind == "implies":
-        return engine.implies(schema, request[1]).implied
-    return engine.is_summarizable(schema, request[1], request[2])  # type: ignore[arg-type]
+    return _replay(schema, request)
 
 
 def _request_fits(schema: DimensionSchema, request: Sequence[object]) -> bool:
@@ -498,7 +476,7 @@ class _SoakRun:
                 cache=None, store=CompiledArtifactStore()
             )
             try:
-                compiled = _compiled_decide(probe, schema, request)
+                compiled = _verdict_of(ask(probe, schema, request))
             except Exception:
                 return False
             return compiled != oracle_decide(schema, request)
@@ -515,7 +493,9 @@ class _SoakRun:
         """The compiled-vs-sequential invariant, any traffic engine."""
         schema = state.schema
         try:
-            compiled = _compiled_decide(self._cross_engine, schema, request)
+            compiled = _verdict_of(
+                ask(self._cross_engine, schema, request)
+            )
         except CompilationError:
             self.report.cross_check_skips += 1
             return
@@ -724,8 +704,6 @@ class _SoakRun:
         over to the new fingerprint must match a fresh sequential run
         (sampled, default-options entries only) - a mismatch means a
         dependency cone was computed too narrow."""
-        from repro.core.auditlog import _verdict_of
-
         cache = state.editor._cache
         if cache is None:
             return

@@ -33,7 +33,7 @@ from repro.core.decisioncache import USE_DEFAULT_CACHE
 from repro.core.instance import DimensionInstance
 from repro.core.metrics import METRICS
 from repro.core.trace import TRACER
-from repro.core.parallel import ParallelDecisionEngine
+from repro.core.parallel import ParallelDecisionEngine, unknown_as_none
 from repro.core.schema import DimensionSchema
 from repro.core.summarizability import (
     is_summarizable_in_instance,
@@ -266,8 +266,8 @@ class AggregateNavigator:
         """Batch-decide summarizability for many ``(target, sources)`` pairs.
 
         With a schema and an engine attached, the uncached pairs go out as
-        one ``decide_many`` batch (deduped, concurrent); otherwise they are
-        decided one by one.  Either way every verdict lands in the
+        one deduped ``try_decide_many`` batch; otherwise they are decided
+        one by one.  Either way every verdict lands in the
         navigator's local caches, so a subsequent rewriting search finds
         them for free.  Returns verdicts aligned with the input order.
         """
@@ -287,40 +287,27 @@ class AggregateNavigator:
                 (self.schema, ("summarizable", target, tuple(sorted(sources))))
                 for target, sources in missing
             ]
-            if hasattr(self.engine, "decide_many_outcomes"):
-                # Resilient engine: an UNKNOWN check is conservatively
-                # treated as not-proven *for this batch only* - nothing is
-                # cached for it, so no degraded verdict can ever stick.
-                outcomes = self.engine.decide_many_outcomes(requests)
-                for (target, sources), outcome in zip(missing, outcomes):
-                    self.stats.summarizability_checks += 1
-                    if outcome.unknown:
-                        self.stats.unknown_verdicts += 1
-                        _M_UNKNOWN.inc()
-                        if TRACER.enabled:
-                            TRACER.event(
-                                "navigator.unknown",
-                                target=target,
-                                sources=sorted(sources),
-                                attempts=outcome.attempts,
-                            )
-                        continue
-                    self._summarizable_cache[(context, target, sources)] = (
-                        outcome.verdict
+            verdicts = unknown_as_none(self.engine.try_decide_many(requests))
+            for (target, sources), verdict in zip(missing, verdicts):
+                self.stats.summarizability_checks += 1
+                if verdict is None:
+                    # UNKNOWN is conservatively treated as not-proven *for
+                    # this batch only* - nothing is cached for it, so no
+                    # degraded verdict can ever stick.
+                    self.stats.unknown_verdicts += 1
+                    _M_UNKNOWN.inc()
+                    if TRACER.enabled:
+                        TRACER.event(
+                            "navigator.unknown",
+                            target=target,
+                            sources=sorted(sources),
+                        )
+                    continue
+                self._summarizable_cache[(context, target, sources)] = verdict
+                if verdict:
+                    self._proven_sources.setdefault((context, target), []).append(
+                        sources
                     )
-                    if outcome.verdict:
-                        self._proven_sources.setdefault(
-                            (context, target), []
-                        ).append(sources)
-            else:
-                verdicts = self.engine.decide_many(requests)
-                for (target, sources), verdict in zip(missing, verdicts):
-                    self.stats.summarizability_checks += 1
-                    self._summarizable_cache[(context, target, sources)] = verdict
-                    if verdict:
-                        self._proven_sources.setdefault(
-                            (context, target), []
-                        ).append(sources)
         # ``.get(..., False)``: an UNKNOWN verdict has no cache entry and
         # reads as "not proven summarizable" - sound, because every caller
         # uses a positive verdict only to *replace* a base scan.

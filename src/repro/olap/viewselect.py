@@ -32,7 +32,7 @@ from repro._types import ALL, Category
 from repro.core.compile import resolve_engine
 from repro.core.decisioncache import USE_DEFAULT_CACHE
 from repro.core.dimsat import DimsatOptions
-from repro.core.parallel import ParallelDecisionEngine
+from repro.core.parallel import ParallelDecisionEngine, unknown_as_none
 from repro.core.schema import DimensionSchema
 from repro.core.summarizability import is_summarizable_in_schema
 from repro.core.trace import TRACER
@@ -138,17 +138,12 @@ class _SummarizabilityCache:
             (self.schema, ("summarizable", target, tuple(sorted(sources))))
             for target, sources in missing
         ]
-        if hasattr(self.engine, "decide_many_outcomes"):
-            # Resilient engine: an UNKNOWN check stays out of the local
-            # dict, so :meth:`check` recomputes it sequentially on demand
-            # instead of ever trusting a degraded verdict.
-            for key, outcome in zip(
-                missing, self.engine.decide_many_outcomes(requests)
-            ):
-                if not outcome.unknown:
-                    self._cache[key] = outcome.verdict
-        else:
-            for key, verdict in zip(missing, self.engine.decide_many(requests)):
+        verdicts = unknown_as_none(self.engine.try_decide_many(requests))
+        for key, verdict in zip(missing, verdicts):
+            # An UNKNOWN check stays out of the local dict, so :meth:`check`
+            # recomputes it sequentially on demand instead of ever
+            # trusting a degraded verdict.
+            if verdict is not None:
                 self._cache[key] = verdict
 
     def check(self, target: Category, sources: FrozenSet[Category]) -> bool:
@@ -201,7 +196,7 @@ def evaluate_selection(
     """Storage and weighted query cost of a concrete view set.
 
     With an ``engine``, every summarizability check the per-target plan
-    search may need goes out as one deduped ``decide_many`` batch first.
+    search may need goes out as one deduped ``try_decide_many`` batch first.
     """
     chosen = frozenset(selected)
     # Per-evaluation span: one trial of the greedy/exhaustive selectors,

@@ -315,9 +315,9 @@ class TestWarmSingleDecisions:
     def test_warm_decide_serves_cached_verdict_on_parallel_rung(
         self, engine, schema
     ):
-        """``decide`` (the served ``decide`` op) batches through the
-        wrapped engine, which memoizes first: a cached verdict is served
-        on the parallel rung, past an armed crash, with no failure."""
+        """``decide`` (the served ``decide`` op) asks the wrapped engine,
+        which memoizes first: a cached verdict is served on the parallel
+        rung, past an armed crash, with no failure."""
         self._warm(engine, schema)
         requests = [
             ("dimsat", "Store"),
@@ -336,8 +336,9 @@ class TestWarmSingleDecisions:
     def test_warm_decide_parses_its_constraint_once(
         self, name, schema, monkeypatch
     ):
-        """The batch path hands the engine the node it parsed while
-        normalizing, so the engine does not parse the text again."""
+        """``decide`` hands the engine the node it parsed while
+        resolving the request, so the engine does not parse the text
+        again."""
         from repro.constraints import parser
 
         engine = ResilientDecisionEngine(
@@ -371,3 +372,126 @@ class TestWarmSingleDecisions:
         monkeypatch.setattr(parser._Parser, "__init__", counting_init)
         assert engine.implies(schema, "Store.City.Country").implied
         assert len(parses) <= 1
+
+
+#: One request of each kind, asked through the single-decision method it
+#: maps onto.
+SINGLE_CALLS = {
+    ("dimsat", "City"): lambda engine, schema: engine.dimsat(schema, "City"),
+    ("implies", "Store.City.Country"): lambda engine, schema: engine.implies(
+        schema, "Store.City.Country"
+    ),
+    ("summarizable", "Country", ("City",)): lambda engine, schema: (
+        engine.is_summarizable(schema, "Country", ["City"])
+    ),
+}
+
+
+class TestOneLadder:
+    """Single methods, ``decide`` and batches walk one ladder."""
+
+    @staticmethod
+    def _single(engine, schema, request):
+        """The single method's outcome, read off the ladder it walks."""
+        seen = []
+        ladder = engine._ladder
+
+        def spy(*args):
+            value, outcome = ladder(*args)
+            seen.append(outcome)
+            return value, outcome
+
+        engine._ladder = spy
+        try:
+            SINGLE_CALLS[request](engine, schema)
+        except DecisionUnavailable as error:
+            assert error.failures == seen[0].failures
+        (outcome,) = seen
+        return outcome
+
+    @pytest.mark.parametrize("spec", [
+        "oserror:p=1.0,times=2;seed=5", "worker-crash:p=1.0;seed=3",
+    ])
+    @pytest.mark.parametrize("request_", list(SINGLE_CALLS), ids=str)
+    def test_every_surface_reports_the_same_walk(self, schema, spec, request_):
+        surfaces = {
+            "single": lambda e: self._single(e, schema, request_),
+            "decide": lambda e: e.decide(schema, request_),
+            "batch": lambda e: e.decide_many_outcomes([(schema, request_)])[0],
+        }
+        walks = {}
+        for name, surface in surfaces.items():
+            engine = ResilientDecisionEngine(
+                retry=FAST_RETRY, cache=DecisionCache()
+            )
+            with inject_faults(spec) as injector:
+                outcome = surface(engine)
+            walks[name] = (
+                outcome.rung,
+                outcome.attempts,
+                outcome.failures,
+                injector.opportunities(),
+            )
+        assert walks["single"] == walks["decide"] == walks["batch"]
+        rung, attempts, failures, opportunities = walks["single"]
+        if spec.startswith("oserror"):
+            assert (rung, attempts, len(failures)) == ("parallel", 3, 2)
+        else:
+            assert (rung, attempts) == ("unknown", 6)
+            assert opportunities == {"worker-crash": 6}
+
+    def test_duplicates_share_one_outcome_and_one_walk(self, engine, schema):
+        request = (schema, ("summarizable", "Country", ["City"]))
+        same = (schema, ("summarizable", "Country", ("City", "City")))
+        with inject_faults("worker-crash:p=1.0;seed=3") as injector:
+            outcomes = engine.decide_many_outcomes([request, same, request])
+        assert outcomes[0].unknown
+        assert outcomes[0] is outcomes[1] is outcomes[2]
+        assert injector.opportunities() == {"worker-crash": 6}
+        assert engine.stats.unknown_verdicts == 1
+        assert engine.stats.decisions == 3
+
+    def test_breaker_opening_mid_batch_diverts_later_requests(self, schema):
+        other = location_schema().with_constraints(["City -> Country"])
+        engine = ResilientDecisionEngine(
+            retry=RetryPolicy(max_attempts=1, base_delay_ms=0.0),
+            breaker=CircuitBreaker(failure_threshold=1, cooldown_ms=60_000.0),
+            cache=DecisionCache(),
+        )
+        # One fire: the first request's parallel attempt crashes, which
+        # opens its schema's circuit; nothing fails after that.
+        with inject_faults("worker-crash:p=1.0,times=1;seed=2"):
+            first, second, elsewhere = engine.decide_many_outcomes([
+                (schema, ("dimsat", "City")),
+                (schema, ("dimsat", "State")),
+                (other, ("dimsat", "State")),
+            ])
+        assert first.rung == "sequential"
+        assert [f.error_type for f in first.failures] == ["InjectedFault"]
+        assert second.ok and second.rung == "sequential"
+        assert [f.error_type for f in second.failures] == ["CircuitOpen"]
+        assert elsewhere.ok and elsewhere.rung == "parallel"
+        assert elsewhere.failures == ()
+        assert engine.stats.breaker_open_skips == 1
+
+    def test_try_decide_many_aligns_verdicts_and_unavailable(
+        self, engine, schema
+    ):
+        # A cached verdict answers on the parallel rung past an armed
+        # crash; the computed one degrades to UNKNOWN.
+        assert engine.is_satisfiable(schema, "City")
+        items = [
+            (schema, ("dimsat", "City")),
+            (schema, ("dimsat", "State")),
+            (schema, ("dimsat", "City")),
+        ]
+        with inject_faults("worker-crash:p=1.0;seed=3"):
+            results = engine.try_decide_many(items)
+        assert results[0] is True and results[2] is True
+        assert isinstance(results[1], DecisionUnavailable)
+        assert {f.rung for f in results[1].failures} == {
+            "parallel", "sequential",
+        }
+        with inject_faults("worker-crash:p=1.0;seed=3"):
+            with pytest.raises(DecisionUnavailable):
+                engine.decide_many(items)

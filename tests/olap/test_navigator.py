@@ -142,3 +142,19 @@ class TestStats:
         navigator.materialize("City", SUM, "sales")
         navigator.materialize("City", COUNT, "sales")
         assert navigator.materialized_categories(SUM, "sales") == ["City"]
+
+
+class TestBareEngineFailures:
+    @pytest.mark.parametrize("name", ["compiled", "sequential"])
+    def test_budget_abort_raises_from_the_batch(self, facts, loc_schema, name):
+        from repro.core import DecisionBudget, DecisionCache, build_engine
+        from repro.errors import BudgetExceeded
+
+        engine = build_engine(
+            name, budget=DecisionBudget(max_nodes=0), cache=DecisionCache()
+        )
+        navigator = AggregateNavigator(facts, schema=loc_schema, engine=engine)
+        with pytest.raises(BudgetExceeded):
+            navigator.summarizable_many([("Country", ["City"])])
+        # Nothing was cached for the aborted check.
+        assert navigator.stats.summarizability_checks == 0

@@ -144,3 +144,43 @@ class TestNaiveLatticeComparison:
         naive = naive_lattice_coverage(problem, ["City"])
         aware = coverage(problem, ["City"])
         assert naive["Country"] == aware["Country"] is True
+
+
+class TestResilientEngine:
+    @pytest.fixture()
+    def engine(self):
+        from repro.core.decisioncache import DecisionCache
+        from repro.core.resilience import ResilientDecisionEngine, RetryPolicy
+
+        return ResilientDecisionEngine(
+            retry=RetryPolicy(max_attempts=2, base_delay_ms=0.0),
+            cache=DecisionCache(),
+        )
+
+    def test_unknown_checks_stay_out_of_the_local_dict(self, loc_schema, engine):
+        from repro.core.faults import inject_faults
+        from repro.olap.viewselect import _SummarizabilityCache
+
+        checks = _SummarizabilityCache(loc_schema, None, None, engine)
+        pairs = [
+            ("Country", frozenset({"City"})),
+            ("Country", frozenset({"State", "Province"})),
+        ]
+        with inject_faults("worker-crash:p=1.0;seed=3"):
+            checks.prefetch(pairs)
+        assert checks._cache == {}
+        assert engine.stats.unknown_verdicts == 2
+        # ``check`` recomputes each on the kernel and only then keeps it.
+        assert [checks.check(t, s) for t, s in pairs] == [True, False]
+        assert checks._cache == dict(zip(pairs, [True, False]))
+
+    def test_faulted_evaluation_matches_the_engine_free_one(
+        self, problem, engine
+    ):
+        from repro.core.faults import inject_faults
+
+        selected = ["City", "SaleRegion"]
+        with inject_faults("worker-crash:p=1.0;seed=3"):
+            faulted = evaluate_selection(problem, selected, cache=None, engine=engine)
+        assert engine.stats.unknown_verdicts > 0
+        assert faulted == evaluate_selection(problem, selected, cache=None)

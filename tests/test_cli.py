@@ -40,6 +40,33 @@ class TestAudit:
         assert main(["audit", str(path)]) == 1
         assert "DEAD" in capsys.readouterr().out
 
+    def test_undecidable_categories_print_unkn_and_exit_four(
+        self, schema_file, capsys
+    ):
+        from repro.core import default_decision_cache
+
+        default_decision_cache().clear()
+        argv = ["--retries", "2", "--inject-faults", "worker-crash:p=1.0;seed=1"]
+        assert main([*argv, "audit", schema_file]) == 4
+        lines = capsys.readouterr().out.splitlines()
+        categories = sorted(location_schema().hierarchy.categories - {"All"})
+        for category in categories:
+            assert f"UNKN  {category}" in lines
+        assert "ok   All" in lines
+        assert f"{len(categories)} categories could not be decided" in lines[-1]
+
+    def test_injected_fault_without_retries_raises_out_of_the_audit(
+        self, schema_file, capsys
+    ):
+        from repro.core import default_decision_cache
+
+        default_decision_cache().clear()
+        argv = ["--inject-faults", "worker-crash:p=1.0;seed=1"]
+        assert main([*argv, "audit", schema_file]) == 4
+        captured = capsys.readouterr()
+        assert "UNKN" not in captured.out
+        assert "injected fault" in captured.err
+
 
 class TestImplies:
     def test_implied(self, schema_file, capsys):
