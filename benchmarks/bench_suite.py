@@ -884,9 +884,7 @@ def _edit_survival(output_path, repeats=5):
     audit-verify machinery on load.
     """
     from repro._types import ALL
-    from repro.core import load_cache, save_cache
-    from repro.core.dimsat import dimsat as run_dimsat
-    from repro.core.implication import implies as run_implies
+    from repro.core import decide, load_cache, save_cache
     from repro.core.provenance import schema_delta
     from repro.olap.maintenance import SchemaEditor
 
@@ -900,15 +898,11 @@ def _edit_survival(output_path, repeats=5):
 
     def recompute(schema, key):
         """Fresh sequential recomputation of one warm cache key."""
-        if key[1] == "dimsat":
-            return run_dimsat(schema, key[2])
-        return run_implies(schema, key[2], cache=None)
+        return decide(schema, key[1:-1], cache=None)
 
     def serve(cache, schema, key):
         """The same decision through the (possibly rekeyed) cache."""
-        if key[1] == "dimsat":
-            return cache.dimsat(schema, key[2])
-        return cache.implies(schema, key[2])
+        return decide(schema, key[1:-1], cache=cache)
 
     per_schema = {}
     total_warm = total_survived = 0
@@ -922,9 +916,9 @@ def _edit_survival(output_path, repeats=5):
         )
         warm_cache = DecisionCache()
         for category in sorted(schema.hierarchy.categories - {ALL}):
-            warm_cache.dimsat(schema, category)
+            decide(schema, ("dimsat", category), cache=warm_cache)
         for query in implication_workload(schema, n_queries=20, seed=1):
-            warm_cache.implies(schema, query)
+            decide(schema, ("implies", query), cache=warm_cache)
         warm_keys = warm_cache.entries_for(schema.fingerprint())
         provenance = {
             key: warm_cache.provenance_of(key) for key in warm_keys

@@ -13,7 +13,7 @@ re-derive that verdict from scratch.  This module provides exactly that:
   ``--telemetry-dir``, or :func:`repro.core.telemetry.TelemetryPipeline.
   install`), every decision that flows through the
   :class:`~repro.core.decisioncache.DecisionCache`, the uncached engine
-  path (:func:`repro.core.parallel._decide`), or the resilience ladder's
+  path (:func:`repro.core.parallel.serve`), or the resilience ladder's
   UNKNOWN rung appends one JSONL record with the schema fingerprint, the
   canonical request, the verdict, the duration, the cache-hit flag, and
   - for UNKNOWNs - the full :class:`~repro.core.resilience.AttemptRecord`
@@ -286,21 +286,11 @@ class AuditVerifyReport:
 
 def _replay(schema: object, request: Sequence[object]) -> bool:
     """Recompute one request on the plain sequential kernel, uncached:
-    the reference kernel dispatch of the audit replay, the cache-load
-    replay and the soak's oracle."""
-    from repro.core.implication import is_category_satisfiable, is_implied
-    from repro.core.summarizability import is_summarizable_in_schema
+    the reference decision of the audit replay, the cache-load replay
+    and the soak's oracle."""
+    from repro.core.summarizability import decide
 
-    kind = request[0]
-    if kind == "dimsat":
-        return is_category_satisfiable(schema, request[1], cache=None)  # type: ignore[arg-type]
-    if kind == "implies":
-        return is_implied(schema, request[1], cache=None)  # type: ignore[arg-type]
-    if kind == "summarizable":
-        return is_summarizable_in_schema(
-            schema, request[1], tuple(request[2]), cache=None  # type: ignore[arg-type]
-        )
-    raise ReproError(f"unknown audit record kind {kind!r}")
+    return _verdict_of(decide(schema, request, cache=None))  # type: ignore[arg-type]
 
 
 def load_audit_records(audit_path: str) -> List[Dict[str, Any]]:

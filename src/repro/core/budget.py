@@ -111,8 +111,10 @@ class DecisionBudget:
         """Record this budget's consumption in the process-wide metrics
         (``budget.last_nodes_charged`` gauge and
         ``budget.nodes_per_decision`` histogram).  Called automatically
-        when a ceiling is hit and by the parallel engine when a budgeted
-        decision finishes."""
+        when a ceiling is hit, and by
+        :func:`~repro.core.parallel.computed` when a budgeted decision
+        finishes - on every engine and on the resilience ladder's
+        sequential rung."""
         nodes = self._nodes
         _G_LAST_NODES.set(nodes)
         _H_NODES.observe(nodes)

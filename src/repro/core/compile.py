@@ -92,16 +92,8 @@ from repro.constraints.ast import (
     hash_cons,
 )
 from repro.constraints.atoms import validate_constraint
-from repro.constraints.parser import parse
-from repro.constraints.printer import unparse
-from repro.core.auditlog import AUDIT
 from repro.core.budget import DecisionBudget
-from repro.core.decisioncache import (
-    USE_DEFAULT_CACHE,
-    _options_key,
-    memoize_or_audit,
-    resolve_cache,
-)
+from repro.core.decisioncache import USE_DEFAULT_CACHE, resolve_cache
 from repro.core.dimsat import (
     DimsatOptions,
     DimsatResult,
@@ -113,16 +105,16 @@ from repro.core.dimsat import (
     dimsat as run_dimsat,
     reduced_constraints,
 )
-from repro.core.faults import FAULTS
 from repro.core.frozen import FrozenDimension, Subhierarchy
 from repro.core.hierarchy import ALL, Category
 from repro.core.implication import ImplicationResult, implies as run_implies
 from repro.core.instance import TOP_MEMBER
 from repro.core.metrics import METRICS
-from repro.core.parallel import decide_batch, raise_first_failure, try_ask
+from repro.core.parallel import decide_batch, raise_first_failure, serve, try_ask
+from repro.core.request import resolve_request
 from repro.core.satsolver import Solver
 from repro.core.schema import DimensionSchema
-from repro.core.summarizability import _check_categories, summarizable_by_bottoms
+from repro.core.summarizability import summarizable_by_bottoms
 from repro.core.trace import TRACER
 from repro.errors import ReproError, SchemaError
 
@@ -810,9 +802,8 @@ class CompiledDecisionEngine:
     changes where cold verdicts come from, never what they are.
 
     The compiled tier always decides under default
-    :class:`~repro.core.dimsat.DimsatOptions` (``options`` is pinned to
-    ``None``), which also keeps its audit records replayable by
-    ``repro-olap audit-verify``.
+    :class:`~repro.core.dimsat.DimsatOptions`, which also keeps its
+    audit records replayable by ``repro-olap audit-verify``.
 
     ``budget`` is a per-decision template, as on the interpreted engine:
     each computed decision charges one fresh copy across the root's
@@ -821,7 +812,9 @@ class CompiledDecisionEngine:
     kernel fallback.  A decision that runs out raises
     :class:`~repro.errors.BudgetExceeded` and caches nothing.  Each
     computed decision also passes the fault-injection worker checkpoint
-    once (:mod:`repro.core.faults`); a cached verdict passes neither.
+    once (:mod:`repro.core.faults`) and publishes its budget use
+    (:func:`~repro.core.parallel.computed`); a cached verdict does
+    neither.
     """
 
     #: Its :func:`~repro.core.resilience.build_engine` name.
@@ -834,8 +827,6 @@ class CompiledDecisionEngine:
         store: Optional[CompiledArtifactStore] = None,
     ) -> None:
         self.cache = resolve_cache(cache)
-        self.options: Optional[DimsatOptions] = None
-        self._options_key = _options_key(self.options)
         self.budget_template = budget
         self.store = store if store is not None else compiled_artifact_store()
         self.stats = CompiledEngineStats()
@@ -851,18 +842,6 @@ class CompiledDecisionEngine:
 
     def __exit__(self, *exc_info: object) -> None:
         self.shutdown()
-
-    def _fresh_budget(self) -> Optional[DecisionBudget]:
-        if self.budget_template is None:
-            return None
-        return self.budget_template.fresh()
-
-    def _start_decision(self) -> Optional[DecisionBudget]:
-        """Begin one computed decision: pass the fault checkpoint (as the
-        interpreted engine does, once per decision), then return the
-        decision's fresh budget."""
-        FAULTS.worker()
-        return self._fresh_budget()
 
     # -- fallback accounting -------------------------------------------
 
@@ -883,12 +862,11 @@ class CompiledDecisionEngine:
             raise SchemaError(f"unknown category {category!r}")
         if category == ALL:
             return _trivial_all_result(DimsatOptions())
-        key = ("dimsat", category, self._options_key)
-        return memoize_or_audit(  # type: ignore[return-value]
-            self.cache,
+        return serve(
+            self,
             schema,
-            key,
-            lambda: self._dimsat_uncached(schema, category, self._start_decision()),
+            ("dimsat", category),
+            partial(self._dimsat_uncached, schema, category),
         )
 
     def _dimsat_uncached(
@@ -925,26 +903,17 @@ class CompiledDecisionEngine:
         The constraint is validated on a miss only, as the interpreted
         engine does: one that fails validation is never cached, so a hit
         needs no check."""
-        node: Node = (
-            parse(constraint) if isinstance(constraint, str) else constraint  # type: ignore[assignment]
-        )
-        if self.cache is None and not AUDIT.enabled:
-            # Nothing will consume the memo key; skip serializing it.
-            return self._implies_uncached(schema, node, None, self._start_decision())
-        key = ("implies", unparse(node), self._options_key)
-        return memoize_or_audit(  # type: ignore[return-value]
-            self.cache,
-            schema,
-            key,
-            lambda: self._implies_uncached(schema, node, None, self._start_decision()),
+        request = resolve_request(("implies", constraint))
+        return serve(
+            self, schema, request, partial(self._implies_uncached, schema, request[1])
         )
 
     def _implies_uncached(
         self,
         schema: DimensionSchema,
         node: Node,
-        root_category: Optional[Category] = None,
         budget: Optional[DecisionBudget] = None,
+        root_category: Optional[Category] = None,
     ) -> ImplicationResult:
         if root_category is None:
             root_category = validate_constraint(schema.hierarchy, node)
@@ -991,16 +960,12 @@ class CompiledDecisionEngine:
         each other's learned clauses within each root solver, and
         repeated source sets hit the registered-query memo outright.
         """
-        source_key = tuple(sorted(set(sources)))
-        _check_categories(schema.hierarchy, target, source_key)
-        key = ("summarizable", target, source_key, self._options_key)
-        return memoize_or_audit(  # type: ignore[return-value]
-            self.cache,
+        request = resolve_request(("summarizable", target, sources))
+        return serve(
+            self,
             schema,
-            key,
-            lambda: self._summarizable_uncached(
-                schema, target, source_key, self._start_decision()
-            ),
+            request,
+            partial(self._summarizable_uncached, schema, target, request[2]),
         )
 
     def _summarizable_uncached(
@@ -1019,7 +984,7 @@ class CompiledDecisionEngine:
                 target,
                 sources,
                 lambda bottom, node: self._implies_uncached(
-                    schema, node, bottom, budget
+                    schema, node, budget, bottom
                 ).implied,
             )
 

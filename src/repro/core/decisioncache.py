@@ -18,8 +18,10 @@ verdicts keyed by a canonical schema fingerprint
   (:mod:`repro.olap.maintenance`) additionally evicts the replaced
   version's entries on every mutation.
 
-The cache is shared by :mod:`repro.core.implication`,
-:mod:`repro.core.summarizability`, :mod:`repro.olap.navigator`,
+The cache is shared by the kernel's entry points
+(:func:`~repro.core.summarizability.decide` and the
+:mod:`~repro.core.implication` / :mod:`~repro.core.summarizability`
+functions over it), the engines, :mod:`repro.olap.navigator`,
 :mod:`repro.olap.viewselect`, and :mod:`repro.olap.maintenance`; pass
 ``cache=None`` to any of their entry points to force the uncached path
 (the ablation the decision-cache benchmark measures).
@@ -30,17 +32,15 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import asdict, dataclass, fields
-from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
-from repro._types import Category
 from repro.core.auditlog import AUDIT
 from repro.core.faults import FAULTS, CacheStoreFault
 from repro.core.metrics import METRICS
 from repro.core.trace import TRACER
 
 #: Process-wide counters aggregating every :class:`DecisionCache`
-#: instance; the per-instance :class:`DecisionCacheStats` stays as the
-#: compatibility view older callers read.
+#: instance; :class:`DecisionCacheStats` counts one instance.
 _M_HITS = METRICS.counter("decision_cache.hits")
 _M_MISSES = METRICS.counter("decision_cache.misses")
 _M_EVICTIONS = METRICS.counter("decision_cache.evictions")
@@ -50,9 +50,7 @@ _M_REKEYED = METRICS.counter("decision_cache.rekeyed")
 _M_SELF_EVICTIONS = METRICS.counter("decision_cache.self_evictions")
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.budget import DecisionBudget
-    from repro.core.dimsat import DimsatOptions, DimsatResult
-    from repro.core.implication import ImplicationResult
+    from repro.core.dimsat import DimsatOptions
     from repro.core.provenance import SchemaDelta, VerdictProvenance
     from repro.core.schema import DimensionSchema
 
@@ -134,12 +132,16 @@ class DecisionCacheStats:
 class DecisionCache:
     """Memoized schema-level verdicts, keyed by schema fingerprint.
 
-    Entries are ``(fingerprint, kind, query..., options) -> result``.
-    Results are immutable (booleans, :class:`DimsatResult`,
-    :class:`ImplicationResult`) and decisions are deterministic, so a
-    cached result is indistinguishable from a fresh computation - the
-    decision-cache benchmark asserts exactly that across every DIMSAT
-    ablation configuration.
+    Entries are ``(fingerprint, kind, query..., options) -> result``,
+    the key :func:`~repro.core.request.request_key` builds.  The table
+    only memoizes: every decision reaches it through :meth:`memoize`,
+    from the kernel's dispatch
+    (:func:`~repro.core.summarizability.decide`) or an engine.  Results
+    are immutable (booleans, :class:`~repro.core.dimsat.DimsatResult`,
+    :class:`~repro.core.implication.ImplicationResult`) and decisions
+    are deterministic, so a cached result is indistinguishable from a
+    fresh computation - the decision-cache benchmark asserts exactly
+    that across every DIMSAT ablation configuration.
 
     The cache is safe to share across threads (a lock guards the table)
     and bounded (FIFO eviction at ``max_entries``).
@@ -250,83 +252,6 @@ class DecisionCache:
         self._provenance.pop(victim, None)
         self.stats.evictions += 1
         _M_EVICTIONS.inc()
-
-    # ------------------------------------------------------------------
-    # The three decision procedures
-    # ------------------------------------------------------------------
-
-    def dimsat(
-        self,
-        schema: "DimensionSchema",
-        category: Category,
-        options: "Optional[DimsatOptions]" = None,
-        budget: "Optional[DecisionBudget]" = None,
-    ) -> "DimsatResult":
-        """Memoized :func:`repro.core.dimsat.dimsat`.
-
-        ``budget`` is deliberately not part of the cache key: it never
-        changes a verdict, only whether one is reached, and an aborted
-        computation raises out of ``compute`` before anything is stored.
-        """
-        from repro.core.dimsat import dimsat as run_dimsat
-
-        key = ("dimsat", category, _options_key(options))
-        return self.memoize(  # type: ignore[return-value]
-            schema, key, lambda: run_dimsat(schema, category, options, budget)
-        )
-
-    def implies(
-        self,
-        schema: "DimensionSchema",
-        constraint: object,
-        options: "Optional[DimsatOptions]" = None,
-        budget: "Optional[DecisionBudget]" = None,
-    ) -> "ImplicationResult":
-        """Memoized :func:`repro.core.implication.implies`."""
-        from repro.constraints.printer import unparse
-        from repro.core.implication import implies as run_implies
-
-        node = _as_node(constraint)
-        key = ("implies", unparse(node), _options_key(options))
-        return self.memoize(  # type: ignore[return-value]
-            schema,
-            key,
-            lambda: run_implies(schema, node, options, cache=None, budget=budget),
-        )
-
-    def is_implied(
-        self,
-        schema: "DimensionSchema",
-        constraint: object,
-        options: "Optional[DimsatOptions]" = None,
-        budget: "Optional[DecisionBudget]" = None,
-    ) -> bool:
-        """Memoized implication verdict."""
-        return self.implies(schema, constraint, options, budget).implied
-
-    def is_summarizable(
-        self,
-        schema: "DimensionSchema",
-        target: Category,
-        sources: Iterable[Category],
-        options: "Optional[DimsatOptions]" = None,
-        budget: "Optional[DecisionBudget]" = None,
-    ) -> bool:
-        """Memoized schema-level summarizability (Theorem 1)."""
-        from repro.core.summarizability import _is_summarizable_uncached
-
-        source_key = tuple(sorted(set(sources)))
-        key = ("summarizable", target, source_key, _options_key(options))
-        return self.memoize(  # type: ignore[return-value]
-            schema,
-            key,
-            # The per-bottom implication tests inside the Theorem 1 loop
-            # still go through *this* cache, so different source sets
-            # share whatever implication work overlaps.
-            lambda: _is_summarizable_uncached(
-                schema, target, source_key, options, self, budget
-            ),
-        )
 
     # ------------------------------------------------------------------
     # Invalidation and introspection
@@ -512,13 +437,6 @@ class DecisionCache:
             ]
         )
         return "\n".join(lines)
-
-
-def _as_node(constraint: object):
-    from repro.constraints.ast import Node
-    from repro.constraints.parser import parse
-
-    return parse(constraint) if isinstance(constraint, str) else constraint
 
 
 def memoize_or_audit(

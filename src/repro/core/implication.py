@@ -25,12 +25,13 @@ from repro.constraints.ast import Node, Not, constraint_root
 from repro.constraints.atoms import validate_constraint
 from repro.constraints.parser import parse
 from repro.core.budget import DecisionBudget
-from repro.core.decisioncache import USE_DEFAULT_CACHE, DecisionCache, resolve_cache
+from repro.core.decisioncache import USE_DEFAULT_CACHE, resolve_cache
 from repro.core.dimsat import DimsatOptions, DimsatResult, dimsat
 from repro.core.frozen import FrozenDimension
 from repro.core.hierarchy import ALL, Category
 from repro.core.instance import DimensionInstance
 from repro.core.metrics import METRICS
+from repro.core.request import resolve_request
 from repro.core.schema import DimensionSchema
 from repro.core.trace import TRACER
 from repro.errors import ConstraintError
@@ -76,10 +77,9 @@ def is_category_satisfiable(
     (:class:`~repro.errors.BudgetExceeded` on exhaustion); an aborted
     decision is never cached.
     """
-    resolved = resolve_cache(cache)
-    if resolved is not None:
-        return resolved.dimsat(schema, category, options, budget).satisfiable
-    return dimsat(schema, category, options, budget).satisfiable
+    from repro.core.summarizability import decide
+
+    return decide(schema, ("dimsat", category), options, cache, budget).satisfiable  # type: ignore[attr-defined]
 
 
 def implies(
@@ -108,10 +108,15 @@ def implies(
     >>> implies(location_schema(), "Store.City.Country").implied
     True
     """
-    node: Node = parse(constraint) if isinstance(constraint, str) else constraint  # type: ignore[assignment]
     resolved = resolve_cache(cache)
     if resolved is not None:
-        return resolved.implies(schema, node, options, budget)
+        # The memoized path is the kernel dispatch, whose miss comes back
+        # here uncached.  It lives with summarizability, which imports
+        # this module.
+        from repro.core.summarizability import decide
+
+        return decide(schema, ("implies", constraint), options, resolved, budget)  # type: ignore[return-value]
+    node: Node = resolve_request(("implies", constraint))[1]
     root = validate_constraint(schema.hierarchy, node)
     if root == ALL:  # pragma: no cover - validate_constraint already rejects
         raise ConstraintError("constraints rooted at All are not allowed")

@@ -14,11 +14,13 @@ Naming convention: dotted ``subsystem.metric`` names, e.g.
 ``faults.worker-crash``.  The registry creates metrics on first use, so
 readers never race creators.
 
-The per-object stats the kernel exposed before this module existed
-(:class:`~repro.core.decisioncache.DecisionCacheStats`,
-``CircleCache.hits``/``misses``, :class:`~repro.core.parallel.EngineStats`)
-remain as per-instance compatibility views; the registry aggregates the
-same signals process-wide.
+Per-object stats (:class:`~repro.core.decisioncache.DecisionCacheStats`,
+``CircleCache.hits``/``misses``, and each engine's ``stats``) count one
+object's work; the registry counts the whole process, across instances.
+The two overlap but neither is a view of the other: the cache's hits and
+misses have registry twins, while, for instance,
+:class:`~repro.core.parallel.EngineStats` ``decisions`` and
+``batch_requests`` exist only per engine.
 """
 
 from __future__ import annotations

@@ -48,7 +48,6 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro._types import Category
-from repro.constraints.parser import parse
 from repro.core.auditlog import AUDIT, _verdict_of
 from repro.core.budget import DecisionBudget
 from repro.core.compile import CompiledDecisionEngine
@@ -61,10 +60,9 @@ from repro.core.parallel import (
     _decide,
     ask,
     decide_batch,
-    normalize_request,
     raise_first_failure,
-    resolve_request,
 )
+from repro.core.request import normalize_request, resolve_request
 from repro.core.schema import DimensionSchema
 from repro.core.trace import TRACER
 from repro.errors import BudgetExceeded, DecisionUnavailable, ReproError
@@ -298,7 +296,7 @@ class ResilientDecisionEngine:
         The :class:`CircuitBreaker` guarding the parallel rung.
     engine_kwargs:
         Forwarded to :class:`ParallelDecisionEngine` when ``engine`` is
-        ``None`` (``budget``, ``options``, ``cache``).
+        ``None`` (``budget``, ``cache``).
 
     The single-decision surface (:meth:`dimsat`, :meth:`implies`,
     :meth:`is_summarizable`, ...) mirrors the wrapped engine's but raises
@@ -395,7 +393,7 @@ class ResilientDecisionEngine:
         self, schema: DimensionSchema, request: Tuple[Any, ...]
     ) -> Tuple[Any, DecisionOutcome]:
         """Walk the rungs for one resolved request (see
-        :func:`~repro.core.parallel.resolve_request`): every decision of
+        :func:`~repro.core.request.resolve_request`): every decision of
         this engine, single or batched, goes through here.
 
         Returns the answering rung's result (``None`` for UNKNOWN) and the
@@ -482,8 +480,7 @@ class ResilientDecisionEngine:
     ) -> ImplicationResult:
         """``ds |= alpha`` through the ladder (the constraint is parsed
         once, here)."""
-        node = parse(constraint) if isinstance(constraint, str) else constraint
-        return self._answer(schema, ("implies", node))
+        return self._answer(schema, resolve_request(("implies", constraint)))
 
     def is_implied(self, schema: DimensionSchema, constraint: object) -> bool:
         return self.implies(schema, constraint).implied
@@ -496,7 +493,7 @@ class ResilientDecisionEngine:
     ) -> bool:
         """Theorem 1 through the ladder."""
         return self._answer(
-            schema, ("summarizable", target, tuple(sorted(set(sources))))
+            schema, resolve_request(("summarizable", target, sources))
         )
 
     # ------------------------------------------------------------------

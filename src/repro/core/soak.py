@@ -246,9 +246,9 @@ class SoakReport:
 def oracle_decide(schema: DimensionSchema, request: Sequence[object]) -> bool:
     """Ground truth for one decision request.
 
-    The audit replay's direct sequential kernel calls with
-    ``cache=None``: no fault-injection sites, no decision cache, no audit
-    records - the reference every engine verdict is compared against.
+    The audit replay: the kernel's dispatch with ``cache=None``, so no
+    fault-injection sites, no decision cache, no audit records - the
+    reference every engine verdict is compared against.
     """
     return _replay(schema, request)
 

@@ -21,22 +21,28 @@ tests it at two levels:
 The OLAP navigator (:mod:`repro.olap.navigator`) consumes the instance
 level test; the cross-validation experiment (E12) verifies the
 characterization against Definition 6 executed on real fact tables.
+
+Summarizability reduces to implication, which reduces to DIMSAT, so
+this is the kernel module that sees all three procedures: it hosts
+:func:`decide`, the kernel's one dispatch of a decision request.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import combinations
-from typing import Callable, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.constraints.ast import FALSE, ExactlyOne, Implies, Node, RollsUpAtom, ThroughAtom
 from repro.constraints.semantics import satisfies
 from repro.core.budget import DecisionBudget
-from repro.core.decisioncache import USE_DEFAULT_CACHE, resolve_cache
-from repro.core.dimsat import DimsatOptions
+from repro.core.decisioncache import USE_DEFAULT_CACHE, DecisionCache, resolve_cache
+from repro.core.dimsat import DimsatOptions, dimsat
 from repro.core.hierarchy import ALL, Category, HierarchySchema
-from repro.core.implication import is_implied
+from repro.core.implication import implies, is_implied
 from repro.core.instance import DimensionInstance
 from repro.core.metrics import METRICS
+from repro.core.request import request_key, resolve_request
 from repro.core.schema import DimensionSchema
 from repro.core.trace import TRACER
 from repro.errors import SchemaError
@@ -115,14 +121,67 @@ def is_summarizable_in_schema(
     The verdict is memoized in ``cache`` (a
     :class:`~repro.core.decisioncache.DecisionCache`; default the
     process-wide one) keyed by schema fingerprint, target, and source set;
-    pass ``cache=None`` for the uncached path.
+    pass ``cache=None`` for the uncached path.  See :func:`decide`.
     """
-    sources = tuple(sources)
-    _check_categories(schema.hierarchy, target, sources)
+    return decide(schema, ("summarizable", target, sources), options, cache, budget)  # type: ignore[return-value]
+
+
+def decide(
+    schema: DimensionSchema,
+    request: Sequence[object],
+    options: Optional[DimsatOptions] = None,
+    cache: object = USE_DEFAULT_CACHE,
+    budget: Optional[DecisionBudget] = None,
+) -> object:
+    """Decide one request on the interpreted kernel: the kernel's one
+    dispatch.
+
+    ``request`` is ``("dimsat", category)``, ``("implies", constraint)``
+    or ``("summarizable", target, sources)`` in any form
+    :func:`~repro.core.request.resolve_request` accepts.  The verdict is
+    memoized in ``cache`` (default: the process-wide
+    :func:`~repro.core.decisioncache.default_decision_cache`) under
+    :func:`~repro.core.request.request_key`; pass ``cache=None`` to
+    compute it fresh.  ``budget`` bounds the search and is not part of
+    the key: a budget-aborted decision raises
+    :class:`~repro.errors.BudgetExceeded` and caches nothing.
+
+    Returns the kernel's result: a
+    :class:`~repro.core.dimsat.DimsatResult`, an
+    :class:`~repro.core.implication.ImplicationResult`, or the
+    summarizability boolean.
+
+    >>> from repro.generators.location import location_schema
+    >>> decide(location_schema(), ("summarizable", "Country", ["City"]))
+    True
+    """
+    request = resolve_request(request)
     resolved = resolve_cache(cache)
-    if resolved is not None:
-        return resolved.is_summarizable(schema, target, sources, options, budget)
-    return _is_summarizable_uncached(schema, target, sources, options, None, budget)
+    compute = partial(_compute, schema, request, options, resolved, budget)
+    if resolved is None:
+        return compute()
+    return resolved.memoize(schema, request_key(request, options), compute)
+
+
+def _compute(
+    schema: DimensionSchema,
+    request: Tuple[Any, ...],
+    options: Optional[DimsatOptions],
+    cache: Optional[DecisionCache],
+    budget: Optional[DecisionBudget],
+) -> object:
+    """One resolved request computed on the kernel: Theorem 3's search,
+    Theorem 2's reduction, or Theorem 1's bottom loop, whose per-bottom
+    implication tests go through ``cache`` so overlapping source sets
+    share work."""
+    kind = request[0]
+    if kind == "dimsat":
+        return dimsat(schema, request[1], options, budget)
+    if kind == "implies":
+        return implies(schema, request[1], options, None, budget)
+    return _is_summarizable_uncached(
+        schema, request[1], request[2], options, cache, budget
+    )
 
 
 def _is_summarizable_uncached(
@@ -155,7 +214,9 @@ def summarizable_by_bottoms(
     """The Theorem 1 loop: ``implied(bottom, constraint)`` decides each
     bottom category's constraint, and the first failing bottom settles
     "no".  The interpreted kernel and the compiled tier differ only in
-    the implication test they pass."""
+    the implication test they pass.  An unknown target or source raises
+    :class:`~repro.errors.SchemaError` before any test runs."""
+    _check_categories(schema.hierarchy, target, sources)
     _M_DECISIONS.inc()
     with TRACER.span(
         "summarizability.decide", target=target, sources=sorted(sources)

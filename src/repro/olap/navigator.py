@@ -284,7 +284,7 @@ class AggregateNavigator:
                 missing.append((target, sources))
         if missing:
             requests = [
-                (self.schema, ("summarizable", target, tuple(sorted(sources))))
+                (self.schema, ("summarizable", target, sources))
                 for target, sources in missing
             ]
             verdicts = unknown_as_none(self.engine.try_decide_many(requests))

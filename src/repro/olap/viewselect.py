@@ -135,7 +135,7 @@ class _SummarizabilityCache:
         if not missing:
             return
         requests = [
-            (self.schema, ("summarizable", target, tuple(sorted(sources))))
+            (self.schema, ("summarizable", target, sources))
             for target, sources in missing
         ]
         verdicts = unknown_as_none(self.engine.try_decide_many(requests))

@@ -14,8 +14,10 @@ from repro.core.budget import DecisionBudget
 from repro.core.decisioncache import DecisionCache
 from repro.core.dimsat import DimsatOptions, SearchBudgetExceeded, dimsat
 from repro.core.implication import implies, is_category_satisfiable, is_implied
-from repro.core.parallel import ParallelDecisionEngine
-from repro.core.summarizability import is_summarizable_in_schema
+from repro.core.parallel import ParallelDecisionEngine, _decide, ask
+from repro.core.request import resolve_request
+from repro.core.resilience import ENGINE_NAMES, build_engine
+from repro.core.summarizability import decide, is_summarizable_in_schema
 from repro.errors import BudgetExceeded, ReproError, SchemaError
 from repro.generators.location import location_schema
 
@@ -121,29 +123,36 @@ class TestCachesStayVerdictClean:
     def test_aborted_dimsat_not_cached(self, schema):
         cache = DecisionCache()
         with pytest.raises(BudgetExceeded):
-            cache.dimsat(schema, "Store", budget=DecisionBudget(max_nodes=0))
+            decide(
+                schema, ("dimsat", "Store"), cache=cache,
+                budget=DecisionBudget(max_nodes=0),
+            )
         assert len(cache) == 0
         # Re-query without a budget: correct verdict, computed fresh.
-        assert cache.dimsat(schema, "Store").satisfiable
+        assert decide(schema, ("dimsat", "Store"), cache=cache).satisfiable
         assert cache.stats.misses == 2  # the abort counted as a miss too
         assert cache.stats.hits == 0
 
     def test_aborted_implication_then_correct_verdict(self, schema):
         cache = DecisionCache()
         with pytest.raises(BudgetExceeded):
-            cache.is_implied(
-                schema, "Store.City.Country", budget=DecisionBudget(max_nodes=0)
+            is_implied(
+                schema, "Store.City.Country", cache=cache,
+                budget=DecisionBudget(max_nodes=0),
             )
-        assert cache.is_implied(schema, "Store.City.Country") is True
+        assert is_implied(schema, "Store.City.Country", cache=cache) is True
 
     def test_aborted_summarizability_then_correct_verdict(self, schema):
         cache = DecisionCache()
         with pytest.raises(BudgetExceeded):
-            cache.is_summarizable(
-                schema, "Country", ["City"], budget=DecisionBudget(max_nodes=0)
+            is_summarizable_in_schema(
+                schema, "Country", ["City"], cache=cache,
+                budget=DecisionBudget(max_nodes=0),
             )
-        assert cache.is_summarizable(schema, "Country", ["City"]) is True
-        assert cache.is_summarizable(schema, "Country", ["State", "Province"]) is False
+        assert is_summarizable_in_schema(schema, "Country", ["City"], cache=cache)
+        assert not is_summarizable_in_schema(
+            schema, "Country", ["State", "Province"], cache=cache
+        )
 
     def test_engine_abort_leaves_cache_clean(self, schema):
         """A budget abort inside the engine's single-decision path must
@@ -171,3 +180,65 @@ class TestCachesStayVerdictClean:
                     [(schema, ("dimsat", "Store")), (schema, ("dimsat", "City"))]
                 )
         assert len(cache) == 0
+
+
+class TestPublishedBudgetUse:
+    """Every computed decision publishes its budget use once, on every
+    engine and on the ladder's sequential rung; a cached verdict
+    publishes nothing."""
+
+    REQUESTS = [
+        ("dimsat", "Store"),
+        ("implies", "Store.City.Country"),
+        ("summarizable", "Country", ["City"]),
+    ]
+
+    @pytest.fixture()
+    def published(self, monkeypatch):
+        calls = []
+        publish = DecisionBudget.publish
+
+        def counting(budget):
+            calls.append(budget.nodes_charged)
+            publish(budget)
+
+        monkeypatch.setattr(DecisionBudget, "publish", counting)
+        return calls
+
+    @staticmethod
+    def _engine(name, cache):
+        return build_engine(
+            name, budget=DecisionBudget(max_nodes=1_000_000), cache=cache
+        )
+
+    @pytest.mark.parametrize("name", ENGINE_NAMES)
+    def test_engine_publishes_each_computed_decision(
+        self, schema, published, name
+    ):
+        engine = self._engine(name, DecisionCache())
+        for request in self.REQUESTS:
+            ask(engine, schema, request)
+        assert len(published) == len(self.REQUESTS)
+        for request in self.REQUESTS:  # every one a hit now
+            ask(engine, schema, request)
+        assert len(published) == len(self.REQUESTS)
+
+    @pytest.mark.parametrize("name", ENGINE_NAMES)
+    def test_uncached_engine_publishes_every_decision(
+        self, schema, published, name
+    ):
+        engine = self._engine(name, None)
+        for _ in range(2):
+            for request in self.REQUESTS:
+                ask(engine, schema, request)
+        assert len(published) == 2 * len(self.REQUESTS)
+
+    @pytest.mark.parametrize("name", ENGINE_NAMES)
+    def test_sequential_rung_publishes_each_computed_decision(
+        self, schema, published, name
+    ):
+        engine = self._engine(name, DecisionCache())
+        for _ in range(2):
+            for request in self.REQUESTS:
+                _decide(engine, schema, resolve_request(request))
+        assert len(published) == len(self.REQUESTS)

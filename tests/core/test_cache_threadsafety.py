@@ -23,7 +23,9 @@ from repro.constraints.ast import RollsUpAtom, hash_cons
 from repro.constraints.parser import parse
 from repro.core.decisioncache import DecisionCache
 from repro.core.dimsat import CircleCache, dimsat
+from repro.core.implication import is_implied
 from repro.core.schema import DimensionSchema
+from repro.core.summarizability import decide
 from repro.generators.location import location_schema
 from repro.io.json_io import schema_from_json, schema_to_json
 
@@ -134,9 +136,10 @@ def test_decision_cache_hammer_equal_rebuilt_schemas():
         for _ in range(ROUNDS):
             for kind, arg in queries:
                 if kind == "dimsat":
-                    out.append((kind, arg, cache.dimsat(schema, arg).satisfiable))
+                    verdict = decide(schema, (kind, arg), cache=cache).satisfiable
                 else:
-                    out.append((kind, arg, cache.is_implied(schema, arg)))
+                    verdict = is_implied(schema, arg, cache=cache)
+                out.append((kind, arg, verdict))
         return out
 
     results = _run_in_threads(worker)
@@ -147,7 +150,7 @@ def test_decision_cache_hammer_equal_rebuilt_schemas():
         if kind == "dimsat":
             expected[(kind, arg)] = dimsat(fresh, arg).satisfiable
         else:
-            expected[(kind, arg)] = DecisionCache().is_implied(fresh, arg)
+            expected[(kind, arg)] = is_implied(fresh, arg, cache=None)
     for per_thread in results:
         for kind, arg, verdict in per_thread:
             assert verdict == expected[(kind, arg)], (kind, arg)

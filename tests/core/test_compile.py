@@ -24,21 +24,28 @@ from repro.constraints.ast import Not
 from repro.constraints.parser import parse
 from repro.core import (
     ALL,
+    CircuitBreaker,
     CompilationError,
     CompiledArtifactStore,
     CompiledDecisionEngine,
     DecisionBudget,
+    ParallelDecisionEngine,
     ResilientDecisionEngine,
     build_engine,
     compiled_artifact_store,
+    decide,
     dimsat,
     implies,
+    is_category_satisfiable,
     is_summarizable_in_schema,
     resolve_engine,
 )
 from repro.core.decisioncache import DecisionCache
 from repro.core.dimsat import DimsatOptions
+from repro.core.parallel import ask
+from repro.core.resilience import ENGINE_NAMES
 from repro.errors import BudgetExceeded, ReproError, SchemaError
+from repro.generators.location import location_schema
 from repro.generators.random_schema import RandomSchemaConfig, random_schema
 from repro.generators.suite import suite_schemas
 
@@ -53,6 +60,69 @@ def engine():
 @pytest.fixture(scope="module")
 def schemas():
     return suite_schemas()
+
+
+def _kernel_entry_point(schema, request, cache, _store):
+    kind = request[0]
+    if kind == "dimsat":
+        return is_category_satisfiable(schema, request[1], cache=cache)
+    if kind == "implies":
+        return implies(schema, request[1], cache=cache)
+    return is_summarizable_in_schema(schema, request[1], request[2], cache=cache)
+
+
+def _sequential_rung(schema, request, cache, store):
+    """The resilience ladder with its breaker forced open: the request
+    goes straight to the sequential rung."""
+    breaker = CircuitBreaker(failure_threshold=1, cooldown_ms=60_000.0)
+    breaker.record_failure(schema.fingerprint())
+    ladder = ResilientDecisionEngine(
+        CompiledDecisionEngine(cache=cache, store=store), breaker=breaker
+    )
+    outcome = ladder.decide(schema, request)
+    assert outcome.rung == "sequential"
+    return outcome.verdict
+
+
+#: One question per way of asking it: the request, and the memo key
+#: (without its fingerprint) every surface must file it under.
+KEY_QUESTIONS = {
+    "dimsat": (("dimsat", "State"), ("dimsat", "State", ())),
+    "implies-text": (
+        ("implies", "Store.City.Country"),
+        ("implies", "Store.City.Country", ()),
+    ),
+    "implies-node": (
+        ("implies", parse("Store.City.Country")),
+        ("implies", "Store.City.Country", ()),
+    ),
+    "implies-spaced": (
+        ("implies", "Store . City . Country"),
+        ("implies", "Store.City.Country", ()),
+    ),
+    "summarizable": (
+        ("summarizable", "Country", ["State", "City", "City"]),
+        ("summarizable", "Country", ("City", "State"), ()),
+    ),
+}
+
+#: Every surface a decision can be asked through, over one shared cache.
+KEY_SURFACES = {
+    "kernel": _kernel_entry_point,
+    "decide": lambda schema, request, cache, _store: decide(
+        schema, request, cache=cache
+    ),
+    "sequential": lambda schema, request, cache, _store: ask(
+        ParallelDecisionEngine(cache=cache), schema, request
+    ),
+    "compiled": lambda schema, request, cache, store: ask(
+        CompiledDecisionEngine(cache=cache, store=store), schema, request
+    ),
+    "rung": _sequential_rung,
+    "decide_many": lambda schema, request, cache, store: CompiledDecisionEngine(
+        cache=cache, store=store
+    ).decide_many([(schema, request)])[0],
+}
 
 
 class TestVerdictParity:
@@ -408,22 +478,41 @@ class TestEngineIntegration:
         assert results[0] == dimsat(schema, "Store").satisfiable
         assert isinstance(results[1], SchemaError)
 
-    def test_shares_decision_cache_keys_with_sequential(self, schemas):
-        """A verdict cached by the sequential path is served to the
-        compiled engine and vice versa - the tier changes the computation,
-        not the cache identity."""
-        from repro.core import is_category_satisfiable
+    @pytest.mark.parametrize("first", sorted(KEY_SURFACES))
+    @pytest.mark.parametrize("question", sorted(KEY_QUESTIONS))
+    def test_shares_decision_cache_keys_with_sequential(self, question, first):
+        """Every surface keys a question the same way: whichever surface
+        asks first leaves exactly one entry for it in the shared cache,
+        and every other surface then hits that entry - the compiled tier
+        changes the computation, not the cache identity."""
+        from repro.core.auditlog import _verdict_of
 
-        schema = schemas["time"]
+        schema = location_schema()
+        request, key = KEY_QUESTIONS[question]
         cache = DecisionCache()
-        sequential = is_category_satisfiable(schema, "Day", cache=cache)
-        engine = CompiledDecisionEngine(cache=cache, store=CompiledArtifactStore())
-        hits_before = cache.stats.hits
-        compiled = engine.dimsat(schema, "Day")
-        assert cache.stats.hits == hits_before + 1
-        assert compiled.satisfiable == sequential
-        # No artifact was ever needed for the warm decision.
-        assert engine.store.stats.misses == 0
+        store = CompiledArtifactStore()
+        order = [first] + sorted(set(KEY_SURFACES) - {first})
+        verdicts = []
+        for position, surface in enumerate(order):
+            hits, misses = cache.stats.hits, cache.stats.misses
+            verdicts.append(
+                _verdict_of(KEY_SURFACES[surface](schema, request, cache, store))
+            )
+            if position:
+                assert (cache.stats.hits, cache.stats.misses) == (
+                    hits + 1,
+                    misses,
+                ), surface
+            same_kind = [
+                entry
+                for entry in cache.entries_for(schema.fingerprint())
+                if entry[1] == key[0]
+            ]
+            assert same_kind == [(schema.fingerprint(), *key)], surface
+        assert len(set(verdicts)) == 1
+        if first not in ("compiled", "decide_many"):
+            # No artifact was ever needed for a warm decision.
+            assert store.stats.misses == 0
 
     def test_resilient_wrapping(self, schemas):
         schema = schemas["retail"]
@@ -523,8 +612,23 @@ class TestEngineIntegration:
         assert report.divergences == []
         assert report.verified == len(sink.records)
 
-    def test_options_pinned_to_none(self, engine):
-        assert engine.options is None
+    @pytest.mark.parametrize("name", ENGINE_NAMES)
+    def test_engines_take_no_options(self, name):
+        """Every engine decides under default options: none accepts an
+        ``options`` argument, and every key it files ends in the default
+        options key."""
+        from repro.core.resilience import _ENGINES
+
+        with pytest.raises(TypeError):
+            _ENGINES[name](options=DimsatOptions())
+        schema = location_schema()
+        cache = DecisionCache()
+        engine = build_engine(name, cache=cache)
+        engine.dimsat(schema, "Store")
+        engine.implies(schema, "Store.City.Country")
+        engine.is_summarizable(schema, "Country", ["City"])
+        keys = cache.entries_for(schema.fingerprint())
+        assert keys and all(key[-1] == () for key in keys)
 
 
 class TestNavigatorViewselect:

@@ -19,7 +19,8 @@ from repro.core.budget import DecisionBudget
 from repro.core.decisioncache import DecisionCache
 from repro.core.dimsat import dimsat
 from repro.core.faults import inject_faults
-from repro.core.parallel import ParallelDecisionEngine, normalize_request
+from repro.core.parallel import ParallelDecisionEngine
+from repro.core.request import normalize_request, resolve_request
 from repro.errors import ReproError, SchemaError
 from repro.generators.location import location_schema
 from repro.generators.random_schema import make_unsatisfiable
@@ -51,6 +52,25 @@ class TestNormalizeRequest:
         for bad in [(), ("dimsat",), ("implies",), ("summarizable", "X"), ("nope", 1)]:
             with pytest.raises(ReproError):
                 normalize_request(bad)
+
+    @pytest.mark.parametrize(
+        "bad, expected",
+        [
+            (("summarizable", "Country", "City"), "sources a collection"),
+            (("implies", 5), "constraint as text or a constraint node"),
+        ],
+    )
+    def test_rejects_misshapen_queries_naming_the_form(self, bad, expected):
+        """A source set given as one string is not split into characters,
+        and a constraint that is neither text nor a node does not reach
+        the printer: both are rejected with the expected form."""
+        with pytest.raises(ReproError, match=expected):
+            resolve_request(bad)
+
+    def test_engine_rejects_a_string_source_set(self, schema):
+        engine = ParallelDecisionEngine(cache=None)
+        with pytest.raises(ReproError, match="sources a collection"):
+            engine.is_summarizable(schema, "Country", "City")
 
 
 class TestBatchAPI:

@@ -105,6 +105,26 @@ class TestWireOpsEndToEnd:
                 assert response["verdict"] is True
                 assert response["rung"] == "parallel"
 
+    @pytest.mark.parametrize(
+        "raw, expected",
+        [
+            (["summarizable", "Country", "City"], "sources a collection"),
+            (["implies", 5], "constraint as text or a constraint node"),
+        ],
+    )
+    def test_malformed_decide_request_names_the_expected_form(
+        self, loc_schema, raw, expected
+    ):
+        """A wire ``decide`` whose query has the wrong shape answers a
+        typed error naming the expected form - not an unknown category
+        spelled from the string's characters, nor a printer failure."""
+        server = DecisionServer(engine=_engine())
+        fp = server.register_schema(loc_schema)
+        response = server._serve_sync("decide", {"fingerprint": fp, "request": raw})
+        assert response["status"] == "error"
+        assert response["error_type"] == "ReproError"
+        assert expected in response["error"]
+
     def test_navigate_plans(self, loc_schema):
         with running_server() as server:
             with _client(server) as client:

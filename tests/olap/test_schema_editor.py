@@ -11,6 +11,7 @@ from repro.core import (
     DimensionSchema,
     DimensionInstance,
     HierarchySchema,
+    implies,
     is_implied,
     is_summarizable_in_schema,
 )
@@ -176,7 +177,7 @@ class TestCacheHygiene:
             else DimensionSchema(hierarchy, ["C -> T"])
         )
         editor = SchemaEditor(base, cache)
-        warm = cache.implies(base, "C -> T")
+        warm = implies(base, "C -> T", cache=cache)
         assert len(cache) == 1
         edited = self.OPS[op](editor)
         assert edited.fingerprint() != base.fingerprint()
@@ -189,10 +190,10 @@ class TestCacheHygiene:
             # The survivor answers under the new fingerprint as a hit and
             # is byte-identical to a fresh uncached recomputation.
             hits_before = cache.stats.hits
-            survived = cache.implies(edited, "C -> T")
+            survived = implies(edited, "C -> T", cache=cache)
             assert cache.stats.hits == hits_before + 1
             assert survived is warm
-            fresh = DecisionCache().implies(edited, "C -> T")
+            fresh = implies(edited, "C -> T", cache=DecisionCache())
             assert survived.implied == fresh.implied
             assert repr(survived.counterexample) == repr(fresh.counterexample)
         else:
@@ -215,7 +216,7 @@ class TestCacheHygiene:
                 else DimensionSchema(hierarchy, ["C -> T"])
             )
             editor = SchemaEditor(base, cache)
-            cache.implies(base, "C -> T")
+            implies(base, "C -> T", cache=cache)
             compiled_artifact_store().get(base)
             self.OPS[op](editor)
             stale = [

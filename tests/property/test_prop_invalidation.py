@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from repro.core import ALL, DecisionCache, schema_delta
 from repro.core.dimsat import dimsat
 from repro.core.implication import implies as run_implies
+from repro.core.summarizability import decide
 from repro.generators.random_schema import RandomSchemaConfig, random_schema
 from repro.generators.workloads import mixed_trace
 from repro.olap.maintenance import SchemaEditor
@@ -77,9 +78,9 @@ def test_every_edit_splits_the_cache_soundly(seed):
         # split: one dimsat per category plus one implies per constraint.
         current = editor.schema
         for category in sorted(current.hierarchy.categories - {ALL}):
-            cache.dimsat(current, category)
+            decide(current, ("dimsat", category), cache=cache)
         for node in current.constraints[:4]:
-            cache.implies(current, node)
+            run_implies(current, node, cache=cache)
 
         warm_keys = cache.entries_for(current.fingerprint())
         warm = {key: cache.peek(key) for key in warm_keys}

@@ -165,7 +165,7 @@ def test_cache_poisoning_hammer():
 
         # Every decision completed: correct verdict or typed UNKNOWN.
         assert len(outcomes) == 200
-        from repro.core.parallel import normalize_request
+        from repro.core.request import normalize_request
 
         wrong = []
         unknown = 0

@@ -254,35 +254,37 @@ class TestSection16SurvivingEdits:
     def test_unrelated_edit_rekeys_instead_of_flushing(self, ds):
         """'Survivors are rekeyed to the new fingerprint - same verdict
         object, zero recomputation - and only the touched cones drop.'"""
+        from repro.core import decide
         from repro.core.decisioncache import DecisionCache
         from repro.olap.maintenance import SchemaEditor
 
         cache = DecisionCache()
-        warm = cache.dimsat(ds, "Center")  # cone: Center, Region, All
+        warm = decide(ds, ("dimsat", "Center"), cache=cache)  # cone: Center, Region, All
         editor = SchemaEditor(ds, cache)
         edited = editor.add_constraint(
             "Shipment -> Gateway implies Shipment -> Gateway"
         )
         assert not cache.holds(ds.fingerprint())
         assert cache.stats.rekeyed == 1
-        assert cache.dimsat(edited, "Center") is warm  # a hit, not a redo
+        # The same object: a hit, not a redo.
+        assert decide(edited, ("dimsat", "Center"), cache=cache) is warm
 
     def test_persistent_cache_round_trip_replays_clean(self, ds, tmp_path):
         """'On load every default-options entry is replayed through the
         audit-verify machinery before it may serve.'"""
-        from repro.core import load_cache, save_cache
+        from repro.core import decide, load_cache, save_cache
         from repro.core.decisioncache import DecisionCache
 
         cache = DecisionCache()
-        cache.dimsat(ds, "Shipment")
-        cache.implies(ds, "Center -> Region")
+        decide(ds, ("dimsat", "Shipment"), cache=cache)
+        decide(ds, ("implies", "Center -> Region"), cache=cache)
         save_cache(cache, str(tmp_path))
 
         reloaded = DecisionCache()
         report = load_cache(reloaded, str(tmp_path))
         assert report.found and report.clean
         assert report.replayed == report.loaded == len(cache)
-        assert reloaded.implies(ds, "Center -> Region").implied
+        assert decide(ds, ("implies", "Center -> Region"), cache=reloaded).implied
         assert reloaded.stats.hits == 1
 
 
