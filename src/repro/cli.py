@@ -880,8 +880,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--max-inflight", type=int, default=8, metavar="N",
-        help="decision requests evaluated concurrently before new ones "
-        "get a typed busy response (default 8)",
+        help="decision requests evaluated concurrently off the event loop "
+        "before new ones get a typed busy response (default 8); verdicts "
+        "the cache already holds are answered on the loop and hold no slot",
     )
     serve.set_defaults(handler=_cmd_serve)
 

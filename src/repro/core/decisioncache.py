@@ -349,8 +349,10 @@ class DecisionCache:
 
     def peek(self, full_key: Tuple[object, ...]) -> Optional[object]:
         """The stored value for one full key without counting a hit
-        (``None`` when absent) - used by the soak harness to audit
-        rekeyed entries against the oracle."""
+        (``None`` when absent).  The decision server asks it, through
+        :meth:`~repro.core.resilience.ResilientDecisionEngine.would_hit`,
+        whether a verdict can be answered on its event loop; the soak
+        harness audits rekeyed entries against the oracle with it."""
         with self._lock:
             return self._data.get(full_key)
 

@@ -62,7 +62,7 @@ from repro.core.parallel import (
     decide_batch,
     raise_first_failure,
 )
-from repro.core.request import normalize_request, resolve_request
+from repro.core.request import normalize_request, request_key, resolve_request
 from repro.core.schema import DimensionSchema
 from repro.core.trace import TRACER
 from repro.errors import BudgetExceeded, DecisionUnavailable, ReproError
@@ -455,6 +455,27 @@ class ResilientDecisionEngine:
                     schema, normalize_request(request), attempts, failures
                 )
             return None, _settle(span, None, "unknown", attempts, failures)
+
+    def would_hit(self, schema: DimensionSchema, request: Tuple[Any, ...]) -> bool:
+        """Whether the ladder would answer the resolved ``request`` from
+        the wrapped engine's cache, computing nothing: the breaker is
+        closed for the schema and the cache holds the request's key.
+
+        A closed breaker is required because the sequential rung passes
+        the fault checkpoint, which may sleep, before its lookup.  The
+        answer is a hint, not a reservation: another thread may evict or
+        invalidate the key before the lookup, and the request is then
+        computed.  The decision server uses it to answer cached verdicts
+        on its event loop.
+        """
+        cache = self.engine.cache
+        if cache is None:
+            return False
+        fingerprint = schema.fingerprint()
+        return (
+            self.breaker.state(fingerprint) == "closed"
+            and cache.peek((fingerprint,) + request_key(request)) is not None
+        )
 
     def _answer(self, schema: DimensionSchema, request: Tuple[Any, ...]) -> Any:
         """One request's result through the ladder; raises

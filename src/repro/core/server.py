@@ -19,10 +19,18 @@ Architecture
   each connection's frame loop serially; concurrency comes from
   multiplexing connections, exactly like the classic single-threaded
   reactor in front of a worker pool.
-* **Decisions run off-loop** in a bounded ``ThreadPoolExecutor``.  The
-  kernel is synchronous, CPU-bound work; the loop thread only parses
-  frames and dispatches.  (The compiled tier's per-root solver is locked
-  for exactly this multi-threaded use.)
+* **Misses run off-loop; verdicts the cache already holds are answered
+  on the loop.**  A computed decision is synchronous, CPU-bound work, so
+  it runs in a bounded ``ThreadPoolExecutor`` (the compiled tier's
+  per-root solver is locked for exactly this multi-threaded use).  Every
+  decision is deterministic over an immutable, fingerprinted schema, so
+  serving a cached verdict is one dictionary lookup: the loop resolves a
+  ``decide``, ``implies`` or ``summarizable`` request once, and when
+  :meth:`~repro.core.resilience.ResilientDecisionEngine.would_hit` says
+  the verdict is held it answers in place, skipping the two thread
+  handoffs.  ``navigate``, ``load-schema``, ``edit``, requests whose
+  circuit breaker is not closed and requests that fail to resolve always
+  take the executor.
 * **Backpressure is typed, never wrong.**  Past ``max_inflight``
   concurrently executing decisions the server answers ``status="busy"``
   *without evaluating the request* - a BUSY can always be retried and
@@ -42,8 +50,10 @@ Architecture
   connected clients keep their warm hits across the edit.
 * **The ops surface is the telemetry pipeline.**  Connections emit
   paired ``server.connect``/``server.disconnect`` events; every request
-  runs inside a ``server.request`` span *on its executor thread* (the
-  tracer's span stack is thread-local, so spans nest correctly there);
+  runs inside a ``server.request`` span on the thread that serves it -
+  its executor thread for a miss, the loop for a cached verdict (the
+  tracer's span stack is thread-local, and an inline request completes
+  before the loop yields, so spans nest correctly on either);
   every served verdict auto-records on the audit log through the cache
   layer, replayable by ``repro-olap audit-verify``.
 * **Warm state survives shutdown** - graceful (``shutdown`` op) *and*
@@ -65,11 +75,12 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import TYPE_CHECKING, Any, Dict, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Dict, Optional, Sequence, Tuple
 
 from repro.core.compile import CompiledDecisionEngine
 from repro.core.decisioncache import DecisionCache
 from repro.core.metrics import METRICS
+from repro.core.request import resolve_request
 from repro.core.resilience import (
     AttemptRecord,
     ResilientDecisionEngine,
@@ -93,11 +104,20 @@ __all__ = ["DecisionServer", "ServerStats", "DECISION_OPS", "ALL_OPS"]
 _M_REQUESTS = METRICS.counter("server.requests")
 _M_BUSY = METRICS.counter("server.busy_responses")
 _M_CONNECTIONS = METRICS.counter("server.connections")
+_M_INLINE_HITS = METRICS.counter("server.inline_hits")
 
 #: Ops that evaluate decisions (and therefore honor the BUSY gate).
 DECISION_OPS = ("decide", "implies", "summarizable", "navigate")
 #: Every op the server answers.
 ALL_OPS = DECISION_OPS + ("load-schema", "edit", "stats", "shutdown")
+#: The ops the loop answers itself when the verdict is cached: each is
+#: one decision.  ``navigate`` may check up to C(n, 3) source sets, so it
+#: always takes the executor.
+_INLINE_OPS = ("decide", "implies", "summarizable")
+#: The request-document key under which the loop hands one of those ops
+#: its schema and resolved request.  Not a string, so no wire document
+#: can carry it.
+_PREPARED = object()
 
 
 def _unavailable_status(failures: Sequence[AttemptRecord]) -> str:
@@ -148,7 +168,10 @@ class DecisionServer:
     max_inflight:
         Concurrently *executing* decisions past which decision ops get
         ``status="busy"``.  Also sizes the executor, so the gate bounds
-        both queue depth and thread count.
+        both queue depth and thread count.  Misses run off-loop and hold
+        a slot; verdicts the cache already holds are answered on the loop
+        and take none, since each completes before the loop yields.  The
+        gate is checked first either way.
     verify_cache_on_load:
         Replay loaded entries against the sequential kernel before
         serving them (the persistent cache's default posture).
@@ -439,26 +462,52 @@ class DecisionServer:
                 "max_inflight": self.max_inflight,
                 **extra,
             }
-        assert self._loop is not None
-        self._inflight += 1
-        try:
-            payload = await self._loop.run_in_executor(
-                self._executor, self._serve_sync, op, request
-            )
-        finally:
-            self._inflight -= 1
+        if op in _INLINE_OPS and self._cached(op, request):
+            # A held verdict is one dictionary lookup: answered here, by
+            # the same code an executor thread would run.  It takes no
+            # ``max_inflight`` slot, since it completes before the loop
+            # yields.  Should another thread evict or invalidate the key
+            # before the lookup, the decision is computed here instead:
+            # still the kernel's verdict, audited as a miss, and rare
+            # enough that no lock guards against it.
+            _M_INLINE_HITS.inc()
+            payload = self._serve_sync(op, request)
+        else:
+            assert self._loop is not None
+            self._inflight += 1
+            try:
+                payload = await self._loop.run_in_executor(
+                    self._executor, self._serve_sync, op, request
+                )
+            finally:
+                self._inflight -= 1
         if payload.get("status") == "error":
             self.stats.errors += 1
         payload.update(extra)
         return payload
 
+    def _cached(self, op: str, request: Dict[str, Any]) -> bool:
+        """Resolve a single-decision op on the loop and report whether the
+        engine holds its verdict.  The schema and resolved request ride
+        on the document to the op, so it parses nothing again on either
+        path."""
+        try:
+            prepared = self._prepare(op, request)
+        except Exception:  # noqa: BLE001 - re-raised on the executor path
+            # The executor path prepares the request again and answers
+            # the error exactly as it always has.
+            return False
+        request[_PREPARED] = prepared
+        return self.engine.would_hit(*prepared)
+
     # ------------------------------------------------------------------
-    # Request execution (executor threads)
+    # Request execution (executor threads, or the loop for cached verdicts)
     # ------------------------------------------------------------------
 
     def _serve_sync(self, op: str, request: Dict[str, Any]) -> Dict[str, Any]:
-        """One request, synchronously, on an executor thread.  Returns a
-        complete response document; exceptions become typed statuses."""
+        """One request, synchronously: on an executor thread, or on the
+        loop for a verdict the cache holds.  Returns a complete response
+        document; exceptions become typed statuses."""
         with TRACER.span("server.request", op=op) as span:
             try:
                 result = self._dispatch_sync(op, request)
@@ -491,16 +540,46 @@ class DecisionServer:
             return self._op_load_schema(request)
         if op == "edit":
             return self._op_edit(request)
+        if op == "navigate":
+            return self._op_navigate(self._schema_for(request), request)
+        prepared = request.pop(_PREPARED, None)
+        schema, resolved = prepared or self._prepare(op, request)
+        if op == "decide":
+            return self._op_decide(schema, resolved)
+        if op == "implies":
+            return self._op_implies(schema, resolved)
+        if op == "summarizable":
+            return self._op_summarizable(schema, resolved)
+        raise ReproError(f"unroutable op {op!r}")  # pragma: no cover
+
+    def _prepare(
+        self, op: str, request: Dict[str, Any]
+    ) -> Tuple[DimensionSchema, Tuple[Any, ...]]:
+        """A single-decision op's schema and resolved request (see
+        :func:`~repro.core.request.resolve_request`); a malformed request
+        raises."""
         schema = self._schema_for(request)
         if op == "decide":
-            return self._op_decide(schema, request)
-        if op == "implies":
-            return self._op_implies(schema, request)
-        if op == "summarizable":
-            return self._op_summarizable(schema, request)
-        if op == "navigate":
-            return self._op_navigate(schema, request)
-        raise ReproError(f"unroutable op {op!r}")  # pragma: no cover
+            raw = request.get("request")
+            if not isinstance(raw, (list, tuple)) or not raw:
+                raise ReproError(
+                    'decide needs request=["dimsat"|"implies"|"summarizable", ...]'
+                )
+            decision = [
+                tuple(part) if isinstance(part, list) else part for part in raw
+            ]
+        elif op == "implies":
+            constraint = request.get("constraint")
+            if not isinstance(constraint, str):
+                raise ReproError("implies needs constraint (textual syntax)")
+            decision = ["implies", constraint]
+        else:
+            target = request.get("target")
+            sources = request.get("sources")
+            if not isinstance(target, str) or not isinstance(sources, list):
+                raise ReproError("summarizable needs target and sources=[...]")
+            decision = ["summarizable", target, sources]
+        return schema, resolve_request(decision)
 
     def _op_load_schema(self, request: Dict[str, Any]) -> Dict[str, Any]:
         from repro.io.json_io import schema_from_json
@@ -516,17 +595,12 @@ class DecisionServer:
             "constraints": len(schema.constraints),
         }
 
+    # The three single-decision ops take the resolved request.
+
     def _op_decide(
-        self, schema: DimensionSchema, request: Dict[str, Any]
+        self, schema: DimensionSchema, request: Tuple[Any, ...]
     ) -> Dict[str, Any]:
-        raw = request.get("request")
-        if not isinstance(raw, (list, tuple)) or not raw:
-            raise ReproError(
-                'decide needs request=["dimsat"|"implies"|"summarizable", ...]'
-            )
-        outcome = self.engine.decide(schema, [
-            tuple(part) if isinstance(part, list) else part for part in raw
-        ])
+        outcome = self.engine.decide(schema, request)
         if outcome.unknown:
             return {
                 "status": _unavailable_status(outcome.failures),
@@ -541,29 +615,23 @@ class DecisionServer:
         }
 
     def _op_implies(
-        self, schema: DimensionSchema, request: Dict[str, Any]
+        self, schema: DimensionSchema, request: Tuple[Any, ...]
     ) -> Dict[str, Any]:
-        constraint = request.get("constraint")
-        if not isinstance(constraint, str):
-            raise ReproError("implies needs constraint (textual syntax)")
-        result = self.engine.implies(schema, constraint)
+        result = self.engine.implies(schema, request[1])
         payload: Dict[str, Any] = {"verdict": bool(result.implied)}
         if not result.implied and result.counterexample is not None:
             payload["counterexample"] = str(result.counterexample)
         return payload
 
     def _op_summarizable(
-        self, schema: DimensionSchema, request: Dict[str, Any]
+        self, schema: DimensionSchema, request: Tuple[Any, ...]
     ) -> Dict[str, Any]:
-        target = request.get("target")
-        sources = request.get("sources")
-        if not isinstance(target, str) or not isinstance(sources, list):
-            raise ReproError("summarizable needs target and sources=[...]")
+        _kind, target, sources = request
         verdict = self.engine.is_summarizable(schema, target, sources)
         return {
             "verdict": bool(verdict),
             "target": target,
-            "sources": sorted(set(sources)),
+            "sources": list(sources),
         }
 
     def _op_navigate(
@@ -670,6 +738,7 @@ class DecisionServer:
             "served": dict(sorted(self.stats.served.items())),
             "busy_responses": self.stats.busy_responses,
             "errors": self.stats.errors,
+            "inline_hits": _M_INLINE_HITS.value,
             "inflight": self._inflight,
             "max_inflight": self.max_inflight,
             "connections_open": (

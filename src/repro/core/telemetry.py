@@ -17,7 +17,9 @@ runs*.  This module is that shipping layer:
   finished spans/events to ``spans.jsonl`` / ``events.jsonl`` (the
   :class:`~repro.core.trace.SpanSink` protocol), audit records to
   ``audit.jsonl`` with the ``schemas.jsonl`` sidecar (the
-  :class:`~repro.core.auditlog.AuditSink` protocol), and at
+  :class:`~repro.core.auditlog.AuditSink` protocol; the sidecar, one
+  entry per fingerprint that every record of it needs, is written
+  synchronously and never dropped), and at
   :meth:`~TelemetryPipeline.finalize` renders three derived artifacts:
 
   - ``metrics.json`` - the :meth:`MetricsRegistry.snapshot` document;
@@ -390,6 +392,8 @@ class TelemetryPipeline:
             self._handles[filename] = open(
                 os.path.join(directory, filename), "w", encoding="utf-8"
             )
+        #: Serializes :meth:`export_schema`'s synchronous writes.
+        self._schemas_lock = threading.Lock()
         self._installed = False
         self._tracer_was_enabled = False
         self._finalized = False
@@ -413,10 +417,26 @@ class TelemetryPipeline:
     # :meth:`BackgroundWriter.channel`.
 
     def export_schema(self, fingerprint: str, schema_json: str) -> None:
-        self._writer.submit(
-            self._handles[SCHEMAS_FILE],
+        """Write one schema sidecar entry synchronously.
+
+        The audit log sends each fingerprint once, and every audit record
+        of that schema needs the entry to replay, so it must never be
+        dropped the way a record in a full writer buffer is.  Once per
+        fingerprint, a locked write and flush are cheap."""
+        line = json.dumps(
             {"fingerprint": fingerprint, "schema_json": schema_json},
+            separators=(",", ":"),
         )
+        handle = self._handles[SCHEMAS_FILE]
+        with self._schemas_lock:
+            try:
+                handle.write(line + "\n")
+                handle.flush()
+            except (ValueError, OSError):
+                # A finalized pipeline or a failing disk: the entry is
+                # lost and counted, and the decision is not failed for it.
+                self._writer.dropped += 1
+                _M_DROPPED.inc()
 
     # -- lifecycle ------------------------------------------------------
 

@@ -13,6 +13,7 @@ from contextlib import contextmanager
 
 import pytest
 
+from repro.core.auditlog import AUDIT
 from repro.core.budget import DecisionBudget
 from repro.core.compile import CompiledArtifactStore, CompiledDecisionEngine
 from repro.core.decisioncache import DecisionCache
@@ -25,6 +26,7 @@ from repro.core.resilience import ResilientDecisionEngine
 from repro.core.server import ALL_OPS, DECISION_OPS, DecisionServer
 from repro.core.client import DecisionClient, ServerClosed
 from repro.core.summarizability import is_summarizable_in_schema
+from repro.core.trace import TRACER
 from repro.core.wire import encode_frame
 from repro.generators.location import location_schema
 from repro.generators.random_schema import RandomSchemaConfig, random_schema
@@ -467,6 +469,179 @@ class TestConcurrentClients:
                 response = editor.implies(new_fp, untouched)
                 assert response["verdict"] is True
                 assert cache.stats.misses == misses_before
+
+
+class _AuditRecords:
+    """An in-memory audit sink."""
+
+    def __init__(self):
+        self.records = []
+
+    def export_audit(self, record):
+        self.records.append(record)
+
+    def export_schema(self, fingerprint, schema_json):
+        pass
+
+
+@contextmanager
+def executor_submissions(server):
+    """The ops ``server`` hands its executor while the block runs."""
+    submitted = []
+    submit = server._executor.submit
+
+    def counting(fn, *args, **kwargs):
+        submitted.append(args[0])
+        return submit(fn, *args, **kwargs)
+
+    server._executor.submit = counting
+    try:
+        yield submitted
+    finally:
+        del server._executor.submit
+
+
+#: One request per single-decision op, as ``(op, payload)``.
+SINGLE_DECISIONS = [
+    ("implies", {"constraint": "Store.City"}),
+    ("implies", {"constraint": "Store.SaleRegion"}),
+    ("summarizable", {"target": "Country", "sources": ["SaleRegion", "City"]}),
+    ("decide", {"request": ["dimsat", "Store"]}),
+    ("decide", {"request": ["implies", "City.Country"]}),
+]
+
+
+class TestInlineHits:
+    """A verdict the cache holds is answered on the event loop, by the
+    same code an executor thread runs; everything else takes the
+    executor."""
+
+    @pytest.mark.parametrize("op, payload", SINGLE_DECISIONS)
+    def test_primed_decision_is_answered_without_the_executor(
+        self, loc_schema, op, payload
+    ):
+        sink = _AuditRecords()
+        with running_server() as server:
+            with _client(server) as client:
+                fp = client.load_schema(loc_schema)
+                cold = client.call(op, fingerprint=fp, **payload)
+                assert cold["status"] == "ok", cold
+                inline_before = client.stats()["inline_hits"]
+                AUDIT.attach(sink)
+                TRACER.enable()
+                TRACER.clear()
+                try:
+                    with executor_submissions(server) as submitted:
+                        warm = client.call(op, fingerprint=fp, **payload)
+                    spans = [
+                        s for s in TRACER.spans() if s["name"] == "server.request"
+                    ]
+                finally:
+                    TRACER.disable()
+                    TRACER.clear()
+                    AUDIT.detach()
+                inline_after = client.stats()["inline_hits"]
+        assert submitted == []
+        assert warm == cold
+        assert [r["cache_hit"] for r in sink.records] == [True]
+        assert [s["attrs"] for s in spans] == [{"op": op, "status": "ok"}]
+        assert inline_after - inline_before == 1
+
+    def test_misses_and_unanswerable_requests_take_the_executor(
+        self, loc_schema
+    ):
+        with running_server() as server:
+            with _client(server) as client:
+                fp = client.load_schema(loc_schema)
+                client.implies(fp, "Store.City")
+                client.navigate(fp, "Country", ["City", "SaleRegion"])
+                breaker = server.engine.breaker
+                requests = [
+                    ("implies", {"fingerprint": fp, "constraint": "State.Country"}),
+                    ("navigate", {
+                        "fingerprint": fp,
+                        "target": "Country",
+                        "materialized": ["City", "SaleRegion"],
+                    }),
+                    ("load-schema", {"schema_json": schema_to_json(loc_schema)}),
+                    ("implies", {"fingerprint": fp, "constraint": "Store.("}),
+                    ("implies", {"fingerprint": "0" * 64, "constraint": "Store.City"}),
+                ]
+                for op, payload in requests:
+                    with executor_submissions(server) as submitted:
+                        client.call(op, **payload)
+                    assert submitted == [op], (op, payload)
+
+                for _ in range(breaker.failure_threshold):
+                    breaker.record_failure(fp)
+                assert breaker.state(fp) == "open"
+                with executor_submissions(server) as submitted:
+                    response = client.implies(fp, "Store.City")
+                assert submitted == ["implies"]
+                assert response["verdict"] is True
+
+                with executor_submissions(server) as submitted:
+                    edited = client.edit(
+                        fp, "add-constraint", constraint="Store.City"
+                    )
+                assert edited["status"] == "ok", edited
+                assert submitted == ["edit"]
+
+    @pytest.mark.parametrize(
+        "op, payload",
+        [
+            ("implies", {"constraint": "City.State.Country"}),
+            ("decide", {"request": ["implies", "City.State.Country"]}),
+        ],
+    )
+    def test_served_implication_is_parsed_once(
+        self, loc_schema, monkeypatch, op, payload
+    ):
+        import repro.core.request as request_module
+
+        parses = []
+        parse = request_module.parse
+
+        def counting_parse(text):
+            parses.append(text)
+            return parse(text)
+
+        with running_server() as server:
+            with _client(server) as client:
+                fp = client.load_schema(loc_schema)
+                monkeypatch.setattr(request_module, "parse", counting_parse)
+                for _ in ("miss", "hit"):
+                    del parses[:]
+                    response = client.call(op, fingerprint=fp, **payload)
+                    assert response["status"] == "ok", response
+                    assert parses == ["City.State.Country"]
+
+    def test_key_cleared_after_the_check_is_computed_inline(self, loc_schema):
+        """The check-to-lookup race: a key reported held but gone by the
+        lookup is decided on the loop, and the verdict is still the
+        uncached kernel's."""
+        constraint = "Store.SaleRegion"
+        with running_server() as server:
+            with _client(server) as client:
+                fp = client.load_schema(loc_schema)
+                cold = client.implies(fp, constraint)
+                would_hit = server.engine.would_hit
+                raced = []
+
+                def evicted_after_the_check(schema, request):
+                    held = would_hit(schema, request)
+                    if held:
+                        server.cache.clear()
+                        raced.append(request)
+                    return held
+
+                server.engine.would_hit = evicted_after_the_check
+                with executor_submissions(server) as submitted:
+                    warm = client.implies(fp, constraint)
+        assert raced and submitted == []
+        assert warm == cold
+        assert warm["verdict"] == is_implied(loc_schema, constraint, cache=None)
+        assert len(server.cache) == 1
 
 
 class TestLifecycleAndPersistence:

@@ -9,6 +9,7 @@ import time
 
 import pytest
 
+from repro.core.auditlog import verify_audit_log
 from repro.core.decisioncache import DecisionCache
 from repro.core.implication import is_implied
 from repro.core.telemetry import (
@@ -351,6 +352,31 @@ class TestTelemetryPipeline:
         ]
         assert len(sidecar) == 1
         assert sidecar[0]["fingerprint"] == location_schema().fingerprint()
+
+    def test_schema_sidecar_survives_a_full_writer_buffer(self, tmp_path):
+        """The sidecar entry is written once per fingerprint; a writer
+        buffer that is full at that moment must not lose it, or every
+        record of the schema fails ``audit-verify`` as unreplayable."""
+        schema = location_schema()
+        directory = tmp_path / "telemetry"
+        pipeline = TelemetryPipeline(str(directory))
+        pipeline.install()
+        try:
+            cache = DecisionCache()
+            maxsize = pipeline.writer._maxsize
+            pipeline.writer._maxsize = 0  # full for the first decision only
+            try:
+                is_implied(schema, "Store -> City", cache=cache)
+            finally:
+                pipeline.writer._maxsize = maxsize
+            is_implied(schema, "City -> Province", cache=cache)
+        finally:
+            pipeline.finalize()
+            TRACER.clear()
+        report = verify_audit_log(str(directory))
+        assert report.records == 2
+        assert (report.schemas, report.missing_schemas) == (1, 0)
+        assert report.ok
 
     def test_spans_are_json_documents(self, telemetry_run):
         directory, _ = telemetry_run
