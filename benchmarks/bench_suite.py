@@ -869,11 +869,20 @@ def _edit_survival(output_path, repeats=5):
     span every bottom's upward closure and *no* constraint edit near a
     bottom can spare them.
 
-    Correctness gates (hard ``AssertionError``s): the surviving keys
-    must be exactly the ones the recorded provenance predicts, every
-    survivor must be byte-identical (canonical verdict JSON) to a fresh
-    sequential recomputation on the edited schema, nothing may remain
-    under the replaced fingerprint, and the aggregate survival must
+    The tautology is implied by every SIGMA, so through the real editor
+    the edit keeps the set of instances and *every* warm verdict moves
+    (``SchemaEditor``'s model-preserving rule).  The ``survived`` figures
+    and the timed scoped side price the syntactic rule on its own, by
+    calling :meth:`~repro.core.decisioncache.DecisionCache.rekey` with
+    the schema delta: that is what any edit the editor cannot prove
+    model-preserving gets.
+
+    Correctness gates (hard ``AssertionError``s): the editor must
+    recognize the edit as model-preserving and move exactly every warm
+    key plus its own implication verdict, every moved verdict must be
+    byte-identical (canonical verdict JSON) to a fresh sequential
+    recomputation on the edited schema, nothing may remain under the
+    replaced fingerprint, and the provenance-predicted survival must
     reach 90%.  The timed comparison prices the sledgehammer (recompute
     the whole warm set cold, which is what fingerprint invalidation
     forced) against the scoped path (delta + rekey + re-serving the
@@ -948,24 +957,32 @@ def _edit_survival(output_path, repeats=5):
         edit_text, expected_survivors = best
 
         # Correctness pass (untimed): apply the edit through the real
-        # editor path and hold the rekey to the provenance's promise.
+        # editor path.  The tautology is implied by any SIGMA, so the
+        # edit keeps the instances: every warm verdict moves, together
+        # with the edit's own implication verdict.
         cache = DecisionCache()
         cache.install(*snapshot)
-        edited = SchemaEditor(schema, cache).add_constraint(edit_text)
+        editor = SchemaEditor(schema, cache)
+        edited = editor.add_constraint(edit_text)
+        if not editor.last_edit_preserved_models:
+            raise AssertionError(
+                f"{name}: an implied edit was not recognized as one"
+            )
         if cache.holds(schema.fingerprint()):
             raise AssertionError(
                 f"{name}: replaced fingerprint still resident after edit"
             )
         rekeyed = set(cache.entries_for(edited.fingerprint()))
         expected_rekeyed = {
-            (edited.fingerprint(),) + key[1:] for key in expected_survivors
-        }
+            (edited.fingerprint(),) + key[1:] for key in warm_keys
+        } | {(edited.fingerprint(), "implies", edit_text, ())}
         if rekeyed != expected_rekeyed:
             raise AssertionError(
-                f"{name}: rekeyed keys diverge from recorded provenance"
+                f"{name}: rekeyed keys are not every warm verdict plus "
+                "the edit's own implication verdict"
             )
-        for key in sorted(expected_survivors, key=repr):
-            survivor = cache.peek((edited.fingerprint(),) + key[1:])
+        for key in sorted(rekeyed, key=repr):
+            survivor = cache.peek(key)
             if canonical(survivor) != canonical(recompute(edited, key)):
                 raise AssertionError(
                     f"{name}: surviving verdict for {key[1:]!r} is not "
@@ -1019,6 +1036,7 @@ def _edit_survival(output_path, repeats=5):
             "survived": len(expected_survivors),
             "dropped": len(warm_keys) - len(expected_survivors),
             "survival_pct": 100.0 * len(expected_survivors) / len(warm_keys),
+            "editor_moved": len(rekeyed),
             "edit": edit_text,
             "sledgehammer_s": sledgehammer_s,
             "scoped_s": scoped_s,

@@ -571,7 +571,10 @@ class CompiledArtifact:
 
     Roots compile lazily on first use (a navigator may only ever decide
     over a few bottom categories) and stay resident - with their solvers
-    and learned clauses - for the lifetime of the artifact.
+    and learned clauses - for the lifetime of the artifact.  ``schema``
+    and ``fingerprint`` name the schema it was built from; after a
+    model-preserving edit the store may hold it under another
+    fingerprint (see :class:`CompiledArtifactStore`).
     """
 
     def __init__(
@@ -665,6 +668,15 @@ class CompiledArtifactStore:
     call :meth:`invalidate`, mirroring the decision-cache hygiene;
     correctness never depends on it because an edited schema has a new
     fingerprint.
+
+    **Invariant.** An artifact stored under a fingerprint was either
+    compiled from that schema or moved there by :meth:`rekey` after a
+    proven model-preserving edit (``SchemaEditor`` in
+    :mod:`repro.olap.maintenance`).  Either way the schema it was built
+    from (``artifact.schema``) has exactly the instances of the schema
+    the fingerprint names, so every verdict it answers is that schema's
+    verdict (Theorems 1-3 are functions of the set of instances).  The
+    editor's drop shortcut is sound only under this invariant.
     """
 
     def __init__(
@@ -713,6 +725,29 @@ class CompiledArtifactStore:
             if len(self._artifacts) >= self.max_entries:
                 self._artifacts.pop(next(iter(self._artifacts)))
             self._artifacts[fingerprint] = entry
+
+    def peek(self, fingerprint: str) -> Optional[CompiledArtifact]:
+        """The artifact stored under ``fingerprint`` without counting a
+        hit or compiling (``None`` when absent or a cached failure)."""
+        with self._lock:
+            entry = self._artifacts.get(fingerprint)
+        return entry if isinstance(entry, CompiledArtifact) else None
+
+    def rekey(self, old_fingerprint: str, new_fingerprint: str) -> None:
+        """Move the entry under ``old_fingerprint`` to ``new_fingerprint``
+        after an edit that provably preserves the schema's instances
+        (see the class invariant).
+
+        An entry already stored under ``new_fingerprint`` wins, and the
+        old one is dropped.
+        """
+        with self._lock:
+            entry = self._artifacts.pop(old_fingerprint, None)
+            if entry is None:
+                return
+            self._store(new_fingerprint, entry)
+        if TRACER.enabled:
+            TRACER.event("compiled.rekey", fingerprint=new_fingerprint)
 
     def invalidate(self, schema_or_fingerprint: object) -> int:
         """Drop the artifact (or cached failure) for one schema version;

@@ -15,8 +15,9 @@ verdicts keyed by a canonical schema fingerprint
   JSON round trips) because equal schemas share a fingerprint;
 * schema *edits* can never serve stale verdicts because an edited schema
   has a different fingerprint - and the maintenance layer
-  (:mod:`repro.olap.maintenance`) additionally evicts the replaced
-  version's entries on every mutation.
+  (:mod:`repro.olap.maintenance`) moves the replaced version's entries
+  that the edit cannot change to the new fingerprint (:meth:`DecisionCache.
+  rekey`) and drops the rest on every mutation.
 
 The cache is shared by the kernel's entry points
 (:func:`~repro.core.summarizability.decide` and the
@@ -289,20 +290,32 @@ class DecisionCache:
         old_schema: "DimensionSchema",
         new_schema: "DimensionSchema",
         delta: "Optional[SchemaDelta]" = None,
+        preserved: bool = False,
     ) -> Tuple[int, int]:
-        """Provenance-scoped invalidation after a schema edit.
+        """Move the verdicts an edit cannot change to the new fingerprint
+        and drop the rest.  Two rules decide what moves, both sound:
 
-        Every verdict cached under ``old_schema``'s fingerprint whose
-        dependency set (:class:`~repro.core.provenance.VerdictProvenance`)
-        is untouched by the edit is *moved* to ``new_schema``'s
-        fingerprint - byte-identical by the soundness argument in
-        :mod:`repro.core.provenance` - and the rest are dropped.  Entries
-        without provenance are dropped unconditionally.
+        * **models preserved** (``preserved=True``): the caller proved
+          that both schemas have the same instances (an added constraint
+          the old schema implies, or a dropped one the new schema
+          implies - Theorem 2).  Every Theorem 1/2/3 verdict is a
+          function of that set, so *every* verdict moves, with or
+          without provenance.  A moved witness or counterexample is an
+          instance of the old schema, hence of the new one.
+        * **syntactic survival** (otherwise): a verdict moves when its
+          dependency set (:class:`~repro.core.provenance.
+          VerdictProvenance`) is untouched by ``delta`` - byte-identical
+          by the soundness argument in :mod:`repro.core.provenance`.
+          Entries without provenance are dropped.
 
-        Returns ``(moved, dropped)``.  A surviving entry's provenance
-        carries over unchanged: the survival rules guarantee the
-        dependency cone (categories, edges, rooted constraints, bottoms)
-        reads identically off the edited schema.
+        Returns ``(moved, dropped)``.  A moved entry's provenance carries
+        over unchanged.  After a syntactic move the whole dependency
+        cone reads identically off the edited schema.  After a semantic
+        move only the hierarchy-derived parts do (a model-preserving
+        edit changes constraints only): the stored ``constraints`` set
+        is stale, which is harmless because
+        :meth:`~repro.core.provenance.VerdictProvenance.survives` reads
+        only the cone's categories and bottom set.
         """
         from repro.core.provenance import schema_delta
 
@@ -310,14 +323,16 @@ class DecisionCache:
         new_fingerprint = new_schema.fingerprint()
         if old_fingerprint == new_fingerprint:
             return (0, 0)
-        if delta is None:
+        if delta is None and not preserved:
             delta = schema_delta(old_schema, new_schema)
         moved = dropped = 0
         with self._lock:
             for k in [key for key in self._data if key[0] == old_fingerprint]:
                 value = self._data.pop(k)
                 provenance = self._provenance.pop(k, None)
-                if provenance is not None and provenance.survives(delta):
+                if preserved or (
+                    provenance is not None and provenance.survives(delta)  # type: ignore[arg-type]
+                ):
                     new_key = (new_fingerprint,) + k[1:]
                     self._data[new_key] = value
                     self._provenance[new_key] = provenance

@@ -41,6 +41,18 @@ leaves every other branch's verdicts provably untouched, and the
 :class:`~repro.core.decisioncache.DecisionCache` re-keys them to the new
 fingerprint instead of discarding them (``SchemaEditor`` in
 :mod:`repro.olap.maintenance`).
+
+A second, semantic rule comes first and needs no provenance at all:
+**models preserved means every verdict moves.**  Adding ``alpha`` when
+``SIGMA |= alpha``, or dropping it when ``SIGMA - {alpha} |= alpha``,
+leaves the set of instances unchanged (Theorem 2), and every verdict is
+a function of that set.  ``SchemaEditor`` decides that implication and,
+when it holds, moves every entry with ``DecisionCache.rekey(...,
+preserved=True)``.  A moved entry keeps its provenance, whose
+``constraints`` set then names the old SIGMA and is stale; that is
+harmless, because :meth:`VerdictProvenance.survives` reads only the
+cone's categories and the bottom set, both functions of the hierarchy,
+which such an edit leaves alone.
 """
 
 from __future__ import annotations
@@ -186,7 +198,9 @@ class VerdictProvenance:
     def survives(self, delta: SchemaDelta) -> bool:
         """Whether a verdict with this dependency set is byte-identical
         under the edited schema (see the module docstring for why each
-        rule is sound)."""
+        rule is sound).  Reads only ``categories`` and ``bottoms``, so
+        an entry moved by the semantic rule, whose ``constraints`` set
+        is stale, is judged correctly by a later edit."""
         if delta.empty:
             return True
         if self.bottoms is not None and delta.bottoms_changed:

@@ -681,10 +681,19 @@ class DecisionServer:
     def _op_edit(self, request: Dict[str, Any]) -> Dict[str, Any]:
         """One schema mutation; returns the *new* fingerprint.
 
+        The editor works on the server's cache.  An edit that provably
+        keeps the set of instances (an implied constraint added, or one
+        the rest implies dropped) moves every cached verdict and the
+        compiled artifact to the new fingerprint, so the new tenant is
+        served warm; the implication it decides to prove this is cached
+        and audited like any served verdict.  Any other edit moves only
+        the verdicts whose dependency cone it left untouched.  The stats
+        op counts both outcomes under ``maintenance``.
+
         The old fingerprint stays registered: its schema object is
         immutable, so in-flight and follow-up decisions against it stay
         correct - they are just served cold once the shared cache has
-        rekeyed its surviving verdicts to the new fingerprint.
+        rekeyed its verdicts to the new fingerprint.
         """
         from repro.olap.maintenance import SchemaEditor
 
@@ -739,6 +748,14 @@ class DecisionServer:
             "busy_responses": self.stats.busy_responses,
             "errors": self.stats.errors,
             "inline_hits": _M_INLINE_HITS.value,
+            "maintenance": {
+                "model_preserving_edits": METRICS.counter_value(
+                    "maintenance.model_preserving_edits"
+                ),
+                "edit_decision_fallbacks": METRICS.counter_value(
+                    "maintenance.edit_decision_fallbacks"
+                ),
+            },
             "inflight": self._inflight,
             "max_inflight": self.max_inflight,
             "connections_open": (

@@ -25,7 +25,12 @@ expected values:
   engine serves the traffic;
 * **cache stays verdict-clean** - after every
   :class:`~repro.olap.maintenance.SchemaEditor` edit, the engine's
-  verdict on the new schema matches a fresh uncached sequential run.
+  verdict on the new schema, and the compiled artifact's (moved there
+  by a model-preserving edit, or built afresh), match a fresh uncached
+  sequential run;
+* **rekey soundness** - the verdicts an edit moved to the new
+  fingerprint match the oracle: a sample after a syntactic move, every
+  one after a model-preserving move.
 
 Ground truth comes from direct sequential kernel calls with
 ``cache=None``: those paths carry no fault-injection sites and bypass
@@ -134,7 +139,7 @@ class InvariantViolation:
 
     #: ``implied-constraint-stability`` | ``summarizable-aggregates`` |
     #: ``homogenize-preserves-aggregates`` | ``compiled-vs-sequential`` |
-    #: ``cache-clean`` | ``wrong-verdict``.
+    #: ``cache-clean`` | ``rekey-soundness`` | ``wrong-verdict``.
     invariant: str
     case: str
     step: int
@@ -269,7 +274,10 @@ def _request_fits(schema: DimensionSchema, request: Sequence[object]) -> bool:
 def _describe_request(request: Sequence[object]) -> str:
     kind = request[0]
     if kind == "implies":
-        return f"implies[{unparse(request[1])}]"  # type: ignore[arg-type]
+        # A cache key carries the constraint's canonical text already.
+        constraint = request[1]
+        text = constraint if isinstance(constraint, str) else unparse(constraint)  # type: ignore[arg-type]
+        return f"implies[{text}]"
     if kind == "summarizable":
         return f"summarizable[{request[1]} <= {sorted(request[2])}]"  # type: ignore[arg-type]
     return f"dimsat[{request[1]}]"
@@ -376,6 +384,9 @@ class _SoakRun:
         self._cross_engine = CompiledDecisionEngine(
             cache=None, store=CompiledArtifactStore()
         )
+        # The post-edit artifact check, by contrast, must decide through
+        # the process-wide store: that is where an edit moves artifacts.
+        self._artifact_engine = CompiledDecisionEngine(cache=None)
 
     # -- falsifier plumbing --------------------------------------------
 
@@ -700,14 +711,18 @@ class _SoakRun:
         return predicate
 
     def _check_rekey_sound(self, state: _CaseState, step: int) -> None:
-        """Post-edit: every verdict the provenance-scoped rekey carried
-        over to the new fingerprint must match a fresh sequential run
-        (sampled, default-options entries only) - a mismatch means a
-        dependency cone was computed too narrow."""
+        """Post-edit: the verdicts the rekey carried over to the new
+        fingerprint must match a fresh sequential run (default-options
+        entries only).  After a syntactic move a sample of four is
+        checked - a mismatch means a dependency cone was computed too
+        narrow.  After a model-preserving move every entry is checked -
+        a mismatch means the edit was wrongly judged to keep the
+        instances."""
         cache = state.editor._cache
         if cache is None:
             return
         schema = state.schema
+        limit = None if state.editor.last_edit_preserved_models else 4
         checked = 0
         for full_key in cache.entries_for(schema.fingerprint()):
             key = full_key[1:]
@@ -730,7 +745,7 @@ class _SoakRun:
                     f"(fingerprint {schema.fingerprint()[:12]})",
                 )
             checked += 1
-            if checked >= 4:
+            if checked == limit:
                 break
 
     def _check_cache_clean(
@@ -739,25 +754,37 @@ class _SoakRun:
         engine: ResilientDecisionEngine,
         step: int,
     ) -> None:
-        """Post-edit: the engine's verdict on the *new* schema version
-        must match a fresh uncached sequential run - a stale verdict
-        here means the editor's invalidation hygiene broke."""
+        """Post-edit: the engine's verdict on the *new* schema version,
+        and the verdict of the compiled artifact the process-wide store
+        holds for it, must match a fresh uncached sequential run - a
+        stale verdict here means the editor's invalidation hygiene broke,
+        or an artifact moved by an edit that changed the instances."""
         probe = state.probes[0]
         schema = state.schema
+        truth = oracle_decide(schema, probe)
         outcome = engine.decide(schema, probe)
         self.report.decisions += 1
+        verdicts = {"engine": None if outcome.unknown else outcome.verdict}
         if outcome.unknown:
             self.report.unknown += 1
-            return
-        truth = oracle_decide(schema, probe)
-        if outcome.verdict != truth:
+        try:
+            verdicts["artifact"] = _verdict_of(
+                ask(self._artifact_engine, schema, probe)
+            )
+        except OSError:
+            # An injected fault (the oracle is immune, this engine is
+            # not): no verdict to compare.
+            pass
+        for source, verdict in verdicts.items():
+            if verdict is None or verdict == truth:
+                continue
             self.report.wrong_verdicts += 1
             self._violation(
                 "cache-clean",
                 state,
                 step,
-                f"post-edit {_describe_request(probe)}: engine="
-                f"{outcome.verdict} fresh-oracle={truth} "
+                f"post-edit {_describe_request(probe)}: {source}="
+                f"{verdict} fresh-oracle={truth} "
                 f"(fingerprint {schema.fingerprint()[:12]})",
             )
 

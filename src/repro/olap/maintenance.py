@@ -21,12 +21,20 @@ aggregate logs.
 The module also owns *schema* maintenance: :class:`SchemaEditor` applies
 the mutations a dimension administrator performs over time - adding and
 dropping edges, categories, and constraints - producing a fresh immutable
-:class:`~repro.core.schema.DimensionSchema` per edit and evicting the
-replaced version's verdicts from the shared
-:class:`~repro.core.decisioncache.DecisionCache`.  Correctness never
-rests on the eviction (an edited schema has a new fingerprint, so stale
-verdicts are unreachable); the hooks keep dead versions from occupying
-cache space across long edit sessions.
+:class:`~repro.core.schema.DimensionSchema` per edit and carrying the
+replaced version's verdicts over to it in the shared
+:class:`~repro.core.decisioncache.DecisionCache`:
+
+* an edit that provably keeps the set of instances - adding a
+  constraint the old schema implies, or dropping one the new schema
+  implies (Theorem 2) - changes no verdict, so *every* verdict and the
+  compiled artifact move to the new fingerprint;
+* any other edit moves only the verdicts whose dependency cone it left
+  untouched (:mod:`repro.core.provenance`) and drops the rest.
+
+Correctness never rests on the eviction (an edited schema has a new
+fingerprint, so stale verdicts are unreachable); the hooks keep dead
+versions from occupying cache space across long edit sessions.
 """
 
 from __future__ import annotations
@@ -36,16 +44,34 @@ from typing import Dict, Iterable, List, Mapping, Tuple
 from repro._types import Category, Member
 from repro.constraints.parser import parse
 from repro.constraints.printer import unparse
+from repro.core.compile import (
+    CompilationError,
+    CompiledDecisionEngine,
+    compiled_artifact_store,
+)
 from repro.core.decisioncache import USE_DEFAULT_CACHE, resolve_cache
 from repro.core.instance import DimensionInstance
 from repro.core.invalidation import invalidate_everywhere
-from repro.core.provenance import mentioned_categories, schema_delta
+from repro.core.metrics import METRICS
+from repro.core.provenance import SchemaDelta, mentioned_categories, schema_delta
 from repro.core.schema import DimensionSchema
-from repro.errors import OlapError, SchemaError
+from repro.errors import (
+    BudgetExceeded,
+    DecisionUnavailable,
+    OlapError,
+    SchemaError,
+)
 from repro.olap.aggregates import AggregateFunction
 from repro.olap.cubeview import CubeView, cube_view
 from repro.olap.facttable import FactTable
 from repro.olap.navigator import AggregateNavigator
+
+_M_MODEL_PRESERVING = METRICS.counter("maintenance.model_preserving_edits")
+_M_DECISION_FALLBACKS = METRICS.counter("maintenance.edit_decision_fallbacks")
+
+#: What the edit's own implication decision may raise.  The edit then
+#: takes the syntactic path: it never fails because of that decision.
+_DECISION_FAILURES = (OSError, BudgetExceeded, DecisionUnavailable, CompilationError)
 
 
 def apply_delta(
@@ -109,14 +135,16 @@ class SchemaEditor:
     """Applies schema mutations with decision-cache hygiene.
 
     Each operation derives a new immutable schema from the current one,
-    *rekeys* the replaced version's surviving verdicts to the new
-    fingerprint (provenance-scoped invalidation,
-    :meth:`~repro.core.decisioncache.DecisionCache.rekey`), sweeps every
-    other registered fingerprint store
+    *rekeys* the replaced version's verdicts that the edit cannot change
+    to the new fingerprint
+    (:meth:`~repro.core.decisioncache.DecisionCache.rekey`: all of them
+    after a model-preserving edit, the untouched dependency cones after
+    any other), sweeps every other registered fingerprint store
     (:func:`~repro.core.invalidation.invalidate_everywhere`), and makes
     the new version current.  ``editor.schema`` always holds the latest
     version; every operation also returns it, so one-off edits can stay
-    expression-shaped.
+    expression-shaped.  ``last_edit_preserved_models`` tells whether the
+    latest edit was proven to keep the set of instances.
 
     An edit that would leave an existing constraint invalid (e.g. dropping
     an edge a path atom rides on) raises and leaves the current schema
@@ -132,28 +160,100 @@ class SchemaEditor:
         self._cache = resolve_cache(cache)
         #: Fingerprints of every version this editor produced, newest last.
         self.history: List[str] = [schema.fingerprint()]
+        #: Whether the latest edit was proven to keep the instances.
+        self.last_edit_preserved_models = False
 
     def _commit(self, new_schema: DimensionSchema) -> DimensionSchema:
+        """Make ``new_schema`` current and carry the cache over.
+
+        A constraint-only edit first asks whether it keeps the set of
+        instances (:meth:`_preserves_models`).  If it does, every verdict
+        and the compiled artifact move to the new fingerprint; otherwise
+        the syntactic delta moves the verdicts whose dependency cone the
+        edit never touched and drops the rest.  Then every other
+        fingerprint-keyed store is swept.
+        """
         replaced = self.schema
         self.schema = new_schema
         self.history.append(new_schema.fingerprint())
-        if replaced.fingerprint() != new_schema.fingerprint():
+        self.last_edit_preserved_models = False
+        old_fingerprint = replaced.fingerprint()
+        new_fingerprint = new_schema.fingerprint()
+        if old_fingerprint == new_fingerprint:
+            return new_schema
+        delta = schema_delta(replaced, new_schema)
+        if self._preserves_models(replaced, new_schema, delta):
+            self.last_edit_preserved_models = True
+            _M_MODEL_PRESERVING.inc()
             if self._cache is not None:
-                # Verdicts whose dependency cone the edit never touched
-                # move to the new fingerprint (byte-identical by the
-                # soundness argument in ``repro.core.provenance``); the
-                # rest are dropped.
-                delta = schema_delta(replaced, new_schema)
-                self._cache.rekey(replaced, new_schema, delta)
-            # Every other fingerprint-keyed store (the compiled decision
-            # tier, anything registered later) is swept in one call, so a
-            # long edit session cannot pin dead entries in memory and a
-            # future store cannot be forgotten.
-            invalidate_everywhere(
-                replaced.fingerprint(),
-                exclude=() if self._cache is None else (self._cache,),
-            )
+                self._cache.rekey(replaced, new_schema, preserved=True)
+            compiled_artifact_store().rekey(old_fingerprint, new_fingerprint)
+        elif self._cache is not None:
+            # Verdicts whose dependency cone the edit never touched move
+            # to the new fingerprint (byte-identical by the soundness
+            # argument in ``repro.core.provenance``); the rest are dropped.
+            self._cache.rekey(replaced, new_schema, delta)
+        # Every other fingerprint-keyed store (the compiled decision tier
+        # unless its artifact just moved, anything registered later) is
+        # swept in one call, so a long edit session cannot pin dead
+        # entries in memory and a future store cannot be forgotten.
+        invalidate_everywhere(
+            old_fingerprint,
+            exclude=() if self._cache is None else (self._cache,),
+        )
         return new_schema
+
+    def _preserves_models(
+        self,
+        replaced: DimensionSchema,
+        new_schema: DimensionSchema,
+        delta: SchemaDelta,
+    ) -> bool:
+        """Whether a constraint-only edit provably keeps the set of
+        instances (Theorem 2).
+
+        Only an edit that leaves the hierarchy alone and adds or drops
+        exactly one constraint text qualifies, or one that adds or drops
+        a duplicate text (``delta.empty``, trivially preserving):
+
+        * **add alpha**: decide ``SIGMA_old |= alpha`` through the
+          compiled tier on the editor's cache, so the answer is memoized
+          under the old fingerprint and moves with the rest;
+        * **drop alpha**: if the compiled artifact held under the old
+          fingerprint was built from a schema whose constraint texts are
+          all still in ``SIGMA_new``, then models(old) <= models(new) <=
+          models(built-from) = models(old) by the store's invariant, and
+          nothing needs deciding; otherwise decide ``SIGMA_new |= alpha``.
+
+        A failure of that decision (an injected fault, a budget, an
+        unavailable decision, a compile error) counts as a fallback and
+        answers ``False``: the edit then takes the syntactic path.
+        """
+        if delta.empty:
+            return True
+        if (
+            delta.added_categories
+            or delta.removed_categories
+            or delta.added_edges
+            or delta.removed_edges
+            or len(delta.added_constraints) + len(delta.removed_constraints) != 1
+        ):
+            return False
+        engine = CompiledDecisionEngine(cache=self._cache)
+        try:
+            if delta.added_constraints:
+                (text,) = delta.added_constraints
+                return engine.implies(replaced, text).implied
+            (text,) = delta.removed_constraints
+            artifact = compiled_artifact_store().peek(replaced.fingerprint())
+            if artifact is not None and {
+                unparse(node) for node in artifact.schema.constraints
+            } <= {unparse(node) for node in new_schema.constraints}:
+                return True
+            return engine.implies(new_schema, text).implied
+        except _DECISION_FAILURES:
+            _M_DECISION_FALLBACKS.inc()
+            return False
 
     # ------------------------------------------------------------------
     # Hierarchy edits

@@ -470,6 +470,51 @@ class TestConcurrentClients:
                 assert response["verdict"] is True
                 assert cache.stats.misses == misses_before
 
+    def test_implied_edit_keeps_the_tenant_warm_and_is_counted(self):
+        """An added constraint the schema implies keeps the instances:
+        every warm verdict answers on the new fingerprint without a
+        miss, and the stats op counts the edit; a non-implied add is
+        not counted."""
+        from repro.core.hierarchy import HierarchySchema
+        from repro.core.schema import DimensionSchema
+
+        schema = DimensionSchema(
+            HierarchySchema(
+                ["Base", "A", "C", "T"],
+                [("Base", "A"), ("Base", "C"), ("A", "T"), ("C", "T"), ("T", "All")],
+            ),
+            ["C -> T"],
+        )
+        queries = ["Base -> A", "Base -> C", "A -> T", "C -> T"]
+        with running_server() as server:
+            with _client(server) as client:
+                fp = client.load_schema(schema)
+                for query in queries:
+                    client.implies(fp, query)
+                before = client.stats()["maintenance"]
+                edited = client.edit(
+                    fp, "add-constraint", constraint="Base -> C or Base -> A"
+                )
+                new_fp = edited["fingerprint"]
+                misses = server.cache.stats.misses
+                for query in queries:
+                    truth = is_implied(
+                        schema.with_constraints(["Base -> C or Base -> A"]),
+                        query,
+                        cache=None,
+                    )
+                    assert client.implies(new_fp, query)["verdict"] is truth
+                assert server.cache.stats.misses == misses
+                after = client.stats()["maintenance"]
+                assert after["model_preserving_edits"] == (
+                    before["model_preserving_edits"] + 1
+                )
+                assert after["edit_decision_fallbacks"] == (
+                    before["edit_decision_fallbacks"]
+                )
+                client.edit(new_fp, "add-constraint", constraint="Base -> A")
+                assert client.stats()["maintenance"] == after
+
 
 class _AuditRecords:
     """An in-memory audit sink."""

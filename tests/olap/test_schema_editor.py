@@ -154,20 +154,29 @@ class TestCacheHygiene:
         "add_category": lambda e: e.add_category("Z", parents=["T"]),
         "drop_category": lambda e: e.drop_category("A"),
         "add_constraint": lambda e: e.add_constraint("Base -> A"),
+        "add_constraint_in_cone": lambda e: e.add_constraint("C.T = 't1'"),
         "drop_constraint": lambda e: e.drop_constraint("C -> T"),
     }
     #: The warmed verdict is ``ds |= C -> T``, whose dependency cone is
-    #: {C, T, All}.  Every op except ``drop_constraint`` edits outside
-    #: that cone (the Base/A branch), so the verdict is *rekeyed* to the
-    #: new fingerprint; dropping ``C -> T`` touches it and evicts.
+    #: {C, T, All}.  The hierarchy and ``add_constraint`` ops edit
+    #: outside that cone (the Base/A branch), so the verdict is *rekeyed*
+    #: to the new fingerprint by the syntactic delta.
+    #: ``add_constraint_in_cone`` adds a constraint SIGMA does not imply
+    #: inside the cone, so the delta evicts the verdict.  Dropping
+    #: ``C -> T`` touches the cone too, but C's only parent is T, so the
+    #: bare hierarchy implies ``C -> T``: the drop keeps the instances
+    #: and every verdict moves.
     SURVIVES = {
         "add_edge": True,
         "drop_edge": True,
         "add_category": True,
         "drop_category": True,
         "add_constraint": True,
-        "drop_constraint": False,
+        "add_constraint_in_cone": False,
+        "drop_constraint": True,
     }
+    #: The ops proven to keep the set of instances.
+    PRESERVES_MODELS = {"drop_constraint"}
 
     @pytest.mark.parametrize("op", sorted(OPS))
     def test_every_op_rekeys_or_evicts(self, hierarchy, cache, op):
@@ -184,7 +193,10 @@ class TestCacheHygiene:
         assert editor.history == [base.fingerprint(), edited.fingerprint()]
         # The replaced fingerprint never retains entries, either way.
         assert not cache.holds(base.fingerprint())
+        assert editor.last_edit_preserved_models == (op in self.PRESERVES_MODELS)
         if self.SURVIVES[op]:
+            # After the drop, the edit's own verdict ``SIGMA_new |= C -> T``
+            # shares the warm verdict's key, so one entry remains.
             assert len(cache) == 1
             assert cache.stats.rekeyed == 1
             # The survivor answers under the new fingerprint as a hit and
@@ -234,7 +246,8 @@ class TestCacheHygiene:
 
 class TestCompiledArtifactHygiene:
     """Edits must also drop the compiled decision artifact keyed by the
-    replaced schema's fingerprint."""
+    replaced schema's fingerprint - or, after an edit that keeps the
+    instances, move it to the new one."""
 
     @pytest.mark.parametrize("op", sorted(TestCacheHygiene.OPS))
     def test_every_op_invalidates_the_artifact(self, hierarchy, op):
@@ -246,12 +259,40 @@ class TestCompiledArtifactHygiene:
             else DimensionSchema(hierarchy, ["C -> T"])
         )
         store = compiled_artifact_store()
-        store.get(base)  # compile the pre-edit version
+        store.invalidate(base)
+        artifact = store.get(base)  # compile the pre-edit version
         invalidations_before = store.stats.invalidations
         editor = SchemaEditor(base, cache=None)
-        TestCacheHygiene.OPS[op](editor)
-        assert store.stats.invalidations == invalidations_before + 1
+        edited = TestCacheHygiene.OPS[op](editor)
         assert store.invalidate(base) == 0  # already gone
+        if op in TestCacheHygiene.PRESERVES_MODELS:
+            assert store.stats.invalidations == invalidations_before
+            assert store.holds(edited.fingerprint())
+        else:
+            assert store.stats.invalidations == invalidations_before + 1
+            assert store.peek(edited.fingerprint()) is not artifact
+
+    def test_implied_add_moves_the_artifact_itself(self, hierarchy):
+        """An implied add hands the very artifact - roots, solvers and
+        learned clauses - to the new fingerprint, and a drop back to a
+        schema whose constraints include the artifact's own decides
+        nothing."""
+        from repro.core import compiled_artifact_store
+
+        store = compiled_artifact_store()
+        base = DimensionSchema(hierarchy, ["C -> T"])
+        store.invalidate(base)
+        artifact = store.get(base)
+        editor = SchemaEditor(base, cache=DecisionCache())
+        added = editor.add_constraint("Base -> C or Base -> A")
+        assert editor.last_edit_preserved_models
+        assert store.peek(added.fingerprint()) is artifact
+        assert not store.holds(base.fingerprint())
+        misses = editor._cache.stats.misses
+        dropped = editor.drop_constraint("Base -> C or Base -> A")
+        assert editor.last_edit_preserved_models
+        assert editor._cache.stats.misses == misses  # nothing decided
+        assert store.peek(dropped.fingerprint()) is artifact
 
     def test_stale_artifact_never_serves_a_post_edit_decision(self, hierarchy):
         """The sharper guarantee behind the eviction hook: even when the
@@ -334,3 +375,60 @@ class TestMaintainedNavigatorEdits:
         navigator.schema = None
         with pytest.raises(OlapError):
             navigator.add_constraint("Base -> C")
+
+
+class TestModelPreservingEdits:
+    """An edit that keeps the set of instances moves every verdict; the
+    decision that proves it never makes the edit fail."""
+
+    IMPLIED = "Base -> C or Base -> A"  # Base's only parents are A and C
+
+    def test_implied_add_moves_every_verdict(self, schema, cache):
+        for edge in ("Base -> A", "Base -> C", "A -> T", "C -> T"):
+            is_implied(schema, edge, cache=cache)
+        warm = cache.entries_for(schema.fingerprint())
+        editor = SchemaEditor(schema, cache)
+        edited = editor.add_constraint(self.IMPLIED)
+        assert editor.last_edit_preserved_models
+        moved = set(cache.entries_for(edited.fingerprint()))
+        own = (edited.fingerprint(), "implies", self.IMPLIED, ())
+        assert moved == {(edited.fingerprint(),) + key[1:] for key in warm} | {own}
+        for key in moved:
+            fresh = implies(edited, key[2], cache=None)
+            assert cache.peek(key).implied == fresh.implied
+            assert repr(cache.peek(key).counterexample) == repr(fresh.counterexample)
+
+    def test_faulted_decision_falls_back_to_the_syntactic_path(self, schema, cache):
+        from repro.core.faults import inject_faults
+        from repro.core.metrics import METRICS
+
+        fallbacks = METRICS.counter_value("maintenance.edit_decision_fallbacks")
+        editor = SchemaEditor(schema, cache)
+        with inject_faults("worker-crash:p=1"):
+            edited = editor.add_constraint(self.IMPLIED)
+        # The edit committed and returned the new schema...
+        assert editor.schema is edited
+        assert edited.fingerprint() != schema.fingerprint()
+        assert editor.history[-1] == edited.fingerprint()
+        # ...through the syntactic path, and the fallback was counted.
+        assert not editor.last_edit_preserved_models
+        assert (
+            METRICS.counter_value("maintenance.edit_decision_fallbacks")
+            == fallbacks + 1
+        )
+
+    def test_moved_entries_persist_and_replay_clean(self, schema, cache, tmp_path):
+        from repro.core import load_cache, save_cache
+
+        for edge in ("Base -> A", "Base -> C", "A -> T", "C -> T"):
+            is_implied(schema, edge, cache=cache)
+        editor = SchemaEditor(schema, cache)
+        editor.add_constraint(self.IMPLIED)
+        edited = editor.drop_constraint("C -> T")  # still implied by G
+        assert editor.last_edit_preserved_models
+        assert cache.holds(edited.fingerprint())
+        save_cache(cache, str(tmp_path))
+        reloaded = DecisionCache()
+        report = load_cache(reloaded, str(tmp_path), verify_replay=True)
+        assert report.clean and not report.dropped_divergent
+        assert report.replayed == report.loaded == len(cache)

@@ -1,11 +1,17 @@
-"""Property-based soundness of provenance-scoped invalidation.
+"""Property-based soundness of edit-time cache rekeying.
 
 Over random schemas and `mixed_trace` constraint edits: after every
 `SchemaEditor` edit, the verdicts the rekey carried over to the new
 fingerprint must be byte-identical to a fresh sequential recomputation,
-the verdicts whose dependency cone the edit touched must be gone, and
-the replaced fingerprint must retain nothing - the invariant the module
-docstring of `repro.core.provenance` argues for.
+and the replaced fingerprint must retain nothing.  Which verdicts move
+follows the two rules of `DecisionCache.rekey`:
+
+* the trace's edits keep the set of instances (an implied weakening is
+  added, or an added one dropped), so every warm verdict moves, together
+  with the edit's own implication verdict when one was decided;
+* one closing non-implied add takes the syntactic path: only the
+  verdicts whose dependency cone it left untouched move, the invariant
+  the module docstring of `repro.core.provenance` argues for.
 """
 
 from __future__ import annotations
@@ -15,7 +21,9 @@ import json
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import ALL, DecisionCache, schema_delta
+from repro.constraints.ast import Not
+from repro.constraints.printer import unparse
+from repro.core import ALL, DecisionCache, compiled_artifact_store, schema_delta
 from repro.core.dimsat import dimsat
 from repro.core.implication import implies as run_implies
 from repro.core.summarizability import decide
@@ -51,6 +59,25 @@ def _fresh(schema, key) -> str:
     raise AssertionError(f"unexpected kind {kind!r}")
 
 
+def _warm(schema, cache):
+    """One dimsat per category plus one implies per (leading) constraint,
+    so every edit has entries to split; returns the warm keys with their
+    values and provenance."""
+    for category in sorted(schema.hierarchy.categories - {ALL}):
+        decide(schema, ("dimsat", category), cache=cache)
+    for node in schema.constraints[:4]:
+        run_implies(schema, node, cache=cache)
+    warm_keys = cache.entries_for(schema.fingerprint())
+    warm = {key: cache.peek(key) for key in warm_keys}
+    provenance = {key: cache.provenance_of(key) for key in warm_keys}
+    assert all(p is not None for p in provenance.values())
+    return warm, provenance
+
+
+def _texts(schema):
+    return {unparse(node) for node in schema.constraints}
+
+
 @SETTINGS
 @given(seed=st.integers(min_value=0, max_value=10_000))
 def test_every_edit_splits_the_cache_soundly(seed):
@@ -74,55 +101,73 @@ def test_every_edit_splits_the_cache_soundly(seed):
     added = []
 
     for op in edits:
-        # Re-warm under the current schema so every edit has entries to
-        # split: one dimsat per category plus one implies per constraint.
         current = editor.schema
-        for category in sorted(current.hierarchy.categories - {ALL}):
-            decide(current, ("dimsat", category), cache=cache)
-        for node in current.constraints[:4]:
-            run_implies(current, node, cache=cache)
-
-        warm_keys = cache.entries_for(current.fingerprint())
-        warm = {key: cache.peek(key) for key in warm_keys}
-        provenance = {key: cache.provenance_of(key) for key in warm_keys}
-        assert all(p is not None for p in provenance.values())
+        warm, _provenance = _warm(current, cache)
+        held = compiled_artifact_store().peek(current.fingerprint())
 
         if op[1] == "drop-added":
             if not added:
                 continue
             node = added.pop()
             edited = editor.drop_constraint(node)
+            # The drop decides nothing when the artifact held under the
+            # old fingerprint was built from constraints all still
+            # present; otherwise it decides SIGMA_new |= alpha.
+            decided = held is None or not _texts(held.schema) <= _texts(edited)
         else:
             node = op[2]
             if node in current.constraints:
                 continue
             edited = editor.add_constraint(node)
             added.append(node)
+            decided = True
 
-        delta = schema_delta(current, edited)
-        expected_survivors = {
-            key
-            for key in warm_keys
-            if provenance[key].survives(delta)
-        }
-
-        # Nothing remains under the replaced fingerprint.
+        # Every trace edit keeps the instances: all verdicts move, and
+        # so does the artifact.
+        assert editor.last_edit_preserved_models
         assert not cache.holds(current.fingerprint())
+        assert not compiled_artifact_store().holds(current.fingerprint())
 
-        new_keys = set(cache.entries_for(edited.fingerprint()))
-        rekeyed_expected = {
-            (edited.fingerprint(),) + key[1:] for key in expected_survivors
-        }
-        assert new_keys == rekeyed_expected
+        own = (edited.fingerprint(), "implies", unparse(node), ())
+        expected = {(edited.fingerprint(),) + key[1:] for key in warm}
+        if decided:
+            expected.add(own)
+            assert cache.peek(own).implied
+        assert set(cache.entries_for(edited.fingerprint())) == expected
 
-        for key in warm_keys:
-            new_key = (edited.fingerprint(),) + key[1:]
-            if key in expected_survivors:
-                # Byte-identical to a fresh sequential recomputation on
-                # the edited schema.
-                survived = cache.peek(new_key)
-                assert survived is warm[key]
-                assert _canonical(survived) == _fresh(edited, key[1:])
-            else:
-                # Touched verdicts are gone - the next ask recomputes.
-                assert cache.peek(new_key) is None
+        for new_key in expected:
+            # Byte-identical to a fresh sequential recomputation on the
+            # edited schema.
+            assert _canonical(cache.peek(new_key)) == _fresh(edited, new_key[1:])
+        for key, value in warm.items():
+            assert cache.peek((edited.fingerprint(),) + key[1:]) is value
+
+    # One non-implied add: the syntactic delta must still drop every
+    # cone it touches.
+    current = editor.schema
+    candidates = [
+        Not(node)
+        for node in sorted(current.constraints, key=unparse)
+        if Not(node) not in current.constraints
+        and not run_implies(current, Not(node), cache=None).implied
+    ]
+    if not candidates:
+        return
+    node = candidates[0]
+    warm, provenance = _warm(current, cache)
+    edited = editor.add_constraint(node)
+    assert not editor.last_edit_preserved_models
+    assert not cache.holds(current.fingerprint())
+    delta = schema_delta(current, edited)
+    survivors = {key for key in warm if provenance[key].survives(delta)}
+    assert set(cache.entries_for(edited.fingerprint())) == {
+        (edited.fingerprint(),) + key[1:] for key in survivors
+    }
+    for key in warm:
+        new_key = (edited.fingerprint(),) + key[1:]
+        if key in survivors:
+            assert cache.peek(new_key) is warm[key]
+            assert _canonical(warm[key]) == _fresh(edited, key[1:])
+        else:
+            # Touched verdicts are gone - the next ask recomputes.
+            assert cache.peek(new_key) is None

@@ -289,3 +289,46 @@ class TestLongSoak:
             )
         assert report.wrong_verdicts == 0
         assert report.violations == []
+
+
+class TestPlantedMisclassification:
+    def test_non_implied_add_judged_preserving_is_a_rekey_violation(
+        self, monkeypatch
+    ):
+        """Force the editor's preservation decision to say "implied" for
+        an add that is not: the moved verdict ``ds |= alpha`` (false)
+        is stale on the edited schema, and the soak must say so even
+        though four verdicts that stay correct (implications of SIGMA,
+        which an added constraint cannot break) were moved before it."""
+        from repro.constraints.ast import Not
+        from repro.constraints.printer import unparse
+        from repro.core import DecisionCache, decide
+        from repro.core.implication import implies
+        from repro.olap.maintenance import SchemaEditor
+
+        run = soak_module._SoakRun(
+            SoakConfig(engine="sequential", families=["deep-chain"], seed=3)
+        )
+        state = run.states[0]
+        schema = state.schema
+        alpha = next(
+            Not(node)
+            for node in sorted(schema.constraints, key=unparse)
+            if not implies(schema, Not(node), cache=None).implied
+        )
+        cache = DecisionCache()
+        state.editor = SchemaEditor(schema, cache)
+        for node in sorted(schema.constraints, key=unparse)[:4]:
+            decide(schema, ("implies", node), cache=cache)
+        decide(schema, ("implies", alpha), cache=cache)
+        assert len(cache) == 5
+
+        monkeypatch.setattr(
+            SchemaEditor, "_preserves_models", lambda self, *args: True
+        )
+        state.editor.add_constraint(alpha)
+        assert state.editor.last_edit_preserved_models
+        run._check_rekey_sound(state, step=0)
+        kinds = {violation.invariant for violation in run.report.violations}
+        assert "rekey-soundness" in kinds
+        assert not run.report.ok

@@ -252,9 +252,11 @@ class TestSection15Soak:
 
 class TestSection16SurvivingEdits:
     def test_unrelated_edit_rekeys_instead_of_flushing(self, ds):
-        """'Survivors are rekeyed to the new fingerprint - same verdict
-        object, zero recomputation - and only the touched cones drop.'"""
-        from repro.core import decide
+        """'An implied add or drop keeps the set of instances, so every
+        verdict moves to the new fingerprint - same verdict object, zero
+        recomputation - together with the edit's own implication
+        verdict and the compiled artifact.'"""
+        from repro.core import compiled_artifact_store, decide
         from repro.core.decisioncache import DecisionCache
         from repro.olap.maintenance import SchemaEditor
 
@@ -264,10 +266,34 @@ class TestSection16SurvivingEdits:
         edited = editor.add_constraint(
             "Shipment -> Gateway implies Shipment -> Gateway"
         )
+        assert editor.last_edit_preserved_models
         assert not cache.holds(ds.fingerprint())
-        assert cache.stats.rekeyed == 1
+        assert not compiled_artifact_store().holds(ds.fingerprint())
+        assert compiled_artifact_store().holds(edited.fingerprint())
+        # The warm verdict and the edit's own implication verdict.
+        assert cache.stats.rekeyed == 2
         # The same object: a hit, not a redo.
         assert decide(edited, ("dimsat", "Center"), cache=cache) is warm
+
+    def test_non_implied_edit_drops_only_touched_cones(self, ds):
+        """'Any other edit moves only the verdicts whose dependency cone
+        it never touched; the touched cones drop.'"""
+        from repro.core import decide
+        from repro.core.decisioncache import DecisionCache
+        from repro.olap.maintenance import SchemaEditor
+
+        cache = DecisionCache()
+        warm = decide(ds, ("dimsat", "Center"), cache=cache)  # cone: Center, Region, All
+        decide(ds, ("dimsat", "Shipment"), cache=cache)  # cone: every category
+        editor = SchemaEditor(ds, cache)
+        edited = editor.add_constraint("Shipment -> Gateway")
+        assert not editor.last_edit_preserved_models
+        assert not cache.holds(ds.fingerprint())
+        assert cache.stats.rekeyed == 1
+        assert decide(edited, ("dimsat", "Center"), cache=cache) is warm
+        hits = cache.stats.hits
+        decide(edited, ("dimsat", "Shipment"), cache=cache)
+        assert cache.stats.hits == hits  # recomputed
 
     def test_persistent_cache_round_trip_replays_clean(self, ds, tmp_path):
         """'On load every default-options entry is replayed through the
