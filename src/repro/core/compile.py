@@ -509,14 +509,17 @@ class _RootCompilation:
             if query is not None:
                 activation, negated = self.assume_query(query)
                 assumptions.append(activation)
-            # Unbudgeted solves keep the one-argument call: the benchmark
-            # tracer (perfbench/tracer.py) wraps ``Solver.solve(self,
-            # assumptions)`` by name.
-            solved = (
-                self.solver.solve(assumptions)
-                if budget is None
-                else self.solver.solve(assumptions, budget)
-            )
+            # A budget rides on the solver, so every solve is the
+            # one-argument call the benchmark tracer (perfbench/tracer.py)
+            # wraps by name - budgeted or not.
+            if budget is None:
+                solved = self.solver.solve(assumptions)
+            else:
+                self.solver.budget = budget
+                try:
+                    solved = self.solver.solve(assumptions)
+                finally:
+                    self.solver.budget = None
             if not solved:
                 return False, None
             witness = self._decode_witness(negated)

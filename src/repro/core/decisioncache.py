@@ -290,32 +290,27 @@ class DecisionCache:
         old_schema: "DimensionSchema",
         new_schema: "DimensionSchema",
         delta: "Optional[SchemaDelta]" = None,
-        preserved: bool = False,
     ) -> Tuple[int, int]:
-        """Move the verdicts an edit cannot change to the new fingerprint
-        and drop the rest.  Two rules decide what moves, both sound:
+        """Provenance-scoped invalidation after a schema edit.
 
-        * **models preserved** (``preserved=True``): the caller proved
-          that both schemas have the same instances (an added constraint
-          the old schema implies, or a dropped one the new schema
-          implies - Theorem 2).  Every Theorem 1/2/3 verdict is a
-          function of that set, so *every* verdict moves, with or
-          without provenance.  A moved witness or counterexample is an
-          instance of the old schema, hence of the new one.
-        * **syntactic survival** (otherwise): a verdict moves when its
-          dependency set (:class:`~repro.core.provenance.
-          VerdictProvenance`) is untouched by ``delta`` - byte-identical
-          by the soundness argument in :mod:`repro.core.provenance`.
-          Entries without provenance are dropped.
+        Every verdict cached under ``old_schema``'s fingerprint whose
+        dependency set (:class:`~repro.core.provenance.VerdictProvenance`)
+        is untouched by ``delta`` is *moved* to ``new_schema``'s
+        fingerprint - byte-identical by the soundness argument in
+        :mod:`repro.core.provenance` - and the rest are dropped.  Entries
+        without provenance are dropped unconditionally.
 
-        Returns ``(moved, dropped)``.  A moved entry's provenance carries
-        over unchanged.  After a syntactic move the whole dependency
-        cone reads identically off the edited schema.  After a semantic
-        move only the hierarchy-derived parts do (a model-preserving
-        edit changes constraints only): the stored ``constraints`` set
-        is stale, which is harmless because
-        :meth:`~repro.core.provenance.VerdictProvenance.survives` reads
-        only the cone's categories and bottom set.
+        An empty ``delta`` touches no cone, so every entry with
+        provenance moves.  ``SchemaEditor._commit``
+        (:mod:`repro.olap.maintenance`) passes one after proving the edit
+        keeps the set of instances - the second, semantic rule.
+
+        Returns ``(moved, dropped)``.  A surviving entry's provenance
+        carries over unchanged.  After a syntactic move the whole
+        dependency cone reads identically off the edited schema; after a
+        semantic move its stored ``constraints`` set is stale, which is
+        harmless because :meth:`~repro.core.provenance.VerdictProvenance.
+        survives` reads only the cone's categories and bottom set.
         """
         from repro.core.provenance import schema_delta
 
@@ -323,16 +318,14 @@ class DecisionCache:
         new_fingerprint = new_schema.fingerprint()
         if old_fingerprint == new_fingerprint:
             return (0, 0)
-        if delta is None and not preserved:
+        if delta is None:
             delta = schema_delta(old_schema, new_schema)
         moved = dropped = 0
         with self._lock:
             for k in [key for key in self._data if key[0] == old_fingerprint]:
                 value = self._data.pop(k)
                 provenance = self._provenance.pop(k, None)
-                if preserved or (
-                    provenance is not None and provenance.survives(delta)  # type: ignore[arg-type]
-                ):
+                if provenance is not None and provenance.survives(delta):
                     new_key = (new_fingerprint,) + k[1:]
                     self._data[new_key] = value
                     self._provenance[new_key] = provenance

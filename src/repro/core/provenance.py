@@ -42,17 +42,17 @@ leaves every other branch's verdicts provably untouched, and the
 fingerprint instead of discarding them (``SchemaEditor`` in
 :mod:`repro.olap.maintenance`).
 
-A second, semantic rule comes first and needs no provenance at all:
-**models preserved means every verdict moves.**  Adding ``alpha`` when
+A second, semantic rule comes first and reads no cone: **models
+preserved means every verdict moves.**  Adding ``alpha`` when
 ``SIGMA |= alpha``, or dropping it when ``SIGMA - {alpha} |= alpha``,
 leaves the set of instances unchanged (Theorem 2), and every verdict is
 a function of that set.  ``SchemaEditor`` decides that implication and,
-when it holds, moves every entry with ``DecisionCache.rekey(...,
-preserved=True)``.  A moved entry keeps its provenance, whose
-``constraints`` set then names the old SIGMA and is stale; that is
-harmless, because :meth:`VerdictProvenance.survives` reads only the
-cone's categories and the bottom set, both functions of the hierarchy,
-which such an edit leaves alone.
+when it holds, moves every entry by passing ``DecisionCache.rekey`` an
+empty delta (which every provenance survives).  A moved entry keeps its
+provenance, whose ``constraints`` set then names the old SIGMA and is
+stale; that is harmless, because :meth:`VerdictProvenance.survives`
+reads only the cone's categories and the bottom set, both functions of
+the hierarchy, which such an edit leaves alone.
 """
 
 from __future__ import annotations

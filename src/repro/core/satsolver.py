@@ -19,7 +19,8 @@ the compiler produces (hundreds to a few thousand variables):
   the lemmas survive across :meth:`~Solver.solve` calls and later
   queries on the same schema start from everything earlier queries
   proved;
-* **budgeted solving** - :meth:`Solver.solve` optionally charges a
+* **budgeted solving** - while :attr:`Solver.budget` is set,
+  :meth:`Solver.solve` charges that
   :class:`~repro.core.budget.DecisionBudget` once on entry and once per
   conflict, so a compiled decision stops at the same node/time ceilings
   the interpreted kernel honours.  An aborted solve rewinds to level
@@ -108,6 +109,10 @@ class Solver:
         self._unsat = False
         self._model: List[Optional[bool]] = []
         self._var_inc = 1.0
+        #: The budget every :meth:`solve` charges while it is set
+        #: (``None``: unbounded).  The caller sets it around a solve, so
+        #: ``solve`` keeps its one-argument signature.
+        self.budget: Optional[DecisionBudget] = None
 
     # ------------------------------------------------------------------
     # Variables and clauses
@@ -341,22 +346,19 @@ class Solver:
             return None
         return best_var if self._phase[best_var] else -best_var
 
-    def solve(
-        self,
-        assumptions: Sequence[int] = (),
-        budget: Optional[DecisionBudget] = None,
-    ) -> bool:
+    def solve(self, assumptions: Sequence[int] = ()) -> bool:
         """Decide satisfiability of the clause database under the given
         assumption literals.
 
         Returns ``True`` and captures a :meth:`model` on success; returns
         ``False`` when no assignment extends the assumptions.  The solver
         stays usable either way - learned clauses persist, the trail is
-        rewound to level zero.  ``budget`` is charged once here and once
-        per conflict; when it runs out, the solve raises
+        rewound to level zero.  :attr:`budget`, when set, is charged once
+        here and once per conflict; when it runs out, the solve raises
         :class:`~repro.errors.BudgetExceeded` and the solver stays just
         as usable.
         """
+        budget = self.budget
         self.stats.solves += 1
         assumed = list(assumptions)
         for lit in assumed:

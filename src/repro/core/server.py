@@ -686,9 +686,15 @@ class DecisionServer:
         the rest implies dropped) moves every cached verdict and the
         compiled artifact to the new fingerprint, so the new tenant is
         served warm; the implication it decides to prove this is cached
-        and audited like any served verdict.  Any other edit moves only
-        the verdicts whose dependency cone it left untouched.  The stats
-        op counts both outcomes under ``maintenance``.
+        and audited like any served verdict.  That decision runs under
+        the edit lock, so it is bounded by the editor's own fixed node
+        budget (not ``--budget-ms``, which bounds served decisions), and
+        it runs only when the process-wide artifact store holds an
+        artifact for the replaced version - on the compiled engine, any
+        tenant already decided on.  Any other edit, or a decision that
+        runs out or faults, moves only the verdicts whose dependency
+        cone it left untouched.  The stats op counts the model-preserving
+        edits and the fallbacks under ``maintenance``.
 
         The old fingerprint stays registered: its schema object is
         immutable, so in-flight and follow-up decisions against it stay

@@ -28,7 +28,9 @@ replaced version's verdicts over to it in the shared
 * an edit that provably keeps the set of instances - adding a
   constraint the old schema implies, or dropping one the new schema
   implies (Theorem 2) - changes no verdict, so *every* verdict and the
-  compiled artifact move to the new fingerprint;
+  compiled artifact move to the new fingerprint.  The proof is one
+  budgeted implication, decided only when a compiled artifact is held
+  for the replaced version;
 * any other edit moves only the verdicts whose dependency cone it left
   untouched (:mod:`repro.core.provenance`) and drops the rest.
 
@@ -44,23 +46,15 @@ from typing import Dict, Iterable, List, Mapping, Tuple
 from repro._types import Category, Member
 from repro.constraints.parser import parse
 from repro.constraints.printer import unparse
-from repro.core.compile import (
-    CompilationError,
-    CompiledDecisionEngine,
-    compiled_artifact_store,
-)
+from repro.core.budget import DecisionBudget
+from repro.core.compile import CompiledDecisionEngine, compiled_artifact_store
 from repro.core.decisioncache import USE_DEFAULT_CACHE, resolve_cache
 from repro.core.instance import DimensionInstance
 from repro.core.invalidation import invalidate_everywhere
 from repro.core.metrics import METRICS
 from repro.core.provenance import SchemaDelta, mentioned_categories, schema_delta
 from repro.core.schema import DimensionSchema
-from repro.errors import (
-    BudgetExceeded,
-    DecisionUnavailable,
-    OlapError,
-    SchemaError,
-)
+from repro.errors import BudgetExceeded, OlapError, SchemaError
 from repro.olap.aggregates import AggregateFunction
 from repro.olap.cubeview import CubeView, cube_view
 from repro.olap.facttable import FactTable
@@ -69,9 +63,16 @@ from repro.olap.navigator import AggregateNavigator
 _M_MODEL_PRESERVING = METRICS.counter("maintenance.model_preserving_edits")
 _M_DECISION_FALLBACKS = METRICS.counter("maintenance.edit_decision_fallbacks")
 
-#: What the edit's own implication decision may raise.  The edit then
-#: takes the syntactic path: it never fails because of that decision.
-_DECISION_FAILURES = (OSError, BudgetExceeded, DecisionUnavailable, CompilationError)
+#: The ceiling on the edit's own implication decision (a fresh copy per
+#: decision).  The server runs edits under one lock and Theorem 2 is
+#: DIMSAT-hard, so the decision must stay bounded; giving up is always
+#: sound - the edit then takes the syntactic path.  Nodes (one per
+#: root-build branch or solver conflict) keep the outcome independent of
+#: host speed.  A decision on a built root charges a few nodes; building
+#: the root charges up to ~100 on the suite schemas but 71k (15 s on a
+#: 2-vCPU VM) on one 24-category random schema, where 2000 nodes take
+#: ~50-130 ms.
+_EDIT_DECISION_BUDGET = DecisionBudget(max_nodes=2_000)
 
 
 def apply_delta(
@@ -166,12 +167,17 @@ class SchemaEditor:
     def _commit(self, new_schema: DimensionSchema) -> DimensionSchema:
         """Make ``new_schema`` current and carry the cache over.
 
-        A constraint-only edit first asks whether it keeps the set of
-        instances (:meth:`_preserves_models`).  If it does, every verdict
-        and the compiled artifact move to the new fingerprint; otherwise
-        the syntactic delta moves the verdicts whose dependency cone the
-        edit never touched and drops the rest.  Then every other
-        fingerprint-keyed store is swept.
+        Two rules decide what moves, both sound.  A constraint-only edit
+        first asks whether it keeps the set of instances
+        (:meth:`_preserves_models`).  If it does, every Theorem 1/2/3
+        verdict - a function of that set - is unchanged, and a moved
+        witness or counterexample is an instance of the old schema,
+        hence of the new one.  So every verdict moves (the cache is
+        rekeyed with an empty delta, which every recorded provenance
+        survives; the rare entry without one is dropped) and so does the
+        compiled artifact.  Otherwise the syntactic delta moves the
+        verdicts whose dependency cone the edit never touched and drops
+        the rest.  Then every other fingerprint-keyed store is swept.
         """
         replaced = self.schema
         self.schema = new_schema
@@ -186,7 +192,10 @@ class SchemaEditor:
             self.last_edit_preserved_models = True
             _M_MODEL_PRESERVING.inc()
             if self._cache is not None:
-                self._cache.rekey(replaced, new_schema, preserved=True)
+                # Every verdict moves: an empty delta touches no cone.
+                self._cache.rekey(
+                    replaced, new_schema, schema_delta(replaced, replaced)
+                )
             compiled_artifact_store().rekey(old_fingerprint, new_fingerprint)
         elif self._cache is not None:
             # Verdicts whose dependency cone the edit never touched move
@@ -225,9 +234,21 @@ class SchemaEditor:
           models(built-from) = models(old) by the store's invariant, and
           nothing needs deciding; otherwise decide ``SIGMA_new |= alpha``.
 
-        A failure of that decision (an injected fault, a budget, an
-        unavailable decision, a compile error) counts as a fallback and
-        answers ``False``: the edit then takes the syntactic path.
+        Nothing is decided unless the store holds an artifact under the
+        old fingerprint.  That artifact is what a "yes" carries over, and
+        an add decides through it; without one, an add that is not
+        implied would compile an artifact only for ``invalidate_everywhere``
+        to throw it away.  So an editor whose schema was never decided
+        through the compiled tier (a kernel-only cache, a fresh
+        navigator) takes the syntactic path, as after a "no".  A drop
+        that misses the shortcut decides on the new schema, whose
+        artifact stays under the new fingerprint whatever the answer.
+
+        The decision runs under :data:`_EDIT_DECISION_BUDGET`.  An
+        injected fault or an exhausted budget counts as a fallback and
+        answers ``False``: the edit then takes the syntactic path.  (A
+        root that fails to compile needs no handling here: the compiled
+        engine falls back to the kernel under the same budget.)
         """
         if delta.empty:
             return True
@@ -239,19 +260,26 @@ class SchemaEditor:
             or len(delta.added_constraints) + len(delta.removed_constraints) != 1
         ):
             return False
-        engine = CompiledDecisionEngine(cache=self._cache)
-        try:
-            if delta.added_constraints:
-                (text,) = delta.added_constraints
-                return engine.implies(replaced, text).implied
+        store = compiled_artifact_store()
+        artifact = store.peek(replaced.fingerprint())
+        if artifact is None:
+            return False
+        if delta.added_constraints:
+            (text,) = delta.added_constraints
+            asked = replaced
+        else:
             (text,) = delta.removed_constraints
-            artifact = compiled_artifact_store().peek(replaced.fingerprint())
-            if artifact is not None and {
-                unparse(node) for node in artifact.schema.constraints
-            } <= {unparse(node) for node in new_schema.constraints}:
+            if {unparse(node) for node in artifact.schema.constraints} <= {
+                unparse(node) for node in new_schema.constraints
+            }:
                 return True
-            return engine.implies(new_schema, text).implied
-        except _DECISION_FAILURES:
+            asked = new_schema
+        engine = CompiledDecisionEngine(
+            cache=self._cache, budget=_EDIT_DECISION_BUDGET, store=store
+        )
+        try:
+            return engine.implies(asked, text).implied
+        except (OSError, BudgetExceeded):
             _M_DECISION_FALLBACKS.inc()
             return False
 

@@ -274,6 +274,29 @@ class TestBudget:
             engine.is_summarizable(schema, "Country", ["City"])
         assert engine.stats.compiled_decisions == 0
 
+    def test_solve_charges_through_a_one_argument_wrapper(
+        self, schemas, monkeypatch
+    ):
+        """The budget rides on the solver, so a wrapper that forwards only
+        ``(self, assumptions)`` - as a profiling hook does - still sees a
+        budgeted solve charge and abort."""
+        from repro.core.satsolver import Solver
+
+        schema = schemas["retail"]
+        store = CompiledArtifactStore()
+        CompiledDecisionEngine(cache=None, store=store).dimsat(schema, "Store")
+        solve = Solver.solve
+
+        def forwarding(self, assumptions=()):
+            return solve(self, assumptions)
+
+        monkeypatch.setattr(Solver, "solve", forwarding)
+        engine = CompiledDecisionEngine(
+            cache=None, budget=DecisionBudget(max_nodes=0), store=store
+        )
+        with pytest.raises(BudgetExceeded):
+            engine.implies(schema, "Store.City")
+
     def test_exhausted_budget_caches_nothing(self, schemas):
         schema = schemas["retail"]
         cache = DecisionCache()

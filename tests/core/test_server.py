@@ -471,10 +471,11 @@ class TestConcurrentClients:
                 assert cache.stats.misses == misses_before
 
     def test_implied_edit_keeps_the_tenant_warm_and_is_counted(self):
-        """An added constraint the schema implies keeps the instances:
-        every warm verdict answers on the new fingerprint without a
-        miss, and the stats op counts the edit; a non-implied add is
-        not counted."""
+        """On the compiled engine (the ``serve`` default), an added
+        constraint the schema implies keeps the instances: every warm
+        verdict answers on the new fingerprint without a miss, and the
+        stats op counts the edit; a non-implied add is not counted."""
+        from repro.core.compile import CompiledDecisionEngine
         from repro.core.hierarchy import HierarchySchema
         from repro.core.schema import DimensionSchema
 
@@ -486,7 +487,10 @@ class TestConcurrentClients:
             ["C -> T"],
         )
         queries = ["Base -> A", "Base -> C", "A -> T", "C -> T"]
-        with running_server() as server:
+        engine = ResilientDecisionEngine(
+            CompiledDecisionEngine(cache=DecisionCache())
+        )
+        with running_server(engine=engine) as server:
             with _client(server) as client:
                 fp = client.load_schema(schema)
                 for query in queries:

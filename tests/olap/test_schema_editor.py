@@ -8,9 +8,11 @@ import pytest
 from repro.constraints.printer import unparse
 from repro.core import (
     DecisionCache,
+    compiled_artifact_store,
     DimensionSchema,
     DimensionInstance,
     HierarchySchema,
+    decide,
     implies,
     is_implied,
     is_summarizable_in_schema,
@@ -188,6 +190,9 @@ class TestCacheHygiene:
         editor = SchemaEditor(base, cache)
         warm = implies(base, "C -> T", cache=cache)
         assert len(cache) == 1
+        # Held, as a compiled-engine server holds it: the editor decides
+        # whether an edit keeps the instances only through it.
+        compiled_artifact_store().get(base)
         edited = self.OPS[op](editor)
         assert edited.fingerprint() != base.fingerprint()
         assert editor.history == [base.fingerprint(), edited.fingerprint()]
@@ -219,7 +224,7 @@ class TestCacheHygiene:
         """The dual-store hazard the `invalidate_everywhere` helper
         closes: after any edit, no registered fingerprint store still
         holds the replaced version."""
-        from repro.core import compiled_artifact_store, registered_stores
+        from repro.core import registered_stores
 
         for op in sorted(self.OPS):
             base = (
@@ -251,8 +256,6 @@ class TestCompiledArtifactHygiene:
 
     @pytest.mark.parametrize("op", sorted(TestCacheHygiene.OPS))
     def test_every_op_invalidates_the_artifact(self, hierarchy, op):
-        from repro.core import compiled_artifact_store
-
         base = (
             DimensionSchema(hierarchy.without_edge("Base", "A"), ["C -> T"])
             if op == "add_edge"
@@ -277,8 +280,6 @@ class TestCompiledArtifactHygiene:
         learned clauses - to the new fingerprint, and a drop back to a
         schema whose constraints include the artifact's own decides
         nothing."""
-        from repro.core import compiled_artifact_store
-
         store = compiled_artifact_store()
         base = DimensionSchema(hierarchy, ["C -> T"])
         store.invalidate(base)
@@ -313,8 +314,6 @@ class TestCompiledArtifactHygiene:
         # was never consulted.
         assert len(store) == 2
         # And with the editor's hook, the replaced artifact is dropped too.
-        from repro.core import compiled_artifact_store
-
         shared = compiled_artifact_store()
         shared.get(base)
         editor = SchemaEditor(base, cache=None)
@@ -386,6 +385,7 @@ class TestModelPreservingEdits:
     def test_implied_add_moves_every_verdict(self, schema, cache):
         for edge in ("Base -> A", "Base -> C", "A -> T", "C -> T"):
             is_implied(schema, edge, cache=cache)
+        compiled_artifact_store().get(schema)
         warm = cache.entries_for(schema.fingerprint())
         editor = SchemaEditor(schema, cache)
         edited = editor.add_constraint(self.IMPLIED)
@@ -403,6 +403,7 @@ class TestModelPreservingEdits:
         from repro.core.metrics import METRICS
 
         fallbacks = METRICS.counter_value("maintenance.edit_decision_fallbacks")
+        compiled_artifact_store().get(schema)
         editor = SchemaEditor(schema, cache)
         with inject_faults("worker-crash:p=1"):
             edited = editor.add_constraint(self.IMPLIED)
@@ -417,11 +418,56 @@ class TestModelPreservingEdits:
             == fallbacks + 1
         )
 
+    def test_over_budget_decision_falls_back_to_the_syntactic_path(
+        self, schema, cache, monkeypatch
+    ):
+        """The edit's own decision is bounded: one that runs out of its
+        budget commits the edit through the syntactic path, counted, and
+        caches nothing."""
+        from repro.core import DecisionBudget
+        from repro.core.metrics import METRICS
+        from repro.olap import maintenance
+
+        monkeypatch.setattr(
+            maintenance, "_EDIT_DECISION_BUDGET", DecisionBudget(max_nodes=0)
+        )
+        fallbacks = METRICS.counter_value("maintenance.edit_decision_fallbacks")
+        compiled_artifact_store().get(schema)
+        editor = SchemaEditor(schema, cache)
+        edited = editor.add_constraint(self.IMPLIED)
+        assert editor.schema is edited
+        assert editor.history[-1] == edited.fingerprint()
+        assert not editor.last_edit_preserved_models
+        assert (
+            METRICS.counter_value("maintenance.edit_decision_fallbacks")
+            == fallbacks + 1
+        )
+        assert len(cache) == 0
+
+    def test_without_a_held_artifact_nothing_is_decided(self, schema, cache):
+        """A schema never decided through the compiled tier has no
+        artifact to carry over: the editor compiles none just to find
+        out, and the edit takes the syntactic path."""
+        store = compiled_artifact_store()
+        store.invalidate(schema)
+        store.invalidate(schema.with_constraints([self.IMPLIED]))
+        decide(schema, ("dimsat", "T"), cache=cache)  # cone: T, All
+        misses = cache.stats.misses
+        editor = SchemaEditor(schema, cache)
+        edited = editor.add_constraint(self.IMPLIED)
+        assert not editor.last_edit_preserved_models
+        assert cache.stats.misses == misses
+        assert not store.holds(schema.fingerprint())
+        assert not store.holds(edited.fingerprint())
+        # The syntactic delta still spares the cone the edit left alone.
+        assert cache.holds(edited.fingerprint())
+
     def test_moved_entries_persist_and_replay_clean(self, schema, cache, tmp_path):
         from repro.core import load_cache, save_cache
 
         for edge in ("Base -> A", "Base -> C", "A -> T", "C -> T"):
             is_implied(schema, edge, cache=cache)
+        compiled_artifact_store().get(schema)
         editor = SchemaEditor(schema, cache)
         editor.add_constraint(self.IMPLIED)
         edited = editor.drop_constraint("C -> T")  # still implied by G

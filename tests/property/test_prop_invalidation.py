@@ -61,8 +61,11 @@ def _fresh(schema, key) -> str:
 
 def _warm(schema, cache):
     """One dimsat per category plus one implies per (leading) constraint,
-    so every edit has entries to split; returns the warm keys with their
-    values and provenance."""
+    so every edit has entries to split, and the schema's compiled
+    artifact held, as a compiled-engine server holds it (the editor
+    decides whether an edit keeps the instances only through a held
+    artifact); returns the warm keys with their values and provenance."""
+    compiled_artifact_store().get(schema)
     for category in sorted(schema.hierarchy.categories - {ALL}):
         decide(schema, ("dimsat", category), cache=cache)
     for node in schema.constraints[:4]:
@@ -104,6 +107,7 @@ def test_every_edit_splits_the_cache_soundly(seed):
         current = editor.schema
         warm, _provenance = _warm(current, cache)
         held = compiled_artifact_store().peek(current.fingerprint())
+        assert held is not None
 
         if op[1] == "drop-added":
             if not added:
@@ -113,7 +117,7 @@ def test_every_edit_splits_the_cache_soundly(seed):
             # The drop decides nothing when the artifact held under the
             # old fingerprint was built from constraints all still
             # present; otherwise it decides SIGMA_new |= alpha.
-            decided = held is None or not _texts(held.schema) <= _texts(edited)
+            decided = not _texts(held.schema) <= _texts(edited)
         else:
             node = op[2]
             if node in current.constraints:
@@ -143,7 +147,7 @@ def test_every_edit_splits_the_cache_soundly(seed):
             assert cache.peek((edited.fingerprint(),) + key[1:]) is value
 
     # One non-implied add: the syntactic delta must still drop every
-    # cone it touches.
+    # cone it touches, the edit's own "not implied" verdict included.
     current = editor.schema
     candidates = [
         Not(node)

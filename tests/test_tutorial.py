@@ -262,6 +262,7 @@ class TestSection16SurvivingEdits:
 
         cache = DecisionCache()
         warm = decide(ds, ("dimsat", "Center"), cache=cache)  # cone: Center, Region, All
+        compiled_artifact_store().get(ds)  # held, as a server holds it
         editor = SchemaEditor(ds, cache)
         edited = editor.add_constraint(
             "Shipment -> Gateway implies Shipment -> Gateway"
@@ -278,13 +279,14 @@ class TestSection16SurvivingEdits:
     def test_non_implied_edit_drops_only_touched_cones(self, ds):
         """'Any other edit moves only the verdicts whose dependency cone
         it never touched; the touched cones drop.'"""
-        from repro.core import decide
+        from repro.core import compiled_artifact_store, decide
         from repro.core.decisioncache import DecisionCache
         from repro.olap.maintenance import SchemaEditor
 
         cache = DecisionCache()
         warm = decide(ds, ("dimsat", "Center"), cache=cache)  # cone: Center, Region, All
         decide(ds, ("dimsat", "Shipment"), cache=cache)  # cone: every category
+        compiled_artifact_store().get(ds)  # the edit decides, and hears "no"
         editor = SchemaEditor(ds, cache)
         edited = editor.add_constraint("Shipment -> Gateway")
         assert not editor.last_edit_preserved_models
