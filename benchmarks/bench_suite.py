@@ -686,8 +686,8 @@ def _compiled_smoke(output_path, repeats=7):
     satisfiability sweep, an implication workload, and a summarizability
     workload - every decision distinct, so nothing can be served from a
     verdict cache (both sides run with ``cache=None``).  The schemas are
-    *hot*: the compiled artifact (subhierarchy enumeration, CNF, CHECK
-    closures, registered queries, learned clauses) is resident before
+    *hot*: the compiled artifact (subhierarchy enumeration, CNF,
+    registered queries, learned clauses) is resident before
     the timed window, and its one-time cost is reported separately as
     ``warmup_ms``.  The baseline answers the identical decisions with
     the sequential interpreted kernel.

@@ -306,11 +306,9 @@ class DecisionCache:
         keeps the set of instances - the second, semantic rule.
 
         Returns ``(moved, dropped)``.  A surviving entry's provenance
-        carries over unchanged.  After a syntactic move the whole
-        dependency cone reads identically off the edited schema; after a
-        semantic move its stored ``constraints`` set is stale, which is
-        harmless because :meth:`~repro.core.provenance.VerdictProvenance.
-        survives` reads only the cone's categories and bottom set.
+        carries over unchanged: it records only the cone's categories
+        and bottom set, which read identically off the edited schema
+        after either kind of move.
         """
         from repro.core.provenance import schema_delta
 

@@ -278,7 +278,9 @@ def circle(constraints: Iterable[Node], sub: Subhierarchy) -> List[Node]:
 
 
 class CircleCache:
-    """Process-wide memo for circle-operator reductions.
+    """Process-wide memo for the interpreted kernel's circle-operator
+    reductions (the compiled tier lifts the operator into its encoding
+    and reduces nothing; see :mod:`repro.core.compile`).
 
     Keyed by ``(constraint node, subhierarchy)``: EXPAND enumerates the
     same complete subhierarchies for every DIMSAT run over a hierarchy,

@@ -160,11 +160,7 @@ def implication_provenance(schema: DimensionSchema, constraint: object):
     if not extra:
         return base
     return VerdictProvenance(
-        kind=base.kind,
-        categories=base.categories | extra,
-        edges=base.edges,
-        constraints=base.constraints,
-        bottoms=base.bottoms,
+        kind=base.kind, categories=base.categories | extra, bottoms=base.bottoms
     )
 
 

@@ -49,10 +49,9 @@ leaves the set of instances unchanged (Theorem 2), and every verdict is
 a function of that set.  ``SchemaEditor`` decides that implication and,
 when it holds, moves every entry by passing ``DecisionCache.rekey`` an
 empty delta (which every provenance survives).  A moved entry keeps its
-provenance, whose ``constraints`` set then names the old SIGMA and is
-stale; that is harmless, because :meth:`VerdictProvenance.survives`
-reads only the cone's categories and the bottom set, both functions of
-the hierarchy, which such an edit leaves alone.
+provenance unchanged, which stays exact: a provenance records only the
+cone's categories and the bottom set, both functions of the hierarchy,
+which such an edit leaves alone.
 """
 
 from __future__ import annotations
@@ -179,28 +178,25 @@ def schema_delta(old: "DimensionSchema", new: "DimensionSchema") -> SchemaDelta:
 
 @dataclass(frozen=True)
 class VerdictProvenance:
-    """The dependency set of one cached verdict.
+    """The dependency set of one cached verdict: what
+    :meth:`survives` reads.
 
     ``categories`` is the upward closure of the decision's root(s) in the
-    hierarchy the verdict was decided against; ``edges`` the edges whose
-    child endpoint lies inside it; ``constraints`` the canonical texts of
-    the constraints the proof consulted (``SIGMA(ds, c)``); ``bottoms``
-    the hierarchy's bottom set for summarizability verdicts (Theorem 1
-    quantifies over it), ``None`` otherwise.
+    hierarchy the verdict was decided against; ``bottoms`` the
+    hierarchy's bottom set for summarizability verdicts (Theorem 1
+    quantifies over it), ``None`` otherwise.  The edges and constraints
+    a proof consults are the ones its cone selects (see the module
+    docstring), so the survival rules read only the categories.
     """
 
     kind: str
     categories: FrozenSet[Category]
-    edges: FrozenSet[Tuple[Category, Category]] = frozenset()
-    constraints: FrozenSet[str] = frozenset()
     bottoms: Optional[FrozenSet[Category]] = None
 
     def survives(self, delta: SchemaDelta) -> bool:
         """Whether a verdict with this dependency set is byte-identical
         under the edited schema (see the module docstring for why each
-        rule is sound).  Reads only ``categories`` and ``bottoms``, so
-        an entry moved by the semantic rule, whose ``constraints`` set
-        is stale, is judged correctly by a later edit."""
+        rule is sound)."""
         if delta.empty:
             return True
         if self.bottoms is not None and delta.bottoms_changed:
@@ -227,17 +223,8 @@ def cone_provenance(
     for root in roots:
         categories.add(root)
         categories |= hierarchy.ancestors(root)
-    cone = frozenset(categories)
-    edges = frozenset(
-        (child, parent) for child, parent in hierarchy.edges if child in cone
-    )
-    texts = frozenset(
-        unparse(node)
-        for root, node in schema.constraints_with_roots()
-        if root in cone
-    )
     return VerdictProvenance(
-        kind=kind, categories=cone, edges=edges, constraints=texts, bottoms=bottoms
+        kind=kind, categories=frozenset(categories), bottoms=bottoms
     )
 
 

@@ -52,10 +52,6 @@ class TestConeProvenance:
         provenance = decision_provenance(schema, "C")
         assert provenance.kind == "dimsat"
         assert provenance.categories == {"C", "T", "All"}
-        # Edges whose child endpoint lies inside the cone.
-        assert provenance.edges == {("C", "T"), ("T", "All")}
-        # Constraints rooted inside the cone.
-        assert provenance.constraints == {"C -> T"}
         assert provenance.bottoms is None
 
     def test_implication_widens_by_the_query(self, schema):
