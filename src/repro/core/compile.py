@@ -135,13 +135,6 @@ __all__ = [
     "resolve_engine",
 ]
 
-_M_ARTIFACT_HITS = METRICS.counter("compiled.artifact_hits")
-_M_ARTIFACT_MISSES = METRICS.counter("compiled.artifact_misses")
-_M_ARTIFACT_INVALIDATIONS = METRICS.counter("compiled.artifact_invalidations")
-_M_COMPILE_FAILURES = METRICS.counter("compiled.compile_failures")
-_M_DECISIONS = METRICS.counter("compiled.decisions")
-_M_FALLBACKS = METRICS.counter("compiled.fallbacks")
-
 #: Compilation refuses schemas whose roots have more complete
 #: subhierarchies than this - the artifact would be larger than the
 #: search it replaces; the engine falls back to the interpreted kernel.
@@ -628,13 +621,8 @@ class ArtifactStoreStats:
     invalidations: int = 0
     compile_failures: int = 0
 
-    def as_dict(self) -> Dict[str, int]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "invalidations": self.invalidations,
-            "compile_failures": self.compile_failures,
-        }
+
+_STORE_STATS = METRICS.stats_family("compiled.artifact_", ArtifactStoreStats)
 
 
 class CompiledArtifactStore:
@@ -664,7 +652,7 @@ class CompiledArtifactStore:
     ) -> None:
         self.max_entries = max_entries
         self.max_subhierarchies = max_subhierarchies
-        self.stats = ArtifactStoreStats()
+        self.stats = _STORE_STATS.track(self, ArtifactStoreStats())
         self._lock = threading.Lock()
         self._artifacts: Dict[str, object] = {}
 
@@ -678,11 +666,9 @@ class CompiledArtifactStore:
             else:
                 self.stats.misses += 1
         if entry is not None:
-            _M_ARTIFACT_HITS.inc()
             if isinstance(entry, str):
                 raise CompilationError(entry)
             return entry  # type: ignore[return-value]
-        _M_ARTIFACT_MISSES.inc()
         try:
             with TRACER.span("compile.schema", fingerprint=fingerprint):
                 artifact: object = CompiledArtifact(
@@ -692,7 +678,6 @@ class CompiledArtifactStore:
             with self._lock:
                 self.stats.compile_failures += 1
                 self._store(fingerprint, str(error))
-            _M_COMPILE_FAILURES.inc()
             raise
         with self._lock:
             self._store(fingerprint, artifact)
@@ -738,12 +723,8 @@ class CompiledArtifactStore:
         with self._lock:
             dropped = 1 if self._artifacts.pop(fingerprint, None) is not None else 0
             self.stats.invalidations += dropped
-        if dropped:
-            _M_ARTIFACT_INVALIDATIONS.inc(dropped)
-            if TRACER.enabled:
-                TRACER.event(
-                    "compiled.invalidate", fingerprint=fingerprint
-                )
+        if dropped and TRACER.enabled:
+            TRACER.event("compiled.invalidate", fingerprint=fingerprint)
         return dropped
 
     def holds(self, fingerprint: str) -> bool:
@@ -755,7 +736,7 @@ class CompiledArtifactStore:
     def clear(self) -> None:
         with self._lock:
             self._artifacts.clear()
-            self.stats = ArtifactStoreStats()
+            _STORE_STATS.reset(self.stats)
 
     def __len__(self) -> int:
         return len(self._artifacts)
@@ -792,12 +773,11 @@ class CompiledEngineStats:
 
     compiled_decisions: int = 0
     fallbacks: int = 0
+    #: Batch requests answered by dedup instead of a decision.
+    batch_deduped: int = 0
 
-    def as_dict(self) -> Dict[str, int]:
-        return {
-            "compiled_decisions": self.compiled_decisions,
-            "fallbacks": self.fallbacks,
-        }
+
+_ENGINE_STATS = METRICS.stats_family("compiled.", CompiledEngineStats)
 
 
 class CompiledDecisionEngine:
@@ -842,7 +822,7 @@ class CompiledDecisionEngine:
         self.cache = resolve_cache(cache)
         self.budget_template = budget
         self.store = store if store is not None else compiled_artifact_store()
-        self.stats = CompiledEngineStats()
+        self.stats = _ENGINE_STATS.track(self, CompiledEngineStats())
         self._lock = threading.Lock()
 
     # -- engine-protocol plumbing ---------------------------------------
@@ -861,7 +841,6 @@ class CompiledDecisionEngine:
     def _note_fallback(self, kind: str, error: CompilationError) -> None:
         with self._lock:
             self.stats.fallbacks += 1
-        _M_FALLBACKS.inc()
         if TRACER.enabled:
             TRACER.event("compiled.fallback", kind=kind, reason=str(error))
 
@@ -899,10 +878,9 @@ class CompiledDecisionEngine:
             # The fallback continues the decision under the same budget.
             self._note_fallback("dimsat", error)
             return run_dimsat(schema, category, None, budget)
-        # Advisory hot-path counter: a plain increment (GIL-coalesced)
-        # instead of a lock round-trip on every served decision.
+        # Counted without the lock, on every computed decision's path: a
+        # thread switch inside the increment can only undercount.
         self.stats.compiled_decisions += 1
-        _M_DECISIONS.inc()
         return DimsatResult(
             satisfiable=satisfiable, witness=witness, stats=DimsatStats()
         )
@@ -941,10 +919,9 @@ class CompiledDecisionEngine:
             # The fallback continues the decision under the same budget.
             self._note_fallback("implies", error)
             return run_implies(schema, node, None, cache=None, budget=budget)
-        # Advisory hot-path counter: a plain increment (GIL-coalesced)
-        # instead of a lock round-trip on every served decision.
+        # Counted without the lock, on every computed decision's path: a
+        # thread switch inside the increment can only undercount.
         self.stats.compiled_decisions += 1
-        _M_DECISIONS.inc()
         return ImplicationResult(
             implied=not satisfiable,
             counterexample=witness,
@@ -1017,7 +994,10 @@ class CompiledDecisionEngine:
         items: Iterable[Tuple[DimensionSchema, Sequence[object]]],
     ) -> List[object]:
         """:meth:`decide_many` with per-request fault containment."""
-        return decide_batch(items, partial(try_ask, self))[0]
+        results, deduped = decide_batch(items, partial(try_ask, self))
+        with self._lock:
+            self.stats.batch_deduped += deduped
+        return results
 
 
 def resolve_engine(engine: object, cache: object = USE_DEFAULT_CACHE) -> object:

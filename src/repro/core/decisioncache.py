@@ -40,16 +40,6 @@ from repro.core.faults import FAULTS, CacheStoreFault
 from repro.core.metrics import METRICS
 from repro.core.trace import TRACER
 
-#: Process-wide counters aggregating every :class:`DecisionCache`
-#: instance; :class:`DecisionCacheStats` counts one instance.
-_M_HITS = METRICS.counter("decision_cache.hits")
-_M_MISSES = METRICS.counter("decision_cache.misses")
-_M_EVICTIONS = METRICS.counter("decision_cache.evictions")
-_M_INVALIDATIONS = METRICS.counter("decision_cache.invalidations")
-_M_STORE_FAILURES = METRICS.counter("decision_cache.store_failures")
-_M_REKEYED = METRICS.counter("decision_cache.rekeyed")
-_M_SELF_EVICTIONS = METRICS.counter("decision_cache.self_evictions")
-
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.dimsat import DimsatOptions
     from repro.core.provenance import SchemaDelta, VerdictProvenance
@@ -130,6 +120,9 @@ class DecisionCacheStats:
         return data
 
 
+_STATS = METRICS.stats_family("decision_cache.", DecisionCacheStats)
+
+
 class DecisionCache:
     """Memoized schema-level verdicts, keyed by schema fingerprint.
 
@@ -150,7 +143,7 @@ class DecisionCache:
 
     def __init__(self, max_entries: int = 100_000) -> None:
         self.max_entries = max_entries
-        self.stats = DecisionCacheStats()
+        self.stats = _STATS.track(self, DecisionCacheStats())
         self._lock = threading.Lock()
         self._data: Dict[Tuple[object, ...], object] = {}
         #: Dependency set per entry (same full key); missing or ``None``
@@ -189,7 +182,6 @@ class DecisionCache:
                 "decision_cache.lookup", kind=str(key[0]), hit=hit_value is not miss
             )
         if hit_value is not miss:
-            _M_HITS.inc()
             if AUDIT.enabled:
                 # Cache hits are verdicts served too: the audit log must
                 # show *every* answer the service gave, not only the ones
@@ -198,7 +190,6 @@ class DecisionCache:
                     schema, key[:-1], key[-1], hit_value, 0.0, cache_hit=True
                 )
             return hit_value
-        _M_MISSES.inc()
         value = memoize_or_audit(None, schema, key, compute)
         # Provenance is derived only after ``compute`` succeeded, and a
         # derivation failure degrades to ``None`` (= invalidate on any
@@ -226,7 +217,6 @@ class DecisionCache:
             # this key.  Nothing partial is ever stored.
             with self._lock:
                 self.stats.store_failures += 1
-            _M_STORE_FAILURES.inc()
             if TRACER.enabled:
                 TRACER.event("decision_cache.store_failed", kind=str(key[0]))
         return value
@@ -248,11 +238,9 @@ class DecisionCache:
         if victim is None:
             victim = next(iter(self._data))
             self.stats.self_evictions += 1
-            _M_SELF_EVICTIONS.inc()
         self._data.pop(victim)
         self._provenance.pop(victim, None)
         self.stats.evictions += 1
-        _M_EVICTIONS.inc()
 
     # ------------------------------------------------------------------
     # Invalidation and introspection
@@ -279,8 +267,6 @@ class DecisionCache:
                 self._provenance.pop(k, None)
             self._schemas.pop(fingerprint, None)  # type: ignore[arg-type]
             self.stats.invalidations += len(doomed)
-        if doomed:
-            _M_INVALIDATIONS.inc(len(doomed))
         if TRACER.enabled:
             TRACER.event("decision_cache.invalidate", entries=len(doomed))
         return len(doomed)
@@ -335,10 +321,6 @@ class DecisionCache:
                 self._schemas.setdefault(new_fingerprint, new_schema)
             self.stats.rekeyed += moved
             self.stats.invalidations += dropped
-        if moved:
-            _M_REKEYED.inc(moved)
-        if dropped:
-            _M_INVALIDATIONS.inc(dropped)
         if TRACER.enabled:
             TRACER.event("decision_cache.rekey", moved=moved, dropped=dropped)
         return moved, dropped
@@ -408,7 +390,7 @@ class DecisionCache:
             self._data.clear()
             self._provenance.clear()
             self._schemas.clear()
-            self.stats = DecisionCacheStats()
+            _STATS.reset(self.stats)
 
     def __len__(self) -> int:
         return len(self._data)
@@ -433,8 +415,8 @@ class DecisionCache:
             f"  store failures {self.stats.store_failures}",
             "circle-operator cache:",
             f"  entries        {len(circ)}",
-            f"  hits           {circ.hits}",
-            f"  misses         {circ.misses}",
+            f"  hits           {circ.stats.hits}",
+            f"  misses         {circ.stats.misses}",
             f"  hit rate       {circ.hit_rate:.1%}",
         ]
         lines.extend(compiled_artifact_store().report_lines())

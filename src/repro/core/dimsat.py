@@ -69,11 +69,7 @@ from repro.core.trace import TRACER
 from repro.errors import BudgetExceeded, SchemaError
 
 #: Pre-resolved decision counter (a module attribute read is cheaper
-#: than a registry lookup per decision).  The circle-cache hit/miss
-#: metrics are *derived* - the cache keeps exact counts under its own
-#: lock, and the registry reads them at snapshot time, so the
-#: per-reduction hot path pays nothing extra (see the registration after
-#: the cache singleton below).
+#: than a registry lookup per decision).
 _M_DECISIONS = METRICS.counter("dimsat.decisions")
 
 
@@ -113,21 +109,12 @@ class DimsatOptions:
     circle_cache: bool = True
 
 
-#: One process-wide lock for every :class:`DimsatStats` instance.  A
-#: module-level lock (rather than a per-instance one) keeps the dataclass
-#: picklable and its generated ``__eq__`` exact;
-#: counter increments are rare enough that contention is negligible.
-_STATS_LOCK = threading.Lock()
-
-
 @dataclass
 class DimsatStats:
     """Work counters for one DIMSAT run.
 
-    Counters are updated through :meth:`incr`, which is atomic: a stats
-    object may be read or :meth:`merge`-d by another thread while its
-    search runs, and a plain ``+=`` could lose an update under that
-    interleaving.
+    A search, its stats and its trace live on one thread, so the
+    counters are plain ``+=`` increments.
     """
 
     expand_calls: int = 0
@@ -139,31 +126,6 @@ class DimsatStats:
     #: Circle-operator reductions answered by the memo / computed fresh.
     circle_hits: int = 0
     circle_misses: int = 0
-
-    def incr(self, counter: str, delta: int = 1) -> None:
-        """Atomically add ``delta`` to the named counter."""
-        with _STATS_LOCK:
-            setattr(self, counter, getattr(self, counter) + delta)
-
-    def merge(self, other: "DimsatStats") -> None:
-        """Atomically fold another run's counters into this one (used when
-        aggregating per-branch or per-worker stats)."""
-        with _STATS_LOCK:
-            for field_name in (
-                "expand_calls",
-                "check_calls",
-                "assignments_tested",
-                "subhierarchies_completed",
-                "into_pruned_branches",
-                "dead_ends",
-                "circle_hits",
-                "circle_misses",
-            ):
-                setattr(
-                    self,
-                    field_name,
-                    getattr(self, field_name) + getattr(other, field_name),
-                )
 
     @property
     def circle_hit_rate(self) -> float:
@@ -277,6 +239,17 @@ def circle(constraints: Iterable[Node], sub: Subhierarchy) -> List[Node]:
     return [circle_node(node, sub) for node in constraints]
 
 
+@dataclass
+class CircleCacheStats:
+    """Cumulative counters for one :class:`CircleCache`."""
+
+    hits: int = 0
+    misses: int = 0
+
+
+_STATS = METRICS.stats_family("circle_cache.", CircleCacheStats)
+
+
 class CircleCache:
     """Process-wide memo for the interpreted kernel's circle-operator
     reductions (the compiled tier lifts the operator into its encoding
@@ -291,12 +264,11 @@ class CircleCache:
     long-lived services at a fixed memory ceiling.
     """
 
-    __slots__ = ("max_entries", "hits", "misses", "_data", "_lock")
+    __slots__ = ("max_entries", "stats", "_data", "_lock", "__weakref__")
 
     def __init__(self, max_entries: int = 65536) -> None:
         self.max_entries = max_entries
-        self.hits = 0
-        self.misses = 0
+        self.stats = _STATS.track(self, CircleCacheStats())
         self._data: Dict[Tuple[Node, Subhierarchy], Node] = {}
         # The cache is process-wide and concurrent requests reduce from
         # many threads at once; the lock guards the lookup/insert *and*
@@ -314,17 +286,17 @@ class CircleCache:
         with self._lock:
             cached = self._data.get(key)
             if cached is not None:
-                self.hits += 1
+                self.stats.hits += 1
             else:
-                self.misses += 1
+                self.stats.misses += 1
         if TRACER.enabled:
             TRACER.event("dimsat.circle_cache", hit=cached is not None)
         if cached is not None:
             if stats is not None:
-                stats.incr("circle_hits")
+                stats.circle_hits += 1
             return cached
         if stats is not None:
-            stats.incr("circle_misses")
+            stats.circle_misses += 1
         # Reduction runs outside the lock: it can be expensive, and the
         # result is deterministic, so concurrent duplicate work is safe
         # (both threads store the same folded node).
@@ -340,21 +312,17 @@ class CircleCache:
 
     @property
     def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
+        total = self.stats.hits + self.stats.misses
+        return self.stats.hits / total if total else 0.0
 
     def clear(self) -> None:
         """Drop all entries and reset the counters."""
         with self._lock:
             self._data.clear()
-            self.hits = 0
-            self.misses = 0
+            _STATS.reset(self.stats)
 
 
 _CIRCLE_CACHE = CircleCache()
-
-METRICS.register_derived("circle_cache.hits", lambda: _CIRCLE_CACHE.hits)
-METRICS.register_derived("circle_cache.misses", lambda: _CIRCLE_CACHE.misses)
 
 
 def circle_cache() -> CircleCache:
@@ -388,7 +356,7 @@ def reduced_constraints(
         else:
             folded = simplify(circle_node(node, sub))
             if stats is not None:
-                stats.incr("circle_misses")
+                stats.circle_misses += 1
         if folded is FALSE or folded == FALSE:
             return None
         if folded is TRUE or folded == TRUE:
@@ -433,7 +401,7 @@ def satisfying_assignments(
     for combo in itertools.product(*domains):
         assignment = dict(zip(mentioned, combo))
         if stats is not None:
-            stats.incr("assignments_tested")
+            stats.assignments_tested += 1
 
         def atom_truth(atom: Atom) -> bool:
             if isinstance(atom, EqualityAtom):
@@ -604,7 +572,6 @@ class _Search:
         self.budget = budget
         self.stats = DimsatStats()
         self.trace: List[TraceEntry] = []
-        self._trace_lock = threading.Lock()
         self.circle_cache = _CIRCLE_CACHE if options.circle_cache else None
 
     def _record(
@@ -625,12 +592,11 @@ class _Search:
             top=tuple(sorted(state.top)),
             succeeded=succeeded,
         )
-        with self._trace_lock:
-            self.trace.append(entry)
+        self.trace.append(entry)
 
     def _charge_expansion(self) -> None:
         """One EXPAND call's worth of accounting and budget checks."""
-        self.stats.incr("expand_calls")
+        self.stats.expand_calls += 1
         if (
             self.options.max_expansions is not None
             and self.stats.expand_calls > self.options.max_expansions
@@ -669,8 +635,8 @@ class _Search:
         self._record("expand", state, current, chosen)
 
         if state.top == frozenset({ALL}):
-            self.stats.incr("check_calls")
-            self.stats.incr("subhierarchies_completed")
+            self.stats.check_calls += 1
+            self.stats.subhierarchies_completed += 1
             sub = state.to_subhierarchy()
             need_structure = not (
                 self.options.cycle_pruning and self.options.shortcut_pruning
@@ -722,7 +688,7 @@ class _Search:
         if not state.top:
             # Only reachable with cycle pruning disabled: a cycle swallowed
             # the frontier before All was reached.
-            self.stats.incr("dead_ends")
+            self.stats.dead_ends += 1
             return
 
         ctop = _choose_top(state, self.options)
@@ -741,13 +707,13 @@ class _Search:
         if self.options.into_pruning:
             forced = self.schema.into_targets(ctop)
             if not forced <= legal:
-                self.stats.incr("into_pruned_branches")
+                self.stats.into_pruned_branches += 1
                 return
         else:
             forced = frozenset()
 
         if not legal:
-            self.stats.incr("dead_ends")
+            self.stats.dead_ends += 1
             return
 
         optional = legal - forced

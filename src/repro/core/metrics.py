@@ -14,13 +14,14 @@ Naming convention: dotted ``subsystem.metric`` names, e.g.
 ``faults.worker-crash``.  The registry creates metrics on first use, so
 readers never race creators.
 
-Per-object stats (:class:`~repro.core.decisioncache.DecisionCacheStats`,
-``CircleCache.hits``/``misses``, and each engine's ``stats``) count one
-object's work; the registry counts the whole process, across instances.
-The two overlap but neither is a view of the other: the cache's hits and
-misses have registry twins, while, for instance,
-:class:`~repro.core.parallel.EngineStats` ``decisions`` and
-``batch_requests`` exist only per engine.
+Each event is counted once.  An object that keeps per-object stats (a
+:class:`~repro.core.decisioncache.DecisionCache`, the circle-operator
+memo, an engine, a server, a navigator) counts into its own record, and
+the registry *reads* those records through a :class:`StatsFamily`: the
+exported counter ``prefix + field`` is the field's sum over every
+record of the kind ever built, never decreasing.  Only counts without a
+per-object home (``dimsat.decisions``, ``budget.*``, ``audit.*``,
+``faults.*``, ...) are registry :class:`Counter` objects.
 """
 
 from __future__ import annotations
@@ -28,8 +29,12 @@ from __future__ import annotations
 import json
 import os
 import threading
+import weakref
 from collections import deque
-from typing import Any, Callable, Deque, Dict, Optional
+from dataclasses import fields
+from typing import Any, Deque, Dict, List, Optional, TypeVar
+
+R = TypeVar("R")
 
 
 class Counter:
@@ -145,6 +150,68 @@ class Histogram:
         }
 
 
+class StatsFamily:
+    """The registry's view of one kind of per-object stats record.
+
+    An owner keeps its counts in a plain dataclass record and increments
+    them under its own synchronization; the family only reads them.  It
+    exports each integer field of the record as the counter
+    ``prefix + field``: the sum over the live records plus a retired
+    total.  A record's counts move into the retired total when its owner
+    is garbage-collected or :meth:`reset` zeroes them, so an exported
+    count never decreases.
+    """
+
+    def __init__(self, prefix: str, record_type: type) -> None:
+        self.prefix = prefix
+        self.fields = tuple(
+            f.name for f in fields(record_type) if type(f.default) is int
+        )
+        self._lock = threading.Lock()
+        self._live: Dict[int, Any] = {}
+        self._retired = dict.fromkeys(self.fields, 0)
+        #: Records whose owner was collected.  Appended by a finalizer,
+        #: which may run on any thread, including one inside
+        #: :meth:`totals` (a garbage collection), so never under the lock.
+        self._dead: Deque[Any] = deque()
+
+    def track(self, owner: object, record: R) -> R:
+        """Export ``record``'s counts until ``owner`` is collected;
+        returns ``record``."""
+        weakref.finalize(owner, self._dead.append, record).atexit = False
+        with self._lock:
+            self._retire_dead()
+            self._live[id(record)] = record
+        return record
+
+    def reset(self, record: object) -> None:
+        """Zero ``record``'s counters, moving them into the retired
+        total (an owner's ``clear()``, with the owner's lock held)."""
+        with self._lock:
+            for name in self.fields:
+                self._retired[name] += getattr(record, name)
+                setattr(record, name, 0)
+
+    def _retire_dead(self) -> None:
+        """Fold the collected owners' records into the retired total
+        (lock held)."""
+        while self._dead:
+            record = self._dead.popleft()
+            del self._live[id(record)]
+            for name in self.fields:
+                self._retired[name] += getattr(record, name)
+
+    def totals(self) -> Dict[str, int]:
+        """Every exported counter's current value."""
+        with self._lock:
+            self._retire_dead()
+            totals = dict(self._retired)
+            for record in self._live.values():
+                for name in self.fields:
+                    totals[name] += getattr(record, name)
+        return {self.prefix + name: value for name, value in totals.items()}
+
+
 class MetricsRegistry:
     """Named metrics, created on first use, snapshotted as JSON.
 
@@ -157,7 +224,7 @@ class MetricsRegistry:
         self._counters: Dict[str, Counter] = {}
         self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
-        self._derived: Dict[str, Callable[[], float]] = {}
+        self._families: List[StatsFamily] = []
 
     def counter(self, name: str) -> Counter:
         with self._lock:
@@ -183,27 +250,24 @@ class MetricsRegistry:
     def counter_value(self, name: str) -> int:
         """A counter's current value without creating it (0 when absent).
 
-        Lets tests and reports probe e.g. ``resilience.retries`` or
-        ``faults.worker-crash`` without materializing zero-valued metrics
-        in every snapshot.
+        Lets tests and reports probe e.g.
+        ``maintenance.edit_decision_fallbacks`` or ``faults.worker-crash``
+        without materializing zero-valued metrics in every snapshot.
+        Stats-family counters are read through :meth:`snapshot`.
         """
         with self._lock:
             metric = self._counters.get(name)
         return metric.value if metric is not None else 0
 
-    def register_derived(self, name: str, supplier: Callable[[], float]) -> None:
-        """Expose an externally-maintained value as a counter at snapshot
-        time.
-
-        The hottest code paths (the circle-operator cache's per-reduction
-        hit/miss counts) already maintain exact counters under their own
-        lock; incrementing a registry counter there too would double the
-        locking per call.  A derived metric is instead *read* from its
-        owner whenever a snapshot is taken - same numbers in the JSON,
-        zero cost on the hot path.
-        """
+    def stats_family(self, prefix: str, record_type: type) -> StatsFamily:
+        """Export every ``record_type`` record an owner
+        :meth:`~StatsFamily.track`-s as counters named ``prefix + field``
+        (see :class:`StatsFamily`).  Declared once per record kind, at
+        import; :meth:`reset` keeps it."""
+        family = StatsFamily(prefix, record_type)
         with self._lock:
-            self._derived[name] = supplier
+            self._families.append(family)
+        return family
 
     def snapshot(self) -> Dict[str, Any]:
         """Every metric's current value as one JSON-serializable dict."""
@@ -211,12 +275,12 @@ class MetricsRegistry:
             counters = dict(self._counters)
             gauges = dict(self._gauges)
             histograms = dict(self._histograms)
-            derived = dict(self._derived)
+            families = list(self._families)
         counter_values: Dict[str, Any] = {
             n: m.as_json() for n, m in counters.items()
         }
-        for name, supplier in derived.items():
-            counter_values[name] = supplier()
+        for family in families:
+            counter_values.update(family.totals())
         return {
             "counters": dict(sorted(counter_values.items())),
             "gauges": {n: m.as_json() for n, m in sorted(gauges.items())},
@@ -227,7 +291,8 @@ class MetricsRegistry:
         return json.dumps(self.snapshot(), indent=indent, sort_keys=True)
 
     def reset(self) -> None:
-        """Drop every metric (tests; production registries only grow)."""
+        """Drop every counter, gauge and histogram (tests; production
+        registries only grow).  Stats families stay declared."""
         with self._lock:
             self._counters.clear()
             self._gauges.clear()

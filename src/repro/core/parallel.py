@@ -70,8 +70,6 @@ from repro.core.trace import TRACER
 from repro.core.summarizability import _compute, _is_summarizable_uncached
 from repro.errors import DecisionUnavailable
 
-_M_DEDUPED = METRICS.counter("engine.batch_deduped")
-
 
 def computed(
     template: Optional[DecisionBudget],
@@ -153,14 +151,14 @@ def decide_batch(
     ``(schema fingerprint, memo key)``, so each distinct
     question is decided once per batch and duplicated requests share one
     answer.  Returns the answers aligned with the input order, and the
-    number of requests the dedup answered.  Malformed requests raise
+    number of requests the dedup answered (the calling engine counts it
+    as its ``stats.batch_deduped``).  Malformed requests raise
     before anything is decided.
     """
     pairs = [(schema, resolve_request(request)) for schema, request in items]
     ukeys = [(schema.fingerprint(), request_key(request)) for schema, request in pairs]
     unique = dict(zip(ukeys, pairs))
     deduped = len(pairs) - len(unique)
-    _M_DEDUPED.inc(deduped)
     if TRACER.enabled:
         TRACER.event(
             "engine.batch", requests=len(pairs), unique=len(unique), deduped=deduped
@@ -207,6 +205,9 @@ class EngineStats:
     batch_deduped: int = 0
 
 
+_STATS = METRICS.stats_family("engine.", EngineStats)
+
+
 class ParallelDecisionEngine:
     """Batched decision serving with dedup and per-decision budgets.
 
@@ -238,7 +239,7 @@ class ParallelDecisionEngine:
     ) -> None:
         self.budget_template = budget
         self.cache: Optional[DecisionCache] = resolve_cache(cache)
-        self.stats = EngineStats()
+        self.stats = _STATS.track(self, EngineStats())
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------------

@@ -56,8 +56,8 @@ which such an edit leaves alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, FrozenSet, Iterable, Optional, Set, Tuple
+from dataclasses import dataclass, fields
+from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, Optional, Set, Tuple
 
 from repro._types import Category
 from repro.constraints.ast import Node, constraint_root
@@ -192,6 +192,12 @@ class VerdictProvenance:
     kind: str
     categories: FrozenSet[Category]
     bottoms: Optional[FrozenSet[Category]] = None
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        # Stores saved while provenance also recorded ``edges`` and
+        # ``constraints`` pickled them; keep only the declared fields, so
+        # the next save writes the entry without them.
+        self.__dict__.update({f.name: state[f.name] for f in fields(self)})
 
     def survives(self, delta: SchemaDelta) -> bool:
         """Whether a verdict with this dependency set is byte-identical

@@ -67,11 +67,7 @@ from repro.core.schema import DimensionSchema
 from repro.core.trace import TRACER
 from repro.errors import BudgetExceeded, DecisionUnavailable, ReproError
 
-_M_RETRIES = METRICS.counter("resilience.retries")
-_M_DEGRADED = METRICS.counter("resilience.degraded_sequential")
-_M_UNKNOWN = METRICS.counter("resilience.unknown_verdicts")
 _M_BREAKER_TRIPS = METRICS.counter("resilience.breaker_trips")
-_M_BREAKER_SKIPS = METRICS.counter("resilience.breaker_open_skips")
 _H_ATTEMPTS = METRICS.histogram("resilience.attempts_per_decision")
 
 #: Failures worth retrying: transient OS-level trouble (which injected
@@ -277,6 +273,11 @@ class ResilienceStats:
     degraded_sequential: int = 0
     unknown_verdicts: int = 0
     breaker_open_skips: int = 0
+    #: Batch requests answered by dedup (also counted in ``decisions``).
+    batch_deduped: int = 0
+
+
+_STATS = METRICS.stats_family("resilience.", ResilienceStats)
 
 
 class ResilientDecisionEngine:
@@ -324,7 +325,7 @@ class ResilientDecisionEngine:
         )
         self.retry = retry if retry is not None else RetryPolicy()
         self.breaker = breaker if breaker is not None else CircuitBreaker()
-        self.stats = ResilienceStats()
+        self.stats = _STATS.track(self, ResilienceStats())
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -373,7 +374,6 @@ class ResilientDecisionEngine:
                     return False, None, attempt + 1
                 if attempt + 1 < self.retry.max_attempts:
                     self.stats.retries += 1
-                    _M_RETRIES.inc()
                     if TRACER.enabled:
                         TRACER.event(
                             "resilience.retry",
@@ -423,7 +423,6 @@ class ResilientDecisionEngine:
             else:
                 attempts = 0
                 self.stats.breaker_open_skips += 1
-                _M_BREAKER_SKIPS.inc()
                 failures.append(
                     AttemptRecord(
                         "parallel", 0, "CircuitOpen",
@@ -431,7 +430,6 @@ class ResilientDecisionEngine:
                     )
                 )
             self.stats.degraded_sequential += 1
-            _M_DEGRADED.inc()
             if TRACER.enabled:
                 TRACER.event("resilience.degrade", kind=label, to="sequential")
             ok, value, tried = self._run_rung(
@@ -447,7 +445,6 @@ class ResilientDecisionEngine:
                     span, _verdict_of(value), "sequential", attempts, failures
                 )
             self.stats.unknown_verdicts += 1
-            _M_UNKNOWN.inc()
             if TRACER.enabled:
                 TRACER.event("resilience.unknown", kind=label, attempts=attempts)
             if AUDIT.enabled:
@@ -570,6 +567,7 @@ class ResilientDecisionEngine:
             items, lambda schema, request: self._ladder(schema, request)[1]
         )
         self.stats.decisions += deduped
+        self.stats.batch_deduped += deduped
         return outcomes  # type: ignore[return-value]
 
     def report(self) -> str:

@@ -101,11 +101,6 @@ if TYPE_CHECKING:
 
 __all__ = ["DecisionServer", "ServerStats", "DECISION_OPS", "ALL_OPS"]
 
-_M_REQUESTS = METRICS.counter("server.requests")
-_M_BUSY = METRICS.counter("server.busy_responses")
-_M_CONNECTIONS = METRICS.counter("server.connections")
-_M_INLINE_HITS = METRICS.counter("server.inline_hits")
-
 #: Ops that evaluate decisions (and therefore honor the BUSY gate).
 DECISION_OPS = ("decide", "implies", "summarizable", "navigate")
 #: Every op the server answers.
@@ -139,11 +134,16 @@ class ServerStats:
     requests: int = 0
     busy_responses: int = 0
     errors: int = 0
+    #: Cached verdicts answered on the event loop, without the executor.
+    inline_hits: int = 0
     served: Dict[str, int] = field(default_factory=dict)
 
     def count(self, op: str) -> None:
         self.requests += 1
         self.served[op] = self.served.get(op, 0) + 1
+
+
+_STATS = METRICS.stats_family("server.", ServerStats)
 
 
 class DecisionServer:
@@ -198,7 +198,7 @@ class DecisionServer:
         self.cache_dir = cache_dir
         self.max_inflight = max_inflight
         self.verify_cache_on_load = verify_cache_on_load
-        self.stats = ServerStats()
+        self.stats = _STATS.track(self, ServerStats())
         #: fingerprint -> registered immutable schema (the tenant registry).
         self._schemas: Dict[str, DimensionSchema] = {}
         self._schemas_lock = threading.Lock()
@@ -390,7 +390,6 @@ class DecisionServer:
             self._conn_tasks.add(task)
         self._conn_writers.add(writer)
         self.stats.connections_opened += 1
-        _M_CONNECTIONS.inc()
         if TRACER.enabled:
             TRACER.event("server.connect", peer=str(peer))
         try:
@@ -441,7 +440,6 @@ class DecisionServer:
                 str(op), f"unknown op {op!r} (known: {', '.join(ALL_OPS)})",
                 **extra,
             )
-        _M_REQUESTS.inc()
         self.stats.count(op)
         if op == "stats":
             return {"op": op, "status": "ok", **self._stats_payload(), **extra}
@@ -454,7 +452,6 @@ class DecisionServer:
         if op in DECISION_OPS and self._inflight >= self.max_inflight:
             # The typed BUSY: nothing was evaluated, retrying is sound.
             self.stats.busy_responses += 1
-            _M_BUSY.inc()
             return {
                 "op": op,
                 "status": "busy",
@@ -470,7 +467,7 @@ class DecisionServer:
             # before the lookup, the decision is computed here instead:
             # still the kernel's verdict, audited as a miss, and rare
             # enough that no lock guards against it.
-            _M_INLINE_HITS.inc()
+            self.stats.inline_hits += 1
             payload = self._serve_sync(op, request)
         else:
             assert self._loop is not None
@@ -753,7 +750,7 @@ class DecisionServer:
             "served": dict(sorted(self.stats.served.items())),
             "busy_responses": self.stats.busy_responses,
             "errors": self.stats.errors,
-            "inline_hits": _M_INLINE_HITS.value,
+            "inline_hits": self.stats.inline_hits,
             "maintenance": {
                 "model_preserving_edits": METRICS.counter_value(
                     "maintenance.model_preserving_edits"

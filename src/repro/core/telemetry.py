@@ -272,7 +272,7 @@ def render_prometheus(snapshot: Dict[str, Any]) -> str:
     """A :meth:`MetricsRegistry.snapshot` document in Prometheus text
     exposition format (version 0.0.4).
 
-    Counters (including derived views) become ``counter`` samples,
+    Counters (stats-family counters included) become ``counter`` samples,
     gauges ``gauge`` samples, histograms ``summary`` samples with
     ``{quantile=...}`` labels plus ``_sum``/``_count`` (and a
     ``_reservoir_dropped`` gauge advertising quantile bias).
@@ -661,7 +661,7 @@ def render_report(directory: str) -> str:
                 counters.get("compiled.artifact_hits", 0),
                 counters.get("compiled.artifact_misses", 0),
             )
-            + f"  (decisions {counters.get('compiled.decisions', 0)},"
+            + f"  (decisions {counters.get('compiled.compiled_decisions', 0)},"
             f" fallbacks {counters.get('compiled.fallbacks', 0)},"
             f" invalidations {counters.get('compiled.artifact_invalidations', 0)})"
         )

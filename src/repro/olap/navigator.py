@@ -44,12 +44,6 @@ from repro.olap.aggregates import AggregateFunction
 from repro.olap.cubeview import CubeView, cube_view, recombine
 from repro.olap.facttable import FactTable
 
-_M_QUERIES = METRICS.counter("navigator.queries")
-#: Checks a resilient engine answered UNKNOWN (treated as not-proven;
-#: process-wide so the telemetry report can surface degraded navigation).
-_M_UNKNOWN = METRICS.counter("navigator.unknown_verdicts")
-
-
 @dataclass(frozen=True)
 class QueryPlan:
     """How a cube-view query was (or would be) answered.
@@ -80,6 +74,9 @@ class NavigatorStats:
     #: treats those as not-proven (a base scan is always correct) and
     #: never caches them, so a later healthy check can still prove them.
     unknown_verdicts: int = 0
+
+
+_STATS = METRICS.stats_family("navigator.", NavigatorStats)
 
 
 class AggregateNavigator:
@@ -128,7 +125,7 @@ class AggregateNavigator:
         self.rewrites_only = rewrites_only
         self.cache = cache
         self.engine = resolve_engine(engine, cache)
-        self.stats = NavigatorStats()
+        self.stats = _STATS.track(self, NavigatorStats())
         self._views: Dict[Tuple[Category, str, str], CubeView] = {}
         # Verdicts are keyed by a *context* - the schema fingerprint for
         # schema-level checks, an instance-identity marker otherwise - so
@@ -221,8 +218,6 @@ class AggregateNavigator:
         ) as span:
             view, plan = self._answer(category, aggregate, measure)
             span.set(plan=plan.kind, cost=plan.cost)
-        _M_QUERIES.inc()
-        METRICS.counter(f"navigator.plan.{plan.kind}").inc()
         return view, plan
 
     def _answer(
@@ -295,7 +290,6 @@ class AggregateNavigator:
                     # this batch only* - nothing is cached for it, so no
                     # degraded verdict can ever stick.
                     self.stats.unknown_verdicts += 1
-                    _M_UNKNOWN.inc()
                     if TRACER.enabled:
                         TRACER.event(
                             "navigator.unknown",

@@ -291,3 +291,84 @@ class TestReplayVerification:
             handle.write(payload)
         with pytest.raises(CacheStoreError):
             load_cache(DecisionCache(), str(tmp_path))
+
+
+class TestStoresFromEarlierBuilds:
+    """Provenance once also recorded ``edges`` and ``constraints``; a
+    store saved then unpickles them, and must not write them again."""
+
+    @staticmethod
+    def _with_old_fields(provenance):
+        object.__setattr__(provenance, "edges", frozenset({("Store", "City")}))
+        object.__setattr__(provenance, "constraints", frozenset({"Store.City"}))
+        return provenance
+
+    @staticmethod
+    def _saved_provenance_fields(path):
+        """The attribute names each stored provenance was pickled with."""
+
+        class Raw:
+            pass
+
+        class RawUnpickler(pickle.Unpickler):
+            def find_class(self, module, name):
+                if name == "VerdictProvenance":
+                    return Raw
+                return super().find_class(module, name)
+
+        with open(path, "rb") as handle:
+            handle.readline()
+            data = RawUnpickler(handle).load()
+        return {frozenset(vars(p)) for p in data["provenance"].values()}
+
+    def test_old_provenance_unpickles_with_declared_fields_only(self):
+        from dataclasses import fields
+
+        from repro.core.provenance import VerdictProvenance
+
+        old = self._with_old_fields(
+            VerdictProvenance("dimsat", frozenset({"Store", "All"}))
+        )
+        assert {"edges", "constraints"} <= set(vars(old))
+        loaded = pickle.loads(pickle.dumps(old, protocol=pickle.HIGHEST_PROTOCOL))
+        assert set(vars(loaded)) == {f.name for f in fields(VerdictProvenance)}
+        assert loaded == VerdictProvenance("dimsat", frozenset({"Store", "All"}))
+
+    def test_old_store_loads_and_resaves_without_the_old_fields(
+        self, warm_cache, tmp_path
+    ):
+        import hashlib
+
+        old_dir, new_dir = tmp_path / "old", tmp_path / "new"
+        save_cache(warm_cache, str(old_dir))
+        path = cache_file_path(str(old_dir))
+        with open(path, "rb") as handle:
+            handle.readline()
+            data = pickle.loads(handle.read())
+        for provenance in data["provenance"].values():
+            self._with_old_fields(provenance)
+        payload = pickle.dumps(data, protocol=pickle.HIGHEST_PROTOCOL)
+        header = {
+            "magic": "repro-decision-cache",
+            "version": FORMAT_VERSION,
+            "entries": len(data["entries"]),
+            "schemas": len(data["schemas"]),
+            "payload_sha256": hashlib.sha256(payload).hexdigest(),
+        }
+        with open(path, "wb") as handle:
+            handle.write(json.dumps(header, sort_keys=True).encode() + b"\n")
+            handle.write(payload)
+        declared = frozenset({"kind", "categories", "bottoms"})
+        assert self._saved_provenance_fields(path) == {
+            declared | {"edges", "constraints"}
+        }
+
+        fresh = DecisionCache()
+        report = load_cache(fresh, str(old_dir))
+        assert report.clean and report.loaded == len(warm_cache)
+        for key in data["entries"]:
+            assert set(vars(fresh.provenance_of(key))) == declared
+        save_cache(fresh, str(new_dir))
+        assert self._saved_provenance_fields(cache_file_path(str(new_dir))) == {
+            declared
+        }

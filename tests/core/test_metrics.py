@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import gc
 import json
+import sys
 import threading
+from dataclasses import dataclass
 
 from repro.core.metrics import (
     METRICS,
@@ -135,6 +138,114 @@ class TestRegistry:
 
     def test_process_wide_registry_is_a_singleton(self):
         assert metrics_registry() is METRICS
+
+
+@dataclass
+class _Counts:
+    hits: int = 0
+    started: float = 0.0
+
+
+class _Owner:
+    pass
+
+
+class TestStatsFamily:
+    def test_exports_the_sum_of_every_record_ever_tracked(self):
+        registry = MetricsRegistry()
+        family = registry.stats_family("owner.", _Counts)
+        first, second = _Owner(), _Owner()
+        record = family.track(first, _Counts())
+        family.track(second, _Counts()).hits += 3
+        record.hits += 2
+        # Only integer fields are counters.
+        assert registry.snapshot()["counters"] == {"owner.hits": 5}
+        family.reset(record)
+        assert record.hits == 0
+        assert registry.snapshot()["counters"] == {"owner.hits": 5}
+        record.hits += 1
+        del first, record
+        gc.collect()
+        assert registry.snapshot()["counters"] == {"owner.hits": 6}
+        registry.reset()
+        assert registry.snapshot()["counters"] == {"owner.hits": 6}
+
+    def test_totals_never_fall_under_concurrent_churn(self):
+        """Owners built, counted and collected on 8 threads (half of them
+        in reference cycles, so a collection may run a finalizer inside
+        a snapshot) while another thread reads: every reading is at
+        least the one before, and the end total loses no count."""
+        registry = MetricsRegistry()
+        family = registry.stats_family("owner.", _Counts)
+        threads, per_thread = 8, 300
+        stop = threading.Event()
+        readings = []
+
+        def churn(index):
+            for round_index in range(per_thread):
+                owner = _Owner()
+                if round_index % 2:
+                    owner.cycle = owner
+                family.track(owner, _Counts()).hits += index + 1
+                del owner
+
+        def read():
+            while not stop.is_set():
+                readings.append(registry.snapshot()["counters"]["owner.hits"])
+                if len(readings) % 50 == 0:
+                    gc.collect()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            reader = threading.Thread(target=read)
+            workers = [
+                threading.Thread(target=churn, args=(i,)) for i in range(threads)
+            ]
+            reader.start()
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(60)
+            stop.set()
+            reader.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not reader.is_alive()
+        assert not any(worker.is_alive() for worker in workers)
+        assert readings == sorted(readings)
+        gc.collect()
+        expected = per_thread * sum(range(1, threads + 1))
+        assert registry.snapshot()["counters"]["owner.hits"] == expected
+
+    def test_process_totals_never_fall(self, loc_schema):
+        """Clearing a cache and collecting an engine move their counts
+        into the retired totals: nothing the registry reported is lost."""
+        from repro.core.compile import CompiledArtifactStore, CompiledDecisionEngine
+        from repro.core.decisioncache import DecisionCache
+
+        def counters():
+            return METRICS.snapshot()["counters"]
+
+        cache = DecisionCache()
+        engine = CompiledDecisionEngine(cache=cache, store=CompiledArtifactStore())
+        before = counters()
+        engine.dimsat(loc_schema, "Store")
+        engine.dimsat(loc_schema, "Store")
+        during = counters()
+        for name, delta in (
+            ("decision_cache.hits", 1),
+            ("decision_cache.misses", 1),
+            ("compiled.compiled_decisions", 1),
+            ("compiled.artifact_misses", 1),
+        ):
+            assert during[name] - before[name] == delta, name
+        cache.clear()
+        assert cache.stats.hits == 0
+        assert counters() == during
+        del engine, cache
+        gc.collect()
+        assert counters() == during
 
 
 class TestEmit:

@@ -520,6 +520,131 @@ class TestConcurrentClients:
                 assert client.stats()["maintenance"] == after
 
 
+class TestMetricsSurfaces:
+    """One count per event: the stats op, ``DecisionCache.report()``,
+    the registry snapshot and its Prometheus rendering read the same
+    server, decision-cache, resilience and compiled-tier counts."""
+
+    #: stats-op payload path -> registry counter.
+    SURFACES = {
+        ("requests",): "server.requests",
+        ("busy_responses",): "server.busy_responses",
+        ("errors",): "server.errors",
+        ("inline_hits",): "server.inline_hits",
+        ("connections_total",): "server.connections_opened",
+        **{
+            ("cache", field): f"decision_cache.{field}"
+            for field in (
+                "hits", "misses", "evictions", "invalidations",
+                "store_failures", "rekeyed", "self_evictions",
+            )
+        },
+        **{
+            ("resilience", field): f"resilience.{field}"
+            for field in (
+                "decisions", "retries", "degraded_sequential", "unknown_verdicts",
+            )
+        },
+        ("engine", "fallbacks"): "compiled.fallbacks",
+        **{
+            ("engine", "artifacts", field): f"compiled.artifact_{field}"
+            for field in ("hits", "misses", "compile_failures")
+        },
+    }
+
+    @staticmethod
+    def _read(payload, path):
+        for key in path:
+            payload = payload[key]
+        return payload
+
+    @staticmethod
+    def _prometheus(snapshot):
+        from repro.core.telemetry import render_prometheus
+
+        samples = {}
+        for line in render_prometheus(snapshot).splitlines():
+            if not line.startswith("#"):
+                name, value = line.rsplit(" ", 1)
+                samples[name] = float(value)
+        return samples
+
+    @staticmethod
+    def _report_blocks(report):
+        blocks, block = {}, None
+        for line in report.splitlines():
+            if not line.startswith(" "):
+                block = blocks.setdefault(line.rstrip(":"), {})
+                continue
+            label, value = line.strip().rsplit(None, 1)
+            if not value.endswith("%"):
+                block[label] = int(value)
+        return blocks
+
+    def test_every_surface_reads_the_same_counts(self):
+        from repro.core.hierarchy import HierarchySchema
+        from repro.core.metrics import METRICS
+        from repro.core.schema import DimensionSchema
+
+        schema = DimensionSchema(
+            HierarchySchema(
+                ["Leaf", "P", "Q", "Top"],
+                [("Leaf", "P"), ("Leaf", "Q"), ("P", "Top"), ("Q", "Top"),
+                 ("Top", "All")],
+            ),
+            ["Q -> Top"],
+        )
+        queries = ["Leaf -> P", "Leaf -> Q", "P -> Top", "Q -> Top"]
+        weakening = "Leaf -> Q or Leaf -> P"
+        engine = ResilientDecisionEngine(
+            CompiledDecisionEngine(cache=DecisionCache())
+        )
+        with running_server(engine=engine) as server, _client(server) as client:
+            fp = client.load_schema(schema)
+            first, registry_first = client.stats(), METRICS.snapshot()
+            for _ in range(3):  # misses, then repeated hits
+                for query in queries:
+                    client.implies(fp, query)
+            client.implies(fp, weakening)
+            new_fp = client.edit(fp, "add-constraint", constraint=weakening)[
+                "fingerprint"
+            ]
+            for query in queries:
+                client.implies(new_fp, query)
+            last, registry_last = client.stats(), METRICS.snapshot()
+            report = self._report_blocks(server.cache.report())
+
+        deltas = {
+            path: self._read(last, path) - self._read(first, path)
+            for path in self.SURFACES
+        }
+        assert deltas[("cache", "misses")] == len(queries) + 1
+        assert deltas[("cache", "hits")] >= 3 * len(queries)
+        assert deltas[("cache", "rekeyed")] == len(queries) + 1
+        assert deltas[("inline_hits",)] > 0
+        assert deltas[("engine", "artifacts", "misses")] == 1
+        prom_first = self._prometheus(registry_first)
+        prom_last = self._prometheus(registry_last)
+        for path, name in self.SURFACES.items():
+            registry = (
+                registry_last["counters"][name]
+                - registry_first["counters"][name]
+            )
+            prom = "repro_" + name.replace(".", "_")
+            assert registry == deltas[path], name
+            assert prom_last[prom] - prom_first[prom] == deltas[path], name
+        for label, count in report["decision cache"].items():
+            if label != "entries":
+                field = label.replace("-", "_").replace(" ", "_")
+                assert last["cache"][field] == count, label
+        artifacts = report["compiled artifacts"]
+        assert last["engine"]["artifacts"] == {
+            "hits": artifacts["hits"],
+            "misses": artifacts["misses"],
+            "compile_failures": artifacts["compile fails"],
+        }
+
+
 class _AuditRecords:
     """An in-memory audit sink."""
 

@@ -414,6 +414,22 @@ class TestRenderReport:
         assert "top spans (by total time):" in text
         assert "caches (process-wide metrics):" in text
 
+    def test_every_counter_the_report_reads_is_exported(self):
+        """A renamed counter would read as a silent 0 in the report."""
+        import inspect
+        import re
+
+        import repro.core.cachestore  # noqa: F401 - declares cache_persist.*
+        from repro.core.metrics import METRICS
+
+        names = re.findall(
+            r"counters\.get\(\s*[\"']([^\"']+)[\"']",
+            inspect.getsource(render_report),
+        )
+        assert len(names) >= 15
+        counters = METRICS.snapshot()["counters"]
+        assert [name for name in names if name not in counters] == []
+
     def test_missing_directory_is_an_error(self, tmp_path):
         with pytest.raises(ReproError):
             render_report(str(tmp_path / "nope"))

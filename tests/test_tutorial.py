@@ -179,6 +179,35 @@ class TestSection10BatchedDecisions:
                      "budget.cancelled"):
             assert gone not in counters
 
+    def test_every_counter_row_is_exported(self):
+        """Every counter the Section 11 metrics table names is in the
+        snapshot; ``.field`` / ``_field`` abbreviate the row's first
+        name."""
+        from pathlib import Path
+
+        import repro.olap.navigator  # noqa: F401 - declares navigator.*
+        from repro.core.metrics import metrics_registry
+
+        tutorial = Path(__file__).resolve().parents[1] / "docs" / "TUTORIAL.md"
+        names = []
+        for line in tutorial.read_text().splitlines():
+            cells = [cell.strip() for cell in line.strip("|").split("|")]
+            if len(cells) != 3 or cells[1] != "counter":
+                continue
+            first = None
+            for part in cells[0].replace(",", "/").split("/"):
+                name = part.strip().strip("`")
+                if first is None or name[0] not in "._":
+                    first = name
+                elif name[0] == ".":
+                    name = first.rsplit(".", 1)[0] + name
+                else:
+                    name = first.rsplit("_", 1)[0] + name
+                names.append(name)
+        assert len(names) >= 40
+        counters = metrics_registry().snapshot()["counters"]
+        assert [name for name in names if name not in counters] == []
+
 
 class TestSection11Observability:
     def test_traced_decision_records_the_documented_spans(self, ds):
