@@ -1000,16 +1000,16 @@ class CompiledDecisionEngine:
         return results
 
 
-def resolve_engine(engine: object, cache: object = USE_DEFAULT_CACHE) -> object:
+def resolve_engine(engine: object = None) -> object:
     """Resolve the ``engine=`` argument the OLAP layers accept.
 
-    An engine name (``"compiled"``, ``"sequential"``) becomes that engine
-    over the given cache, built by
-    :func:`~repro.core.resilience.build_engine`; any other value (an
-    engine object or ``None``) passes through unchanged.
+    ``None`` becomes the default engine and an engine name
+    (``"compiled"``, ``"sequential"``) that engine, both built by
+    :func:`~repro.core.resilience.build_engine` over the process-wide
+    decision cache; an engine object passes through unchanged.
     """
-    if isinstance(engine, str):
-        from repro.core.resilience import build_engine
+    if engine is not None and not isinstance(engine, str):
+        return engine
+    from repro.core.resilience import build_engine
 
-        return build_engine(engine, cache=cache)
-    return engine
+    return build_engine() if engine is None else build_engine(engine)

@@ -70,10 +70,9 @@ def _hashable(value: object) -> object:
 def _options_key(options: "Optional[DimsatOptions]") -> Tuple[object, ...]:
     """A hashable key covering every DIMSAT tuning knob.
 
-    The pruning flags never change verdicts, but ``max_expansions`` can
-    turn an answer into a budget exception and ``keep_trace`` changes the
-    result payload, so the full option tuple participates in the key -
-    correctness first, sharing second.
+    The pruning flags never change verdicts, but ``keep_trace`` changes
+    the result payload, so the full option tuple participates in the key
+    - correctness first, sharing second.
 
     Each field appears as an explicit ``(name, value)`` pair rather than
     through ``dataclasses.astuple``: astuple deep-converts recursively

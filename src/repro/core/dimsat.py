@@ -35,7 +35,6 @@ import itertools
 import threading
 from dataclasses import dataclass, field
 from typing import (
-    Callable,
     Dict,
     FrozenSet,
     Iterable,
@@ -62,11 +61,11 @@ from repro.constraints.ast import (
 from repro.constraints.simplify import evaluate, simplify, substitute
 from repro.core.budget import DecisionBudget
 from repro.core.frozen import FrozenDimension, Subhierarchy
-from repro.core.hierarchy import ALL, Category, HierarchySchema
+from repro.core.hierarchy import ALL, Category
 from repro.core.metrics import METRICS
 from repro.core.schema import NK, DimensionSchema
 from repro.core.trace import TRACER
-from repro.errors import BudgetExceeded, SchemaError
+from repro.errors import SchemaError
 
 #: Pre-resolved decision counter (a module attribute read is cheaper
 #: than a registry lookup per decision).
@@ -100,9 +99,6 @@ class DimsatOptions:
     choice: str = "sorted"
     #: Record the EXPAND/CHECK trace (Figure 7 regeneration).
     keep_trace: bool = False
-    #: Abort after this many EXPAND calls (None = unbounded); the search
-    #: raises :class:`SearchBudgetExceeded` when the budget runs out.
-    max_expansions: Optional[int] = None
     #: Memoize circle-operator reductions in the process-wide
     #: :class:`CircleCache`.  Never changes the answer, only the work done
     #: (the cache ablation of ``bench_decision_cache``).
@@ -159,15 +155,6 @@ class DimsatResult:
     witness: Optional[FrozenDimension]
     stats: DimsatStats
     trace: List[TraceEntry] = field(default_factory=list)
-
-
-class SearchBudgetExceeded(BudgetExceeded, SchemaError):
-    """Raised when ``max_expansions`` is exhausted before an answer.
-
-    Subclasses :class:`~repro.errors.BudgetExceeded` (the typed budget
-    error every budget-limited decision raises) and keeps its historical
-    :class:`~repro.errors.SchemaError` parentage for compatibility.
-    """
 
 
 # ----------------------------------------------------------------------
@@ -597,13 +584,6 @@ class _Search:
     def _charge_expansion(self) -> None:
         """One EXPAND call's worth of accounting and budget checks."""
         self.stats.expand_calls += 1
-        if (
-            self.options.max_expansions is not None
-            and self.stats.expand_calls > self.options.max_expansions
-        ):
-            raise SearchBudgetExceeded(
-                f"DIMSAT exceeded {self.options.max_expansions} EXPAND calls"
-            )
         if self.budget is not None:
             self.budget.charge()
 
@@ -836,14 +816,3 @@ def enumerate_frozen_dimensions(
     search = _Search(schema, category, options, budget=budget)
     return list(search.run())
 
-
-def dimsat_with_search(
-    schema: DimensionSchema,
-    category: Category,
-    options: Optional[DimsatOptions] = None,
-    budget: Optional[DecisionBudget] = None,
-) -> Tuple[DimsatResult, DimsatStats]:
-    """Like :func:`dimsat` but also returns the stats object (convenience
-    for benchmarks that aggregate counters across runs)."""
-    result = dimsat(schema, category, options, budget)
-    return result, result.stats

@@ -60,7 +60,7 @@ from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, Optional, Set, Tuple
 
 from repro._types import Category
-from repro.constraints.ast import Node, constraint_root
+from repro.constraints.ast import Node
 from repro.constraints.printer import unparse
 
 if TYPE_CHECKING:  # pragma: no cover - typing only

@@ -453,6 +453,11 @@ class ResilientDecisionEngine:
                 )
             return None, _settle(span, None, "unknown", attempts, failures)
 
+    @property
+    def cache(self) -> Any:
+        """The wrapped engine's decision cache (read-only)."""
+        return self.engine.cache
+
     def would_hit(self, schema: DimensionSchema, request: Tuple[Any, ...]) -> bool:
         """Whether the ladder would answer the resolved ``request`` from
         the wrapped engine's cache, computing nothing: the breaker is
@@ -465,7 +470,7 @@ class ResilientDecisionEngine:
         computed.  The decision server uses it to answer cached verdicts
         on its event loop.
         """
-        cache = self.engine.cache
+        cache = self.cache
         if cache is None:
             return False
         fingerprint = schema.fingerprint()

@@ -494,31 +494,34 @@ class TelemetryPipeline:
                 TRACER.disable()
             self._installed = False
 
-        snapshot = METRICS.snapshot()
-        with open(
-            os.path.join(self.directory, METRICS_JSON_FILE), "w", encoding="utf-8"
-        ) as handle:
-            json.dump(snapshot, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        with open(
-            os.path.join(self.directory, METRICS_PROM_FILE), "w", encoding="utf-8"
-        ) as handle:
-            handle.write(render_prometheus(snapshot))
-        trace_doc = render_chrome_trace(TRACER.spans(), TRACER.events())
-        with open(
-            os.path.join(self.directory, CHROME_TRACE_FILE), "w", encoding="utf-8"
-        ) as handle:
-            json.dump(trace_doc, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-
-        self._writer.close()
-        for handle in self._handles.values():
-            try:
-                handle.flush()
-                handle.close()
-            except ValueError:  # pragma: no cover - already closed
-                pass
-        self._finalized = True
+        try:
+            snapshot = METRICS.snapshot()
+            with open(
+                os.path.join(self.directory, METRICS_JSON_FILE), "w", encoding="utf-8"
+            ) as handle:
+                json.dump(snapshot, handle, indent=2, sort_keys=True)
+                handle.write("\n")
+            with open(
+                os.path.join(self.directory, METRICS_PROM_FILE), "w", encoding="utf-8"
+            ) as handle:
+                handle.write(render_prometheus(snapshot))
+            trace_doc = render_chrome_trace(TRACER.spans(), TRACER.events())
+            with open(
+                os.path.join(self.directory, CHROME_TRACE_FILE), "w", encoding="utf-8"
+            ) as handle:
+                json.dump(trace_doc, handle, indent=2, sort_keys=True)
+                handle.write("\n")
+        finally:
+            # A failed render (a full disk, say) must not strand the
+            # streams: drain the writer and close every handle regardless.
+            self._writer.close()
+            for handle in self._handles.values():
+                try:
+                    handle.flush()
+                    handle.close()
+                except ValueError:  # pragma: no cover - already closed
+                    pass
+            self._finalized = True
         manifest = self._manifest()
         with open(
             os.path.join(self.directory, MANIFEST_FILE), "w", encoding="utf-8"

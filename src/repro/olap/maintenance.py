@@ -55,7 +55,6 @@ from repro.core.metrics import METRICS
 from repro.core.provenance import SchemaDelta, mentioned_categories, schema_delta
 from repro.core.schema import DimensionSchema
 from repro.errors import BudgetExceeded, OlapError, SchemaError
-from repro.olap.aggregates import AggregateFunction
 from repro.olap.cubeview import CubeView, cube_view
 from repro.olap.facttable import FactTable
 from repro.olap.navigator import AggregateNavigator
@@ -239,10 +238,11 @@ class SchemaEditor:
         an add decides through it; without one, an add that is not
         implied would compile an artifact only for ``invalidate_everywhere``
         to throw it away.  So an editor whose schema was never decided
-        through the compiled tier (a kernel-only cache, a fresh
-        navigator) takes the syntactic path, as after a "no".  A drop
-        that misses the shortcut decides on the new schema, whose
-        artifact stays under the new fingerprint whatever the answer.
+        through the compiled tier (a kernel-only engine, a navigator
+        that has not decided anything yet) takes the syntactic path, as
+        after a "no".  A drop that misses the shortcut decides on the new
+        schema, whose artifact stays under the new fingerprint whatever
+        the answer.
 
         The decision runs under :data:`_EDIT_DECISION_BUDGET`.  An
         injected fault or an exhausted budget counts as a fallback and
@@ -369,10 +369,13 @@ class MaintainedNavigator(AggregateNavigator):
     table, a navigator has a single writer.
 
     Constraint maintenance rides along: :meth:`add_constraint` and
-    :meth:`drop_constraint` swap in an edited schema (via
-    :class:`SchemaEditor`, so the decision cache is invalidated) and flush
-    the navigator's own verdict memo - rewritings proven under the old
-    SIGMA are re-proven under the new one.
+    :meth:`drop_constraint` swap in an edited schema (via a
+    :class:`SchemaEditor` on the engine's decision cache, so verdicts the
+    edit cannot change move to the new version and the rest are dropped)
+    and flush the navigator's own verdict memo - rewritings proven under
+    the old SIGMA are re-proven under the new one.  After a model-preserving
+    edit (say, adding a constraint SIGMA already implies) that re-proof is
+    a decision-cache hit.
     """
 
     def append(
@@ -426,7 +429,7 @@ class MaintainedNavigator(AggregateNavigator):
         """Extend SIGMA; future rewrites are proven under the new schema."""
         if self.schema is None:
             raise OlapError("navigator has no schema to edit")
-        editor = SchemaEditor(self.schema, self.cache)
+        editor = SchemaEditor(self.schema, self.engine.cache)
         self._swap_schema(editor.add_constraint(constraint))
         return self.schema
 
@@ -435,6 +438,6 @@ class MaintainedNavigator(AggregateNavigator):
         re-examined on the next query."""
         if self.schema is None:
             raise OlapError("navigator has no schema to edit")
-        editor = SchemaEditor(self.schema, self.cache)
+        editor = SchemaEditor(self.schema, self.engine.cache)
         self._swap_schema(editor.drop_constraint(constraint))
         return self.schema

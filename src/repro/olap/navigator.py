@@ -18,27 +18,26 @@ categories - and that dimension constraints let the system decide this.
 Summarizability can be checked at the *instance* level (valid for the
 current data) or the *schema* level (valid for every instance of the
 dimension schema - the safe choice when data evolves under the same
-constraints).
+constraints).  A schema-level check goes through the navigator's
+decision engine, one check at a time in the search's cost order
+(:func:`ask_summarizable`); an UNKNOWN answer means "not proven", so the
+query falls back to the always-correct base scan.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Any, Dict, FrozenSet, List, Optional, Tuple
 
 from repro._types import Category
 from repro.core.compile import resolve_engine
-from repro.core.decisioncache import USE_DEFAULT_CACHE
 from repro.core.instance import DimensionInstance
 from repro.core.metrics import METRICS
 from repro.core.trace import TRACER
-from repro.core.parallel import ParallelDecisionEngine, unknown_as_none
+from repro.core.parallel import unknown_as_none
 from repro.core.schema import DimensionSchema
-from repro.core.summarizability import (
-    is_summarizable_in_instance,
-    is_summarizable_in_schema,
-)
+from repro.core.summarizability import is_summarizable_in_instance
 from repro.errors import NavigationError, OlapError
 from repro.olap.aggregates import AggregateFunction
 from repro.olap.cubeview import CubeView, cube_view, recombine
@@ -70,13 +69,37 @@ class NavigatorStats:
     rows_read: int = 0
     summarizability_checks: int = 0
     supersets_skipped: int = 0
-    #: Batched checks a resilient engine answered UNKNOWN.  The navigator
-    #: treats those as not-proven (a base scan is always correct) and
-    #: never caches them, so a later healthy check can still prove them.
+    #: Checks a resilient engine answered UNKNOWN.  The navigator treats
+    #: those as not proven (a base scan is always correct) and never
+    #: caches them, so a later healthy check can still prove them.
     unknown_verdicts: int = 0
 
 
 _STATS = METRICS.stats_family("navigator.", NavigatorStats)
+
+
+def ask_summarizable(
+    engine: Any,
+    schema: DimensionSchema,
+    target: Category,
+    sources: FrozenSet[Category],
+) -> Optional[bool]:
+    """One schema-level summarizability check through ``engine``, as a
+    batch of one (:meth:`try_decide_many`): the verdict, or ``None`` when
+    the engine answered UNKNOWN (a
+    :class:`~repro.errors.DecisionUnavailable`).  Any other failure
+    raises.
+
+    The OLAP layers ask every schema-level check through here and share
+    one rule for ``None``: it means "not proven", and the caller
+    memoizes nothing for it, so a later healthy check can still prove
+    the rewriting.  The resilient engine's ladder has already counted
+    it (``resilience.unknown_verdicts``).
+    """
+    (verdict,) = unknown_as_none(
+        engine.try_decide_many([(schema, ("summarizable", target, sources))])
+    )
+    return verdict
 
 
 class AggregateNavigator:
@@ -95,18 +118,13 @@ class AggregateNavigator:
     rewrites_only:
         When true, a query with no correct rewriting raises
         :class:`NavigationError` instead of scanning the base table.
-    cache:
-        A :class:`~repro.core.decisioncache.DecisionCache` for schema-level
-        summarizability verdicts (default: the process-wide one); pass
-        ``None`` to disable it.
     engine:
-        Optional :class:`~repro.core.parallel.ParallelDecisionEngine`,
-        or the string ``"compiled"`` to decide through a
-        :class:`~repro.core.compile.CompiledDecisionEngine` over the
-        same cache.  When set (and ``schema`` is given), the rewriting
-        search batches its candidate summarizability checks through
-        :meth:`~repro.core.parallel.ParallelDecisionEngine.decide_many`
-        instead of deciding them one by one.
+        The decision engine that answers schema-level checks: an engine
+        object, or a :func:`~repro.core.resilience.build_engine` name.
+        The default is ``build_engine()``, the compiled tier over the
+        process-wide decision cache.  The rewriting search asks it one
+        check at a time, in cost order, and stops at the first proven
+        candidate.
     """
 
     def __init__(
@@ -115,16 +133,14 @@ class AggregateNavigator:
         schema: Optional[DimensionSchema] = None,
         max_rewrite_sources: int = 3,
         rewrites_only: bool = False,
-        cache: object = USE_DEFAULT_CACHE,
-        engine: Optional[ParallelDecisionEngine] = None,
+        engine: object = None,
     ) -> None:
         self.facts = facts
         self.instance: DimensionInstance = facts.instance
         self.schema = schema
         self.max_rewrite_sources = max_rewrite_sources
         self.rewrites_only = rewrites_only
-        self.cache = cache
-        self.engine = resolve_engine(engine, cache)
+        self.engine = resolve_engine(engine)
         self.stats = _STATS.track(self, NavigatorStats())
         self._views: Dict[Tuple[Category, str, str], CubeView] = {}
         # Verdicts are keyed by a *context* - the schema fingerprint for
@@ -255,61 +271,6 @@ class AggregateNavigator:
     # Rewriting search
     # ------------------------------------------------------------------
 
-    def summarizable_many(
-        self, queries: Iterable[Tuple[Category, Iterable[Category]]]
-    ) -> List[bool]:
-        """Batch-decide summarizability for many ``(target, sources)`` pairs.
-
-        With a schema and an engine attached, the uncached pairs go out as
-        one deduped ``try_decide_many`` batch; otherwise they are decided
-        one by one.  Either way every verdict lands in the
-        navigator's local caches, so a subsequent rewriting search finds
-        them for free.  Returns verdicts aligned with the input order.
-        """
-        pairs = [(target, frozenset(sources)) for target, sources in queries]
-        if self.schema is None or self.engine is None:
-            return [self._is_summarizable(target, s) for target, s in pairs]
-        context = self._verdict_context()
-        missing: List[Tuple[Category, FrozenSet[Category]]] = []
-        seen = set()
-        for target, sources in pairs:
-            key = (context, target, sources)
-            if key not in self._summarizable_cache and (target, sources) not in seen:
-                seen.add((target, sources))
-                missing.append((target, sources))
-        if missing:
-            requests = [
-                (self.schema, ("summarizable", target, sources))
-                for target, sources in missing
-            ]
-            verdicts = unknown_as_none(self.engine.try_decide_many(requests))
-            for (target, sources), verdict in zip(missing, verdicts):
-                self.stats.summarizability_checks += 1
-                if verdict is None:
-                    # UNKNOWN is conservatively treated as not-proven *for
-                    # this batch only* - nothing is cached for it, so no
-                    # degraded verdict can ever stick.
-                    self.stats.unknown_verdicts += 1
-                    if TRACER.enabled:
-                        TRACER.event(
-                            "navigator.unknown",
-                            target=target,
-                            sources=sorted(sources),
-                        )
-                    continue
-                self._summarizable_cache[(context, target, sources)] = verdict
-                if verdict:
-                    self._proven_sources.setdefault((context, target), []).append(
-                        sources
-                    )
-        # ``.get(..., False)``: an UNKNOWN verdict has no cache entry and
-        # reads as "not proven summarizable" - sound, because every caller
-        # uses a positive verdict only to *replace* a base scan.
-        return [
-            self._summarizable_cache.get((context, target, sources), False)
-            for target, sources in pairs
-        ]
-
     def _is_summarizable(self, target: Category, sources: FrozenSet[Category]) -> bool:
         context = self._verdict_context()
         key = (context, target, sources)
@@ -317,12 +278,18 @@ class AggregateNavigator:
         if cached is not None:
             return cached
         self.stats.summarizability_checks += 1
-        if self.schema is not None:
-            verdict = is_summarizable_in_schema(
-                self.schema, target, sources, cache=self.cache
-            )
-        else:
+        if self.schema is None:
             verdict = is_summarizable_in_instance(self.instance, target, sources)
+        else:
+            answer = ask_summarizable(self.engine, self.schema, target, sources)
+            if answer is None:
+                self.stats.unknown_verdicts += 1
+                if TRACER.enabled:
+                    TRACER.event(
+                        "navigator.unknown", target=target, sources=sorted(sources)
+                    )
+                return False
+            verdict = answer
         self._summarizable_cache[key] = verdict
         if verdict:
             self._proven_sources.setdefault((context, target), []).append(sources)
@@ -367,37 +334,12 @@ class AggregateNavigator:
                 )
                 candidates.append((total, combo))
         candidates.sort()
-        batch_verdicts: Dict[FrozenSet[Category], bool] = {}
-        if self.engine is not None and self.schema is not None and candidates:
-            # Batch every candidate check through the engine up front: the
-            # verdicts land in the local cache, so the cost-ordered loop
-            # below only does lookups.  (This trades the sequential path's
-            # first-hit early exit for one deduped concurrent batch.)
-            todo = [
-                combo
-                for _total, combo in candidates
-                if not any(subset < frozenset(combo) for subset in proven)
-            ]
-            verdicts = self.summarizable_many((target, combo) for combo in todo)
-            batch_verdicts = {
-                frozenset(combo): verdict
-                for combo, verdict in zip(todo, verdicts)
-            }
         for _total, combo in candidates:
             combo_set = frozenset(combo)
             if any(subset < combo_set for subset in proven):
                 self.stats.supersets_skipped += 1
                 continue
-            # Read the batch result directly rather than through
-            # ``_is_summarizable``: an UNKNOWN verdict left no cache entry,
-            # and re-deciding it sequentially here would re-expose this
-            # query to the very fault the ladder already degraded around.
-            verdict = (
-                batch_verdicts[combo_set]
-                if combo_set in batch_verdicts
-                else self._is_summarizable(target, combo_set)
-            )
-            if verdict:
+            if self._is_summarizable(target, combo_set):
                 views = [self._views[(c, aggregate.name, measure)] for c in combo]
                 return combo, views
         return None

@@ -20,23 +20,29 @@ The module implements exactly that test plus two selectors on top of it:
 The cost model is the standard row-count proxy: answering a target from a
 view set costs the summed view sizes; answering from the base table costs
 the fact-table size; materializing costs storage equal to view size.
+
+Every entry point takes one ``engine`` argument, as the aggregate
+navigator does: an engine object, or a
+:func:`~repro.core.resilience.build_engine` name (default
+``build_engine()``, the compiled tier over the process-wide decision
+cache).  Each check is asked once, in the plan search's cost order,
+through :func:`~repro.olap.navigator.ask_summarizable`; an UNKNOWN
+answer means "not proven", so that target's plan falls back to the base
+scan.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
+from typing import Any, Dict, FrozenSet, Iterable, Mapping, Optional, Tuple
 
-from repro._types import ALL, Category
+from repro._types import Category
 from repro.core.compile import resolve_engine
-from repro.core.decisioncache import USE_DEFAULT_CACHE
-from repro.core.dimsat import DimsatOptions
-from repro.core.parallel import ParallelDecisionEngine, unknown_as_none
 from repro.core.schema import DimensionSchema
-from repro.core.summarizability import is_summarizable_in_schema
 from repro.core.trace import TRACER
 from repro.errors import OlapError
+from repro.olap.navigator import ask_summarizable
 
 
 @dataclass(frozen=True)
@@ -92,67 +98,27 @@ class Selection:
 
 
 class _SummarizabilityCache:
-    """Memoized schema-level summarizability over one problem.
+    """Memoized schema-level summarizability over one evaluation.
 
-    A thin lock-free layer over the shared
-    :class:`~repro.core.decisioncache.DecisionCache`: the local dict
-    avoids fingerprint hashing inside the selection loops, while the
-    decision cache makes verdicts carry over between problems (the greedy
-    re-evaluates the same ``(target, sources)`` pairs for every candidate
-    it trials).
+    A lock-free local dict over the engine, which avoids fingerprint
+    hashing inside the plan search; the engine's decision cache makes
+    verdicts carry over between evaluations (the greedy re-evaluates the
+    same ``(target, sources)`` pairs for every candidate it trials).  An
+    UNKNOWN check reads as not proven and stays out of the dict.
     """
 
-    def __init__(
-        self,
-        schema: DimensionSchema,
-        options: Optional[DimsatOptions],
-        cache: object = USE_DEFAULT_CACHE,
-        engine: Optional[ParallelDecisionEngine] = None,
-    ):
+    def __init__(self, schema: DimensionSchema, engine: Any):
         self.schema = schema
-        self.options = options
-        self.cache = cache
-        # ``"compiled"`` selects the compiled decision tier; anything
-        # else (engine object or None) is used as given.
-        self.engine = resolve_engine(engine, cache)
+        self.engine = engine
         self._cache: Dict[Tuple[Category, FrozenSet[Category]], bool] = {}
-
-    def prefetch(self, pairs: Iterable[Tuple[Category, FrozenSet[Category]]]) -> None:
-        """Batch-decide ``(target, sources)`` pairs through the engine.
-
-        No-op without an engine.  Every verdict lands in the local dict, so
-        the selection loops afterwards only do lookups.
-        """
-        if self.engine is None:
-            return
-        missing: List[Tuple[Category, FrozenSet[Category]]] = []
-        seen = set()
-        for target, sources in pairs:
-            key = (target, sources)
-            if key not in self._cache and key not in seen:
-                seen.add(key)
-                missing.append(key)
-        if not missing:
-            return
-        requests = [
-            (self.schema, ("summarizable", target, sources))
-            for target, sources in missing
-        ]
-        verdicts = unknown_as_none(self.engine.try_decide_many(requests))
-        for key, verdict in zip(missing, verdicts):
-            # An UNKNOWN check stays out of the local dict, so :meth:`check`
-            # recomputes it sequentially on demand instead of ever
-            # trusting a degraded verdict.
-            if verdict is not None:
-                self._cache[key] = verdict
 
     def check(self, target: Category, sources: FrozenSet[Category]) -> bool:
         key = (target, sources)
         cached = self._cache.get(key)
         if cached is None:
-            cached = is_summarizable_in_schema(
-                self.schema, target, sources, self.options, self.cache
-            )
+            cached = ask_summarizable(self.engine, self.schema, target, sources)
+            if cached is None:
+                return False
             self._cache[key] = cached
         return cached
 
@@ -189,36 +155,16 @@ def _cheapest_plan(
 def evaluate_selection(
     problem: ViewSelectionProblem,
     selected: Iterable[Category],
-    options: Optional[DimsatOptions] = None,
-    cache: object = USE_DEFAULT_CACHE,
-    engine: Optional[ParallelDecisionEngine] = None,
+    engine: object = None,
 ) -> Selection:
-    """Storage and weighted query cost of a concrete view set.
-
-    With an ``engine``, every summarizability check the per-target plan
-    search may need goes out as one deduped ``try_decide_many`` batch first.
-    """
+    """Storage and weighted query cost of a concrete view set."""
     chosen = frozenset(selected)
     # Per-evaluation span: one trial of the greedy/exhaustive selectors,
     # with the nested summarizability spans attributing its cost.
     with TRACER.span(
         "viewselect.evaluate", views=sorted(chosen), targets=len(problem.targets)
     ) as span:
-        cache = _SummarizabilityCache(problem.schema, options, cache, engine)
-        if engine is not None:
-            hierarchy = problem.schema.hierarchy
-            pairs: List[Tuple[Category, FrozenSet[Category]]] = []
-            for target in problem.targets:
-                if target in chosen:
-                    continue
-                below = sorted(
-                    c for c in chosen if c != target and hierarchy.reaches(c, target)
-                )
-                limit = min(problem.max_rewrite_sources, len(below))
-                for size in range(1, limit + 1):
-                    for combo in combinations(below, size):
-                        pairs.append((target, frozenset(combo)))
-            cache.prefetch(pairs)
+        cache = _SummarizabilityCache(problem.schema, resolve_engine(engine))
         answerable: Dict[Category, Tuple[Category, ...]] = {}
         total = 0.0
         for target, weight in problem.targets.items():
@@ -237,12 +183,10 @@ def evaluate_selection(
 def coverage(
     problem: ViewSelectionProblem,
     selected: Iterable[Category],
-    options: Optional[DimsatOptions] = None,
-    cache: object = USE_DEFAULT_CACHE,
-    engine: Optional[ParallelDecisionEngine] = None,
+    engine: object = None,
 ) -> Dict[Category, bool]:
     """Per-target verdict: answerable from the views without a base scan."""
-    evaluation = evaluate_selection(problem, selected, options, cache, engine)
+    evaluation = evaluate_selection(problem, selected, engine)
     return {
         target: bool(plan) for target, plan in evaluation.answerable.items()
     }
@@ -251,20 +195,16 @@ def coverage(
 def is_sufficient(
     problem: ViewSelectionProblem,
     selected: Iterable[Category],
-    options: Optional[DimsatOptions] = None,
-    cache: object = USE_DEFAULT_CACHE,
-    engine: Optional[ParallelDecisionEngine] = None,
+    engine: object = None,
 ) -> bool:
     """Section 6's test: do the selected views suffice for all targets?"""
-    return all(coverage(problem, selected, options, cache, engine).values())
+    return all(coverage(problem, selected, engine).values())
 
 
 def greedy_select(
     problem: ViewSelectionProblem,
     storage_budget: int,
-    options: Optional[DimsatOptions] = None,
-    cache: object = USE_DEFAULT_CACHE,
-    engine: Optional[ParallelDecisionEngine] = None,
+    engine: object = None,
 ) -> Selection:
     """Benefit-per-cell greedy selection under a storage budget.
 
@@ -272,13 +212,14 @@ def greedy_select(
     repeatedly materializes the candidate with the highest query-cost
     reduction per stored cell, while it fits the budget and helps.
     """
+    engine = resolve_engine(engine)
     with TRACER.span(
         "viewselect.greedy",
         candidates=len(problem.candidates()),
         budget=storage_budget,
     ) as span:
         chosen: FrozenSet[Category] = frozenset()
-        current = evaluate_selection(problem, chosen, options, cache, engine)
+        current = evaluate_selection(problem, chosen, engine)
         rounds = 0
         while True:
             best_gain = 0.0
@@ -290,9 +231,7 @@ def greedy_select(
                 size = problem.size_of(candidate)
                 if current.storage + size > storage_budget:
                     continue
-                trial = evaluate_selection(
-                    problem, chosen | {candidate}, options, cache, engine
-                )
+                trial = evaluate_selection(problem, chosen | {candidate}, engine)
                 gain = (current.query_cost - trial.query_cost) / max(1, size)
                 if gain > best_gain:
                     best_gain = gain
@@ -309,15 +248,14 @@ def greedy_select(
 def exhaustive_select(
     problem: ViewSelectionProblem,
     storage_budget: int,
-    options: Optional[DimsatOptions] = None,
-    cache: object = USE_DEFAULT_CACHE,
-    engine: Optional[ParallelDecisionEngine] = None,
+    engine: object = None,
 ) -> Selection:
     """Optimal selection by subset enumeration (small candidate sets).
 
     Ties break toward smaller storage, then lexicographic category order,
     so the result is deterministic.
     """
+    engine = resolve_engine(engine)
     candidates = problem.candidates()
     if len(candidates) > 16:
         raise OlapError(
@@ -330,7 +268,7 @@ def exhaustive_select(
             storage = sum(problem.size_of(c) for c in combo)
             if storage > storage_budget:
                 continue
-            trial = evaluate_selection(problem, combo, options, cache, engine)
+            trial = evaluate_selection(problem, combo, engine)
             key = (trial.query_cost, trial.storage, tuple(sorted(trial.categories)))
             if best is None or key < (
                 best.query_cost,

@@ -12,13 +12,13 @@ import pytest
 
 from repro.core.budget import DecisionBudget
 from repro.core.decisioncache import DecisionCache
-from repro.core.dimsat import DimsatOptions, SearchBudgetExceeded, dimsat
-from repro.core.implication import implies, is_category_satisfiable, is_implied
+from repro.core.dimsat import dimsat
+from repro.core.implication import implies, is_implied
 from repro.core.parallel import ParallelDecisionEngine, _decide, ask
 from repro.core.request import resolve_request
 from repro.core.resilience import ENGINE_NAMES, build_engine
 from repro.core.summarizability import decide, is_summarizable_in_schema
-from repro.errors import BudgetExceeded, ReproError, SchemaError
+from repro.errors import BudgetExceeded, ReproError
 from repro.generators.location import location_schema
 
 
@@ -109,12 +109,15 @@ class TestKernelBudgets:
             schema, "Country", ["City"], cache=None, budget=generous.fresh()
         )
 
-    def test_max_expansions_is_budget_exceeded(self, schema):
-        """The legacy options-level ceiling raises the same typed error."""
+    def test_node_ceiling_counts_expand_calls(self, schema):
+        """The kernel charges one node per EXPAND call: a ceiling of
+        exactly the calls an unbounded search makes is enough, and one
+        less raises the typed error."""
+        calls = dimsat(schema, "Store").stats.expand_calls
+        exact = dimsat(schema, "Store", budget=DecisionBudget(max_nodes=calls))
+        assert exact.satisfiable and exact.stats.expand_calls == calls
         with pytest.raises(BudgetExceeded):
-            dimsat(schema, "Store", DimsatOptions(max_expansions=0))
-        assert issubclass(SearchBudgetExceeded, BudgetExceeded)
-        assert issubclass(SearchBudgetExceeded, SchemaError)
+            dimsat(schema, "Store", budget=DecisionBudget(max_nodes=calls - 1))
 
 
 class TestCachesStayVerdictClean:

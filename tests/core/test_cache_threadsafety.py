@@ -17,14 +17,11 @@ from __future__ import annotations
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
-import pytest
-
 from repro.constraints.ast import RollsUpAtom, hash_cons
 from repro.constraints.parser import parse
 from repro.core.decisioncache import DecisionCache
 from repro.core.dimsat import CircleCache, dimsat
 from repro.core.implication import is_implied
-from repro.core.schema import DimensionSchema
 from repro.core.summarizability import decide
 from repro.generators.location import location_schema
 from repro.io.json_io import schema_from_json, schema_to_json

@@ -6,6 +6,7 @@ from __future__ import annotations
 import json
 import os
 import pickle
+from pathlib import Path
 
 import pytest
 
@@ -81,23 +82,23 @@ class TestIntegrity:
     def test_truncated_payload_is_rejected(self, warm_cache, tmp_path):
         save_cache(warm_cache, str(tmp_path))
         path = cache_file_path(str(tmp_path))
-        blob = open(path, "rb").read()
-        open(path, "wb").write(blob[:-7])
+        blob = Path(path).read_bytes()
+        Path(path).write_bytes(blob[:-7])
         with pytest.raises(CacheStoreError, match="checksum"):
             load_cache(DecisionCache(), str(tmp_path))
 
     def test_flipped_payload_byte_is_rejected(self, warm_cache, tmp_path):
         save_cache(warm_cache, str(tmp_path))
         path = cache_file_path(str(tmp_path))
-        blob = bytearray(open(path, "rb").read())
+        blob = bytearray(Path(path).read_bytes())
         blob[-1] ^= 0xFF
-        open(path, "wb").write(bytes(blob))
+        Path(path).write_bytes(bytes(blob))
         with pytest.raises(CacheStoreError, match="checksum"):
             load_cache(DecisionCache(), str(tmp_path))
 
     def test_garbage_header_is_rejected(self, tmp_path):
         path = cache_file_path(str(tmp_path))
-        open(path, "wb").write(b"\x00\x01 not a cache\n")
+        Path(path).write_bytes(b"\x00\x01 not a cache\n")
         with pytest.raises(CacheStoreError):
             load_cache(DecisionCache(), str(tmp_path))
 
@@ -118,11 +119,11 @@ class TestIntegrity:
         self, warm_cache, tmp_path
     ):
         save_cache(warm_cache, str(tmp_path))
-        before = open(cache_file_path(str(tmp_path)), "rb").read()
+        before = Path(cache_file_path(str(tmp_path))).read_bytes()
         with inject_faults("cache-store:p=1.0"):
             with pytest.raises(CacheStoreFault):
                 save_cache(warm_cache, str(tmp_path))
-        assert open(cache_file_path(str(tmp_path)), "rb").read() == before
+        assert Path(cache_file_path(str(tmp_path))).read_bytes() == before
         assert not os.path.exists(cache_file_path(str(tmp_path)) + ".tmp")
 
 
@@ -183,7 +184,7 @@ class TestMergeOnSave:
 
     def test_corrupt_previous_file_is_replaced(self, warm_cache, tmp_path):
         path = cache_file_path(str(tmp_path))
-        open(path, "wb").write(b"\x00\x01 not a cache\n")
+        Path(path).write_bytes(b"\x00\x01 not a cache\n")
         report = save_cache(warm_cache, str(tmp_path))
         assert report.merged_entries == 0
         fresh = DecisionCache()

@@ -47,7 +47,7 @@ from repro.core import (
     resolve_engine,
 )
 from repro.core.compile import _RootCompilation
-from repro.core.decisioncache import DecisionCache
+from repro.core.decisioncache import DecisionCache, default_decision_cache
 from repro.core.dimsat import DimsatOptions
 from repro.core.parallel import ask
 from repro.core.resilience import ENGINE_NAMES
@@ -726,7 +726,8 @@ class TestEngineIntegration:
         assert isinstance(resolve_engine("sequential"), ParallelDecisionEngine)
         with pytest.raises(ReproError):
             resolve_engine("quantum")
-        assert resolve_engine(None) is None
+        assert isinstance(resolve_engine(None), CompiledDecisionEngine)
+        assert resolve_engine(None).cache is default_decision_cache()
         sentinel = object()
         assert resolve_engine(sentinel) is sentinel
 
@@ -802,7 +803,6 @@ class TestEngineIntegration:
 
 class TestNavigatorViewselect:
     def test_navigator_accepts_compiled_string(self, schemas):
-        from repro.core.instance import DimensionInstance
         from repro.olap.facttable import FactTable
         from repro.olap.navigator import AggregateNavigator
         from repro.generators.location import location_instance
@@ -813,9 +813,11 @@ class TestNavigatorViewselect:
             [(m, {"amount": 1.0}) for m in instance.members("Store")],
         )
         navigator = AggregateNavigator(
-            facts, schema=schemas["retail"], cache=None, engine="compiled"
+            facts, schema=schemas["retail"], engine="compiled"
         )
         assert isinstance(navigator.engine, CompiledDecisionEngine)
+        default = AggregateNavigator(facts, schema=schemas["retail"])
+        assert isinstance(default.engine, CompiledDecisionEngine)
 
     def test_viewselect_accepts_compiled_string(self, schemas):
         from repro.olap.viewselect import ViewSelectionProblem, evaluate_selection
@@ -827,9 +829,9 @@ class TestNavigatorViewselect:
             view_sizes={"Store": 100, "City": 20, "SaleRegion": 5, "Country": 3},
             base_size=100,
         )
-        with_engine = evaluate_selection(
-            problem, {"City"}, cache=None, engine="compiled"
+        compiled = evaluate_selection(problem, {"City"}, engine="compiled")
+        kernel = evaluate_selection(
+            problem, {"City"}, engine=build_engine("sequential", cache=None)
         )
-        without = evaluate_selection(problem, {"City"}, cache=None)
-        assert with_engine.answerable == without.answerable
-        assert with_engine.query_cost == without.query_cost
+        assert compiled.answerable == kernel.answerable
+        assert compiled.query_cost == kernel.query_cost

@@ -12,7 +12,6 @@ from repro.core import (
     DimsatOptions,
     HierarchySchema,
     NK,
-    SearchBudgetExceeded,
     circle,
     circle_node,
     dimsat,
@@ -22,7 +21,8 @@ from repro.core import (
     satisfying_assignments,
     subhierarchy_from_edges,
 )
-from repro.errors import SchemaError
+from repro.core.budget import DecisionBudget
+from repro.errors import BudgetExceeded, SchemaError
 from repro.generators.location import paper_frozen_structures
 
 
@@ -187,9 +187,8 @@ class TestDimsat:
 
     def test_budget_exhaustion_raises(self, loc_schema):
         extended = loc_schema.with_constraints(["not Store -> City"])
-        options = DimsatOptions(max_expansions=1)
-        with pytest.raises(SearchBudgetExceeded):
-            dimsat(extended, "Store", options)
+        with pytest.raises(BudgetExceeded):
+            dimsat(extended, "Store", budget=DecisionBudget(max_nodes=1))
 
 
 class TestEnumeration:

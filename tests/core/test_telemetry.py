@@ -404,6 +404,34 @@ class TestTelemetryPipeline:
         second = pipeline.finalize()
         assert first["directory"] == second["directory"]
 
+    def test_failed_render_still_lands_and_closes_the_streams(
+        self, tmp_path, monkeypatch
+    ):
+        """A derived artifact that fails to render (a full disk, say)
+        raises out of finalize, but only after every queued record is on
+        disk and every stream handle is closed."""
+        import repro.core.telemetry as telemetry_module
+
+        def failing_render(snapshot):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(telemetry_module, "render_prometheus", failing_render)
+        directory = tmp_path / "telemetry"
+        pipeline = TelemetryPipeline(str(directory))
+        pipeline.install()
+        try:
+            cache = DecisionCache()
+            for constraint in ("Store -> City", "City -> Province", "Store -> City"):
+                is_implied(location_schema(), constraint, cache=cache)
+            with pytest.raises(OSError, match="disk full"):
+                pipeline.finalize()
+        finally:
+            TRACER.clear()
+        assert all(handle.closed for handle in pipeline._handles.values())
+        audit = (directory / "audit.jsonl").read_text().splitlines()
+        assert len(audit) == 3
+        assert pipeline.finalize()["records_dropped"] == 0
+
 
 class TestRenderReport:
     def test_report_sections(self, telemetry_run):

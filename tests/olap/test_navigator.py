@@ -154,7 +154,49 @@ class TestBareEngineFailures:
             name, budget=DecisionBudget(max_nodes=0), cache=DecisionCache()
         )
         navigator = AggregateNavigator(facts, schema=loc_schema, engine=engine)
+        navigator.materialize("City", SUM, "sales")
         with pytest.raises(BudgetExceeded):
-            navigator.summarizable_many([("Country", ["City"])])
+            navigator.answer("Country", SUM, "sales")
         # Nothing was cached for the aborted check.
-        assert navigator.stats.summarizability_checks == 0
+        assert navigator._summarizable_cache == {}
+        assert len(engine.cache) == 0
+
+
+class _Recording:
+    """An engine wrapper that records every batch it is asked."""
+
+    def __init__(self, engine):
+        self.engine = engine
+        self.batches = []
+
+    @property
+    def cache(self):
+        return self.engine.cache
+
+    def try_decide_many(self, items):
+        items = list(items)
+        self.batches.append([request for _schema, request in items])
+        return self.engine.try_decide_many(items)
+
+
+class TestOneCheckAtATime:
+    def test_checks_stop_at_the_first_proven_candidate(self, facts, loc_schema):
+        """Each check is its own batch of one, asked in cost order, and
+        the search asks nothing past the first proven candidate."""
+        from repro.core import DecisionCache, build_engine
+
+        engine = _Recording(build_engine(cache=DecisionCache()))
+        navigator = AggregateNavigator(facts, schema=loc_schema, engine=engine)
+        for category in ("State", "Province", "City", "SaleRegion"):
+            navigator.materialize(category, SUM, "sales")
+        _view, plan = navigator.answer("Country", SUM, "sales")
+        assert plan.sources == ("SaleRegion",)
+        # View sizes: Province 2, State 2, SaleRegion 3, City 6.  Neither
+        # two-row view proves Country; SaleRegion does, so none of the
+        # eleven dearer candidates is asked.
+        assert engine.batches == [
+            [("summarizable", "Country", frozenset({"Province"}))],
+            [("summarizable", "Country", frozenset({"State"}))],
+            [("summarizable", "Country", frozenset({"SaleRegion"}))],
+        ]
+        assert navigator.stats.summarizability_checks == 3

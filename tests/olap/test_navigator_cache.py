@@ -6,7 +6,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import DecisionCache, DimensionInstance, DimensionSchema, HierarchySchema
+from repro.core import (
+    DecisionCache,
+    DimensionInstance,
+    DimensionSchema,
+    HierarchySchema,
+    build_engine,
+)
 from repro.errors import OlapError
 from repro.olap import SUM, AggregateNavigator, FactTable
 
@@ -54,7 +60,7 @@ def schema(hierarchy) -> DimensionSchema:
 @pytest.fixture()
 def navigator(hierarchy, schema) -> AggregateNavigator:
     facts = FactTable(make_instance(hierarchy), ROWS)
-    nav = AggregateNavigator(facts, schema=schema, cache=DecisionCache())
+    nav = AggregateNavigator(facts, schema=schema, engine=build_engine(cache=DecisionCache()))
     nav.materialize("C", SUM, "x")
     nav.materialize("A", SUM, "x")
     return nav
@@ -114,8 +120,8 @@ class TestSupersetShortCircuit:
 
     def test_pruning_never_changes_the_plan(self, hierarchy, schema):
         facts = FactTable(make_instance(hierarchy), ROWS)
-        pruned = AggregateNavigator(facts, schema=schema, cache=DecisionCache())
-        blind = AggregateNavigator(facts, schema=schema, cache=DecisionCache())
+        pruned = AggregateNavigator(facts, schema=schema, engine=build_engine(cache=DecisionCache()))
+        blind = AggregateNavigator(facts, schema=schema, engine=build_engine(cache=DecisionCache()))
         blind._proven_sources = {}  # never consulted below
         for nav in (pruned, blind):
             nav.materialize("C", SUM, "x")

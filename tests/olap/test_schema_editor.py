@@ -12,6 +12,7 @@ from repro.core import (
     DimensionSchema,
     DimensionInstance,
     HierarchySchema,
+    build_engine,
     decide,
     implies,
     is_implied,
@@ -344,7 +345,9 @@ class TestMaintainedNavigatorEdits:
         )
         facts = FactTable(instance, [("b1", {"x": 1.0}), ("b2", {"x": 2.0})])
         nav = MaintainedNavigator(
-            facts, schema=DimensionSchema(hierarchy, []), cache=cache
+            facts,
+            schema=DimensionSchema(hierarchy, []),
+            engine=build_engine(cache=cache),
         )
         nav.materialize("C", SUM, "x")
         return nav
@@ -369,6 +372,22 @@ class TestMaintainedNavigatorEdits:
             key[0] == navigator.schema.fingerprint()
             for key in navigator._summarizable_cache
         )
+
+    def test_implied_add_keeps_the_proof_a_cache_hit(self, navigator, cache):
+        """The edit runs on the engine's cache, and the navigator's first
+        answer built the compiled artifact the edit's decision needs: an
+        implied add moves every verdict, so re-proving the rewriting
+        under the new schema decides nothing."""
+        navigator.add_constraint("Base -> C")
+        _view, plan = navigator.answer("T", SUM, "x")
+        assert plan.kind == "rewritten"
+        navigator.add_constraint(TestModelPreservingEdits.IMPLIED)
+        assert cache.stats.rekeyed > 0
+        hits, misses = cache.stats.hits, cache.stats.misses
+        _view, again = navigator.answer("T", SUM, "x")
+        assert again.sources == plan.sources
+        assert cache.stats.misses == misses
+        assert cache.stats.hits == hits + 1
 
     def test_edit_without_schema_raises(self, navigator):
         navigator.schema = None

@@ -161,26 +161,39 @@ class TestResilientEngine:
         from repro.core.faults import inject_faults
         from repro.olap.viewselect import _SummarizabilityCache
 
-        checks = _SummarizabilityCache(loc_schema, None, None, engine)
+        checks = _SummarizabilityCache(loc_schema, engine)
         pairs = [
             ("Country", frozenset({"City"})),
             ("Country", frozenset({"State", "Province"})),
         ]
         with inject_faults("worker-crash:p=1.0;seed=3"):
-            checks.prefetch(pairs)
+            assert [checks.check(t, s) for t, s in pairs] == [False, False]
         assert checks._cache == {}
         assert engine.stats.unknown_verdicts == 2
-        # ``check`` recomputes each on the kernel and only then keeps it.
+        # A healthy check decides each and only then keeps it.
         assert [checks.check(t, s) for t, s in pairs] == [True, False]
         assert checks._cache == dict(zip(pairs, [True, False]))
 
-    def test_faulted_evaluation_matches_the_engine_free_one(
+    def test_faulted_evaluation_claims_nothing_the_healthy_one_lacks(
         self, problem, engine
     ):
+        """UNKNOWN is not proven: every target that needs a check falls
+        back to the base scan, and nothing of the abstention is kept."""
+        from repro.core import DecisionCache, build_engine
         from repro.core.faults import inject_faults
 
         selected = ["City", "SaleRegion"]
+        healthy = evaluate_selection(
+            problem, selected, engine=build_engine(cache=DecisionCache())
+        )
         with inject_faults("worker-crash:p=1.0;seed=3"):
-            faulted = evaluate_selection(problem, selected, cache=None, engine=engine)
+            faulted = evaluate_selection(problem, selected, engine=engine)
         assert engine.stats.unknown_verdicts > 0
-        assert faulted == evaluate_selection(problem, selected, cache=None)
+        for target, plan in faulted.answerable.items():
+            if target in selected:
+                assert plan == healthy.answerable[target]
+            else:
+                assert plan == () != healthy.answerable[target]
+        assert faulted.query_cost > healthy.query_cost
+        assert len(engine.cache) == 0
+        assert evaluate_selection(problem, selected, engine=engine) == healthy

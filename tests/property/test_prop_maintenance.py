@@ -15,6 +15,7 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import build_engine
 from repro.generators.location import location_instance, location_schema
 from repro.olap import FactTable, all_aggregates, cube_view, views_equal
 from repro.olap.maintenance import MaintainedNavigator
@@ -53,7 +54,9 @@ def _rows_of(table):
 @given(_rows, st.lists(_op, max_size=25))
 def test_appends_match_a_rebuild_and_never_leak(initial, ops):
     start = FactTable(_INSTANCE, initial)
-    navigator = MaintainedNavigator(start, schema=_SCHEMA, cache=None)
+    navigator = MaintainedNavigator(
+        start, schema=_SCHEMA, engine=build_engine(cache=None)
+    )
     rows = list(initial)
     # Every table seen so far, with the rows it must keep showing.
     tables = [(start, list(initial))]
