@@ -23,11 +23,11 @@ measures exactly that for experiment E14.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Set, Tuple
+from typing import FrozenSet, List, Set, Tuple
 
 from repro._types import ALL, Category, Edge
 from repro.core.hierarchy import HierarchySchema
-from repro.core.instance import TOP_MEMBER, DimensionInstance
+from repro.core.instance import DimensionInstance
 from repro.core.summarizability import is_summarizable_in_instance
 
 

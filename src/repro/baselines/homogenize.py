@@ -38,7 +38,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro._types import ALL, Category, Member
 from repro.core.hierarchy import HierarchySchema
-from repro.core.instance import TOP_MEMBER, DimensionInstance
+from repro.core.instance import DimensionInstance
 from repro.errors import SchemaError
 
 

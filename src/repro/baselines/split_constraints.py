@@ -21,7 +21,7 @@ descriptions that a single dimension constraint tells apart
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Tuple
+from typing import Dict, FrozenSet, Tuple
 
 from repro._types import ALL, Category
 from repro.constraints.ast import And, ExactlyOne, Node, Not, RollsUpAtom, TrueConst

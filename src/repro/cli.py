@@ -250,7 +250,6 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         from repro.io import hierarchy_to_dict
 
         document["hierarchy"] = hierarchy_to_dict(schema.hierarchy)
-    from repro.core import DimensionInstance
     from repro.io import instance_from_dict
 
     try:

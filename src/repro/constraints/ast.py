@@ -30,7 +30,7 @@ from __future__ import annotations
 import threading
 import weakref
 from dataclasses import dataclass, fields
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
 from repro._types import Category
 

@@ -18,7 +18,7 @@ what-if scenarios against a schema.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro._types import Category, Member
 from repro.core.hierarchy import HierarchySchema

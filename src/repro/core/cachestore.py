@@ -37,7 +37,7 @@ import json
 import os
 import pickle
 from dataclasses import asdict, dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, Tuple
 
 from repro.core.auditlog import _replay, _verdict_of
 from repro.core.faults import FAULTS, CacheStoreFault

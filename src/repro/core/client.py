@@ -23,10 +23,10 @@ from __future__ import annotations
 
 import socket
 import time
-from typing import Any, Dict, List, Optional, Sequence, Union
+from typing import Any, Dict, Sequence, Union
 
 from repro.core.schema import DimensionSchema
-from repro.core.wire import WireError, read_frame, write_frame
+from repro.core.wire import read_frame, write_frame
 from repro.errors import ReproError
 
 __all__ = ["DecisionClient", "ServerClosed"]

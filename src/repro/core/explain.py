@@ -17,11 +17,11 @@ examples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from repro._types import Category, Member
-from repro.constraints.ast import Node, ThroughAtom
+from repro.constraints.ast import ThroughAtom
 from repro.constraints.semantics import satisfies_at
 from repro.core.dimsat import DimsatOptions
 from repro.core.frozen import FrozenDimension

@@ -24,10 +24,10 @@ The conditions, by paper label:
 from __future__ import annotations
 
 from collections import deque
+from types import MappingProxyType
 from typing import (
     Dict,
     FrozenSet,
-    Hashable,
     Iterable,
     Iterator,
     List,
@@ -87,7 +87,10 @@ class DimensionInstance:
         "_parents",
         "_children",
         "_names",
+        "_base_members",
         "_ancestors_cache",
+        "_rollup_cache",
+        "_mapping_cache",
     )
 
     def __init__(
@@ -133,13 +136,30 @@ class DimensionInstance:
 
         self._category_of = category_of
         self._members_by_category = {c: frozenset(ms) for c, ms in by_category.items()}
-        self._parents = {m: frozenset(ps) for m, ps in parents.items()}
-        self._children = {m: frozenset(cs) for m, cs in children.items()}
+        # Members with equal parent (or child) sets share one frozenset:
+        # every leaf's empty child set, every SKU of one brand's parents.
+        shared: Dict[FrozenSet[Member], FrozenSet[Member]] = {}
+
+        def share(group: Set[Member]) -> FrozenSet[Member]:
+            frozen = frozenset(group)
+            return shared.setdefault(frozen, frozen)
+
+        self._parents = {m: share(ps) for m, ps in parents.items()}
+        self._children = {m: share(cs) for m, cs in children.items()}
         base_names = {m: m for m in category_of}
         if names:
             base_names.update(names)
         self._names: Dict[Member, object] = base_names
+        self._base_members = frozenset(
+            m
+            for c in hierarchy.bottom_categories()
+            for m in self._members_by_category[c]
+        )
+        # The instance never changes, so rollups are memoized.  Two
+        # threads racing to fill an entry compute the same value.
         self._ancestors_cache: Dict[Member, FrozenSet[Member]] = {}
+        self._rollup_cache: Dict[Category, Dict[Member, Optional[Member]]] = {}
+        self._mapping_cache: Dict[Tuple[Category, Category], Dict[Member, Member]] = {}
 
         if validate:
             self.validate()
@@ -203,6 +223,11 @@ class DimensionInstance:
             return cached
         if member not in self._category_of:
             raise SchemaError(f"unknown member {member!r}")
+        result = self._closure(member)
+        self._ancestors_cache[member] = result
+        return result
+
+    def _closure(self, member: Member) -> FrozenSet[Member]:
         seen: Set[Member] = set()
         queue = deque(self._parents[member])
         while queue:
@@ -211,9 +236,7 @@ class DimensionInstance:
                 continue
             seen.add(node)
             queue.extend(self._parents[node])
-        result = frozenset(seen)
-        self._ancestors_cache[member] = result
-        return result
+        return frozenset(seen)
 
     def leq(self, lower: Member, upper: Member) -> bool:
         """The rollup partial order: ``lower <= upper``."""
@@ -237,25 +260,61 @@ class DimensionInstance:
 
     def rollup_mapping(
         self, lower: Category, upper: Category
-    ) -> Dict[Member, Member]:
-        """The rollup mapping ``GAMMA_{lower}^{upper}`` as a dict.
+    ) -> Mapping[Member, Member]:
+        """The rollup mapping ``GAMMA_{lower}^{upper}``, read-only.
 
         Only members of ``lower`` that actually reach ``upper`` appear, so in
-        heterogeneous dimensions the mapping may be partial.
+        heterogeneous dimensions the mapping may be partial.  It is computed
+        once per instance and pair; every caller reads the same mapping.
         """
-        mapping: Dict[Member, Member] = {}
-        for member in self.members(lower):
-            target = self.ancestor_in(member, upper)
-            if target is not None:
-                mapping[member] = target
-        return mapping
+        mapping = self._mapping_cache.get((lower, upper))
+        if mapping is None:
+            up = self.rollup_to(upper)
+            mapping = {
+                member: up[member]
+                for member in self.members(lower)
+                if up[member] is not None
+            }
+            if self.hierarchy.has_category(upper):
+                self._mapping_cache[(lower, upper)] = mapping
+        return MappingProxyType(mapping)
+
+    def rollup_to(self, category: Category) -> Mapping[Member, Optional[Member]]:
+        """Every member's :meth:`ancestor_in` ``category``, read-only.
+
+        The mapping is total: a member that does not reach ``category``
+        maps to ``None``, so a fact scan resolves each fact with one
+        lookup.  It is computed once per instance and category, walking
+        each member's parents once, and holds no ancestor sets.
+        """
+        table = self._rollup_cache.get(category)
+        if table is None:
+            table = {}
+            for member in self._category_of:
+                if member not in table:
+                    self._resolve(member, category, table)
+            if self.hierarchy.has_category(category):
+                self._rollup_cache[category] = table
+        return MappingProxyType(table)
+
+    def _resolve(
+        self, member: Member, category: Category, table: Dict[Member, Optional[Member]]
+    ) -> None:
+        """Fill ``table[member]``, resolving the parents it needs first."""
+        if self._category_of[member] == category:
+            table[member] = member
+            return
+        table[member] = None  # stays None on a '<' cycle (violates C6)
+        for parent in self._parents[member]:
+            if parent not in table:
+                self._resolve(parent, category, table)
+            if table[parent] is not None:
+                table[member] = table[parent]
+                return
 
     def base_members(self) -> FrozenSet[Member]:
         """Members of the bottom categories (``MembSet_{c_b}``)."""
-        bottoms = self.hierarchy.bottom_categories()
-        return frozenset(
-            m for c in bottoms for m in self._members_by_category.get(c, frozenset())
-        )
+        return self._base_members
 
     # ------------------------------------------------------------------
     # Validation: conditions (C1)-(C7) of Figure 2
@@ -263,15 +322,18 @@ class DimensionInstance:
 
     def violations(self) -> List[InstanceError]:
         """Every violation of conditions (C1)-(C7), in condition order."""
+        # The closures are local: a validated instance keeps no ancestor
+        # sets that nobody asks for.
+        ancestors = {member: self._closure(member) for member in self._category_of}
         found: List[InstanceError] = []
         found.extend(self._check_c1_connectivity())
         found.extend(self._check_c3_disjointness())
         found.extend(self._check_c4_top())
-        found.extend(self._check_c6_stratification())
+        found.extend(self._check_c6_stratification(ancestors))
         # (C2) and (C5) assume an acyclic member graph; only meaningful
         # once (C6) holds, but we still report what we can.
-        found.extend(self._check_c2_partitioning())
-        found.extend(self._check_c5_shortcuts())
+        found.extend(self._check_c2_partitioning(ancestors))
+        found.extend(self._check_c5_shortcuts(ancestors))
         found.extend(self._check_c7_up_connectivity())
         return found
 
@@ -295,10 +357,12 @@ class DimensionInstance:
                     f"{child_cat!r} -> {parent_cat!r}",
                 )
 
-    def _check_c2_partitioning(self) -> Iterator[InstanceError]:
+    def _check_c2_partitioning(
+        self, ancestors: Mapping[Member, FrozenSet[Member]]
+    ) -> Iterator[InstanceError]:
         for member in self._category_of:
             seen_in_category: Dict[Category, Member] = {}
-            for ancestor in self.ancestors_of(member):
+            for ancestor in ancestors[member]:
                 category = self._category_of[ancestor]
                 other = seen_in_category.get(category)
                 if other is not None and other != ancestor:
@@ -325,10 +389,12 @@ class DimensionInstance:
                 f"MembSet[All] must be exactly {{'all'}}, found {sorted(map(repr, top))}",
             )
 
-    def _check_c5_shortcuts(self) -> Iterator[InstanceError]:
+    def _check_c5_shortcuts(
+        self, ancestors: Mapping[Member, FrozenSet[Member]]
+    ) -> Iterator[InstanceError]:
         for child, parent in self.member_edges():
             for mid in self._parents[child]:
-                if mid != parent and parent in self.ancestors_of(mid):
+                if mid != parent and parent in ancestors[mid]:
                     yield InstanceError(
                         "(C5) shortcuts",
                         f"edge {child!r} < {parent!r} parallels the longer "
@@ -336,17 +402,19 @@ class DimensionInstance:
                     )
                     break
 
-    def _check_c6_stratification(self) -> Iterator[InstanceError]:
+    def _check_c6_stratification(
+        self, ancestors: Mapping[Member, FrozenSet[Member]]
+    ) -> Iterator[InstanceError]:
         for member in self._category_of:
             category = self._category_of[member]
-            for ancestor in self.ancestors_of(member):
+            for ancestor in ancestors[member]:
                 if ancestor != member and self._category_of[ancestor] == category:
                     yield InstanceError(
                         "(C6) stratification",
                         f"member {member!r} has ancestor {ancestor!r} in its "
                         f"own category {category!r}",
                     )
-            if member in self.ancestors_of(member):
+            if member in ancestors[member]:
                 yield InstanceError(
                     "(C6) stratification",
                     f"member {member!r} lies on a cycle of '<'",

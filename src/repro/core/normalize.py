@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from repro._types import ALL, Category, Edge
+from repro._types import ALL, Edge
 from repro.constraints.ast import Node, PathAtom
 from repro.core.dimsat import DimsatOptions
 from repro.core.implication import is_implied

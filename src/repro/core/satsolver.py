@@ -36,7 +36,7 @@ runs (the audit log replays them byte-for-byte).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.budget import DecisionBudget

@@ -14,7 +14,7 @@ artifacts the algorithm needs:
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from repro.constraints.ast import (
     ComparisonAtom,

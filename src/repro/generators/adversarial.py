@@ -54,11 +54,11 @@ from __future__ import annotations
 
 import datetime
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro._types import ALL, Category, Member
-from repro.constraints.ast import Node, Not, Or
+from repro.constraints.ast import Node, Or
 from repro.constraints.builder import eq, into, one, path
 from repro.core.hierarchy import HierarchySchema
 from repro.core.instance import DimensionInstance

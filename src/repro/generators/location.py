@@ -19,7 +19,7 @@ the instance:
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict
 
 from repro.core.frozen import Subhierarchy, subhierarchy_from_edges
 from repro.core.hierarchy import ALL, HierarchySchema

@@ -17,7 +17,7 @@ genuine heterogeneity for DIMSAT to explore.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Sequence, Set, Tuple
 
 from repro._types import ALL, Category, Edge

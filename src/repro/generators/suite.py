@@ -19,7 +19,7 @@ geography independent cities that are not part of any county
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict
 
 from repro._types import ALL
 from repro.core.hierarchy import HierarchySchema

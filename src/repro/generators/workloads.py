@@ -12,7 +12,7 @@ sampling needed.
 from __future__ import annotations
 
 import random
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro._types import ALL, Category, Member
 from repro.constraints.ast import Node, Not

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import csv
 import io
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro._types import Member
 from repro.core.hierarchy import HierarchySchema

@@ -8,7 +8,7 @@ can drop ``.dot`` files a user renders with ``dot -Tpng``.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Iterable
 
 from repro._types import ALL
 from repro.core.frozen import FrozenDimension

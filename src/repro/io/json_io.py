@@ -20,7 +20,7 @@ not strings yields string members with the same names.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List
+from typing import Any, Dict
 
 from repro.constraints.printer import unparse
 from repro.core.hierarchy import HierarchySchema

@@ -16,8 +16,8 @@ data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Mapping
 
 from repro._types import Category, Member
 from repro.core.instance import DimensionInstance
@@ -62,6 +62,12 @@ def cube_view(
 ) -> CubeView:
     """Compute a cube view directly from the fact table (Definition 6 LHS).
 
+    ``facts`` is any iterable of facts with an ``instance`` attribute.
+    ``GAMMA_{c_b}^{c}`` is memoized per instance: each fact is rolled up
+    with one lookup in
+    :meth:`~repro.core.instance.DimensionInstance.rollup_to`, and each
+    cell aggregates its values in fact order.
+
     >>> from repro.generators.location import location_instance
     >>> from repro.olap.aggregates import SUM
     >>> d = location_instance()
@@ -70,14 +76,22 @@ def cube_view(
     {'Canada': 17.0}
     """
     instance = facts.instance
+    rollup = instance.rollup_to(category)
     groups: Dict[Member, List[float]] = {}
     scanned = 0
     for fact in facts:
         scanned += 1
-        target = instance.ancestor_in(fact.member, category)
+        try:
+            target = rollup[fact.member]
+        except KeyError:  # not a member: ancestor_in raises SchemaError
+            target = instance.ancestor_in(fact.member, category)
         if target is None:
             continue  # the rollup mapping is partial in heterogeneous dims
-        groups.setdefault(target, []).append(fact.value(measure))
+        values = groups.get(target)
+        if values is None:
+            groups[target] = [fact.value(measure)]
+        else:
+            values.append(fact.value(measure))
     cells = {member: aggregate.aggregate(values) for member, values in groups.items()}
     return CubeView(category, aggregate, measure, cells, rows_scanned=scanned)
 
@@ -93,7 +107,10 @@ def recombine(
 
     For each source view at ``c_i``, every cell is mapped up through
     ``GAMMA_{c_i}^{target}`` and the mapped partials are merged with the
-    combiner ``af^c``.  The result equals the direct
+    combiner ``af^c``.  A view's cells are members of its category, so
+    one memoized table,
+    :meth:`~repro.core.instance.DimensionInstance.rollup_to` ``target``,
+    serves every source.  The result equals the direct
     :func:`cube_view` for *every* fact table exactly when ``target`` is
     summarizable from the source categories (Theorem 1); otherwise facts
     can be lost (no source on their path) or double counted (two sources
@@ -106,6 +123,7 @@ def recombine(
     if len(measures) > 1:
         raise OlapError(f"source views mix measures: {sorted(measures)}")
 
+    rollup = instance.rollup_to(target)
     partials: Dict[Member, List[float]] = {}
     scanned = 0
     for view in views:
@@ -114,13 +132,19 @@ def recombine(
                 f"source view at {view.category!r} was built with "
                 f"{view.aggregate.name}, cannot recombine with {aggregate.name}"
             )
-        mapping = instance.rollup_mapping(view.category, target)
         for member, value in view.cells.items():
             scanned += 1
-            up = mapping.get(member)
+            try:
+                up = rollup[member]
+            except KeyError:  # not a member of this instance
+                continue
             if up is None:
                 continue
-            partials.setdefault(up, []).append(value)
+            values = partials.get(up)
+            if values is None:
+                partials[up] = [value]
+            else:
+                values.append(value)
     cells = {
         member: aggregate.recombine(values) for member, values in partials.items()
     }

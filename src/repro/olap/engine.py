@@ -15,7 +15,7 @@ examples and benchmarks script against:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Tuple
 
 from repro._types import Category, Member
 from repro.constraints.semantics import failures

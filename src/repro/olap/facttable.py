@@ -18,9 +18,12 @@ from repro.core.instance import DimensionInstance
 from repro.errors import OlapError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Fact:
-    """One row: a base member plus its measures."""
+    """One row: a base member plus its measures.
+
+    Slotted, because a fact table holds one per row.
+    """
 
     member: Member
     measures: Mapping[str, float]

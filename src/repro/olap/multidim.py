@@ -19,7 +19,6 @@ drop out, exactly as in the one-dimensional case).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro._types import Category, Member
@@ -124,17 +123,19 @@ class Cube:
     ) -> "MultiCubeView":
         """The cube view at a level assignment, straight from the facts."""
         self._check_levels(levels)
+        # One memoized rollup per dimension: a lookup per coordinate.
+        rollups = [
+            (name, self.dimensions[name].rollup_to(levels[name]))
+            for name in self.dimension_order
+        ]
         groups: Dict[CellKey, List[float]] = {}
         scanned = 0
         for fact in self._facts:
             scanned += 1
             key: List[Member] = []
             dropped = False
-            for name in self.dimension_order:
-                instance = self.dimensions[name]
-                target = instance.ancestor_in(
-                    fact.coordinates[name], levels[name]
-                )
+            for name, rollup in rollups:
+                target = rollup[fact.coordinates[name]]
                 if target is None:
                     dropped = True
                     break

@@ -3,8 +3,6 @@ measurement."""
 
 from __future__ import annotations
 
-import pytest
-
 from repro.baselines import dnf_loss_report, flatten_to_dnf, total_edges
 from repro.core import ALL
 

@@ -11,14 +11,12 @@ from repro.constraints import (
     And,
     EqualityAtom,
     ExactlyOne,
-    Iff,
     Implies,
     Not,
     Or,
     PathAtom,
     RollsUpAtom,
     ThroughAtom,
-    Xor,
     parse,
     unparse,
 )

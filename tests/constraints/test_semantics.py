@@ -8,7 +8,6 @@ import pytest
 from repro.constraints import (
     FALSE,
     TRUE,
-    Not,
     parse,
     satisfies,
     satisfies_all,

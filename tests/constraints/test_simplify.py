@@ -164,7 +164,7 @@ class TestNnf:
         node = parse("not (A -> B and A -> C)")
         normal = nnf(node)
         # Negations only directly above atoms.
-        from repro.constraints import Node, walk
+        from repro.constraints import walk
 
         for sub in walk(normal):
             if isinstance(sub, Not):

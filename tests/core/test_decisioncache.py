@@ -9,7 +9,6 @@ from repro.core import (
     DecisionCache,
     DimensionSchema,
     DimsatOptions,
-    HierarchySchema,
     USE_DEFAULT_CACHE,
     default_decision_cache,
     implies,

@@ -8,9 +8,7 @@ import pytest
 from repro.constraints import FALSE, TRUE, parse, satisfies_all
 from repro.core import (
     ALL,
-    DimensionSchema,
     DimsatOptions,
-    HierarchySchema,
     NK,
     circle,
     circle_node,

@@ -3,8 +3,6 @@ modes, and renderings are readable."""
 
 from __future__ import annotations
 
-import pytest
-
 from repro.core.explain import (
     explain_summarizability_in_instance,
     explain_summarizability_in_schema,

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.constraints import Not, parse, satisfies, satisfies_all
+from repro.constraints import parse, satisfies, satisfies_all
 from repro.core import (
     ALL,
     DimensionSchema,

@@ -100,6 +100,29 @@ class TestRollup:
         assert loc_instance.base_members() == frozenset(
             {"s1", "s2", "s3", "s4", "s5", "s6"}
         )
+        assert loc_instance.base_members() is loc_instance.base_members()
+
+    def test_rollup_to_agrees_with_ancestor_in(self, loc_instance):
+        for category in loc_instance.hierarchy.categories:
+            table = loc_instance.rollup_to(category)
+            assert set(table) == set(loc_instance.all_members())
+            for member, target in table.items():
+                assert target == loc_instance.ancestor_in(member, category)
+
+    def test_rollup_to_unknown_category_reaches_nothing(self, loc_instance):
+        assert set(loc_instance.rollup_to("Galaxy").values()) == {None}
+        assert loc_instance.rollup_mapping("Store", "Galaxy") == {}
+
+    def test_rollup_to_stops_on_a_cycle(self, chain_hierarchy):
+        # Invalid (C6): a and b are each other's parent.
+        cyclic = build(
+            chain_hierarchy, {"a": "Month", "b": "Month"}, [("a", "b"), ("b", "a")]
+        )
+        assert set(cyclic.rollup_to("Year").values()) == {None}
+        assert cyclic.rollup_to("Month")["a"] == "a"
+
+    def test_equal_parent_sets_are_shared(self, loc_instance):
+        assert loc_instance.children_of("s1") is loc_instance.children_of("s2")
 
 
 def build(hierarchy, members, edges, **kw):

@@ -2,11 +2,8 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.core import (
     DimensionSchema,
-    DimsatOptions,
     HierarchySchema,
     dimsat,
     enumerate_frozen_dimensions,

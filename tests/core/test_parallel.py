@@ -15,7 +15,6 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.core.budget import DecisionBudget
 from repro.core.decisioncache import DecisionCache
 from repro.core.dimsat import dimsat
 from repro.core.faults import inject_faults

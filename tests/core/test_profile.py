@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.core.profile import (
     profile_report,
     reasoning_profile,

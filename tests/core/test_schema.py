@@ -5,8 +5,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.constraints import PathAtom, parse
-from repro.core import ALL, DimensionSchema, HierarchySchema, NK
+from repro.constraints import PathAtom
+from repro.core import DimensionSchema, NK
 from repro.errors import ConstraintError
 
 

@@ -6,7 +6,6 @@ import pytest
 
 from repro.constraints import FALSE, ExactlyOne, Implies, RollsUpAtom, unparse
 from repro.core import (
-    DimensionSchema,
     HierarchySchema,
     is_summarizable_in_instance,
     is_summarizable_in_schema,

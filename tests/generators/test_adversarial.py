@@ -21,7 +21,6 @@ from repro.constraints.semantics import satisfies_all
 from repro.errors import SchemaError
 from repro.generators.adversarial import (
     FAMILIES,
-    AdversarialCase,
     adversarial_corpus,
     census_org_instance,
     census_org_schema,

@@ -6,12 +6,7 @@ from __future__ import annotations
 import pytest
 
 from repro.constraints import satisfies_all
-from repro.core import (
-    dimsat,
-    is_implied,
-    is_summarizable_in_schema,
-    unsatisfiable_categories,
-)
+from repro.core import is_implied, is_summarizable_in_schema, unsatisfiable_categories
 from repro.generators.suite import (
     geography_schema,
     personnel_instance,

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from repro.errors import OlapError
-from repro.olap import FactTable
+from repro.olap import SUM, FactTable, cube_view
+from repro.olap.facttable import Fact
 
 
 class TestConstruction:
@@ -118,3 +121,25 @@ class TestExtended:
         with pytest.raises(OlapError):
             facts.extended(foreign)
         assert len(facts) == 2
+
+
+class TestFactLayout:
+    def test_fact_has_no_dict(self):
+        fact = Fact("s1", {"sales": 1.0})
+        assert not hasattr(fact, "__dict__")
+        with pytest.raises(AttributeError):
+            fact.member = "s2"  # type: ignore[misc]
+
+    def test_fact_pickles(self):
+        fact = Fact("s1", {"sales": 1.0})
+        assert pickle.loads(pickle.dumps(fact)) == fact
+
+    def test_table_pickles_after_a_scan(self, loc_instance):
+        rows = [("s1", {"sales": 1.0}), ("s5", {"sales": 2.5})]
+        facts = FactTable(loc_instance, rows)
+        view = cube_view(facts, "Country", SUM, "sales")  # fills the rollup memo
+        loaded = pickle.loads(pickle.dumps(facts))
+        assert loaded.members() == facts.members()
+        assert loaded.measures == facts.measures
+        assert list(loaded) == list(facts)
+        assert cube_view(loaded, "Country", SUM, "sales").cells == view.cells

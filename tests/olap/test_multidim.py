@@ -96,6 +96,30 @@ class TestViews:
         with pytest.raises(OlapError):
             cube.view({"location": "Country", "time": "Year"}, SUM, "profit")
 
+    def test_cells_match_per_fact_rollup(self):
+        cube = make_cube()
+        order = cube.dimension_order
+        for location in cube.dimensions["location"].hierarchy.categories:
+            for time in cube.dimensions["time"].hierarchy.categories:
+                levels = {"location": location, "time": time}
+                groups = {}
+                for fact in cube._facts:
+                    key = tuple(
+                        cube.dimensions[name].ancestor_in(
+                            fact.coordinates[name], levels[name]
+                        )
+                        for name in order
+                    )
+                    if None not in key:
+                        groups.setdefault(key, []).append(fact.measures["sales"])
+                view = cube.view(levels, SUM, "sales")
+                assert view.cells == {k: SUM.aggregate(v) for k, v in groups.items()}
+                assert view.rows_scanned == len(cube)
+
+    def test_base_members_built_once(self):
+        instance = make_cube().dimensions["location"]
+        assert instance.base_members() is instance.base_members()
+
     def test_bad_levels(self):
         cube = make_cube()
         with pytest.raises(OlapError):

@@ -6,7 +6,6 @@ import pytest
 
 from repro.errors import OlapError
 from repro.olap.viewselect import (
-    Selection,
     ViewSelectionProblem,
     coverage,
     evaluate_selection,

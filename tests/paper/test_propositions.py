@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.constraints import Not, parse, satisfies, satisfies_all
+from repro.constraints import Not, parse, satisfies_all
 from repro.core import (
     dimsat,
     enumerate_frozen_dimensions,

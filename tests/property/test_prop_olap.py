@@ -13,16 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.generators.location import location_instance
-from repro.olap import (
-    COUNT,
-    MAX,
-    MIN,
-    SUM,
-    FactTable,
-    all_aggregates,
-    cube_view,
-    views_equal,
-)
+from repro.olap import COUNT, SUM, FactTable, all_aggregates, cube_view, views_equal
 from repro.olap.maintenance import apply_delta
 from repro.olap.multidim import Cube
 

@@ -17,8 +17,6 @@ from __future__ import annotations
 import hashlib
 from pathlib import Path
 
-import pytest
-
 from repro._types import ALL
 from repro.core import DimensionSchema
 from repro.core.compile import CompiledDecisionEngine

@@ -7,10 +7,6 @@ and the serialization code in one flow.
 
 from __future__ import annotations
 
-import json
-
-import pytest
-
 from repro import (
     DimensionSchema,
     HierarchySchema,

@@ -28,7 +28,6 @@ from repro.core.decisioncache import DecisionCache
 from repro.core.dimsat import dimsat
 from repro.core.faults import inject_faults
 from repro.core.implication import is_implied
-from repro.core.parallel import ParallelDecisionEngine
 from repro.core.resilience import ResilientDecisionEngine, RetryPolicy
 from repro.core.summarizability import is_summarizable_in_schema
 from repro.generators.location import LOCATION_CONSTRAINTS, location_schema
