@@ -434,15 +434,14 @@ def _cmd_compile(args: argparse.Namespace) -> int:
         print(json.dumps(artifact.describe(), indent=2, sort_keys=True))
         return 0
     print(f"fingerprint {artifact.fingerprint}")
-    header = f"{'root':<16} {'subs':>5} {'vars':>6} {'clauses':>8} {'learned':>8}"
+    header = f"{'root':<16} {'edges':>5} {'vars':>6} {'clauses':>8} {'learned':>8}"
     print(header)
     for root, info in report.items():
         print(
-            f"{root:<16} {info['subhierarchies']:>5} {info['variables']:>6} "
+            f"{root:<16} {info['edges']:>5} {info['variables']:>6} "
             f"{info['clauses']:>8} {info['learned_clauses']:>8}"
         )
-    total_subs = sum(info["subhierarchies"] for info in report.values())
-    print(f"{len(report)} roots compiled, {total_subs} subhierarchies total")
+    print(f"{len(report)} roots compiled")
     return 0
 
 

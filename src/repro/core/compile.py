@@ -8,22 +8,23 @@ CHECK backtracking search for every cold decision; this module instead
 *compiles* the schema, keyed by its existing fingerprint, into a reusable
 artifact:
 
-* the complete subhierarchies of each root are enumerated **once** (the
-  structural (C1)-(C7) side of the search: rooted at the category,
-  reaching ``All``, acyclic, shortcut-free, into edges forced), each
-  getting a selector literal;
-* the circle operator (Definition 8) is lifted into the encoding: an
-  equality-free constraint only kills the subhierarchies it fails on;
-  in the rest, each path, rolls-up and through atom gets one literal
-  per root, fixed by each selector to its truth on that subhierarchy,
-  and an equality atom ``r.c ~ k`` becomes ``reach(r, c) AND x_{c,k}``
-  over per-``(category, constant)`` assignment variables.  SIGMA is
-  encoded **once per root**, in one
+* the structural (C1)-(C7) side of the search is encoded, not
+  enumerated: over each root's upward closure, edge and reachability
+  variables whose models are exactly the complete subhierarchies
+  (Definition 7: rooted at the category, reaching ``All``, acyclic,
+  shortcut-free), so Theorem 3's "some frozen dimension exists" is one
+  SAT call however many subhierarchies there are;
+* the circle operator (Definition 8) maps each atom straight to those
+  literals: a path atom to the conjunction of its edges, a rolls-up or
+  through atom to reachability, and an equality atom ``r.c ~ k`` to
+  ``reach(r, c) AND x_{c,k}`` over per-``(category, constant)``
+  assignment variables.  SIGMA is encoded **once per root**, in one
   :class:`~repro.core.satsolver.Solver` per root;
 * every witness the solver produces passes an interpreted CHECK
-  (Proposition 2): the unreduced constraints are evaluated on the
-  decoded frozen dimension, so a compiled "satisfiable" can never be
-  wrong;
+  (Proposition 2): the decoded skeleton must be an acyclic,
+  shortcut-free subhierarchy and the unreduced constraints are
+  evaluated on the decoded frozen dimension, so a compiled
+  "satisfiable" can never be wrong;
 * implication queries join incrementally: ``SIGMA | {NOT alpha}``
   (Theorem 2) encodes ``NOT alpha`` once, guarded by a fresh
   *activation* literal, and solves under that assumption, so the
@@ -39,9 +40,9 @@ kernel and the interpreted engine use (so caches interoperate and
 verdicts stay byte-identical), trace spans and metrics flow through the
 observability layer, every served verdict lands in the PR 5 audit log
 (replayable by ``repro-olap audit-verify``), and any compilation failure
-- a numeric category, a query with comparison atoms, a subhierarchy
-explosion, a witness CHECK rejects - degrades to the interpreted
-kernel (the PR 4 discipline: slower, never wrong).
+- a numeric category, a query with comparison atoms, a witness CHECK
+rejects - degrades to the interpreted kernel (the fallback discipline:
+slower, never wrong).
 
 Schemas with numeric categories (order predicates) are *not* compiled:
 their c-assignment domains are interval representatives whose truth
@@ -55,12 +56,12 @@ and the oracle (the resilience ladder's sequential rung, the cache-load
 replay and ``audit-verify`` all re-decide through it).
 
 The per-decision :class:`~repro.core.budget.DecisionBudget` bounds the
-compiled tier as it bounds the kernel: a root's build charges one unit
-per EXPAND branch (the kernel's unit), every SAT solve charges one unit
-on entry and one per conflict, and a :class:`CompilationError` fallback
-continues under the same budget.  A root whose build runs out is not
-stored (nor cached as a compile failure), and a solve that runs out
-leaves its solver usable with every learned clause still sound.
+compiled tier as it bounds the kernel: a root's build charges one unit,
+every SAT solve charges one unit on entry and one per conflict, and a
+:class:`CompilationError` fallback continues under the same budget.  A
+root whose build runs out is not stored (nor cached as a compile
+failure), and a solve that runs out leaves its solver usable with every
+learned clause still sound.
 """
 
 from __future__ import annotations
@@ -69,17 +70,7 @@ import itertools
 import threading
 from dataclasses import dataclass
 from functools import partial
-from typing import (
-    Callable,
-    Dict,
-    FrozenSet,
-    Iterable,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.constraints.ast import (
     FALSE,
@@ -94,6 +85,9 @@ from repro.constraints.ast import (
     Node,
     Not,
     Or,
+    PathAtom,
+    RollsUpAtom,
+    ThroughAtom,
     Xor,
     constraint_root,
     hash_cons,
@@ -103,12 +97,8 @@ from repro.constraints.simplify import evaluate
 from repro.core.budget import DecisionBudget
 from repro.core.decisioncache import USE_DEFAULT_CACHE, resolve_cache
 from repro.core.dimsat import (
-    DimsatOptions,
     DimsatResult,
     DimsatStats,
-    _GState,
-    _Search,
-    _trivial_all_result,
     circle_node,
     dimsat as run_dimsat,
 )
@@ -135,12 +125,6 @@ __all__ = [
     "resolve_engine",
 ]
 
-#: Compilation refuses schemas whose roots have more complete
-#: subhierarchies than this - the artifact would be larger than the
-#: search it replaces; the engine falls back to the interpreted kernel.
-DEFAULT_MAX_SUBHIERARCHIES = 4096
-
-
 class CompilationError(ReproError):
     """A schema (or query) the compiled tier cannot soundly serve.
 
@@ -151,153 +135,179 @@ class CompilationError(ReproError):
 
 
 # ----------------------------------------------------------------------
-# Structural enumeration: the (C1)-(C7) side, done once per root
-# ----------------------------------------------------------------------
-
-
-def _complete_subhierarchies(
-    schema: DimensionSchema,
-    root: Category,
-    limit: int,
-    budget: Optional[DecisionBudget] = None,
-) -> List[Subhierarchy]:
-    """Every complete subhierarchy of ``G`` rooted at ``root``.
-
-    Drives the kernel's own EXPAND branching (cycle, shortcut, and into
-    pruning all enabled), so the enumeration matches the interpreted
-    search exactly; into pruning stays sound for the whole ``SIGMA |
-    {NOT alpha}`` family because a negated query never adds an into
-    constraint.  Raises :class:`CompilationError` past ``limit``.
-    ``budget`` is charged once per EXPAND branch, the kernel's unit.
-    """
-    search = _Search(schema, root, DimsatOptions())
-    out: List[Subhierarchy] = []
-
-    def walk(
-        state: _GState, current: Category, chosen: FrozenSet[Category]
-    ) -> None:
-        if budget is not None:
-            budget.charge()
-        if chosen:
-            state = state.extend(current, chosen)
-        if state.top == frozenset({ALL}):
-            out.append(state.to_subhierarchy())
-            if len(out) > limit:
-                raise CompilationError(
-                    f"root {root!r} has more than {limit} complete "
-                    "subhierarchies; compilation would not pay off"
-                )
-            return
-        for job in search._branch_jobs(state):
-            walk(*job)
-
-    walk(_GState.initial(root), root, frozenset())
-    return out
-
-
-# ----------------------------------------------------------------------
 # Per-root compilation: one incremental SAT instance per (schema, root)
 # ----------------------------------------------------------------------
 
 
 class _RootCompilation:
     """The compiled decision surface for one ``(schema, root)`` pair:
-    one CNF with the circle operator lifted into it.
+    one CNF whose models are the frozen dimensions rooted at ``root``.
 
-    The solver holds, permanently: the at-least-one clause over
-    subhierarchy selectors, a unit clause killing each subhierarchy an
-    equality-free SIGMA constraint fails on, the literals :meth:`_fixed`
-    ties to the live selectors, at-most-one clauses over each category's
-    assignment variables, the other SIGMA constraints (encoded once),
-    and every clause learned by past queries.  Queries add
-    activation-guarded clauses and solve under one assumption.
+    Over the root's upward closure in ``G`` the solver holds one variable
+    per edge ``e_{c,p}`` and, where a ``G``-path could carry it, one per
+    reachability pair ``reach_{a,b}``; a category is populated exactly
+    when the root reaches it.  Permanently, it holds the skeleton of a
+    frozen dimension, conditions (C1)-(C7) as Definition 7 and
+    Proposition 2 need them:
+
+    * an edge populates both of its endpoints;
+    * a populated category other than ``All`` picks a parent edge;
+    * ``reach_{a,b} <-> e_{a,b} OR OR_m (e_{a,m} AND reach_{m,b})``;
+    * ``NOT reach_{c,c}`` for every category on a ``G``-cycle;
+    * ``NOT (e_{c,p} AND e_{c,m} AND reach_{m,p})``: no shortcut;
+
+    then SIGMA, each constraint guarded by its root's presence (the
+    vacuity rule; an into constraint thus forces its edge), at-most-one
+    clauses over each category's assignment variables, and every clause
+    learned by past queries.  No separate order is needed against
+    self-supporting ``reach`` cycles: a spurious ``reach`` needs a chosen
+    cycle of edges, and the ``<-`` direction then forces some
+    ``reach_{c,c}``.  Queries add activation-guarded clauses and solve
+    under one assumption.
     """
 
     def __init__(
         self,
         schema: DimensionSchema,
         root: Category,
-        limit: int,
         budget: Optional[DecisionBudget] = None,
     ) -> None:
+        if budget is not None:
+            budget.charge()
         # One compiled root is shared by every thread deciding on its
         # schema (the decision server multiplexes clients over one
         # engine); queries mutate the incremental solver, so the whole
         # assume-solve-decode sequence is a critical section.
         self._lock = threading.Lock()
+        self.hierarchy = schema.hierarchy
+        self.root = root
         self.solver = Solver()
         # A constant-true variable lets TRUE/FALSE fold into literals.
         self._true = self.solver.new_var()
         self.solver.add_clause([self._true])
         self._eq_vars: Dict[Tuple[Category, str], int] = {}
         self._by_category: Dict[Category, List[int]] = {}
-        #: Compound node, or sorted conjunct literals -> gate literal.
+        #: Atom, compound node, or sorted conjunct literals -> literal.
         self._gates: Dict[object, int] = {}
-        self._fixed_lits: Dict[object, int] = {}
-        #: Truth vector over the live subhierarchies -> its literal.
-        self._truth_lits: Dict[Tuple[bool, ...], int] = {}
-        #: ``subhierarchy -> atom -> circle_node(atom, subhierarchy)``.
-        self._folded: Dict[Subhierarchy, Dict[Atom, Node]] = {}
+        self._reach_lits: Dict[Tuple[Category, Category], int] = {}
         #: Hash-consed query node -> (activation literal, negated query).
         self._queries: Dict[Node, Tuple[int, Node]] = {}
-        self.subs = _complete_subhierarchies(schema, root, limit, budget)
-        selectors = [self.solver.new_var() for _ in self.subs]
-        # No complete subhierarchy at all makes the root unsatisfiable
-        # outright; the empty clause records exactly that.
-        self.solver.add_clause(selectors)
-        #: The SIGMA constraints that name members; only these are
-        #: encoded.  Definition 8 folds every other one to a truth
-        #: constant per subhierarchy, so it only kills subhierarchies.
-        self._named: List[Tuple[Optional[Category], Node]] = []
-        structural: List[Tuple[Optional[Category], Node]] = []
-        for node in schema.relevant_constraints(root):
-            named = any(isinstance(atom, EqualityAtom) for atom in node.atoms())
-            (self._named if named else structural).append((constraint_root(node), node))
-        self._live: List[Tuple[int, Subhierarchy]] = []
-        for selector, sub in zip(selectors, self.subs):
-            if self._satisfies(structural, sub, self._valuation(sub, {})):
-                self._live.append((selector, sub))
-            else:
-                self.solver.add_clause([-selector])
-        for node_root, node in self._named:
-            # The vacuity rule: a constraint holds on a subhierarchy that
-            # does not populate its root.
-            guard = []
-            if node_root is not None:
-                present = self._fixed(
-                    ("present", node_root), lambda sub: node_root in sub.categories
-                )
-                guard.append(-present)
+        self.closure = frozenset({root} | self.hierarchy.ancestors(root))
+        self.edges: Dict[Tuple[Category, Category], int] = {
+            (child, parent): self.solver.new_var()
+            for child in sorted(self.closure)
+            for parent in sorted(self.hierarchy.parents(child))
+        }
+        add = self.solver.add_clause
+        for (child, parent), edge in self.edges.items():
+            add([-edge, self._in(child)])
+            add([-edge, self._in(parent)])
+        for category in sorted(self.closure):
+            parents = sorted(self.hierarchy.parents(category))
+            if category != ALL:
+                add([-self._in(category)] + [self.edges[category, p] for p in parents])
+            if category in self.hierarchy.ancestors(category):
+                add([-self._reach(category, category)])
+            for upper in parents:
+                for mid in parents:
+                    if mid != upper and upper in self.hierarchy.ancestors(mid):
+                        add([
+                            -self.edges[category, upper],
+                            -self.edges[category, mid],
+                            -self._reach(mid, upper),
+                        ])
+        self._sigma = [
+            (constraint_root(node), node)
+            for node in schema.relevant_constraints(root)
+        ]
+        for node_root, node in self._sigma:
+            # The vacuity rule: a constraint holds on a frozen dimension
+            # that does not populate its root.
+            guard = [] if node_root is None else [-self._in(node_root)]
             for clause in self._clauses(node):
-                self.solver.add_clause(guard + clause)
+                add(guard + clause)
 
     # -- construction ---------------------------------------------------
 
-    def _fixed(self, key: object, truth: Callable[[Subhierarchy], bool]) -> int:
-        """The literal ``lit`` with ``sel_g -> lit`` where ``truth(g)``
-        and ``sel_g -> NOT lit`` elsewhere, for each live ``g``.
+    def _in(self, category: Category) -> int:
+        """Whether the model populates ``category``: the root and ``All``
+        always, any other category when the root reaches it."""
+        if category in (self.root, ALL):
+            return self._true
+        return self._reach(self.root, category)
 
-        Every live ``g`` is tied, so ``lit`` is a function of the selected
-        subhierarchy, fixed by its truth vector over the live ``g``: the
-        TRUE or FALSE literal when all agree, and one literal shared by
-        every key with that vector (its negation by the complement)."""
-        lit = self._fixed_lits.get(key)
-        if lit is None:
-            values = tuple(truth(sub) for _, sub in self._live)
-            if all(values):
-                lit = self._true
-            elif not any(values):
-                lit = -self._true
-            else:
-                lit = self._truth_lits.get(values)
-            if lit is None:
-                lit = self.solver.new_var()
-                for (selector, _), value in zip(self._live, values):
-                    self.solver.add_clause([-selector, lit if value else -lit])
-                self._truth_lits[values] = lit
-                self._truth_lits[tuple(not value for value in values)] = -lit
-            self._fixed_lits[key] = lit
+    def _reach(self, lower: Category, upper: Category) -> int:
+        """``reach_{lower,upper}``: a chosen path from ``lower`` to
+        ``upper`` of at least one edge.  FALSE without a ``G``-path, and
+        folded into its one disjunct when it has one and ``lower`` lies
+        on no ``G``-cycle (only there can the definition recurse into
+        itself, so only there is a variable allocated up front)."""
+        key = (lower, upper)
+        lit = self._reach_lits.get(key)
+        if lit is not None:
+            return lit
+        ancestors = self.hierarchy.ancestors
+        if lower not in self.closure or upper not in ancestors(lower):
+            return -self._true
+        cyclic = lower in ancestors(lower)
+        if cyclic:
+            lit = self._reach_lits[key] = self.solver.new_var()
+        terms = [self.edges[key]] if key in self.edges else []
+        for mid in sorted(self.hierarchy.parents(lower)):
+            if mid != upper and upper in ancestors(mid):
+                terms.append(
+                    self._and([self.edges[lower, mid], self._reach(mid, upper)])
+                )
+        if not cyclic:
+            if len(terms) == 1:
+                self._reach_lits[key] = terms[0]
+                return terms[0]
+            lit = self._reach_lits[key] = self.solver.new_var()
+        self.solver.add_clause([-lit] + terms)
+        for term in terms:
+            self.solver.add_clause([-term, lit])
         return lit
+
+    def _reaches(self, lower: Category, upper: Category) -> int:
+        """``lower`` is populated and reaches ``upper`` (reflexively): the
+        Definition 8 condition under which an atom ``lower.upper`` is
+        not folded to FALSE."""
+        if upper in (lower, ALL):
+            return self._in(lower)
+        return self._reach(lower, upper)
+
+    def _atom(self, atom: Atom) -> int:
+        """The literal of one atom, following :func:`circle_node`."""
+        if isinstance(atom, PathAtom):
+            path = atom.full_path
+            return self._and([
+                self.edges.get(edge, -self._true) for edge in zip(path, path[1:])
+            ])
+        if isinstance(atom, RollsUpAtom):
+            if atom.root == atom.target:
+                return self._true
+            return self._reaches(atom.root, atom.target)
+        if isinstance(atom, ThroughAtom):
+            # The cases of ``dimsat._through_in``.
+            c, ci, cj = atom.root, atom.via, atom.target
+            if c == ci == cj:
+                return self._true
+            if c == cj:
+                return -self._true
+            if ci in (c, cj):
+                return self._reaches(c, cj)
+            return self._and([self._reaches(c, ci), self._reaches(ci, cj)])
+        if isinstance(atom, EqualityAtom):
+            if atom.category == ALL:
+                name = self._true if atom.constant == TOP_MEMBER else -self._true
+            else:
+                name = self._eq_var(atom.category, atom.constant)
+            return self._and([self._reaches(atom.root, atom.category), name])
+        if isinstance(atom, ComparisonAtom):
+            raise CompilationError(
+                "comparison atoms (numeric categories) are not compilable"
+            )
+        raise CompilationError(f"cannot encode atom type {type(atom).__name__}")
 
     def _eq_var(self, category: Category, constant: str) -> int:
         key = (category, constant)
@@ -362,8 +372,8 @@ class _RootCompilation:
         return [[lit if holds else -lit]]
 
     def _encode(self, node: Node) -> int:
-        """A literal true exactly when ``node`` holds on the selected
-        subhierarchy: an atom's literal, or a gate tied to both
+        """A literal true exactly when ``node`` holds on the model's
+        frozen dimension: an atom's literal, or a gate tied to both
         polarities of :meth:`_clauses` (Tseitin)."""
         if node is TRUE or node == TRUE:
             return self._true
@@ -371,36 +381,20 @@ class _RootCompilation:
             return -self._true
         if isinstance(node, Not):
             return -self._encode(node.child)
-        if isinstance(node, EqualityAtom):
-            if node.category == ALL:
-                name = self._true if node.constant == TOP_MEMBER else -self._true
-            else:
-                name = self._eq_var(node.category, node.constant)
-            # Definition 8: FALSE unless the subhierarchy reaches the
-            # atom's category from its root.
-            reach = self._fixed(
-                ("reach", node.root, node.category),
-                lambda sub: node.root in sub.categories
-                and node.category in sub.categories
-                and sub.reaches(node.root, node.category),
-            )
-            return self._and([reach, name])
-        if isinstance(node, ComparisonAtom):
-            raise CompilationError(
-                "comparison atoms (numeric categories) are not compilable"
-            )
+        gate = self._gates.get(node)
+        if gate is not None:
+            return gate
         if isinstance(node, Atom):
-            return self._fixed(node, lambda sub: self._valuation(sub, {})(node))
+            gate = self._gates[node] = self._atom(node)
+            return gate
         if not isinstance(node, (And, Or, Implies, Iff, Xor, ExactlyOne)):
             raise CompilationError(f"cannot encode node type {type(node).__name__}")
-        gate = self._gates.get(node)
-        if gate is None:
-            gate = self.solver.new_var()
-            for clause in self._clauses(node):
-                self.solver.add_clause([-gate] + clause)
-            for clause in self._clauses(node, False):
-                self.solver.add_clause([gate] + clause)
-            self._gates[node] = gate
+        gate = self.solver.new_var()
+        for clause in self._clauses(node):
+            self.solver.add_clause([-gate] + clause)
+        for clause in self._clauses(node, False):
+            self.solver.add_clause([gate] + clause)
+        self._gates[node] = gate
         return gate
 
     # -- queries --------------------------------------------------------
@@ -409,8 +403,8 @@ class _RootCompilation:
         """Register ``NOT node`` (Theorem 2's extension) and return its
         activation literal and the negated node.
 
-        ``NOT node`` is encoded once: O(|node|) clauses plus one
-        :meth:`_fixed` literal per atom not seen before.  Its clauses are
+        ``NOT node`` is encoded once: O(|node|) clauses plus at most one
+        gate per atom not seen before.  Its clauses are
         guarded by the activation literal, so they constrain nothing
         unless assumed, and clauses learned under one query stay sound
         for every other.  Repeat queries cost one dict probe.
@@ -464,66 +458,49 @@ class _RootCompilation:
 
     def _witness(self, negated: Optional[Node]) -> FrozenDimension:
         """The model's frozen dimension, after CHECK (Proposition 2),
-        interpreted and reading nothing of the encoding: its
-        subhierarchy is live, so SIGMA's equality-free constraints held
-        on it at build, and the others and ``negated`` must hold on it
-        now."""
+        interpreted and reading nothing of the encoding: the decoded
+        skeleton must be a subhierarchy (Definition 7), acyclic and
+        shortcut free, and SIGMA and ``negated`` must hold on it."""
         model_value = self.solver.model_value
-        for selector, sub in self._live:
-            if model_value(selector):
-                break
-        else:
-            raise CompilationError("SAT model selects no subhierarchy")
+        sub = Subhierarchy(
+            self.root,
+            frozenset(c for c in self.closure if model_value(self._in(c))),
+            frozenset(edge for edge, var in self.edges.items() if model_value(var)),
+        )
+        try:
+            sub.validate(self.hierarchy)
+        except SchemaError as error:
+            raise CompilationError(f"decoded skeleton fails CHECK: {error}") from error
+        if not sub.is_acyclic() or sub.shortcut_edges():
+            raise CompilationError("decoded skeleton fails CHECK: cycle or shortcut")
         names = {
             category: constant
             for (category, constant), var in self._eq_vars.items()
             if model_value(var) and category in sub.categories
         }
-        truth = self._valuation(sub, names)
-        if not self._satisfies(self._named, sub, truth) or (
-            negated is not None and not evaluate(negated, truth)
-        ):
-            raise CompilationError("decoded witness fails CHECK")
-        return FrozenDimension(sub, names)
 
-    def _satisfies(
-        self,
-        sigma: Iterable[Tuple[Optional[Category], Node]],
-        sub: Subhierarchy,
-        truth: Callable[[Atom], bool],
-    ) -> bool:
-        """Whether each ``(root, constraint)`` of ``sigma`` holds on
-        ``sub`` under ``truth`` (vacuously if ``sub`` lacks its root)."""
-        return all(
-            (node_root is not None and node_root not in sub.categories)
-            or evaluate(node, truth)
-            for node_root, node in sigma
-        )
-
-    def _valuation(
-        self, sub: Subhierarchy, names: Mapping[Category, str]
-    ) -> Callable[[Atom], bool]:
-        """Atom truth on the frozen dimension ``(sub, names)``: Definition
-        8 on ``sub`` (memoized), then ``names`` for an equality atom."""
-        memo = self._folded.setdefault(sub, {})
-
-        def atom_truth(atom: Atom) -> bool:
-            folded = memo.get(atom)
-            if folded is None:
-                folded = memo[atom] = circle_node(atom, sub)
+        def truth(atom: Atom) -> bool:
+            folded = circle_node(atom, sub)
             if isinstance(folded, EqualityAtom):
                 if folded.category == ALL:
                     return folded.constant == TOP_MEMBER
                 return names.get(folded.category) == folded.constant
             return folded == TRUE
 
-        return atom_truth
+        holds = all(
+            (node_root is not None and node_root not in sub.categories)
+            or evaluate(node, truth)
+            for node_root, node in self._sigma
+        )
+        if not holds or (negated is not None and not evaluate(negated, truth)):
+            raise CompilationError("decoded witness fails CHECK")
+        return FrozenDimension(sub, names)
 
     # -- introspection --------------------------------------------------
 
     def describe(self) -> Dict[str, int]:
         return {
-            "subhierarchies": len(self.subs),
+            "edges": len(self.edges),
             "variables": self.solver.num_vars,
             "clauses": self.solver.num_clauses,
             "learned_clauses": self.solver.num_learned,
@@ -548,11 +525,7 @@ class CompiledArtifact:
     fingerprint (see :class:`CompiledArtifactStore`).
     """
 
-    def __init__(
-        self,
-        schema: DimensionSchema,
-        max_subhierarchies: int = DEFAULT_MAX_SUBHIERARCHIES,
-    ) -> None:
+    def __init__(self, schema: DimensionSchema) -> None:
         for category in schema.hierarchy.categories:
             if schema.is_numeric(category):
                 raise CompilationError(
@@ -561,7 +534,6 @@ class CompiledArtifact:
                 )
         self.schema = schema
         self.fingerprint = schema.fingerprint()
-        self.max_subhierarchies = max_subhierarchies
         self._roots: Dict[Category, _RootCompilation] = {}
         self._lock = threading.Lock()
 
@@ -580,11 +552,9 @@ class CompiledArtifact:
                 with TRACER.span(
                     "compile.root", root=category, fingerprint=self.fingerprint
                 ) as span:
-                    compiled = _RootCompilation(
-                        self.schema, category, self.max_subhierarchies, budget
-                    )
+                    compiled = _RootCompilation(self.schema, category, budget)
                     span.set(
-                        subhierarchies=len(compiled.subs),
+                        edges=len(compiled.edges),
                         variables=compiled.solver.num_vars,
                         clauses=compiled.solver.num_clauses,
                     )
@@ -645,13 +615,8 @@ class CompiledArtifactStore:
     editor's drop shortcut is sound only under this invariant.
     """
 
-    def __init__(
-        self,
-        max_entries: int = 64,
-        max_subhierarchies: int = DEFAULT_MAX_SUBHIERARCHIES,
-    ) -> None:
+    def __init__(self, max_entries: int = 64) -> None:
         self.max_entries = max_entries
-        self.max_subhierarchies = max_subhierarchies
         self.stats = _STORE_STATS.track(self, ArtifactStoreStats())
         self._lock = threading.Lock()
         self._artifacts: Dict[str, object] = {}
@@ -671,9 +636,7 @@ class CompiledArtifactStore:
             return entry  # type: ignore[return-value]
         try:
             with TRACER.span("compile.schema", fingerprint=fingerprint):
-                artifact: object = CompiledArtifact(
-                    schema, self.max_subhierarchies
-                )
+                artifact: object = CompiledArtifact(schema)
         except CompilationError as error:
             with self._lock:
                 self.stats.compile_failures += 1
@@ -800,7 +763,7 @@ class CompiledDecisionEngine:
 
     ``budget`` is a per-decision template, as on the interpreted engine:
     each computed decision charges one fresh copy across the root's
-    build (one unit per EXPAND branch), every solve (one unit on entry
+    build (one unit), every solve (one unit on entry
     and one per conflict) and, after a :class:`CompilationError`, the
     kernel fallback.  A decision that runs out raises
     :class:`~repro.errors.BudgetExceeded` and caches nothing.  Each
@@ -853,7 +816,8 @@ class CompiledDecisionEngine:
         if not schema.hierarchy.has_category(category):
             raise SchemaError(f"unknown category {category!r}")
         if category == ALL:
-            return _trivial_all_result(DimsatOptions())
+            # Proposition 1: the kernel answers All without a search.
+            return run_dimsat(schema, category)
         return serve(
             self,
             schema,

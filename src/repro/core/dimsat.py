@@ -473,12 +473,6 @@ class _GState:
             (child, parent) for child, parents in self.out for parent in parents
         )
 
-    def in_relation(self, category: Category) -> FrozenSet[Category]:
-        """``g.In(category)``: direct children inside the subhierarchy."""
-        return frozenset(
-            child for child, parents in self.out if category in parents
-        )
-
     def to_subhierarchy(self) -> Subhierarchy:
         return Subhierarchy(self.root, self.cats, self.edges())
 
@@ -677,8 +671,17 @@ class _Search:
 
         blocked: Set[Category] = set()
         if self.options.shortcut_pruning:
-            for candidate in schema_parents:
-                if state.in_relation(candidate) & (instar | {ctop}):
+            # The edge ctop -> p makes an existing edge x -> q a shortcut
+            # when x lies below ctop (or is ctop) and p reaches q in g.
+            # Line (11) tests q = p only; an edge into a category above
+            # an already-expanded p is just as parallel (DESIGN.md item
+            # 6).  A candidate not yet in g reaches nothing there.
+            out_map = state.out_map()
+            below = instar | {ctop}
+            for candidate in schema_parents & state.cats:
+                above = {q for q, reaching in state.instar if candidate in reaching}
+                above.add(candidate)
+                if any(out_map.get(x, frozenset()) & above for x in below):
                     blocked.add(candidate)
         if self.options.cycle_pruning:
             blocked |= schema_parents & instar

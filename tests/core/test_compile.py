@@ -7,9 +7,12 @@ Correctness anchors:
 * witnesses materialize into valid, SIGMA-satisfying instances (the
   interpreted CHECK agrees with the real semantics), and a planted
   encoding defect is caught by that CHECK and costs only a fallback;
+* the root CNF's models are exactly the complete subhierarchies the
+  kernel's EXPAND and brute force admit, on every adversarial family,
+  and roots with tens of thousands of them compile without a fallback;
 * a query whose atoms SIGMA already uses is encoded in a number of
-  clauses independent of the root's subhierarchy count, and atoms with
-  one truth vector share a literal without changing a verdict;
+  clauses independent of the root's subhierarchy count, and each atom
+  maps to the skeleton's own literals without changing a verdict;
 * compile failures (numeric categories, comparison-atom queries) fall
   back to the interpreted kernel, never a wrong or missing verdict;
 * the engine's cache keys and audit records are byte-compatible with the
@@ -52,11 +55,21 @@ from repro.core.dimsat import DimsatOptions
 from repro.core.parallel import ask
 from repro.core.resilience import ENGINE_NAMES
 from repro.errors import BudgetExceeded, ReproError, SchemaError
-from repro.generators.adversarial import wide_fanout_schema
+from repro.generators.adversarial import (
+    FAMILIES,
+    shortcut_lattice_schema,
+    wide_fanout_schema,
+)
 from repro.generators.location import location_schema
 from repro.generators.random_schema import RandomSchemaConfig, random_schema
 from repro.generators.sat_encoding import phase_transition_cnf
 from repro.generators.suite import suite_schemas
+from tests.skeletons import (
+    brute_skeletons,
+    compiled_skeletons,
+    kernel_skeletons,
+    late_shortcut_schema,
+)
 
 
 def _named_3cnf(cnf):
@@ -73,6 +86,24 @@ def _named_3cnf(cnf):
         for clause in cnf.clauses
     ]
     return DimensionSchema(HierarchySchema(categories, edges), clauses)
+
+
+def _planted_check_defect(monkeypatch):
+    """A schema whose one constraint the encoding drops (a planted
+    defect): the solver then finds witnesses that violate it."""
+    hierarchy = HierarchySchema(
+        ["Base", "A", "B"],
+        [("Base", "A"), ("Base", "B"), ("A", ALL), ("B", ALL)],
+    )
+    schema = DimensionSchema(hierarchy, ["Base -> B implies Base = 'x'"])
+    planted = schema.constraints[0]
+    clauses = _RootCompilation._clauses
+
+    def dropping(self, node, holds=True):
+        return [] if node is planted else clauses(self, node, holds)
+
+    monkeypatch.setattr(_RootCompilation, "_clauses", dropping)
+    return schema
 
 
 @pytest.fixture()
@@ -220,22 +251,26 @@ class TestWitnesses:
         """An encoding that drops a SIGMA constraint yields a witness that
         violates it; CHECK rejects that witness, the decision falls back
         and is counted, and the served verdict stays the kernel's."""
-        hierarchy = HierarchySchema(
-            ["Base", "A", "B"],
-            [("Base", "A"), ("Base", "B"), ("A", ALL), ("B", ALL)],
-        )
-        schema = DimensionSchema(hierarchy, ["Base -> B implies Base = 'x'"])
-        planted = schema.constraints[0]
-        clauses = _RootCompilation._clauses
-
-        def dropping(self, node, holds=True):
-            return [] if node is planted else clauses(self, node, holds)
-
-        monkeypatch.setattr(_RootCompilation, "_clauses", dropping)
+        schema = _planted_check_defect(monkeypatch)
         engine = CompiledDecisionEngine(cache=None, store=CompiledArtifactStore())
         query = parse("not (Base -> B and Base = 'y')")
         assert engine.implies(schema, query).implied == implies(schema, query).implied
         assert implies(schema, query).implied
+        assert engine.stats.fallbacks == 1
+        assert engine.stats.compiled_decisions == 0
+
+
+    def test_check_rejects_a_wrong_skeleton(self):
+        """CHECK re-verifies the decoded skeleton too: with every edge
+        literal of ``Store``'s root reading true, the model decodes to
+        every edge of the closure, shortcuts included, and the decision
+        falls back with the kernel's verdict."""
+        schema = location_schema()
+        store = CompiledArtifactStore()
+        root = store.get(schema).root("Store")
+        root.edges = dict.fromkeys(root.edges, root._true)
+        engine = CompiledDecisionEngine(cache=None, store=store)
+        assert engine.dimsat(schema, "Store").satisfiable
         assert engine.stats.fallbacks == 1
         assert engine.stats.compiled_decisions == 0
 
@@ -246,17 +281,18 @@ class TestLiftedEncoding:
     ):
         """On wide-fanout roots the subhierarchy count grows as
         ``2^width`` (``width`` of them alive under the ``one``
-        constraint).  A query over atoms that an encoded SIGMA
-        constraint already uses is encoded once, so it adds the same
-        number of clauses at every width, where a per-subhierarchy
-        encoding adds one per live subhierarchy the query refutes."""
+        constraint), the encoding as its ``2 * width + 1`` edges.  A
+        query over atoms that an encoded SIGMA constraint already uses
+        is encoded once, so it adds the same number of clauses at every
+        width, where a per-subhierarchy encoding adds one per
+        subhierarchy the query refutes."""
         added = {}
         for width in (3, 5, 7):
             schema = wide_fanout_schema(width=width, seed=1).with_constraints(
                 ["b -> p0 or b -> p1 implies b = 'x'"]
             )
             root = CompiledArtifactStore().get(schema).root("b")
-            assert len(root.subs) == 2**width - 1
+            assert len(root.edges) == 2 * width + 1
             query = parse("not (b -> p0 or b -> p1)")
             before = root.solver.num_clauses
             root.assume_query(query)
@@ -269,10 +305,11 @@ class TestLiftedEncoding:
 
     def test_shared_literals_and_foreign_roots_match_the_kernel(self):
         """SIGMA rooted at three categories, two of them missing from
-        some of ``Base``'s live subhierarchies; atoms with one truth
-        vector (``Base -> A`` and ``Base.A``) share a literal, and one
-        with the complement vector (``Base -> B``) its negation: every
-        verdict is the kernel's and no witness falls back."""
+        some of ``Base``'s frozen dimensions (their constraints then
+        hold vacuously); each atom maps straight to the skeleton's
+        literals - ``Base -> A`` to its edge, and ``Base.A`` to the same
+        edge, the one way ``Base`` reaches ``A`` - and every verdict is
+        the kernel's, with no witness falling back."""
         hierarchy = HierarchySchema(
             ["Base", "A", "B", "C"],
             [("Base", "A"), ("Base", "B"), ("Base", "C"), ("A", "C"),
@@ -288,14 +325,12 @@ class TestLiftedEncoding:
             ],
         )
         root = CompiledArtifactStore().get(schema).root("Base")
-        live = [sub for _, sub in root._live]
-        assert any("A" not in sub.categories for sub in live)
-        assert any("B" not in sub.categories for sub in live)
-        root.assume_query(parse("Base -> A or Base -> B"))
-        shared = root._fixed_lits[parse("Base -> A")]
-        assert shared not in (root._true, -root._true)
-        assert root._fixed_lits[parse("Base.A")] == shared
-        assert root._fixed_lits[parse("Base -> B")] == -shared
+        assert root.solver.solve([-root._in("A")])
+        assert root.solver.solve([-root._in("B")])
+        root.assume_query(parse("Base -> A or Base -> B or Base.A"))
+        assert root._gates[parse("Base -> A")] == root.edges["Base", "A"]
+        assert root._gates[parse("Base.A")] == root.edges["Base", "A"]
+        assert root._gates[parse("Base -> B")] == root.edges["Base", "B"]
         engine = CompiledDecisionEngine(cache=None, store=CompiledArtifactStore())
         for category in sorted(hierarchy.categories):
             assert engine.dimsat(schema, category).satisfiable == dimsat(
@@ -326,6 +361,53 @@ class TestLiftedEncoding:
                     schema, target, sources, cache=None
                 ), (target, sources)
         assert engine.stats.fallbacks == 0
+
+
+class TestStructuralEncoding:
+    """The structural side, (C1)-(C7), is encoded, not listed: over each
+    root's upward closure the models of the CNF are the complete
+    subhierarchies, whatever their number."""
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_models_are_the_complete_subhierarchies(self, family):
+        schema = FAMILIES[family](0).schema
+        hierarchy = schema.hierarchy
+        for root in sorted(hierarchy.categories - {ALL}):
+            models = compiled_skeletons(schema, root)
+            assert models == kernel_skeletons(schema, root), root
+            closure = {root} | hierarchy.ancestors(root)
+            # Brute force tries every subset of the closure's edges.
+            if sum(len(hierarchy.parents(c)) for c in closure) <= 12:
+                assert models == brute_skeletons(schema, root), root
+
+    def test_late_shortcut_is_no_model(self):
+        schema = late_shortcut_schema()
+        for root in sorted(schema.hierarchy.categories - {ALL}):
+            models = compiled_skeletons(schema, root)
+            assert models == brute_skeletons(schema, root), root
+            assert models == kernel_skeletons(schema, root), root
+        assert compiled_skeletons(schema, "B") == set()
+
+    @pytest.mark.parametrize(
+        "schema",
+        [
+            wide_fanout_schema(width=16, seed=1),
+            shortcut_lattice_schema(levels=5, seed=1),
+        ],
+        ids=["wide-fanout-16", "shortcut-lattice-5"],
+    )
+    def test_explosive_roots_compile_without_fallback(self, engine, schema):
+        """Wide-fanout at width 16 has 2^16 - 1 complete subhierarchies at
+        its bottom, the 5-level shortcut lattice thousands at several
+        roots; each root's CNF stays within ``2 |closure|^3`` clauses."""
+        for category in sorted(schema.hierarchy.categories):
+            assert (
+                engine.dimsat(schema, category).satisfiable
+                == dimsat(schema, category).satisfiable
+            ), category
+        assert engine.stats.fallbacks == 0
+        for root in engine.store.get(schema)._roots.values():
+            assert root.solver.num_clauses <= 2 * len(root.closure) ** 3
 
 
 class TestDegradation:
@@ -362,16 +444,6 @@ class TestDegradation:
         assert store.stats.compile_failures == 1
         assert store.stats.hits == 1
 
-    def test_subhierarchy_limit_falls_back(self, schemas):
-        schema = schemas["retail"]
-        store = CompiledArtifactStore(max_subhierarchies=1)
-        engine = CompiledDecisionEngine(cache=None, store=store)
-        for category in sorted(schema.hierarchy.categories):
-            assert (
-                engine.dimsat(schema, category).satisfiable
-                == dimsat(schema, category).satisfiable
-            )
-
     def test_unknown_category_raises(self, engine, schemas):
         with pytest.raises(SchemaError):
             engine.dimsat(schemas["retail"], "Nope")
@@ -383,9 +455,9 @@ class TestDegradation:
 
 
 class TestBudget:
-    """The compiled tier charges the per-decision budget: one unit per
-    EXPAND branch of a root's build, one on entry to every solve and one
-    per conflict, and the kernel fallback continues on the same budget."""
+    """The compiled tier charges the per-decision budget: one unit for a
+    root's build, one on entry to every solve and one per conflict, and
+    the kernel fallback continues on the same budget."""
 
     @pytest.mark.parametrize(
         "budget",
@@ -498,7 +570,7 @@ class TestBudget:
         schema = schemas["retail"]
         store = CompiledArtifactStore()
         engine = CompiledDecisionEngine(
-            cache=None, budget=DecisionBudget(max_nodes=2), store=store
+            cache=None, budget=DecisionBudget(max_nodes=0), store=store
         )
         with pytest.raises(BudgetExceeded):
             engine.dimsat(schema, "Store")
@@ -510,25 +582,27 @@ class TestBudget:
         assert plain.dimsat(schema, "Store").satisfiable
         assert "Store" in store.get(schema).describe()["roots"]
 
-    def test_fallback_continues_under_the_same_budget(self, schemas):
-        """A build that fails to compile has already charged the budget,
-        and the kernel fallback charges that same budget: a node ceiling
-        the kernel alone fits in is exceeded by build plus fallback."""
-        schema = schemas["retail"]
+    def test_fallback_continues_under_the_same_budget(self, monkeypatch):
+        """A decision whose witness fails CHECK has already charged the
+        budget for the build and the solve, and the kernel fallback
+        charges that same budget: a node ceiling the kernel alone fits
+        in is exceeded by build, solve and fallback together."""
+        schema = _planted_check_defect(monkeypatch)
+        query = parse("not (Base -> B and Base = 'y')")
         alone = DecisionBudget()
-        dimsat(schema, "Store", None, alone)
+        implies(schema, query, cache=None, budget=alone)
         limit = alone.nodes_charged
-        store = CompiledArtifactStore(max_subhierarchies=1)
+        store = CompiledArtifactStore()
         engine = CompiledDecisionEngine(
             cache=None, budget=DecisionBudget(max_nodes=limit), store=store
         )
         with pytest.raises(BudgetExceeded):
-            engine.dimsat(schema, "Store")
+            engine.implies(schema, query)
         assert engine.stats.fallbacks == 1
         roomy = CompiledDecisionEngine(
             cache=None, budget=DecisionBudget(max_nodes=limit * 10), store=store
         )
-        assert roomy.dimsat(schema, "Store").satisfiable
+        assert roomy.implies(schema, query).implied
         assert roomy.stats.fallbacks == 1
 
 

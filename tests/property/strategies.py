@@ -1,8 +1,10 @@
 """Shared hypothesis strategies: constraint expressions over the location
-hierarchy, and random schema configurations."""
+hierarchy, random schema configurations, and small hierarchies whose
+category names do not follow their topological order."""
 
 from __future__ import annotations
 
+from hypothesis import assume
 from hypothesis import strategies as st
 
 from repro.constraints import (
@@ -18,6 +20,7 @@ from repro.constraints import (
     RollsUpAtom,
     ThroughAtom,
 )
+from repro.core import ALL, DimensionSchema, HierarchySchema
 from repro.generators.location import location_hierarchy
 
 _HIERARCHY = location_hierarchy()
@@ -115,3 +118,49 @@ def constraints(draw, root=None, max_depth=3):
 
 def location_roots():
     return st.sampled_from(_ROOTS_WITH_PATHS)
+
+
+_SHUFFLED_NAMES = ["a", "b", "c", "d", "e"]
+
+
+@st.composite
+def shuffled_schemas(draw):
+    """A 4-5 category hierarchy whose topological order is a random
+    permutation of the names, half the time with one or two back edges
+    (cycles), under into and rolls-up constraints.
+
+    The ``random_schema`` generators name categories in topological
+    order, so EXPAND's sorted choice of the next category never meets
+    one whose new parent is already expanded; here it does.  Every
+    forward pair and every edge to ``All`` is drawn with probability one
+    half (sparser graphs rarely build a late shortcut), and at most 11
+    edges keep brute force over every edge subset cheap."""
+    order = draw(st.permutations(_SHUFFLED_NAMES))[: draw(st.integers(4, 5))]
+    pairs = [
+        (order[i], order[j])
+        for i in range(len(order))
+        for j in range(i + 1, len(order))
+    ]
+    edges = {pair for pair in pairs if draw(st.booleans())}
+    edges |= {(c, ALL) for c in order if draw(st.booleans())}
+    edges |= {(c, ALL) for c in order if all(child != c for child, _ in edges)}
+    if draw(st.booleans()):
+        back = draw(st.sets(st.sampled_from(pairs), min_size=1, max_size=2))
+        edges |= {(upper, lower) for lower, upper in back}
+    assume(len(edges) <= 11)
+    hierarchy = HierarchySchema(order, sorted(edges))
+    texts = [
+        f"{child} -> {parent}"
+        for child, parent in draw(st.sets(st.sampled_from(sorted(edges)), max_size=3))
+    ]
+    rolls = [
+        (c, upper)
+        for c in order
+        for upper in sorted(hierarchy.ancestors(c) - {c, ALL})
+    ]
+    if rolls:
+        texts += [
+            f"{c}.{upper}"
+            for c, upper in draw(st.sets(st.sampled_from(rolls), max_size=2))
+        ]
+    return DimensionSchema(hierarchy, texts)

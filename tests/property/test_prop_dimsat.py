@@ -3,18 +3,35 @@
 On random small schemas (every knob randomized), DIMSAT and the exhaustive
 baseline must return the same satisfiability verdict for every category,
 and the same set of frozen-dimension skeletons; the ablated configurations
-must agree too.
+must agree too.  On hierarchies whose names do not follow their
+topological order (cycles included), the kernel's EXPAND, the compiled
+tier's structural CNF and brute force admit the same skeletons, and both
+engines give brute force's verdicts with witnesses that materialize.
 """
 
 from __future__ import annotations
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.baselines import brute_force_frozen_dimensions, brute_force_satisfiable
 from repro.constraints import satisfies_all
-from repro.core import DimsatOptions, dimsat, enumerate_frozen_dimensions
+from repro.core import (
+    ALL,
+    CompiledArtifactStore,
+    CompiledDecisionEngine,
+    DimsatOptions,
+    dimsat,
+    enumerate_frozen_dimensions,
+)
 from repro.generators.random_schema import RandomSchemaConfig, random_schema
+from tests.property.strategies import shuffled_schemas
+from tests.skeletons import (
+    brute_skeletons,
+    compiled_skeletons,
+    kernel_skeletons,
+    late_shortcut_schema,
+)
 
 SETTINGS = settings(max_examples=25, deadline=None)
 
@@ -80,6 +97,32 @@ def test_witnesses_materialize_to_conforming_instances(schema):
         instance = result.witness.to_instance(schema)
         assert instance.is_valid()
         assert satisfies_all(instance, schema.constraints)
+
+
+@SETTINGS
+@example(late_shortcut_schema())
+@given(shuffled_schemas())
+def test_shuffled_skeletons_match_brute_force(schema):
+    for root in sorted(schema.hierarchy.categories - {ALL}):
+        brute = brute_skeletons(schema, root)
+        assert kernel_skeletons(schema, root) == brute, root
+        assert compiled_skeletons(schema, root) == brute, root
+
+
+@SETTINGS
+@example(late_shortcut_schema())
+@given(shuffled_schemas())
+def test_shuffled_verdicts_and_witnesses_match_brute_force(schema):
+    engine = CompiledDecisionEngine(cache=None, store=CompiledArtifactStore())
+    for category in sorted(schema.hierarchy.categories):
+        expected = brute_force_satisfiable(schema, category)
+        for result in (dimsat(schema, category), engine.dimsat(schema, category)):
+            assert result.satisfiable == expected, category
+            if expected:
+                instance = result.witness.to_instance(schema)
+                assert instance.is_valid()
+                assert satisfies_all(instance, schema.constraints)
+    assert engine.stats.fallbacks == 0
 
 
 @st.composite

@@ -4,7 +4,9 @@ A falsifier hunt (compiled-vs-sequential differential over adversarial
 corpus seeds 0-11, every category and constraint probe) found zero live
 divergences, so the modules here pin the *scenarios the harness would
 have shrunk to* if one appeared: a minimal unsatisfiable schema produced
-by ``shrink_schema`` itself, the Theorem 4 unsat encoding, the census
+by ``shrink_schema`` itself, the late-shortcut schema EXPAND once
+answered wrongly (found against the brute-force oracle on shuffled
+category names), the Theorem 4 unsat encoding, the census
 boundary-week construction, and a byte-exact mixed-trace digest.  Each
 test states the verdict the stack must keep giving; a fingerprint drift
 here means a generator or shrinker changed behaviour under a pinned
@@ -19,7 +21,8 @@ from pathlib import Path
 
 from repro._types import ALL
 from repro.core import DimensionSchema
-from repro.core.compile import CompiledDecisionEngine
+from repro.baselines import brute_force_satisfiable
+from repro.core.compile import CompiledArtifactStore, CompiledDecisionEngine
 from repro.core.dimsat import dimsat
 from repro.constraints.semantics import satisfies_all
 from repro.generators.adversarial import (
@@ -39,6 +42,9 @@ SHRUNK_UNSAT_FINGERPRINT = (
 )
 NP_UNSAT_FINGERPRINT = (
     "5d6e980be300d0b7ee36ed9436ddfb19316bccb0dfbc5e043b46c91aedc6419a"
+)
+LATE_SHORTCUT_FINGERPRINT = (
+    "dd5a88a3be2e8883d6b00f9c0c53e297910d08a3d635755ab57f900b35ab4285"
 )
 TRACE_880_DIGEST = (
     "5927c57859f76276a90ba304d6554643a25457b42f3976adb1eabc5b6f264f56"
@@ -81,6 +87,49 @@ class TestShrunkUnsatSchema:
         assert main(["audit", str(self.PATH)]) == 1
         out = capsys.readouterr().out
         assert "DEAD" in out and "c0" in out
+
+
+class TestLateShortcut:
+    """EXPAND's late-shortcut gap.  Expanding ``X`` adds ``X -> M`` into
+    the already-expanded ``M``; ``B -> All`` then parallels ``B -> X ->
+    M -> All``, a shortcut (C5) forbids, yet Figure 6's line (11) only
+    tests the in-edges of ``M`` itself.  ``R.B`` forces ``B`` in, ``B``
+    is into both ``X`` and ``All``, so every frozen dimension rooted at
+    ``R`` needs that shortcut: ``R`` is unsatisfiable."""
+
+    PATH = DATA / "late_shortcut.json"
+
+    def _load(self):
+        return schema_from_json(self.PATH.read_text())
+
+    def test_artifact_is_pinned(self):
+        schema = self._load()
+        assert schema.fingerprint() == LATE_SHORTCUT_FINGERPRINT
+        assert len(schema.hierarchy.categories) == 6
+
+    def test_root_is_unsatisfiable_everywhere(self):
+        schema = self._load()
+        assert not brute_force_satisfiable(schema, "R")
+        assert not dimsat(schema, "R").satisfiable
+        engine = CompiledDecisionEngine(cache=None, store=CompiledArtifactStore())
+        assert not engine.dimsat(schema, "R").satisfiable
+        assert engine.stats.fallbacks == 0
+
+    def test_only_the_shortcut_carriers_die(self):
+        # ``B`` needs the same shortcut as ``R``; every category above
+        # it keeps a witness, on each engine and in brute force.
+        schema = self._load()
+        engine = CompiledDecisionEngine(cache=None, store=CompiledArtifactStore())
+        for category in sorted(schema.hierarchy.categories):
+            alive = category not in ("R", "B")
+            assert brute_force_satisfiable(schema, category) == alive, category
+            result = dimsat(schema, category)
+            assert result.satisfiable == alive, category
+            assert engine.dimsat(schema, category).satisfiable == alive, category
+            if alive:
+                instance = result.witness.to_instance(schema)
+                assert satisfies_all(instance, schema.constraints)
+        assert engine.stats.fallbacks == 0
 
 
 class TestNpBoundaryUnsat:
