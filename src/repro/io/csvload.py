@@ -124,6 +124,5 @@ def facts_to_csv(facts: FactTable) -> str:
     out = io.StringIO()
     writer = csv.writer(out)
     writer.writerow(["member", *measures])
-    for fact in facts:
-        writer.writerow([fact.member, *(fact.measures[m] for m in measures)])
+    writer.writerows(zip(facts.members(), *(facts.values(m) for m in measures)))
     return out.getvalue()

@@ -10,12 +10,20 @@ with a (possibly different) aggregate ``af^c``.  Among the SQL aggregates,
 The cube-view recombination of Definition 6 applies ``af`` at the base
 level and ``af^c`` when merging pre-aggregated cube views, so both halves
 live on one object here.
+
+SUM's base function is :func:`math.fsum`, which is correctly rounded:
+a cell's value is the same whatever order its facts are read in, so a
+scan may group the facts by member (see
+:func:`~repro.olap.cubeview.cube_view`) and still agree bit for bit with
+one that reads them in row order.  MIN, MAX and COUNT ignore order
+anyway.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Tuple
+from typing import Callable, Dict, Iterable, List, Tuple
 
 from repro.errors import OlapError
 
@@ -26,13 +34,14 @@ Number = float
 class AggregateFunction:
     """A distributive aggregate: the base function and its combiner.
 
-    ``base`` folds raw measure values; ``combine`` folds partial
+    ``base`` folds a non-empty list of raw measure values (a cube-view
+    scan calls it on each cell's list directly); ``combine`` folds partial
     aggregates (the paper's ``af^c``).  ``on_empty_error`` mirrors SQL:
     MIN/MAX over nothing is undefined, COUNT/SUM of nothing is 0.
     """
 
     name: str
-    base: Callable[[Iterable[Number]], Number]
+    base: Callable[[List[Number]], Number]
     combine: Callable[[Iterable[Number]], Number]
     combine_name: str
     empty_value: Number | None = None
@@ -56,11 +65,11 @@ class AggregateFunction:
         return self.combine(partials)
 
 
-def _count(values: Iterable[Number]) -> Number:
-    return float(sum(1 for _ in values))
+def _count(values: List[Number]) -> Number:
+    return float(len(values))
 
 
-SUM = AggregateFunction("SUM", base=sum, combine=sum, combine_name="SUM", empty_value=0.0)
+SUM = AggregateFunction("SUM", base=math.fsum, combine=sum, combine_name="SUM", empty_value=0.0)
 COUNT = AggregateFunction(
     "COUNT", base=_count, combine=sum, combine_name="SUM", empty_value=0.0
 )

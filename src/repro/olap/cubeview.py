@@ -62,11 +62,16 @@ def cube_view(
 ) -> CubeView:
     """Compute a cube view directly from the fact table (Definition 6 LHS).
 
-    ``facts`` is any iterable of facts with an ``instance`` attribute.
-    ``GAMMA_{c_b}^{c}`` is memoized per instance: each fact is rolled up
-    with one lookup in
-    :meth:`~repro.core.instance.DimensionInstance.rollup_to`, and each
-    cell aggregates its values in fact order.
+    ``GAMMA_{c_b}^{c}`` is memoized per instance
+    (:meth:`~repro.core.instance.DimensionInstance.rollup_to`).  Over a
+    :class:`FactTable` the scan walks the table's
+    :meth:`~repro.olap.facttable.FactTable.grouping`: one rollup lookup
+    and one list extend per distinct base member, then one aggregate per
+    cell.  ``facts`` may also be any iterable of facts with an
+    ``instance`` attribute, rolled up one lookup per fact.  Either way
+    ``rows_scanned`` counts every fact, and a cell's value does not
+    depend on the order of its facts: SUM is correctly rounded and
+    COUNT, MIN and MAX ignore order.
 
     >>> from repro.generators.location import location_instance
     >>> from repro.olap.aggregates import SUM
@@ -78,21 +83,34 @@ def cube_view(
     instance = facts.instance
     rollup = instance.rollup_to(category)
     groups: Dict[Member, List[float]] = {}
-    scanned = 0
-    for fact in facts:
-        scanned += 1
-        try:
-            target = rollup[fact.member]
-        except KeyError:  # not a member: ancestor_in raises SchemaError
-            target = instance.ancestor_in(fact.member, category)
-        if target is None:
-            continue  # the rollup mapping is partial in heterogeneous dims
-        values = groups.get(target)
-        if values is None:
-            groups[target] = [fact.value(measure)]
-        else:
-            values.append(fact.value(measure))
-    cells = {member: aggregate.aggregate(values) for member, values in groups.items()}
+    if isinstance(facts, FactTable):
+        scanned = len(facts)
+        for member, values in facts.grouping(measure).items():
+            target = rollup[member]  # every member of a FactTable is in its instance
+            if target is None:
+                continue  # the rollup mapping is partial in heterogeneous dims
+            cell = groups.get(target)
+            if cell is None:
+                groups[target] = values.copy()
+            else:
+                cell.extend(values)
+    else:
+        scanned = 0
+        for fact in facts:
+            scanned += 1
+            try:
+                target = rollup[fact.member]
+            except KeyError:  # not a member: ancestor_in raises SchemaError
+                target = instance.ancestor_in(fact.member, category)
+            if target is None:
+                continue
+            cell = groups.get(target)
+            if cell is None:
+                groups[target] = [fact.value(measure)]
+            else:
+                cell.append(fact.value(measure))
+    base = aggregate.base  # every cell holds at least one value
+    cells = {member: base(values) for member, values in groups.items()}
     return CubeView(category, aggregate, measure, cells, rows_scanned=scanned)
 
 

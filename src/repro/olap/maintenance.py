@@ -89,13 +89,12 @@ def apply_delta(
         # to a structural guard.  Comparing hierarchies alone is not
         # enough: a delta whose instance rolls a shared member up
         # *differently* would merge that member's cells under the wrong
-        # ancestors, silently corrupting the view.  Every fact member must
-        # exist in the target instance with the same category and the same
-        # rollup.
+        # ancestors, silently corrupting the view.  Every distinct member
+        # of the delta's member column must exist in the target instance
+        # with the same category and the same rollup.
         if delta.instance.hierarchy != instance.hierarchy:
             raise OlapError("delta facts belong to a different dimension")
-        for fact in delta:
-            member = fact.member
+        for member in dict.fromkeys(delta.members()):
             if member not in instance:
                 raise OlapError(
                     f"delta fact member {member!r} does not exist in the "

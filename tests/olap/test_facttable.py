@@ -97,9 +97,33 @@ class TestExtended:
         assert right.members() == ["s1", "s3", "s5"]
         assert left_again.members() == ["s1", "s3", "s4", "s6"]
 
-    def test_tip_iterates_as_a_plain_list(self, loc_instance, facts):
-        grown = facts.extended(self.delta(loc_instance, "s4"))
-        assert type(iter(grown)) is type(iter([]))
+    def test_tip_grows_its_columns_in_place(self, loc_instance, facts):
+        """Extending the tip copies no history: the new table shares the
+        member column, grown by exactly the delta, and still iterates
+        its rows in order."""
+        column = facts._members
+        grown = facts.extended(self.delta(loc_instance, "s4", "s5"))
+        assert grown._members is column
+        assert len(column) == len(facts) + 2
+        assert [(f.member, f.value("sales")) for f in grown] == [
+            ("s1", 1.0), ("s3", 2.0), ("s4", 9.0), ("s5", 9.0),
+        ]
+
+    def test_tip_grows_its_grouping_in_place(self, loc_instance, facts):
+        grouping = facts.grouping("sales")
+        grown = facts.extended(self.delta(loc_instance, "s1", "s4"))
+        assert grown.grouping("sales") is grouping
+        assert grouping == {"s1": [1.0, 9.0], "s3": [2.0], "s4": [9.0]}
+        # The older handle regroups its own prefix.
+        assert facts.grouping("sales") == {"s1": [1.0], "s3": [2.0]}
+
+    def test_branch_regroups_its_own_rows(self, loc_instance, facts):
+        facts.grouping("sales")
+        left = facts.extended(self.delta(loc_instance, "s4"))
+        right = facts.extended(self.delta(loc_instance, "s1"))
+        assert left.grouping("sales") == {"s1": [1.0], "s3": [2.0], "s4": [9.0]}
+        assert right.grouping("sales") == {"s1": [1.0, 9.0], "s3": [2.0]}
+        assert facts.group_by_member("sales") == {"s1": [1.0], "s3": [2.0]}
 
     def test_empty_delta_returns_the_same_table(self, loc_instance, facts):
         assert facts.extended(FactTable(loc_instance, [])) is facts
@@ -121,6 +145,45 @@ class TestExtended:
         with pytest.raises(OlapError):
             facts.extended(foreign)
         assert len(facts) == 2
+
+
+class TestColumnarScan:
+    @pytest.fixture()
+    def facts(self, loc_instance):
+        rows = [("s1", {"sales": 1.0}), ("s3", {"sales": 2.0}), ("s1", {"sales": 3.0})]
+        return FactTable(loc_instance, rows * 20)
+
+    def test_one_rollup_lookup_per_distinct_member(self, loc_instance, facts, monkeypatch):
+        lookups = []
+
+        class Counting(dict):
+            def __getitem__(self, member):
+                lookups.append(member)
+                return super().__getitem__(member)
+
+        rollup_to = type(loc_instance).rollup_to
+        monkeypatch.setattr(
+            type(loc_instance),
+            "rollup_to",
+            lambda self, category: Counting(rollup_to(self, category)),
+        )
+        view = cube_view(facts, "Country", SUM, "sales")
+        assert sorted(lookups) == ["s1", "s3"]
+        assert view.cells == {"Canada": 80.0, "Mexico": 40.0}
+        assert view.rows_scanned == len(facts) == 60
+
+    def test_group_by_member_is_a_copy(self, facts):
+        copy = facts.group_by_member("sales")
+        copy["s1"].append(99.0)
+        assert facts.grouping("sales")["s1"][-1] == 3.0
+
+    def test_unknown_measure_raises_on_a_scan(self, facts):
+        with pytest.raises(OlapError):
+            cube_view(facts, "Country", SUM, "weight")
+
+    def test_iteration_builds_facts_in_row_order(self, loc_instance):
+        rows = [("s1", {"sales": 1.0, "profit": 0.5}), ("s4", {"sales": 2.0, "profit": 0.1})]
+        assert list(FactTable(loc_instance, rows)) == [Fact(m, v) for m, v in rows]
 
 
 class TestFactLayout:

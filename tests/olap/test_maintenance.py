@@ -232,8 +232,9 @@ class TestMaintainedNavigator:
     def test_append_constructs_only_the_delta(
         self, loc_instance, loc_schema, monkeypatch
     ):
-        """Work bound: an append builds one Fact per new row, never a
-        copy of the history."""
+        """Work bound: an append builds no Fact and grows the tip's
+        columns and grouping by exactly the new rows, never a copy of the
+        history."""
         from repro.olap import SUM, facttable
 
         history = [("s1", {"sales": float(i)}) for i in range(50)]
@@ -249,7 +250,15 @@ class TestMaintainedNavigator:
                 super().__init__(*args, **kwargs)
 
         monkeypatch.setattr(facttable, "Fact", CountingFact)
-        for _ in range(3):
+        members = navigator.facts._members
+        sales = navigator.facts._columns["sales"]
+        grouping = navigator.facts.grouping("sales")
+        for appended in range(1, 4):
             assert navigator.append(DELTA_ROWS) == len(DELTA_ROWS)
-        assert len(built) == 3 * len(DELTA_ROWS)
+            grown = len(history) + appended * len(DELTA_ROWS)
+            assert navigator.facts._members is members and len(members) == grown
+            assert navigator.facts._columns["sales"] is sales and len(sales) == grown
+            assert navigator.facts.grouping("sales") is grouping
+            assert sum(map(len, grouping.values())) == grown
+        assert built == []
         assert len(navigator.facts) == len(history) + 3 * len(DELTA_ROWS)

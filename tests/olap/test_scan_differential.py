@@ -5,7 +5,10 @@
 mappings.  The references below resolve every fact and every cell with
 :meth:`DimensionInstance.ancestor_in` instead, one call each, as the
 scan did before the mappings were memoized.  Cells must be exactly
-equal: each group keeps fact order, so even float sums agree bit for bit.
+equal.  The scan of a fact table groups facts by base member, not in
+fact order, and the references fold in fact order; they still agree bit
+for bit because SUM's base function, ``math.fsum``, is correctly rounded
+and MIN, MAX and COUNT ignore order.
 """
 
 from __future__ import annotations

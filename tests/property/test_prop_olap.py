@@ -1,6 +1,8 @@
 """Property-based tests of the OLAP layer.
 
 * cube views equal a straight-line reference computation on random facts;
+* the member-clustered scan of a fact table equals the per-fact scan of
+  the same rows, on the tip, an older handle and a branch;
 * delta maintenance equals full rebuilds for random splits of a fact set;
 * a one-dimensional multidim cube agrees with the single-dimension
   engine cell for cell;
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 
 from repro.generators.location import location_instance
 from repro.olap import COUNT, SUM, FactTable, all_aggregates, cube_view, views_equal
+from repro.olap.facttable import Fact
 from repro.olap.maintenance import apply_delta
 from repro.olap.multidim import Cube
 
@@ -66,6 +69,49 @@ def test_cube_view_matches_reference(rows, category):
         assert set(view.cells) == set(expected)
         for member, value in expected.items():
             assert abs(view.cells[member] - value) < 1e-9
+
+
+class _Rows:
+    """The same rows as a plain iterable of facts: the per-fact scan."""
+
+    def __init__(self, rows) -> None:
+        self.instance = _INSTANCE
+        self._facts = [Fact(member, measures) for member, measures in rows]
+
+    def __iter__(self):
+        return iter(self._facts)
+
+
+_CATEGORIES = sorted(_INSTANCE.hierarchy.categories)
+
+
+@SETTINGS
+@given(
+    fact_rows(),
+    fact_rows(min_size=1),
+    fact_rows(min_size=1),
+    st.booleans(),
+    st.booleans(),
+)
+def test_columnar_scan_equals_per_fact_scan(rows, more, other, scan_tip, scan_old):
+    """Cells compare with ``==``, as exactly as floats compare: SUM is
+    correctly rounded, so only MIN or MAX over both signed zeros could
+    tell the two orders apart."""
+    old = FactTable(_INSTANCE, rows)
+    if scan_tip:
+        cube_view(old, "Store", SUM, "v")  # the grouping the tip hands over
+    tip = old.extended(FactTable(_INSTANCE, more))
+    if scan_old:
+        cube_view(old, "Store", SUM, "v")  # regroups before it branches
+    branch = old.extended(FactTable(_INSTANCE, other))
+    for table, own_rows in ((tip, rows + more), (old, rows), (branch, rows + other)):
+        plain = _Rows(own_rows)
+        for category in _CATEGORIES:
+            for aggregate in all_aggregates():
+                columnar = cube_view(table, category, aggregate, "v")
+                per_fact = cube_view(plain, category, aggregate, "v")
+                assert columnar.cells == per_fact.cells, (category, aggregate.name)
+                assert columnar.rows_scanned == per_fact.rows_scanned == len(own_rows)
 
 
 @SETTINGS
