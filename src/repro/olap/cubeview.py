@@ -17,11 +17,11 @@ data.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping
+from typing import Dict, Iterable, List, Mapping, Optional
 
 from repro._types import Category, Member
 from repro.core.instance import DimensionInstance
-from repro.errors import OlapError
+from repro.errors import OlapError, SchemaError
 from repro.olap.aggregates import AggregateFunction
 from repro.olap.facttable import FactTable
 
@@ -54,6 +54,17 @@ class CubeView:
         return len(self.cells)
 
 
+def _rollup(
+    instance: DimensionInstance, category: Category
+) -> Mapping[Member, Optional[Member]]:
+    """``instance.rollup_to(category)``, which maps every member to
+    ``None`` at a category the hierarchy lacks: a mistyped category would
+    read as an empty view, so it raises instead."""
+    if not instance.hierarchy.has_category(category):
+        raise SchemaError(f"unknown category {category!r}")
+    return instance.rollup_to(category)
+
+
 def cube_view(
     facts: FactTable,
     category: Category,
@@ -81,7 +92,7 @@ def cube_view(
     {'Canada': 17.0}
     """
     instance = facts.instance
-    rollup = instance.rollup_to(category)
+    rollup = _rollup(instance, category)
     groups: Dict[Member, List[float]] = {}
     if isinstance(facts, FactTable):
         scanned = len(facts)
@@ -141,7 +152,7 @@ def recombine(
     if len(measures) > 1:
         raise OlapError(f"source views mix measures: {sorted(measures)}")
 
-    rollup = instance.rollup_to(target)
+    rollup = _rollup(instance, target)
     partials: Dict[Member, List[float]] = {}
     scanned = 0
     for view in views:

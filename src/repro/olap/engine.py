@@ -46,8 +46,6 @@ class OlapEngine:
         schema: DimensionSchema,
         instance: DimensionInstance,
         rows: Iterable[Tuple[Member, Mapping[str, float]]],
-        schema_level_navigation: bool = True,
-        rewrites_only: bool = False,
     ) -> None:
         if instance.hierarchy != schema.hierarchy:
             raise OlapError(
@@ -56,11 +54,7 @@ class OlapEngine:
         self.schema = schema
         self.instance = instance
         self.facts = FactTable(instance, rows)
-        self.navigator = AggregateNavigator(
-            self.facts,
-            schema=schema if schema_level_navigation else None,
-            rewrites_only=rewrites_only,
-        )
+        self.navigator = AggregateNavigator(self.facts, schema=schema)
 
     # ------------------------------------------------------------------
     # Integrity

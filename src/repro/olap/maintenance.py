@@ -418,11 +418,9 @@ class MaintainedNavigator(AggregateNavigator):
 
     def _swap_schema(self, new_schema: DimensionSchema) -> None:
         self.schema = new_schema
-        # Fingerprint keying already makes old verdicts unreachable; the
-        # flush keeps the per-navigator memo from accumulating dead
-        # versions over a long maintenance session.
-        self._summarizable_cache.clear()
-        self._proven_sources.clear()
+        # The memo holds the replaced schema's verdicts; the engine's
+        # decision cache carries over the ones the edit keeps.
+        self._verdicts.clear()
 
     def add_constraint(self, constraint: object) -> DimensionSchema:
         """Extend SIGMA; future rewrites are proven under the new schema."""

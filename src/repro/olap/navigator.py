@@ -9,9 +9,10 @@ categories - and that dimension constraints let the system decide this.
 :class:`AggregateNavigator` implements that loop:
 
 1. queries for a materialized category are answered directly;
-2. otherwise it searches subsets of the materialized categories for one
-   the target is summarizable from (Theorem 1) and recombines
-   (Definition 6 RHS);
+2. otherwise it recombines (Definition 6 RHS) the cheapest set of
+   materialized categories the target is proven summarizable from
+   (Theorem 1), found by :func:`cheapest_rewriting` - the search view
+   selection runs too; a tie in rows read goes to the smaller set;
 3. otherwise it falls back to a base-table scan (or raises when
    ``rewrites_only`` is set).
 
@@ -28,17 +29,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Any, Dict, FrozenSet, List, Optional, Tuple
+from typing import Any, Callable, Dict, FrozenSet, List, Mapping, Optional, Tuple
 
 from repro._types import Category
 from repro.core.compile import resolve_engine
+from repro.core.hierarchy import HierarchySchema
 from repro.core.instance import DimensionInstance
 from repro.core.metrics import METRICS
 from repro.core.trace import TRACER
-from repro.core.parallel import unknown_as_none
 from repro.core.schema import DimensionSchema
 from repro.core.summarizability import is_summarizable_in_instance
-from repro.errors import NavigationError, OlapError
+from repro.errors import DecisionUnavailable, NavigationError, OlapError
 from repro.olap.aggregates import AggregateFunction
 from repro.olap.cubeview import CubeView, cube_view, recombine
 from repro.olap.facttable import FactTable
@@ -68,7 +69,6 @@ class NavigatorStats:
     base_scans: int = 0
     rows_read: int = 0
     summarizability_checks: int = 0
-    supersets_skipped: int = 0
     #: Checks a resilient engine answered UNKNOWN.  The navigator treats
     #: those as not proven (a base scan is always correct) and never
     #: caches them, so a later healthy check can still prove them.
@@ -84,9 +84,8 @@ def ask_summarizable(
     target: Category,
     sources: FrozenSet[Category],
 ) -> Optional[bool]:
-    """One schema-level summarizability check through ``engine``, as a
-    batch of one (:meth:`try_decide_many`): the verdict, or ``None`` when
-    the engine answered UNKNOWN (a
+    """One schema-level summarizability check through ``engine``: the
+    verdict, or ``None`` when the engine answered UNKNOWN (a
     :class:`~repro.errors.DecisionUnavailable`).  Any other failure
     raises.
 
@@ -96,10 +95,40 @@ def ask_summarizable(
     the rewriting.  The resilient engine's ladder has already counted
     it (``resilience.unknown_verdicts``).
     """
-    (verdict,) = unknown_as_none(
-        engine.try_decide_many([(schema, ("summarizable", target, sources))])
-    )
-    return verdict
+    try:
+        return engine.is_summarizable(schema, target, sources)
+    except DecisionUnavailable:
+        return None
+
+
+def cheapest_rewriting(
+    hierarchy: HierarchySchema,
+    target: Category,
+    sizes: Mapping[Category, int],
+    max_sources: int,
+    proven: Callable[[FrozenSet[Category]], bool],
+) -> Optional[Tuple[Tuple[Category, ...], int]]:
+    """The cheapest proven source set for ``target`` and its row cost, or
+    ``None``.
+
+    Candidates are the sets of 1..``max_sources`` categories of
+    ``sizes`` strictly below ``target``, checked with ``proven`` in order
+    of (summed size, set size, sorted names): the first proven set is
+    the cheapest, a tie in rows read goes to the smaller set, and no set
+    after it is checked.  Sizes are at least 0, so a proven set sorts
+    before all of its supersets.
+    """
+    below = sorted(c for c in sizes if c != target and hierarchy.reaches(c, target))
+    candidates = [
+        (sum(sizes[c] for c in combo), n, combo)
+        for n in range(1, min(max_sources, len(below)) + 1)
+        for combo in combinations(below, n)
+    ]
+    candidates.sort()
+    for cost, _n, combo in candidates:
+        if proven(frozenset(combo)):
+            return combo, cost
+    return None
 
 
 class AggregateNavigator:
@@ -143,24 +172,10 @@ class AggregateNavigator:
         self.engine = resolve_engine(engine)
         self.stats = _STATS.track(self, NavigatorStats())
         self._views: Dict[Tuple[Category, str, str], CubeView] = {}
-        # Verdicts are keyed by a *context* - the schema fingerprint for
-        # schema-level checks, an instance-identity marker otherwise - so
-        # schema-level entries survive fact-table reloads while
-        # instance-level entries die with the instance they judged.
-        self._summarizable_cache: Dict[
-            Tuple[object, Category, FrozenSet[Category]], bool
-        ] = {}
-        # Source sets proven summarizable per target, for the superset
-        # short-circuit in the rewriting search.
-        self._proven_sources: Dict[
-            Tuple[object, Category], List[FrozenSet[Category]]
-        ] = {}
-
-    def _verdict_context(self) -> object:
-        """The cache context current verdicts belong to."""
-        if self.schema is not None:
-            return self.schema.fingerprint()
-        return ("instance", id(self.instance))
+        # Verdicts of the current schema, or of the current instance when
+        # there is none; a schema edit or (instance-level) a reload
+        # clears them.
+        self._verdicts: Dict[Tuple[Category, FrozenSet[Category]], bool] = {}
 
     # ------------------------------------------------------------------
     # Materialization
@@ -193,21 +208,16 @@ class AggregateNavigator:
         """Swap in a new fact table (e.g. a nightly reload) and rebuild
         every materialized view over it.
 
-        Schema-level summarizability verdicts are keyed by schema
-        fingerprint, so they survive the reload even when the new fact
-        table carries a *rebuilt* (structurally equal) instance;
-        instance-level verdicts are dropped with the instance that
-        produced them.
+        Schema-level summarizability verdicts do not depend on the
+        instance, so they survive the reload; instance-level verdicts are
+        dropped with the instance that produced them.
         """
         if facts.instance.hierarchy != self.instance.hierarchy:
             raise OlapError("reloaded facts belong to a different dimension")
-        old_context = ("instance", id(self.instance))
         self.facts = facts
         self.instance = facts.instance
-        for key in [k for k in self._summarizable_cache if k[0] == old_context]:
-            del self._summarizable_cache[key]
-        for proven_key in [k for k in self._proven_sources if k[0] == old_context]:
-            del self._proven_sources[proven_key]
+        if self.schema is None:
+            self._verdicts.clear()
         for category, agg_name, measure in list(self._views):
             view_key = (category, agg_name, measure)
             aggregate = self._views[view_key].aggregate
@@ -272,9 +282,8 @@ class AggregateNavigator:
     # ------------------------------------------------------------------
 
     def _is_summarizable(self, target: Category, sources: FrozenSet[Category]) -> bool:
-        context = self._verdict_context()
-        key = (context, target, sources)
-        cached = self._summarizable_cache.get(key)
+        key = (target, sources)
+        cached = self._verdicts.get(key)
         if cached is not None:
             return cached
         self.stats.summarizability_checks += 1
@@ -290,56 +299,27 @@ class AggregateNavigator:
                     )
                 return False
             verdict = answer
-        self._summarizable_cache[key] = verdict
-        if verdict:
-            self._proven_sources.setdefault((context, target), []).append(sources)
+        self._verdicts[key] = verdict
         return verdict
 
     def _find_rewriting(
         self, target: Category, aggregate: AggregateFunction, measure: str
     ) -> Optional[Tuple[Tuple[Category, ...], List[CubeView]]]:
-        """The cheapest proven-correct rewriting, if any.
-
-        Candidate source sets are subsets of the materialized categories
-        below the target, tried in order of increasing total view size so
-        the first hit is also the cheapest under the row-count model.
-
-        Strict supersets of an already-proven source set are skipped
-        without a summarizability check: when the proven subset is itself
-        available, its plan reads no more rows and sorts no later in the
-        candidate order, so the superset's plan is never the answer.  This
-        is plan-redundancy pruning, not verdict inference - summarizability
-        is not monotone under adding sources, so a superset's *verdict*
-        cannot be inferred and is simply never needed here.
-        """
-        available = [
-            category
-            for category in self.materialized_categories(aggregate, measure)
-            if category != target
-            and self.instance.hierarchy.reaches(category, target)
-        ]
-        available_set = frozenset(available)
-        proven = [
-            sources
-            for sources in self._proven_sources.get(
-                (self._verdict_context(), target), []
-            )
-            if sources <= available_set
-        ]
-        candidates: List[Tuple[int, Tuple[Category, ...]]] = []
-        for size in range(1, min(self.max_rewrite_sources, len(available)) + 1):
-            for combo in combinations(available, size):
-                total = sum(
-                    len(self._views[(c, aggregate.name, measure)]) for c in combo
-                )
-                candidates.append((total, combo))
-        candidates.sort()
-        for _total, combo in candidates:
-            combo_set = frozenset(combo)
-            if any(subset < combo_set for subset in proven):
-                self.stats.supersets_skipped += 1
-                continue
-            if self._is_summarizable(target, combo_set):
-                views = [self._views[(c, aggregate.name, measure)] for c in combo]
-                return combo, views
-        return None
+        """The cheapest proven-correct rewriting, if any
+        (:func:`cheapest_rewriting` over the stored views' sizes)."""
+        views = {
+            category: view
+            for (category, agg_name, m), view in self._views.items()
+            if agg_name == aggregate.name and m == measure
+        }
+        found = cheapest_rewriting(
+            self.instance.hierarchy,
+            target,
+            {category: len(view) for category, view in views.items()},
+            self.max_rewrite_sources,
+            lambda sources: self._is_summarizable(target, sources),
+        )
+        if found is None:
+            return None
+        sources, _cost = found
+        return sources, [views[c] for c in sources]

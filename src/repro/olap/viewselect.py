@@ -25,24 +25,27 @@ Every entry point takes one ``engine`` argument, as the aggregate
 navigator does: an engine object, or a
 :func:`~repro.core.resilience.build_engine` name (default
 ``build_engine()``, the compiled tier over the process-wide decision
-cache).  Each check is asked once, in the plan search's cost order,
-through :func:`~repro.olap.navigator.ask_summarizable`; an UNKNOWN
-answer means "not proven", so that target's plan falls back to the base
-scan.
+cache).  A target's plan comes from the navigator's rewriting search,
+:func:`~repro.olap.navigator.cheapest_rewriting`: candidate view sets
+are checked in order of (summed size, set size, sorted names), so a
+cost tie goes to the smaller set, and the search stops at the first
+proven set.  Each check is asked once per evaluation through
+:func:`~repro.olap.navigator.ask_summarizable`; an UNKNOWN answer means
+"not proven", so that target's plan falls back to the base scan.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Any, Dict, FrozenSet, Iterable, Mapping, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Tuple
 
 from repro._types import Category
 from repro.core.compile import resolve_engine
 from repro.core.schema import DimensionSchema
 from repro.core.trace import TRACER
 from repro.errors import OlapError
-from repro.olap.navigator import ask_summarizable
+from repro.olap.navigator import ask_summarizable, cheapest_rewriting
 
 
 @dataclass(frozen=True)
@@ -97,61 +100,6 @@ class Selection:
         return frozenset(t for t, plan in self.answerable.items() if plan)
 
 
-class _SummarizabilityCache:
-    """Memoized schema-level summarizability over one evaluation.
-
-    A lock-free local dict over the engine, which avoids fingerprint
-    hashing inside the plan search; the engine's decision cache makes
-    verdicts carry over between evaluations (the greedy re-evaluates the
-    same ``(target, sources)`` pairs for every candidate it trials).  An
-    UNKNOWN check reads as not proven and stays out of the dict.
-    """
-
-    def __init__(self, schema: DimensionSchema, engine: Any):
-        self.schema = schema
-        self.engine = engine
-        self._cache: Dict[Tuple[Category, FrozenSet[Category]], bool] = {}
-
-    def check(self, target: Category, sources: FrozenSet[Category]) -> bool:
-        key = (target, sources)
-        cached = self._cache.get(key)
-        if cached is None:
-            cached = ask_summarizable(self.engine, self.schema, target, sources)
-            if cached is None:
-                return False
-            self._cache[key] = cached
-        return cached
-
-
-def _cheapest_plan(
-    problem: ViewSelectionProblem,
-    cache: _SummarizabilityCache,
-    target: Category,
-    selected: FrozenSet[Category],
-) -> Optional[Tuple[Tuple[Category, ...], int]]:
-    """The cheapest proven plan for one target, or ``None`` (base scan).
-
-    Returns the source tuple and its row cost; a materialized target
-    answers from its own view.
-    """
-    if target in selected:
-        return (target,), problem.size_of(target)
-    hierarchy = problem.schema.hierarchy
-    below = sorted(
-        c for c in selected if c != target and hierarchy.reaches(c, target)
-    )
-    best: Optional[Tuple[Tuple[Category, ...], int]] = None
-    limit = min(problem.max_rewrite_sources, len(below))
-    for size in range(1, limit + 1):
-        for combo in combinations(below, size):
-            cost = sum(problem.size_of(c) for c in combo)
-            if best is not None and cost >= best[1]:
-                continue
-            if cache.check(target, frozenset(combo)):
-                best = (combo, cost)
-    return best
-
-
 def evaluate_selection(
     problem: ViewSelectionProblem,
     selected: Iterable[Category],
@@ -164,18 +112,34 @@ def evaluate_selection(
     with TRACER.span(
         "viewselect.evaluate", views=sorted(chosen), targets=len(problem.targets)
     ) as span:
-        cache = _SummarizabilityCache(problem.schema, resolve_engine(engine))
+        # One evaluation asks each (target, sources) pair at most once, so
+        # it keeps no memo; the engine's decision cache carries verdicts
+        # between the evaluations a selector trials.
+        resolved = resolve_engine(engine)
+        sizes = {c: problem.size_of(c) for c in chosen}
         answerable: Dict[Category, Tuple[Category, ...]] = {}
         total = 0.0
         for target, weight in problem.targets.items():
-            plan = _cheapest_plan(problem, cache, target, chosen)
+            plan = (
+                ((target,), sizes[target])  # a materialized target's own view
+                if target in chosen
+                else cheapest_rewriting(
+                    problem.schema.hierarchy,
+                    target,
+                    sizes,
+                    problem.max_rewrite_sources,
+                    lambda sources: bool(
+                        ask_summarizable(resolved, problem.schema, target, sources)
+                    ),
+                )
+            )
             if plan is None:
                 answerable[target] = ()
                 total += weight * problem.base_size
             else:
                 answerable[target] = plan[0]
                 total += weight * plan[1]
-        storage = sum(problem.size_of(c) for c in chosen)
+        storage = sum(sizes.values())
         span.set(query_cost=total, storage=storage)
     return Selection(chosen, storage, total, answerable)
 

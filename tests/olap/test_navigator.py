@@ -1,12 +1,19 @@
 """Aggregate navigator tests: plan selection, correctness of rewrites,
-cost accounting, and the rewrites-only mode."""
+cost accounting, the rewrites-only mode, and unknown categories."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.errors import NavigationError
-from repro.olap import SUM, AggregateNavigator, FactTable, cube_view, views_equal
+from repro.errors import NavigationError, SchemaError
+from repro.olap import (
+    SUM,
+    AggregateNavigator,
+    FactTable,
+    cube_view,
+    recombine,
+    views_equal,
+)
 
 ROWS = [
     ("s1", {"sales": 10.0}),
@@ -110,10 +117,13 @@ class TestResilientEngine:
             assert plan.kind == "base-scan"
             assert navigator.stats.unknown_verdicts > 0
             assert views_equal(view, cube_view(facts, "Country", SUM, "sales"))
+            assert navigator._verdicts == {}
             # The abstention was not cached: the next healthy query
-            # proves City -> Country summarizable and rewrites.
+            # proves City -> Country summarizable, keeps that verdict and
+            # rewrites.
             _view, plan = navigator.answer("Country", SUM, "sales")
             assert plan.kind == "rewritten"
+            assert navigator._verdicts == {("Country", frozenset({"City"})): True}
         finally:
             engine.shutdown()
 
@@ -158,31 +168,31 @@ class TestBareEngineFailures:
         with pytest.raises(BudgetExceeded):
             navigator.answer("Country", SUM, "sales")
         # Nothing was cached for the aborted check.
-        assert navigator._summarizable_cache == {}
+        assert navigator._verdicts == {}
         assert len(engine.cache) == 0
 
 
 class _Recording:
-    """An engine wrapper that records every batch it is asked."""
+    """An engine wrapper that records every summarizability check it is
+    asked."""
 
     def __init__(self, engine):
         self.engine = engine
-        self.batches = []
+        self.checks = []
 
     @property
     def cache(self):
         return self.engine.cache
 
-    def try_decide_many(self, items):
-        items = list(items)
-        self.batches.append([request for _schema, request in items])
-        return self.engine.try_decide_many(items)
+    def is_summarizable(self, schema, target, sources):
+        self.checks.append((target, sources))
+        return self.engine.is_summarizable(schema, target, sources)
 
 
 class TestOneCheckAtATime:
     def test_checks_stop_at_the_first_proven_candidate(self, facts, loc_schema):
-        """Each check is its own batch of one, asked in cost order, and
-        the search asks nothing past the first proven candidate."""
+        """Each check is asked on its own, in cost order, and the search
+        asks nothing past the first proven candidate."""
         from repro.core import DecisionCache, build_engine
 
         engine = _Recording(build_engine(cache=DecisionCache()))
@@ -194,9 +204,40 @@ class TestOneCheckAtATime:
         # View sizes: Province 2, State 2, SaleRegion 3, City 6.  Neither
         # two-row view proves Country; SaleRegion does, so none of the
         # eleven dearer candidates is asked.
-        assert engine.batches == [
-            [("summarizable", "Country", frozenset({"Province"}))],
-            [("summarizable", "Country", frozenset({"State"}))],
-            [("summarizable", "Country", frozenset({"SaleRegion"}))],
+        assert engine.checks == [
+            ("Country", frozenset({"Province"})),
+            ("Country", frozenset({"State"})),
+            ("Country", frozenset({"SaleRegion"})),
         ]
         assert navigator.stats.summarizability_checks == 3
+
+
+class TestUnknownCategory:
+    """A category the hierarchy lacks raises ``SchemaError`` at every
+    entry point; a rejected view is never stored, so it cannot break
+    later rewritings."""
+
+    def test_cube_view_and_recombine_raise(self, facts, loc_instance):
+        city = cube_view(facts, "City", SUM, "sales")
+        with pytest.raises(SchemaError, match="unknown category 'Cty'"):
+            cube_view(facts, "Cty", SUM, "sales")
+        with pytest.raises(SchemaError, match="unknown category 'Cty'"):
+            recombine(loc_instance, "Cty", [city], SUM)
+
+    def test_a_mistyped_view_leaves_the_navigator_working(self, navigator, facts):
+        navigator.materialize("City", SUM, "sales")
+        _view, plan = navigator.answer("Country", SUM, "sales")
+        assert plan.kind == "rewritten"
+        with pytest.raises(SchemaError, match="unknown category 'Cty'"):
+            navigator.materialize("Cty", SUM, "sales")
+        assert navigator.materialized_categories(SUM, "sales") == ["City"]
+        view, plan = navigator.answer("Country", SUM, "sales")
+        assert plan.kind == "rewritten" and plan.sources == ("City",)
+        assert views_equal(view, cube_view(facts, "Country", SUM, "sales"))
+
+    def test_answer_raises_with_and_without_stored_views(self, navigator):
+        with pytest.raises(SchemaError, match="unknown category 'Nope'"):
+            navigator.answer("Nope", SUM, "sales")
+        navigator.materialize("City", SUM, "sales")
+        with pytest.raises(SchemaError, match="unknown category 'Nope'"):
+            navigator.answer("Nope", SUM, "sales")

@@ -19,6 +19,7 @@ from typing import Dict, List, Tuple
 import pytest
 
 from repro.core import ALL, DimensionInstance, HierarchySchema
+from repro.errors import SchemaError
 from repro.generators.adversarial import census_product_instance
 from repro.generators.location import location_instance, location_schema
 from repro.olap import (
@@ -152,10 +153,14 @@ class TestCubeView:
         view = cube_view(facts, "Brand", SUM, "v")
         assert view.cells == reference_cells(facts, "Brand", SUM)[0]
 
-    def test_unknown_category_drops_every_fact(self, loc_instance):
+    def test_unknown_category_raises(self, loc_instance):
+        # rollup_to maps every member to None at such a category; the
+        # scan must not read that as an empty view.
         facts = FactTable(loc_instance, [("s1", {"v": 1.0})])
-        view = cube_view(facts, "Galaxy", SUM, "v")
-        assert view.cells == {} and view.rows_scanned == 1
+        with pytest.raises(SchemaError, match="unknown category 'Galaxy'"):
+            cube_view(facts, "Galaxy", SUM, "v")
+        with pytest.raises(SchemaError, match="unknown category 'Galaxy'"):
+            cube_view(_Rows(facts), "Galaxy", SUM, "v")
 
 
 class TestRecombine:

@@ -368,10 +368,8 @@ class TestMaintainedNavigatorEdits:
         navigator.drop_constraint("Base -> C")
         _view, after = navigator.answer("T", SUM, "x")
         assert after.kind == "base-scan"
-        assert not navigator._summarizable_cache or all(
-            key[0] == navigator.schema.fingerprint()
-            for key in navigator._summarizable_cache
-        )
+        # The drop cleared the memo; it holds only the new schema's verdict.
+        assert navigator._verdicts == {("T", frozenset({"C"})): False}
 
     def test_implied_add_keeps_the_proof_a_cache_hit(self, navigator, cache):
         """The edit runs on the engine's cache, and the navigator's first

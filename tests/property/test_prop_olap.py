@@ -6,7 +6,9 @@
 * delta maintenance equals full rebuilds for random splits of a fact set;
 * a one-dimensional multidim cube agrees with the single-dimension
   engine cell for cell;
-* restriction/composition laws of fact tables.
+* restriction/composition laws of fact tables;
+* the rewriting search returns the least proven source set by (cost,
+  size, names) and checks exactly the sets ordered before it.
 """
 
 from __future__ import annotations
@@ -14,11 +16,13 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import HierarchySchema
 from repro.generators.location import location_instance
 from repro.olap import COUNT, SUM, FactTable, all_aggregates, cube_view, views_equal
 from repro.olap.facttable import Fact
 from repro.olap.maintenance import apply_delta
 from repro.olap.multidim import Cube
+from repro.olap.navigator import cheapest_rewriting
 
 SETTINGS = settings(max_examples=30, deadline=None)
 
@@ -160,3 +164,50 @@ def test_count_view_total_is_row_count_at_total_categories(rows):
     # Every store reaches Country, so COUNT cells sum to the row count.
     view = cube_view(facts, "Country", COUNT, "v")
     assert sum(view.cells.values()) == len(facts)
+
+
+# Five sources below T, and U beside it: U and T itself are never
+# candidates for T.
+_SOURCES = ["X0", "X1", "X2", "X3", "X4"]
+_SEARCH_HIERARCHY = HierarchySchema(
+    ["Base", *_SOURCES, "U", "T"],
+    [("Base", x) for x in _SOURCES]
+    + [(x, "T") for x in _SOURCES]
+    + [("Base", "U"), ("U", "All"), ("T", "All")],
+)
+
+
+@SETTINGS
+@given(
+    st.dictionaries(
+        st.sampled_from(_SOURCES + ["U", "T"]), st.integers(0, 3), max_size=7
+    ),
+    st.sets(st.frozensets(st.sampled_from(_SOURCES), min_size=1)),
+    st.integers(1, 4),
+)
+def test_search_returns_the_least_proven_set(sizes, proven_sets, max_sources):
+    checked = []
+
+    def proven(sources):
+        checked.append(sources)
+        return sources in proven_sets
+
+    found = cheapest_rewriting(_SEARCH_HIERARCHY, "T", sizes, max_sources, proven)
+
+    # Every candidate by bitmask, ordered by (cost, size, names).
+    below = sorted(c for c in sizes if c in _SOURCES)
+    order = sorted(
+        (sum(sizes[c] for c in names), len(names), names)
+        for mask in range(1, 1 << len(below))
+        for names in [tuple(c for i, c in enumerate(below) if mask >> i & 1)]
+        if len(names) <= max_sources
+    )
+    winners = [key for key in order if frozenset(key[2]) in proven_sets]
+    if not winners:
+        assert found is None
+        assert checked == [frozenset(key[2]) for key in order]
+    else:
+        cost, _size, names = winners[0]
+        assert found == (names, cost)
+        stop = order.index(winners[0])
+        assert checked == [frozenset(key[2]) for key in order[: stop + 1]]
