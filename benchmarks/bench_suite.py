@@ -15,12 +15,13 @@ decision cache), writes the numbers to ``BENCH_1.json`` at the repo root,
 and exits non-zero when the cached path regresses the benchmark by more
 than 20%.
 
-The same smoke run also measures the
-:class:`~repro.core.parallel.ParallelDecisionEngine` batch path on a
+The same smoke run also measures the batch path
+(:func:`~repro.core.parallel.decide_many` over a
+:class:`~repro.core.parallel.ParallelDecisionEngine`) on a
 random-schema workload with repeated queries (the navigator's traffic
-shape): per-request sequential kernel vs one inline deduped
-``decide_many`` batch.  Verdicts must be byte-identical; the numbers go to
-``BENCH_2.json`` and the gate fails below a 2x speedup.
+shape): per-request sequential kernel vs one inline deduped batch.
+Verdicts must be byte-identical; the numbers go to ``BENCH_2.json`` and
+the gate fails below a 2x speedup.
 
 The run also prices the resilience layer: the same batch through a
 :class:`~repro.core.resilience.ResilientDecisionEngine` (fault-free)
@@ -65,6 +66,10 @@ navigation plans, raw decides) over one shared warm
 the sequential kernel, the warm hit rate must stay at or above 80%
 after the warmup pass, and the best-of-rounds p99 request latency goes
 to ``BENCH_8.json`` where the watchdog gates it as an absolute cost.
+
+Every gate is evaluated in one run: each failing gate prints a
+``FAIL:`` line, the later benchmarks still run and write their
+reports, and the run exits 1 if any gate failed.
 """
 
 from __future__ import annotations
@@ -82,7 +87,8 @@ from conftest import print_table
 
 from repro.core import is_implied, satisfiability_report
 from repro.core.decisioncache import DecisionCache
-from repro.core.parallel import ParallelDecisionEngine
+from repro.core.metrics import METRICS
+from repro.core.parallel import ParallelDecisionEngine, decide_many
 from repro.core.summarizability import is_summarizable_in_schema
 from repro.generators.random_schema import (
     RandomSchemaConfig,
@@ -159,8 +165,8 @@ def test_parallel_batch_workload(benchmark):
     batch = _batch_workload()
 
     def run():
-        with ParallelDecisionEngine(cache=DecisionCache()) as engine:
-            return engine.decide_many(batch)
+        engine = ParallelDecisionEngine(cache=DecisionCache())
+        return decide_many(engine, batch)
 
     verdicts = benchmark(run)
     assert len(verdicts) == len(batch)
@@ -297,12 +303,20 @@ def _parallel_smoke(output_path, repeats=7):
         verdicts = _sequential_kernel_answers(batch)
         return time.process_time() - cpu, verdicts
 
+    def batch_counts():
+        return {
+            name: METRICS.counter_value(f"engine.{name}")
+            for name in ("batch_requests", "batch_deduped")
+        }
+
     def time_parallel():
+        before = batch_counts()
         cpu = time.process_time()
-        with ParallelDecisionEngine(cache=DecisionCache()) as engine:
-            verdicts = engine.decide_many(batch)
-            stats = engine.stats
-        return time.process_time() - cpu, verdicts, stats
+        engine = ParallelDecisionEngine(cache=DecisionCache())
+        verdicts = decide_many(engine, batch)
+        elapsed = time.process_time() - cpu
+        counts = {name: n - before[name] for name, n in batch_counts().items()}
+        return elapsed, verdicts, counts
 
     time_sequential()  # warm-up (imports)
     time_parallel()
@@ -335,8 +349,8 @@ def _parallel_smoke(output_path, repeats=7):
         )
 
     with tracing():
-        with ParallelDecisionEngine(cache=DecisionCache()) as engine:
-            traced_verdicts = engine.decide_many(batch)
+        engine = ParallelDecisionEngine(cache=DecisionCache())
+        traced_verdicts = decide_many(engine, batch)
         trace_summary = tracer().summary()
         trace_events = len(tracer().events())
     traced_bytes = json.dumps(traced_verdicts).encode()
@@ -360,10 +374,7 @@ def _parallel_smoke(output_path, repeats=7):
         "speedup": speedup,
         "verdicts_identical": True,
         "verdicts": json.loads(parallel_bytes.decode()),
-        "engine_stats": {
-            "batch_requests": engine_stats.batch_requests,
-            "batch_deduped": engine_stats.batch_deduped,
-        },
+        "engine_stats": engine_stats,
         "tracing": {
             "verdicts_identical": True,
             "events": trace_events,
@@ -399,18 +410,19 @@ def _resilience_smoke(output_path, repeats=7):
 
     def time_plain():
         cpu = time.process_time()
-        with ParallelDecisionEngine(cache=DecisionCache()) as engine:
-            verdicts = engine.decide_many(batch)
+        engine = ParallelDecisionEngine(cache=DecisionCache())
+        verdicts = decide_many(engine, batch)
         return time.process_time() - cpu, verdicts
 
     fast_retry = RetryPolicy(max_attempts=3, base_delay_ms=0.0, max_delay_ms=0.0)
 
     def time_resilient():
         cpu = time.process_time()
-        with ResilientDecisionEngine(
-            retry=fast_retry, cache=DecisionCache()
-        ) as engine:
-            verdicts = engine.decide_many(batch)
+        engine = ResilientDecisionEngine(
+            ParallelDecisionEngine(cache=DecisionCache()),
+            retry=fast_retry,
+        )
+        verdicts = decide_many(engine, batch)
         return time.process_time() - cpu, verdicts
 
     time_plain()  # warm-up (imports)
@@ -471,21 +483,22 @@ def _resilience_smoke(output_path, repeats=7):
 
     # Faulted pass: worker crashes + cache-store failures, fixed seed
     # (the schedule the differential suite's hammer replays in CI).
-    with ResilientDecisionEngine(
-        retry=fast_retry, cache=DecisionCache()
-    ) as engine:
-        with inject_faults(
-            "worker-crash:p=0.3,after=5;cache-store:p=0.3;seed=20020601"
-        ) as injector:
-            outcomes = engine.decide_many_outcomes(batch)
-        fired = dict(injector.fired())
-        unknown = sum(1 for o in outcomes if o.unknown)
-        wrong = sum(
-            1
-            for o, expected in zip(outcomes, plain_verdicts)
-            if o.ok and o.verdict != expected
-        )
-        faulted_stats = engine.stats
+    engine = ResilientDecisionEngine(
+        ParallelDecisionEngine(cache=DecisionCache()),
+        retry=fast_retry,
+    )
+    with inject_faults(
+        "worker-crash:p=0.3,after=5;cache-store:p=0.3;seed=20020601"
+    ) as injector:
+        outcomes = engine.decide_many_outcomes(batch)
+    fired = dict(injector.fired())
+    unknown = sum(1 for o in outcomes if o.unknown)
+    wrong = sum(
+        1
+        for o, expected in zip(outcomes, plain_verdicts)
+        if o.ok and o.verdict != expected
+    )
+    faulted_stats = engine.stats
     if wrong:
         raise AssertionError(
             f"faulted pass returned {wrong} wrong verdicts (never acceptable)"
@@ -542,8 +555,8 @@ def _telemetry_smoke(output_path, telemetry_dir=None, repeats=7):
     batch = _batch_workload()
 
     def run_batch():
-        with ParallelDecisionEngine(cache=DecisionCache()) as engine:
-            return engine.decide_many(batch)
+        engine = ParallelDecisionEngine(cache=DecisionCache())
+        return decide_many(engine, batch)
 
     reference_verdicts = run_batch()  # warm-up (imports)
 
@@ -727,7 +740,7 @@ def _compiled_smoke(output_path, repeats=7):
         for category in categories:
             engine.dimsat(schema, category)
         for query in impl:
-            engine.is_implied(schema, query)
+            engine.implies(schema, query)
         for target, sources in summ:
             engine.is_summarizable(schema, target, sources)
         warmup_ms[name] = (time.process_time() - start) * 1000.0
@@ -749,7 +762,7 @@ def _compiled_smoke(output_path, repeats=7):
         verdicts = [
             engine.dimsat(schema, c).satisfiable for c in categories
         ]
-        verdicts += [engine.is_implied(schema, q) for q in impl]
+        verdicts += [engine.implies(schema, q).implied for q in impl]
         verdicts += [
             engine.is_summarizable(schema, t, s) for t, s in summ
         ]
@@ -902,7 +915,6 @@ def _edit_survival(output_path, repeats=5):
     """
     from repro._types import ALL
     from repro.core import compiled_artifact_store, decide, load_cache, save_cache
-    from repro.core.metrics import METRICS
     from repro.core.provenance import schema_delta
     from repro.olap.maintenance import SchemaEditor
 
@@ -1277,7 +1289,6 @@ def _server_smoke(output_path, clients=8, rounds=3, iterations=4):
     finally:
         server.request_shutdown()
         server_thread.join(10)
-        engine.shutdown()
     if server_thread.is_alive():
         raise AssertionError("decision server did not stop")
     if mismatches:
@@ -1344,6 +1355,18 @@ def _main(argv=None):
         parser.error("only --quick mode is supported when run directly")
     output_path = Path(args.output)
     output_path.parent.mkdir(parents=True, exist_ok=True)
+    # Every gate is evaluated, so one failing benchmark never hides the
+    # verdicts of the ones after it; the run fails if any gate failed.
+    failures = []
+
+    def gate(ok_message, *checks):
+        failed = [message for broken, message in checks if broken]
+        for message in failed:
+            print(f"FAIL: {message}")
+        if not failed:
+            print(f"OK: {ok_message}")
+        failures.extend(failed)
+
     report = _quick_smoke(output_path)
     total = report["total"]
     print(
@@ -1351,10 +1374,13 @@ def _main(argv=None):
         f"after {total['after_s'] * 1000:.1f} ms "
         f"({total['speedup']:.1f}x), report -> {args.output}"
     )
-    if total["after_s"] > 1.2 * total["before_s"]:
-        print("FAIL: cached implication benchmark regressed by more than 20%")
-        return 1
-    print("OK: no regression")
+    gate(
+        "no regression",
+        (
+            total["after_s"] > 1.2 * total["before_s"],
+            "cached implication benchmark regressed by more than 20%",
+        ),
+    )
 
     bench2_path = output_path.with_name("BENCH_2.json")
     parallel = _parallel_smoke(bench2_path)
@@ -1364,10 +1390,10 @@ def _main(argv=None):
         f"{parallel['parallel_s'] * 1000:.1f} ms "
         f"({parallel['speedup']:.1f}x), report -> {bench2_path}"
     )
-    if parallel["speedup"] < 2.0:
-        print("FAIL: parallel batch speedup below 2x")
-        return 1
-    print("OK: parallel batch at or above 2x with identical verdicts")
+    gate(
+        "parallel batch at or above 2x with identical verdicts",
+        (parallel["speedup"] < 2.0, "parallel batch speedup below 2x"),
+    )
 
     bench4_path = output_path.with_name("BENCH_4.json")
     resilience = _resilience_smoke(bench4_path)
@@ -1379,10 +1405,13 @@ def _main(argv=None):
         f"{faulted['unknown_verdicts']} UNKNOWN / 0 wrong, "
         f"report -> {bench4_path}"
     )
-    if resilience["overhead_pct"] > 5.0:
-        print("FAIL: fault-free resilient overhead above 5%")
-        return 1
-    print("OK: resilient overhead within 5% with identical verdicts")
+    gate(
+        "resilient overhead within 5% with identical verdicts",
+        (
+            resilience["overhead_pct"] > 5.0,
+            "fault-free resilient overhead above 5%",
+        ),
+    )
 
     bench5_path = output_path.with_name("BENCH_5.json")
     telemetry = _telemetry_smoke(bench5_path, telemetry_dir=args.telemetry_dir)
@@ -1394,16 +1423,18 @@ def _main(argv=None):
         f"{audit['replayed']}/{audit['records']} records, "
         f"{audit['divergences']} divergences, report -> {bench5_path}"
     )
-    if telemetry["overhead_pct"] > 5.0:
-        print("FAIL: telemetry exporter overhead above 5%")
-        return 1
-    if audit["records"] < 200:
-        print("FAIL: telemetry smoke produced fewer than 200 audit records")
-        return 1
-    if audit["divergences"]:
-        print("FAIL: audit replay diverged from the log")
-        return 1
-    print("OK: exporter overhead within 5%, audit log replays cleanly")
+    gate(
+        "exporter overhead within 5%, audit log replays cleanly",
+        (
+            telemetry["overhead_pct"] > 5.0,
+            "telemetry exporter overhead above 5%",
+        ),
+        (
+            audit["records"] < 200,
+            "telemetry smoke produced fewer than 200 audit records",
+        ),
+        (audit["divergences"], "audit replay diverged from the log"),
+    )
 
     bench6_path = output_path.with_name("BENCH_6.json")
     compiled = _compiled_smoke(bench6_path)
@@ -1417,10 +1448,13 @@ def _main(argv=None):
         f"{compiled_total['fallbacks']} fallbacks), "
         f"report -> {bench6_path}"
     )
-    if compiled_total["speedup"] < 10.0:
-        print("FAIL: compiled tier below 10x on cold decisions")
-        return 1
-    print("OK: compiled tier at or above 10x with identical verdicts")
+    gate(
+        "compiled tier at or above 10x with identical verdicts",
+        (
+            compiled_total["speedup"] < 10.0,
+            "compiled tier below 10x on cold decisions",
+        ),
+    )
 
     bench7_path = output_path.with_name("BENCH_7.json")
     survival = _edit_survival(bench7_path)
@@ -1437,15 +1471,17 @@ def _main(argv=None):
         f"{persistence['dropped_divergent']} divergent, "
         f"report -> {bench7_path}"
     )
-    if survival_total["survival_pct"] < 90.0:
-        print("FAIL: warm-verdict survival below 90% across an edit")
-        return 1
-    if not persistence["clean"] or persistence["dropped_divergent"]:
-        print("FAIL: persisted cache did not replay clean on reload")
-        return 1
-    print(
-        "OK: >=90% of warm verdicts survive byte-identically, "
-        "persisted cache replays clean"
+    gate(
+        ">=90% of warm verdicts survive byte-identically, "
+        "persisted cache replays clean",
+        (
+            survival_total["survival_pct"] < 90.0,
+            "warm-verdict survival below 90% across an edit",
+        ),
+        (
+            not persistence["clean"] or persistence["dropped_divergent"],
+            "persisted cache did not replay clean on reload",
+        ),
     )
 
     bench8_path = output_path.with_name("BENCH_8.json")
@@ -1460,15 +1496,17 @@ def _main(argv=None):
         f"{server_total['warm_hit_pct']:.1f}%, "
         f"{server['busy_responses']} busy, report -> {bench8_path}"
     )
-    if server["mismatches"]:
-        print("FAIL: served verdicts diverged from the sequential kernel")
-        return 1
-    if server_total["warm_hit_pct"] < 80.0:
-        print("FAIL: warm hit rate below 80% after the warmup pass")
-        return 1
-    print(
-        "OK: every served verdict matches the sequential kernel at >=80% "
-        "warm hits"
+    gate(
+        "every served verdict matches the sequential kernel at >=80% "
+        "warm hits",
+        (
+            server["mismatches"],
+            "served verdicts diverged from the sequential kernel",
+        ),
+        (
+            server_total["warm_hit_pct"] < 80.0,
+            "warm hit rate below 80% after the warmup pass",
+        ),
     )
     hot = sorted(
         parallel["trace_summary"].items(),
@@ -1485,6 +1523,9 @@ def _main(argv=None):
 
         emit_metrics(args.emit_metrics)
         print(f"metrics snapshot -> {args.emit_metrics}")
+    if failures:
+        print(f"{len(failures)} gate(s) failed")
+        return 1
     return 0
 
 

@@ -120,7 +120,7 @@ from repro.core import (
     inject_faults,
     is_summarizable_in_schema,
 )
-from repro.core.parallel import unknown_as_none
+from repro.core.parallel import try_decide_many, unknown_as_none
 from repro.core.resilience import ENGINE_NAMES
 from repro.core.schema import DimensionSchema
 from repro.errors import BudgetExceeded, DecisionUnavailable, ReproError
@@ -167,10 +167,10 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     schema = _load_schema(args.schema)
     categories = [c for c in sorted(schema.hierarchy.categories) if c != ALL]
     requests = [(schema, ("dimsat", c)) for c in categories]
-    with _engine_from_args(args) as engine:
-        # A category no resilience rung could decide shows as UNKN instead
-        # of killing the audit; any other failure raises.
-        verdicts = unknown_as_none(engine.try_decide_many(requests))
+    # A category no resilience rung could decide shows as UNKN instead of
+    # killing the audit; any other failure raises.
+    engine = _engine_from_args(args)
+    verdicts = unknown_as_none(try_decide_many(engine, requests))
     report = dict(zip(categories, verdicts))
     report[ALL] = True
     bad = unknown = 0
@@ -197,8 +197,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
 
 def _cmd_implies(args: argparse.Namespace) -> int:
     schema = _load_schema(args.schema)
-    with _engine_from_args(args) as engine:
-        result = engine.implies(schema, args.constraint)
+    result = _engine_from_args(args).implies(schema, args.constraint)
     if result.implied:
         print("implied")
         return 0
@@ -210,8 +209,9 @@ def _cmd_implies(args: argparse.Namespace) -> int:
 
 def _cmd_summarizable(args: argparse.Namespace) -> int:
     schema = _load_schema(args.schema)
-    with _engine_from_args(args) as engine:
-        verdict = engine.is_summarizable(schema, args.target, args.sources)
+    verdict = _engine_from_args(args).is_summarizable(
+        schema, args.target, args.sources
+    )
     print("yes" if verdict else "no")
     return 0 if verdict else 1
 
@@ -410,8 +410,7 @@ def _span_depth(spans: List[dict], span: dict) -> int:
 
 def _cmd_satisfiable(args: argparse.Namespace) -> int:
     schema = _load_schema(args.schema)
-    with _engine_from_args(args) as engine:
-        result = engine.dimsat(schema, args.category)
+    result = _engine_from_args(args).dimsat(schema, args.category)
     if result.satisfiable:
         print(f"satisfiable: {result.witness.describe()}")
         return 0
@@ -504,10 +503,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         finally:
             await server.stop()
 
-    try:
-        asyncio.run(_run())
-    finally:
-        server.engine.shutdown()
+    asyncio.run(_run())
     print("server stopped", file=sys.stderr)
     return 0
 

@@ -70,7 +70,7 @@ import itertools
 import threading
 from dataclasses import dataclass
 from functools import partial
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.constraints.ast import (
     FALSE,
@@ -107,7 +107,7 @@ from repro.core.hierarchy import ALL, Category
 from repro.core.implication import ImplicationResult, implies as run_implies
 from repro.core.instance import TOP_MEMBER
 from repro.core.metrics import METRICS
-from repro.core.parallel import decide_batch, raise_first_failure, serve, try_ask
+from repro.core.parallel import serve
 from repro.core.request import resolve_request
 from repro.core.satsolver import Solver
 from repro.core.schema import DimensionSchema
@@ -736,8 +736,6 @@ class CompiledEngineStats:
 
     compiled_decisions: int = 0
     fallbacks: int = 0
-    #: Batch requests answered by dedup instead of a decision.
-    batch_deduped: int = 0
 
 
 _ENGINE_STATS = METRICS.stats_family("compiled.", CompiledEngineStats)
@@ -746,13 +744,13 @@ _ENGINE_STATS = METRICS.stats_family("compiled.", CompiledEngineStats)
 class CompiledDecisionEngine:
     """The compiled rung of the decision stack.
 
-    API-compatible with
-    :class:`~repro.core.parallel.ParallelDecisionEngine` where the upper
-    layers care: the navigator and view selection batch through
-    :meth:`decide_many`, and
-    :class:`~repro.core.resilience.ResilientDecisionEngine` can wrap it
-    as its primary rung (compile failures then ride the existing
-    degradation ladder).  Verdicts memoize through the shared
+    The same three decision procedures as
+    :class:`~repro.core.parallel.ParallelDecisionEngine` (``dimsat``,
+    ``implies``, ``is_summarizable``), so the navigator, view selection
+    and the batch functions of :mod:`repro.core.parallel` ask either
+    alike, and :class:`~repro.core.resilience.ResilientDecisionEngine`
+    can wrap it as its primary rung (compile failures then ride the
+    existing degradation ladder).  Verdicts memoize through the shared
     :class:`~repro.core.decisioncache.DecisionCache` under the *same
     keys* as the interpreted engine - the compiled tier
     changes where cold verdicts come from, never what they are.
@@ -787,17 +785,6 @@ class CompiledDecisionEngine:
         self.store = store if store is not None else compiled_artifact_store()
         self.stats = _ENGINE_STATS.track(self, CompiledEngineStats())
         self._lock = threading.Lock()
-
-    # -- engine-protocol plumbing ---------------------------------------
-
-    def shutdown(self, wait_for_tasks: bool = True) -> None:
-        """No pools to tear down; present for engine-protocol parity."""
-
-    def __enter__(self) -> "CompiledDecisionEngine":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.shutdown()
 
     # -- fallback accounting -------------------------------------------
 
@@ -894,14 +881,6 @@ class CompiledDecisionEngine:
             ),
         )
 
-    def is_implied(self, schema: DimensionSchema, constraint: object) -> bool:
-        return self.implies(schema, constraint).implied
-
-    def is_satisfiable(
-        self, schema: DimensionSchema, category: Category
-    ) -> bool:
-        return self.dimsat(schema, category).satisfiable
-
     def is_summarizable(
         self,
         schema: DimensionSchema,
@@ -941,27 +920,6 @@ class CompiledDecisionEngine:
                     schema, node, budget, bottom
                 ).implied,
             )
-
-    # -- the batch API ---------------------------------------------------
-
-    def decide_many(
-        self,
-        items: Iterable[Tuple[DimensionSchema, Sequence[object]]],
-    ) -> List[bool]:
-        """Batch verdicts aligned with the input order (the navigator /
-        view-selection entry point); see
-        :func:`~repro.core.parallel.decide_batch`."""
-        return raise_first_failure(self.try_decide_many(items))
-
-    def try_decide_many(
-        self,
-        items: Iterable[Tuple[DimensionSchema, Sequence[object]]],
-    ) -> List[object]:
-        """:meth:`decide_many` with per-request fault containment."""
-        results, deduped = decide_batch(items, partial(try_ask, self))
-        with self._lock:
-            self.stats.batch_deduped += deduped
-        return results
 
 
 def resolve_engine(engine: object = None) -> object:

@@ -93,10 +93,6 @@ class DimsatOptions:
     #: Force into-constraint edges and skip branches that cannot contain
     #: them (Figure 6 lines 14-17).
     into_pruning: bool = True
-    #: Order in which top categories are chosen: ``"sorted"`` (stable,
-    #: used by the paper-figure tests) or ``"lifo"`` (deepest-name first).
-    #: The answer never depends on the choice, only the trace shape.
-    choice: str = "sorted"
     #: Record the EXPAND/CHECK trace (Figure 7 regeneration).
     keep_trace: bool = False
     #: Memoize circle-operator reductions in the process-wide
@@ -521,15 +517,6 @@ class _GState:
         )
 
 
-def _choose_top(state: _GState, options: DimsatOptions) -> Category:
-    candidates = sorted(state.top - {ALL})
-    if options.choice == "sorted":
-        return candidates[0]
-    if options.choice == "lifo":
-        return candidates[-1]
-    raise SchemaError(f"unknown choice strategy {options.choice!r}")
-
-
 def _subsets_by_size(items: Sequence[Category]) -> Iterator[FrozenSet[Category]]:
     ordered = sorted(items)
     for size in range(len(ordered) + 1):
@@ -665,7 +652,9 @@ class _Search:
             self.stats.dead_ends += 1
             return
 
-        ctop = _choose_top(state, self.options)
+        # The least-named top category: a stable order, the one the
+        # Figure 7 trace follows.  The answer never depends on it.
+        ctop = min(state.top - {ALL})
         schema_parents = self.schema.hierarchy.parents(ctop)
         instar = state.instar_map().get(ctop, frozenset())
 

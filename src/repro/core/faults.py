@@ -59,7 +59,7 @@ one attribute read and a ``None`` check when no injector is active
 Activate an injector for a region with :func:`inject_faults`::
 
     with inject_faults("worker-crash:p=0.5;seed=7"):
-        engine.decide_many(batch)   # some workers now crash
+        decide_many(engine, batch)   # some workers now crash
 """
 
 from __future__ import annotations

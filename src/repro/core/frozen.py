@@ -16,7 +16,8 @@ free, and admits a c-assignment satisfying the reduced constraint set
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Set, Tuple
+from functools import cached_property
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple
 
 from repro.core.hierarchy import ALL, Category, Edge, HierarchySchema
 from repro.core.instance import TOP_MEMBER, DimensionInstance
@@ -40,13 +41,44 @@ class Subhierarchy:
     edge drawn from ``G``, and every category between the root and ``All``.
     Use :meth:`validate` to enforce this against a concrete ``G``;
     instances produced by DIMSAT are valid by construction.
+
+    Reachability is computed once per subhierarchy, on first use, and
+    every structural check reads it.  The table is cached on the instance
+    but is no part of its equality, hash or pickled state.
     """
 
     root: Category
     categories: FrozenSet[Category]
     edges: FrozenSet[Edge]
 
+    def __getstate__(self) -> Dict[str, object]:
+        # The fields only: a persisted witness pickles as it always did.
+        return {"root": self.root, "categories": self.categories, "edges": self.edges}
+
     # -- structure -------------------------------------------------------
+
+    @cached_property
+    def _above(self) -> Dict[Category, Set[Category]]:
+        """Each category's strict upward closure: the categories it
+        reaches through one edge or more."""
+        parents: Dict[Category, List[Category]] = {}
+        for child, parent in self.edges:
+            parents.setdefault(child, []).append(parent)
+        above: Dict[Category, Set[Category]] = {}
+        for start, direct in parents.items():
+            seen: Set[Category] = set()
+            stack = list(direct)
+            while stack:
+                node = stack.pop()
+                if node in above:
+                    # A finished closure is complete: take it whole.
+                    seen.add(node)
+                    seen |= above[node]
+                elif node not in seen:
+                    seen.add(node)
+                    stack.extend(parents.get(node, ()))
+            above[start] = seen
+        return above
 
     def parents_in(self, category: Category) -> FrozenSet[Category]:
         """Categories directly above ``category`` within the subhierarchy."""
@@ -58,19 +90,7 @@ class Subhierarchy:
 
     def reaches(self, lower: Category, upper: Category) -> bool:
         """Reflexive-transitive reachability inside the subhierarchy."""
-        if lower == upper:
-            return True
-        seen: Set[Category] = set()
-        stack = [lower]
-        while stack:
-            node = stack.pop()
-            for child, parent in self.edges:
-                if child == node and parent not in seen:
-                    if parent == upper:
-                        return True
-                    seen.add(parent)
-                    stack.append(parent)
-        return False
+        return lower == upper or upper in self._above.get(lower, ())
 
     def has_edge_path(self, path: Tuple[Category, ...]) -> bool:
         """Whether consecutive categories of ``path`` are all edges here.
@@ -81,42 +101,45 @@ class Subhierarchy:
 
     def is_acyclic(self) -> bool:
         """No directed cycle among the subhierarchy's edges."""
-        return not any(
-            self.reaches(parent, child) for child, parent in self.edges
-        )
+        above = self._above
+        return not any(child in above.get(parent, ()) for child, parent in self.edges)
 
     def shortcut_edges(self) -> FrozenSet[Edge]:
         """Edges paralleled by a longer path (must be empty to induce a
         frozen dimension)."""
-        found: Set[Edge] = set()
-        for child, parent in self.edges:
-            for mid in self.parents_in(child):
-                if mid != parent and self.reaches(mid, parent):
-                    found.add((child, parent))
-                    break
-        return frozenset(found)
+        above = self._above
+        return frozenset(
+            (child, parent)
+            for child, parent in self.edges
+            if any(
+                mid != parent and parent in above.get(mid, ())
+                for mid in self.parents_in(child)
+            )
+        )
 
     def validate(self, hierarchy: HierarchySchema) -> None:
         """Raise :class:`SchemaError` unless Definition 7 holds."""
         if self.root not in self.categories or ALL not in self.categories:
             raise SchemaError("a subhierarchy must contain its root and All")
-        for category in self.categories:
-            if not hierarchy.has_category(category):
-                raise SchemaError(f"unknown category {category!r} in subhierarchy")
+        unknown = self.categories - hierarchy.categories
+        if unknown:
+            raise SchemaError(f"unknown category {min(unknown)!r} in subhierarchy")
+        foreign = self.edges - hierarchy.edges
+        if foreign:
+            raise SchemaError(f"edge {min(foreign)!r} is not in the hierarchy schema")
         for edge in self.edges:
-            if edge not in hierarchy.edges:
-                raise SchemaError(f"edge {edge!r} is not in the hierarchy schema")
-            for endpoint in edge:
-                if endpoint not in self.categories:
-                    raise SchemaError(
-                        f"edge {edge!r} leaves the subhierarchy's categories"
-                    )
+            if not self.categories.issuperset(edge):
+                raise SchemaError(
+                    f"edge {edge!r} leaves the subhierarchy's categories"
+                )
+        above = self._above
+        from_root = above.get(self.root, set()) | {self.root}
         for category in self.categories:
-            if not self.reaches(self.root, category):
+            if category not in from_root:
                 raise SchemaError(
                     f"category {category!r} is not reachable from the root"
                 )
-            if not self.reaches(category, ALL):
+            if category != ALL and ALL not in above.get(category, ()):
                 raise SchemaError(f"category {category!r} does not reach All")
 
     def sorted_edges(self) -> Tuple[Edge, ...]:

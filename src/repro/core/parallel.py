@@ -1,5 +1,5 @@
-"""The batch decision engine over the satisfiability kernel, and the
-request plumbing every engine shares.
+"""The sequential decision engine over the satisfiability kernel, and
+the request plumbing every engine shares.
 
 The paper reduces every decision to one sequential primitive: Theorem 2
 turns implication into unsatisfiability of the root in
@@ -7,13 +7,8 @@ turns implication into unsatisfiability of the root in
 implication test per bottom category, and Theorem 3 makes satisfiability
 a DIMSAT search for a frozen dimension.  :class:`ParallelDecisionEngine`
 runs those reductions as the kernel implements them, on the caller's
-thread, and adds the one level the OLAP layers need most:
-**request-level batching**.  ``decide_many`` takes a whole batch of
-``(schema, query)`` pairs - the aggregate navigator's candidate sweep,
-the view selector's trial evaluations, a service's queued traffic - and
-deduplicates them by schema fingerprint and memo key (the keys the
-:class:`~repro.core.decisioncache.DecisionCache` uses), so each
-distinct question is decided once per batch.
+thread: an engine is its three procedures ``dimsat``, ``implies`` and
+``is_summarizable``.
 
 Concurrency comes from the caller: the decision server runs concurrent
 requests on its own executor, and every one of them warms the same
@@ -25,10 +20,13 @@ Every engine takes one path per request.  A request is canonicalized
 by :func:`~repro.core.request.resolve_request` and keyed by
 :func:`~repro.core.request.request_key`; :func:`serve` looks it up in
 the engine's cache and, on a miss, runs it as one :func:`computed`
-decision.  The batch path is shared too: :func:`decide_batch` dedups a
-batch and :func:`ask` puts each unique request to the engine's own
-single-decision methods, so a batch request takes exactly the path of
-the same single call.
+decision.  Batches have one implementation for every engine:
+:func:`decide_many` and :func:`try_decide_many` take a whole batch of
+``(schema, request)`` pairs, :func:`decide_batch` deduplicates it by
+schema fingerprint and memo key (the keys the
+:class:`~repro.core.decisioncache.DecisionCache` uses), and :func:`ask`
+puts each unique request to the engine's own single-decision methods,
+so a batch request takes exactly the path of the same single call.
 
 Robustness
 ----------
@@ -69,6 +67,9 @@ from repro.core.schema import DimensionSchema
 from repro.core.trace import TRACER
 from repro.core.summarizability import _compute, _is_summarizable_uncached
 from repro.errors import DecisionUnavailable
+
+_M_BATCH_REQUESTS = METRICS.counter("engine.batch_requests")
+_M_BATCH_DEDUPED = METRICS.counter("engine.batch_deduped")
 
 
 def computed(
@@ -151,14 +152,16 @@ def decide_batch(
     ``(schema fingerprint, memo key)``, so each distinct
     question is decided once per batch and duplicated requests share one
     answer.  Returns the answers aligned with the input order, and the
-    number of requests the dedup answered (the calling engine counts it
-    as its ``stats.batch_deduped``).  Malformed requests raise
-    before anything is decided.
+    number of requests the dedup answered; both counts go to the
+    ``engine.batch_requests`` and ``engine.batch_deduped`` metrics.
+    Malformed requests raise before anything is decided.
     """
     pairs = [(schema, resolve_request(request)) for schema, request in items]
     ukeys = [(schema.fingerprint(), request_key(request)) for schema, request in pairs]
     unique = dict(zip(ukeys, pairs))
     deduped = len(pairs) - len(unique)
+    _M_BATCH_REQUESTS.inc(len(pairs))
+    _M_BATCH_DEDUPED.inc(deduped)
     if TRACER.enabled:
         TRACER.event(
             "engine.batch", requests=len(pairs), unique=len(unique), deduped=deduped
@@ -170,8 +173,8 @@ def decide_batch(
 
 
 def raise_first_failure(results: List[object]) -> List[bool]:
-    """``decide_many`` over ``try_decide_many``: the verdicts, or the
-    first failure raised."""
+    """:func:`decide_many` over :func:`try_decide_many`: the verdicts,
+    or the first failure raised."""
     for result in results:
         if isinstance(result, BaseException):
             raise result
@@ -179,9 +182,9 @@ def raise_first_failure(results: List[object]) -> List[bool]:
 
 
 def unknown_as_none(results: List[object]) -> List[Optional[bool]]:
-    """``try_decide_many`` results as verdicts, with ``None`` (UNKNOWN)
-    for each :class:`~repro.errors.DecisionUnavailable`; any other
-    failure raises, as ``decide_many`` does."""
+    """:func:`try_decide_many` results as verdicts, with ``None``
+    (UNKNOWN) for each :class:`~repro.errors.DecisionUnavailable`; any
+    other failure raises, as :func:`decide_many` does."""
     for result in results:
         if isinstance(result, BaseException) and not isinstance(
             result, DecisionUnavailable
@@ -193,23 +196,43 @@ def unknown_as_none(results: List[object]) -> List[Optional[bool]]:
     ]
 
 
+def try_decide_many(
+    engine: Any, items: Iterable[Tuple[DimensionSchema, Sequence[object]]]
+) -> List[object]:
+    """Answer a batch of ``(schema, request)`` pairs on ``engine``, any
+    engine, bare or resilient: per request, aligned with the input order,
+    the verdict or the exception its decision raised (see
+    :func:`decide_batch` and :func:`try_ask`).
+
+    A resilient engine's single methods raise
+    :class:`~repro.errors.DecisionUnavailable` for UNKNOWN, so its slots
+    hold that; a bare engine's hold the fault itself.
+    """
+    return decide_batch(items, partial(try_ask, engine))[0]
+
+
+def decide_many(
+    engine: Any, items: Iterable[Tuple[DimensionSchema, Sequence[object]]]
+) -> List[bool]:
+    """:func:`try_decide_many` as booleans; the first failed request's
+    exception (a budget abort, a fault, an UNKNOWN) raises instead."""
+    return raise_first_failure(try_decide_many(engine, items))
+
+
 @dataclass
 class EngineStats:
     """Cumulative counters for one :class:`ParallelDecisionEngine`."""
 
     #: Decisions asked (single calls and the unique requests of batches).
     decisions: int = 0
-    #: Requests received by ``decide_many`` (before dedup).
-    batch_requests: int = 0
-    #: Requests answered by batch dedup instead of a decision.
-    batch_deduped: int = 0
 
 
 _STATS = METRICS.stats_family("engine.", EngineStats)
 
 
 class ParallelDecisionEngine:
-    """Batched decision serving with dedup and per-decision budgets.
+    """The interpreted kernel's three decision procedures, with
+    per-decision budgets.
 
     Parameters
     ----------
@@ -243,7 +266,7 @@ class ParallelDecisionEngine:
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
-    # Engine protocol
+    # Names the benchmark's tracer (``perfbench/tracer.py``) looks up
     # ------------------------------------------------------------------
 
     def _get_executor(self) -> None:
@@ -252,14 +275,14 @@ class ParallelDecisionEngine:
         when it installs its hooks."""
         return None
 
-    def shutdown(self, wait_for_tasks: bool = True) -> None:
-        """No pools to tear down; present for engine-protocol parity."""
-
-    def __enter__(self) -> "ParallelDecisionEngine":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.shutdown()
+    def try_decide_many(
+        self,
+        items: Iterable[Tuple[DimensionSchema, Sequence[object]]],
+    ) -> List[object]:
+        """The module's :func:`try_decide_many` on this engine.  Kept only
+        because the benchmark's tracer (``perfbench/tracer.py``) looks it
+        up by name when it installs its hooks."""
+        return try_decide_many(self, items)
 
     # ------------------------------------------------------------------
     # Single decisions: one cache lookup, then the reduction on a miss
@@ -281,16 +304,10 @@ class ParallelDecisionEngine:
         """Category satisfiability (Theorem 3)."""
         return self._serve(schema, ("dimsat", category), self._dimsat_fanout)
 
-    def is_satisfiable(self, schema: DimensionSchema, category: Category) -> bool:
-        return self.dimsat(schema, category).satisfiable
-
     def implies(self, schema: DimensionSchema, constraint: object) -> ImplicationResult:
         """``ds |= alpha`` via Theorem 2."""
         request = resolve_request(("implies", constraint))
         return self._serve(schema, request, self._implies_fanout)
-
-    def is_implied(self, schema: DimensionSchema, constraint: object) -> bool:
-        return self.implies(schema, constraint).implied
 
     def is_summarizable(
         self,
@@ -334,35 +351,6 @@ class ParallelDecisionEngine:
         return _is_summarizable_uncached(
             schema, target, sources, None, self.cache, budget
         )
-
-    # ------------------------------------------------------------------
-    # The batch API: cross-request dedup
-    # ------------------------------------------------------------------
-
-    def decide_many(
-        self,
-        items: Iterable[Tuple[DimensionSchema, Sequence[object]]],
-    ) -> List[bool]:
-        """Answer a batch of ``(schema, request)`` pairs with booleans
-        aligned with the input order; see :func:`decide_batch`.
-
-        A request that fails (a budget abort, a worker fault) raises; use
-        :meth:`try_decide_many` when the batch must survive individual
-        failures.
-        """
-        return raise_first_failure(self.try_decide_many(items))
-
-    def try_decide_many(
-        self,
-        items: Iterable[Tuple[DimensionSchema, Sequence[object]]],
-    ) -> List[object]:
-        """:meth:`decide_many` with per-request fault containment: each
-        element is the verdict or the exception that request raised."""
-        results, deduped = decide_batch(items, partial(try_ask, self))
-        with self._lock:
-            self.stats.batch_requests += len(results)
-            self.stats.batch_deduped += deduped
-        return results
 
 
 # ----------------------------------------------------------------------

@@ -55,13 +55,7 @@ from repro.core.decisioncache import USE_DEFAULT_CACHE
 from repro.core.dimsat import DimsatResult
 from repro.core.implication import ImplicationResult
 from repro.core.metrics import METRICS
-from repro.core.parallel import (
-    ParallelDecisionEngine,
-    _decide,
-    ask,
-    decide_batch,
-    raise_first_failure,
-)
+from repro.core.parallel import ParallelDecisionEngine, _decide, ask, decide_batch
 from repro.core.request import normalize_request, request_key, resolve_request
 from repro.core.schema import DimensionSchema
 from repro.core.trace import TRACER
@@ -273,8 +267,6 @@ class ResilienceStats:
     degraded_sequential: int = 0
     unknown_verdicts: int = 0
     breaker_open_skips: int = 0
-    #: Batch requests answered by dedup (also counted in ``decisions``).
-    batch_deduped: int = 0
 
 
 _STATS = METRICS.stats_family("resilience.", ResilienceStats)
@@ -288,57 +280,33 @@ class ResilientDecisionEngine:
     engine:
         The wrapped engine (a
         :class:`~repro.core.parallel.ParallelDecisionEngine` or a
-        :class:`~repro.core.compile.CompiledDecisionEngine`); a
-        ``ParallelDecisionEngine`` built from ``engine_kwargs`` when
-        omitted.
+        :class:`~repro.core.compile.CompiledDecisionEngine`, usually from
+        :func:`build_engine`).
     retry:
         The :class:`RetryPolicy` (attempt cap, backoff, jitter).
     breaker:
         The :class:`CircuitBreaker` guarding the parallel rung.
-    engine_kwargs:
-        Forwarded to :class:`ParallelDecisionEngine` when ``engine`` is
-        ``None`` (``budget``, ``cache``).
 
-    The single-decision surface (:meth:`dimsat`, :meth:`implies`,
-    :meth:`is_summarizable`, ...) mirrors the wrapped engine's but raises
+    The three decision procedures (:meth:`dimsat`, :meth:`implies`,
+    :meth:`is_summarizable`) mirror the wrapped engine's but raise
     :class:`~repro.errors.DecisionUnavailable` instead of transient
-    errors.  :meth:`try_decide_many` keeps the bare engines' batch
-    contract (a verdict or an exception per request, here always a
-    ``DecisionUnavailable``); :meth:`decide` and
+    errors, so the batch functions of :mod:`repro.core.parallel` serve
+    this engine as they serve a bare one (an UNKNOWN request's slot
+    holds its ``DecisionUnavailable``).  :meth:`decide` and
     :meth:`decide_many_outcomes` return :class:`DecisionOutcome` records
     instead of exceptions - the form a service loop wants.
     """
 
     def __init__(
         self,
-        engine: Optional[ParallelDecisionEngine] = None,
+        engine: Any,
         retry: Optional[RetryPolicy] = None,
         breaker: Optional[CircuitBreaker] = None,
-        **engine_kwargs: Any,
     ) -> None:
-        if engine is not None and engine_kwargs:
-            raise ReproError(
-                "pass either a prebuilt engine or engine kwargs, not both"
-            )
-        self.engine = engine if engine is not None else ParallelDecisionEngine(
-            **engine_kwargs
-        )
+        self.engine = engine
         self.retry = retry if retry is not None else RetryPolicy()
         self.breaker = breaker if breaker is not None else CircuitBreaker()
         self.stats = _STATS.track(self, ResilienceStats())
-
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-
-    def shutdown(self, wait_for_tasks: bool = True) -> None:
-        self.engine.shutdown(wait_for_tasks)
-
-    def __enter__(self) -> "ResilientDecisionEngine":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.shutdown()
 
     # ------------------------------------------------------------------
     # The ladder
@@ -495,18 +463,12 @@ class ResilientDecisionEngine:
         """Category satisfiability through the ladder."""
         return self._answer(schema, ("dimsat", category))
 
-    def is_satisfiable(self, schema: DimensionSchema, category: Category) -> bool:
-        return self.dimsat(schema, category).satisfiable
-
     def implies(
         self, schema: DimensionSchema, constraint: object
     ) -> ImplicationResult:
         """``ds |= alpha`` through the ladder (the constraint is parsed
         once, here)."""
         return self._answer(schema, resolve_request(("implies", constraint)))
-
-    def is_implied(self, schema: DimensionSchema, constraint: object) -> bool:
-        return self.implies(schema, constraint).implied
 
     def is_summarizable(
         self,
@@ -530,31 +492,6 @@ class ResilientDecisionEngine:
         service faults; a malformed request still raises)."""
         return self._ladder(schema, resolve_request(request))[1]
 
-    def decide_many(
-        self,
-        items: Iterable[Tuple[DimensionSchema, Sequence[object]]],
-    ) -> List[bool]:
-        """Boolean verdicts aligned with the input order; raises the first
-        request's :class:`~repro.errors.DecisionUnavailable` when any
-        decision degraded to UNKNOWN (use :meth:`try_decide_many` or
-        :meth:`decide_many_outcomes` to keep the rest of the batch)."""
-        return raise_first_failure(self.try_decide_many(items))
-
-    def try_decide_many(
-        self,
-        items: Iterable[Tuple[DimensionSchema, Sequence[object]]],
-    ) -> List[object]:
-        """The bare engines' batch contract: per request, the verdict or
-        a :class:`~repro.errors.DecisionUnavailable` (UNKNOWN), aligned
-        with the input order.  Fatal errors raise."""
-        pairs = list(items)
-        return [
-            outcome.verdict if outcome.ok else _unavailable(request[0], outcome)
-            for (_schema, request), outcome in zip(
-                pairs, self.decide_many_outcomes(pairs)
-            )
-        ]
-
     def decide_many_outcomes(
         self,
         items: Iterable[Tuple[DimensionSchema, Sequence[object]]],
@@ -572,7 +509,6 @@ class ResilientDecisionEngine:
             items, lambda schema, request: self._ladder(schema, request)[1]
         )
         self.stats.decisions += deduped
-        self.stats.batch_deduped += deduped
         return outcomes  # type: ignore[return-value]
 
     def report(self) -> str:

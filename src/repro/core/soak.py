@@ -805,29 +805,26 @@ class _SoakRun:
         deadline = started + config.seconds
         min_steps = max(0, config.min_passes) * len(self.states)
         step = 0
-        try:
-            while True:
-                if config.max_steps is not None and step >= config.max_steps:
-                    break
-                if step >= min_steps and time.monotonic() >= deadline:
-                    break
-                state = self.states[step % len(self.states)]
-                op = state.next_op()
-                kind = op[0]
-                self.report.ops_by_kind[kind] = (
-                    self.report.ops_by_kind.get(kind, 0) + 1
-                )
-                if kind in ("dimsat", "implies", "summarizable"):
-                    self._decide(state, engine, op, step)
-                elif kind == "navigate":
-                    self._navigate(state, engine, op, step)
-                elif kind == "edit":
-                    self._edit(state, engine, op, step)
-                else:  # pragma: no cover - mixed_trace emits no others
-                    raise ReproError(f"unknown trace op {kind!r}")
-                step += 1
-        finally:
-            engine.shutdown()
+        while True:
+            if config.max_steps is not None and step >= config.max_steps:
+                break
+            if step >= min_steps and time.monotonic() >= deadline:
+                break
+            state = self.states[step % len(self.states)]
+            op = state.next_op()
+            kind = op[0]
+            self.report.ops_by_kind[kind] = (
+                self.report.ops_by_kind.get(kind, 0) + 1
+            )
+            if kind in ("dimsat", "implies", "summarizable"):
+                self._decide(state, engine, op, step)
+            elif kind == "navigate":
+                self._navigate(state, engine, op, step)
+            elif kind == "edit":
+                self._edit(state, engine, op, step)
+            else:  # pragma: no cover - mixed_trace emits no others
+                raise ReproError(f"unknown trace op {kind!r}")
+            step += 1
         self.report.steps = step
         self.report.elapsed_s = time.monotonic() - started
         return self.report

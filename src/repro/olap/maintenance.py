@@ -48,9 +48,12 @@ from repro.constraints.parser import parse
 from repro.constraints.printer import unparse
 from repro.core.budget import DecisionBudget
 from repro.core.compile import CompiledDecisionEngine, compiled_artifact_store
-from repro.core.decisioncache import USE_DEFAULT_CACHE, resolve_cache
+from repro.core.decisioncache import (
+    USE_DEFAULT_CACHE,
+    default_decision_cache,
+    resolve_cache,
+)
 from repro.core.instance import DimensionInstance
-from repro.core.invalidation import invalidate_everywhere
 from repro.core.metrics import METRICS
 from repro.core.provenance import SchemaDelta, mentioned_categories, schema_delta
 from repro.core.schema import DimensionSchema
@@ -72,6 +75,21 @@ _M_DECISION_FALLBACKS = METRICS.counter("maintenance.edit_decision_fallbacks")
 #: 2-vCPU VM) on one 24-category random schema, where 2000 nodes take
 #: ~50-130 ms.
 _EDIT_DECISION_BUDGET = DecisionBudget(max_nodes=2_000)
+
+
+def invalidate_everywhere(fingerprint: str, exclude: object = None) -> None:
+    """Drop every entry cached under ``fingerprint`` from the process-wide
+    fingerprint-keyed stores: the decision cache and the compiled-artifact
+    store.
+
+    ``exclude`` (identity-compared) skips a store already handled by a
+    finer-grained mechanism - ``SchemaEditor`` passes its own cache,
+    which :meth:`~repro.core.decisioncache.DecisionCache.rekey` has
+    already swept.
+    """
+    for store in (default_decision_cache(), compiled_artifact_store()):
+        if store is not exclude:
+            store.invalidate(fingerprint)
 
 
 def apply_delta(
@@ -138,8 +156,8 @@ class SchemaEditor:
     to the new fingerprint
     (:meth:`~repro.core.decisioncache.DecisionCache.rekey`: all of them
     after a model-preserving edit, the untouched dependency cones after
-    any other), sweeps every other registered fingerprint store
-    (:func:`~repro.core.invalidation.invalidate_everywhere`), and makes
+    any other), sweeps the process-wide fingerprint stores
+    (:func:`invalidate_everywhere`), and makes
     the new version current.  ``editor.schema`` always holds the latest
     version; every operation also returns it, so one-off edits can stay
     expression-shaped.  ``last_edit_preserved_models`` tells whether the
@@ -200,14 +218,10 @@ class SchemaEditor:
             # to the new fingerprint (byte-identical by the soundness
             # argument in ``repro.core.provenance``); the rest are dropped.
             self._cache.rekey(replaced, new_schema, delta)
-        # Every other fingerprint-keyed store (the compiled decision tier
-        # unless its artifact just moved, anything registered later) is
-        # swept in one call, so a long edit session cannot pin dead
-        # entries in memory and a future store cannot be forgotten.
-        invalidate_everywhere(
-            old_fingerprint,
-            exclude=() if self._cache is None else (self._cache,),
-        )
+        # The process-wide stores (the compiled decision tier unless its
+        # artifact just moved) drop the replaced version, so a long edit
+        # session cannot pin dead entries in memory.
+        invalidate_everywhere(old_fingerprint, exclude=self._cache)
         return new_schema
 
     def _preserves_models(

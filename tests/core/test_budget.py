@@ -14,7 +14,7 @@ from repro.core.budget import DecisionBudget
 from repro.core.decisioncache import DecisionCache
 from repro.core.dimsat import dimsat
 from repro.core.implication import implies, is_implied
-from repro.core.parallel import ParallelDecisionEngine, _decide, ask
+from repro.core.parallel import ParallelDecisionEngine, _decide, ask, decide_many
 from repro.core.request import resolve_request
 from repro.core.resilience import ENGINE_NAMES, build_engine
 from repro.core.summarizability import decide, is_summarizable_in_schema
@@ -161,27 +161,28 @@ class TestCachesStayVerdictClean:
         """A budget abort inside the engine's single-decision path must
         leave the shared cache verdict-clean."""
         cache = DecisionCache()
-        with ParallelDecisionEngine(
+        engine = ParallelDecisionEngine(
             budget=DecisionBudget(max_nodes=0), cache=cache
-        ) as engine:
-            with pytest.raises(BudgetExceeded):
-                engine.is_satisfiable(schema, "Store")
-            with pytest.raises(BudgetExceeded):
-                engine.is_summarizable(schema, "Country", ["City"])
+        )
+        with pytest.raises(BudgetExceeded):
+            engine.dimsat(schema, "Store")
+        with pytest.raises(BudgetExceeded):
+            engine.is_summarizable(schema, "Country", ["City"])
         assert len(cache) == 0
-        with ParallelDecisionEngine(cache=cache) as engine:
-            assert engine.is_satisfiable(schema, "Store") is True
-            assert engine.is_summarizable(schema, "Country", ["City"]) is True
+        engine = ParallelDecisionEngine(cache=cache)
+        assert engine.dimsat(schema, "Store").satisfiable is True
+        assert engine.is_summarizable(schema, "Country", ["City"]) is True
 
     def test_engine_batch_budget_abort_propagates(self, schema):
         cache = DecisionCache()
-        with ParallelDecisionEngine(
+        engine = ParallelDecisionEngine(
             budget=DecisionBudget(max_nodes=0), cache=cache
-        ) as engine:
-            with pytest.raises(BudgetExceeded):
-                engine.decide_many(
-                    [(schema, ("dimsat", "Store")), (schema, ("dimsat", "City"))]
-                )
+        )
+        with pytest.raises(BudgetExceeded):
+            decide_many(
+                engine,
+                [(schema, ("dimsat", "Store")), (schema, ("dimsat", "City"))],
+            )
         assert len(cache) == 0
 
 

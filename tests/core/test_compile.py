@@ -52,7 +52,7 @@ from repro.core import (
 from repro.core.compile import _RootCompilation
 from repro.core.decisioncache import DecisionCache, default_decision_cache
 from repro.core.dimsat import DimsatOptions
-from repro.core.parallel import ask
+from repro.core.parallel import ask, decide_many, try_decide_many
 from repro.core.resilience import ENGINE_NAMES
 from repro.errors import BudgetExceeded, ReproError, SchemaError
 from repro.generators.adversarial import (
@@ -175,9 +175,9 @@ KEY_SURFACES = {
         CompiledDecisionEngine(cache=cache, store=store), schema, request
     ),
     "rung": _sequential_rung,
-    "decide_many": lambda schema, request, cache, store: CompiledDecisionEngine(
-        cache=cache, store=store
-    ).decide_many([(schema, request)])[0],
+    "decide_many": lambda schema, request, cache, store: decide_many(
+        CompiledDecisionEngine(cache=cache, store=store), [(schema, request)]
+    )[0],
 }
 
 
@@ -711,12 +711,13 @@ class TestEngineIntegration:
         requests = [(schema, ("dimsat", c)) for c in categories]
         doubled = requests + list(reversed(requests))
         expected = [dimsat(schema, c).satisfiable for c in categories]
-        assert engine.decide_many(doubled) == expected + list(reversed(expected))
+        assert decide_many(engine, doubled) == expected + list(reversed(expected))
 
     def test_try_decide_many_contains_errors(self, engine, schemas):
         schema = schemas["retail"]
-        results = engine.try_decide_many(
-            [(schema, ("dimsat", "Store")), (schema, ("dimsat", "Nope"))]
+        results = try_decide_many(
+            engine,
+            [(schema, ("dimsat", "Store")), (schema, ("dimsat", "Nope"))],
         )
         assert results[0] == dimsat(schema, "Store").satisfiable
         assert isinstance(results[1], SchemaError)

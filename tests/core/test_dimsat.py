@@ -214,7 +214,6 @@ class TestOptions:
             DimsatOptions(
                 into_pruning=False, shortcut_pruning=False, cycle_pruning=False
             ),
-            DimsatOptions(choice="lifo"),
         ],
     )
     def test_ablations_preserve_answers(self, loc_schema, options):
@@ -244,10 +243,6 @@ class TestOptions:
             loc_schema, "Store", DimsatOptions(into_pruning=False)
         ).stats.expand_calls
         assert fast <= slow
-
-    def test_unknown_choice_rejected(self, loc_schema):
-        with pytest.raises(SchemaError):
-            dimsat(loc_schema, "Store", DimsatOptions(choice="random"))
 
 
 class TestTrace:

@@ -60,6 +60,23 @@ class TestSubhierarchyStructure:
         sub = paper_frozen_structures()["Mexico"]
         assert str(sub).startswith("Subhierarchy[Store:")
 
+    def test_reachability_table_stays_out_of_identity_and_pickles(
+        self, loc_hierarchy
+    ):
+        """Witnesses are cached and persisted: computing the reachability
+        table changes neither equality, hash nor the pickled bytes."""
+        import pickle
+
+        sub = paper_frozen_structures()["Canada"]
+        before = pickle.dumps(sub)
+        sub.validate(loc_hierarchy)
+        assert sub.reaches("Store", ALL) and sub.is_acyclic()
+        assert pickle.dumps(sub) == before
+        copy = pickle.loads(before)
+        assert copy == sub and hash(copy) == hash(sub)
+        assert copy.reaches("Store", "Country")
+        assert not copy.reaches("Country", "Store")
+
 
 class TestSubhierarchyValidation:
     def test_paper_structures_validate(self, loc_hierarchy):

@@ -2,7 +2,7 @@
 
 The differential harness (:mod:`tests.test_differential`) covers verdict
 agreement on random schemas; this file pins down the engine's mechanics -
-request normalization, batch dedup accounting, the lifecycle, the
+request normalization, batch dedup accounting, the
 inline mode (no pool threads, warm hits that never reach the kernel,
 single or batched), witness validity, and the DimsatStats regression
 (concurrent CHECK totals must equal the sequential run's).
@@ -18,7 +18,8 @@ import pytest
 from repro.core.decisioncache import DecisionCache
 from repro.core.dimsat import dimsat
 from repro.core.faults import inject_faults
-from repro.core.parallel import ParallelDecisionEngine
+from repro.core.metrics import METRICS
+from repro.core.parallel import ParallelDecisionEngine, decide_many
 from repro.core.request import normalize_request, resolve_request
 from repro.errors import ReproError, SchemaError
 from repro.generators.location import location_schema
@@ -81,62 +82,56 @@ class TestBatchAPI:
             (schema, ("summarizable", "Country", ["City"])),
             (schema, ("summarizable", "Country", ("City",))),
         ]
-        with ParallelDecisionEngine(cache=DecisionCache()) as engine:
-            verdicts = engine.decide_many(batch)
-            assert verdicts == [True, True, True, True, True]
-            assert engine.stats.batch_requests == 5
-            assert engine.stats.batch_deduped == 2
-            # Each unique request is one decision.
-            assert engine.stats.decisions == 3
+        engine = ParallelDecisionEngine(cache=DecisionCache())
+        requests = METRICS.counter_value("engine.batch_requests")
+        deduped = METRICS.counter_value("engine.batch_deduped")
+        verdicts = decide_many(engine, batch)
+        assert verdicts == [True, True, True, True, True]
+        assert METRICS.counter_value("engine.batch_requests") == requests + 5
+        assert METRICS.counter_value("engine.batch_deduped") == deduped + 2
+        # Each unique request is one decision.
+        assert engine.stats.decisions == 3
 
     def test_cross_batch_dedup_via_cache(self, schema):
         cache = DecisionCache()
-        with ParallelDecisionEngine(cache=cache) as engine:
-            batch = [(schema, ("dimsat", "Store")), (schema, ("implies", "Store.City"))]
-            engine.decide_many(batch)
-            before = cache.stats.misses
-            engine.decide_many(batch)
-            # Second batch hits the decision cache: no new misses.
-            assert cache.stats.misses == before
-            assert cache.stats.hits >= 2
+        engine = ParallelDecisionEngine(cache=cache)
+        batch = [(schema, ("dimsat", "Store")), (schema, ("implies", "Store.City"))]
+        decide_many(engine, batch)
+        before = cache.stats.misses
+        decide_many(engine, batch)
+        # Second batch hits the decision cache: no new misses.
+        assert cache.stats.misses == before
+        assert cache.stats.hits >= 2
 
     def test_rebuilt_equal_schema_shares_verdicts(self, schema):
         from repro.io.json_io import schema_from_json, schema_to_json
 
         rebuilt = schema_from_json(schema_to_json(schema))
         assert rebuilt is not schema
-        with ParallelDecisionEngine(cache=DecisionCache()) as engine:
-            batch = [
-                (schema, ("dimsat", "Store")),
-                (rebuilt, ("dimsat", "Store")),
-            ]
-            assert engine.decide_many(batch) == [True, True]
-            # Equal fingerprints dedupe across distinct schema objects.
-            assert engine.stats.batch_deduped == 1
+        engine = ParallelDecisionEngine(cache=DecisionCache())
+        batch = [
+            (schema, ("dimsat", "Store")),
+            (rebuilt, ("dimsat", "Store")),
+        ]
+        assert decide_many(engine, batch) == [True, True]
+        # Equal fingerprints dedupe across distinct schema objects.
+        assert engine.stats.decisions == 1
 
     def test_empty_batch(self, schema):
-        with ParallelDecisionEngine() as engine:
-            assert engine.decide_many([]) == []
+        engine = ParallelDecisionEngine()
+        assert decide_many(engine, []) == []
 
     def test_uncached_engine(self, schema):
-        with ParallelDecisionEngine(cache=None) as engine:
-            assert engine.is_satisfiable(schema, "Store") is True
-            assert engine.decide_many([(schema, ("dimsat", "Store"))]) == [True]
+        engine = ParallelDecisionEngine(cache=None)
+        assert engine.dimsat(schema, "Store").satisfiable is True
+        assert decide_many(engine, [(schema, ("dimsat", "Store"))]) == [True]
 
 
 class TestFallbackAndLifecycle:
-    def test_shutdown_is_idempotent_and_degrades_gracefully(self, schema):
-        engine = ParallelDecisionEngine(cache=DecisionCache())
-        assert engine.decide_many([(schema, ("dimsat", "Store"))]) == [True]
-        engine.shutdown()
-        engine.shutdown()
-        # A shut-down engine still answers: it owns nothing to release.
-        assert engine.decide_many([(schema, ("dimsat", "City"))]) == [True]
-
     def test_unknown_category_raises_in_parallel_path(self, schema):
-        with ParallelDecisionEngine(cache=None) as engine:
-            with pytest.raises(SchemaError):
-                engine.is_satisfiable(schema, "Galaxy")
+        engine = ParallelDecisionEngine(cache=None)
+        with pytest.raises(SchemaError):
+            engine.dimsat(schema, "Galaxy")
 
 
 class TestInlineThreadMode:
@@ -144,16 +139,16 @@ class TestInlineThreadMode:
         """Thread mode decides on the caller's thread: no pool thread ever
         starts, for single decisions or batches."""
         before = {t.ident for t in threading.enumerate()}
-        with ParallelDecisionEngine(cache=None) as engine:
-            assert engine._get_executor() is None
-            assert engine.is_satisfiable(schema, "Store") is True
-            assert engine.is_implied(schema, "Store.City.Country") is True
-            assert engine.is_summarizable(schema, "Country", ["City"]) is True
-            batch = [(schema, ("dimsat", c)) for c in ("Store", "City", "State")]
-            assert engine.decide_many(batch) == [True, True, True]
-            started = [
-                t.name for t in threading.enumerate() if t.ident not in before
-            ]
+        engine = ParallelDecisionEngine(cache=None)
+        assert engine._get_executor() is None
+        assert engine.dimsat(schema, "Store").satisfiable is True
+        assert engine.implies(schema, "Store.City.Country").implied is True
+        assert engine.is_summarizable(schema, "Country", ["City"]) is True
+        batch = [(schema, ("dimsat", c)) for c in ("Store", "City", "State")]
+        assert decide_many(engine, batch) == [True, True, True]
+        started = [
+            t.name for t in threading.enumerate() if t.ident not in before
+        ]
         assert not any(name.startswith("repro-decide") for name in started)
         assert started == []
 
@@ -187,9 +182,9 @@ class TestInlineThreadMode:
             (schema, ("implies", "Store.City.Country")),
             (schema, ("summarizable", "Country", ["City"])),
         ]
-        assert engine.decide_many(batch) == [True, True, True]
+        assert decide_many(engine, batch) == [True, True, True]
         with inject_faults("worker-crash:p=1.0;seed=1") as injector:
-            assert engine.decide_many(batch) == [True, True, True]
+            assert decide_many(engine, batch) == [True, True, True]
         assert injector.opportunities() == {"worker-crash": 0}
 
 
@@ -199,12 +194,12 @@ class TestWitnessValidity:
         instance conforms to the schema, every time it is recomputed."""
         from repro.constraints.semantics import satisfies_all
 
-        with ParallelDecisionEngine(cache=None) as engine:
-            for _ in range(5):
-                result = engine.dimsat(schema, "Store")
-                assert result.satisfiable
-                instance = result.witness.to_instance(schema)
-                assert satisfies_all(instance, schema.constraints)
+        engine = ParallelDecisionEngine(cache=None)
+        for _ in range(5):
+            result = engine.dimsat(schema, "Store")
+            assert result.satisfiable
+            instance = result.witness.to_instance(schema)
+            assert satisfies_all(instance, schema.constraints)
 
 
 class TestStatsRegression:
@@ -216,9 +211,8 @@ class TestStatsRegression:
         doomed = make_unsatisfiable(schema, "Store")
         sequential = dimsat(doomed, "Store")
         assert not sequential.satisfiable
-        with ParallelDecisionEngine(cache=None) as engine, ThreadPoolExecutor(
-            max_workers=8
-        ) as pool:
+        engine = ParallelDecisionEngine(cache=None)
+        with ThreadPoolExecutor(max_workers=8) as pool:
             results = list(
                 pool.map(lambda _: engine.dimsat(doomed, "Store"), range(8))
             )
@@ -230,3 +224,122 @@ class TestStatsRegression:
                     result.stats.subhierarchies_completed
                     == sequential.stats.subhierarchies_completed
                 )
+
+
+class TestOneBatchPath:
+    """``decide_many`` / ``try_decide_many`` are the one batch path: the
+    same module functions serve the sequential, compiled and resilient
+    engines through each engine's own three decision procedures."""
+
+    DELETED = (
+        "is_satisfiable", "is_implied", "decide_many",
+        "shutdown", "__enter__", "__exit__",
+    )
+
+    @staticmethod
+    def _engines():
+        from repro.core.compile import CompiledArtifactStore, CompiledDecisionEngine
+        from repro.core.resilience import ResilientDecisionEngine, RetryPolicy
+
+        fast = RetryPolicy(max_attempts=2, base_delay_ms=0.0, max_delay_ms=0.0)
+        return {
+            "sequential": ParallelDecisionEngine(cache=DecisionCache()),
+            "compiled": CompiledDecisionEngine(
+                cache=DecisionCache(), store=CompiledArtifactStore()
+            ),
+            "resilient": ResilientDecisionEngine(
+                ParallelDecisionEngine(cache=DecisionCache()), retry=fast
+            ),
+        }
+
+    @staticmethod
+    def _batch(schema):
+        return [
+            (schema, ("dimsat", "Store")),
+            (schema, ("implies", "Store.City.Country")),
+            (schema, ("implies", "not Store -> City")),
+            (schema, ("summarizable", "SaleRegion", ["City"])),
+            (schema, ("summarizable", "SaleRegion", ("Store",))),
+            (schema, ("dimsat", "Store")),
+            (schema, ("summarizable", "SaleRegion", ["City", "City"])),
+        ]
+
+    def test_every_engine_answers_as_the_kernel(self, schema):
+        from repro.core.implication import implies
+        from repro.core.parallel import try_decide_many
+        from repro.core.summarizability import is_summarizable_in_schema
+
+        expected = [
+            dimsat(schema, "Store").satisfiable,
+            implies(schema, "Store.City.Country", cache=None).implied,
+            implies(schema, "not Store -> City", cache=None).implied,
+            is_summarizable_in_schema(schema, "SaleRegion", ["City"], cache=None),
+            is_summarizable_in_schema(schema, "SaleRegion", ["Store"], cache=None),
+        ]
+        expected += [expected[0], expected[3]]
+        assert expected.count(False) >= 2  # both verdicts are exercised
+        for name, engine in self._engines().items():
+            assert decide_many(engine, self._batch(schema)) == expected, name
+            assert try_decide_many(engine, self._batch(schema)) == expected, name
+
+    def test_malformed_request_raises_before_deciding(self, schema):
+        from repro.core.parallel import try_decide_many
+
+        batch = [(schema, ("dimsat", "Store")), (schema, ("nonsense", "City"))]
+        for name, engine in self._engines().items():
+            before = METRICS.counter_value("engine.batch_requests")
+            for run in (decide_many, try_decide_many):
+                with pytest.raises(ReproError):
+                    run(engine, batch)
+            assert len(engine.cache) == 0, name
+            assert METRICS.counter_value("engine.batch_requests") == before
+
+    def test_faults_fill_every_slot(self, schema):
+        from repro.core.faults import InjectedFault
+        from repro.core.parallel import try_decide_many
+        from repro.errors import DecisionUnavailable
+
+        batch = self._batch(schema)
+        for name, engine in self._engines().items():
+            with inject_faults("worker-crash:p=1"):
+                results = try_decide_many(engine, batch)
+            assert len(results) == len(batch)
+            kind = DecisionUnavailable if name == "resilient" else InjectedFault
+            assert all(isinstance(result, kind) for result in results), name
+            # Duplicates share their one decision's failure.
+            assert results[0] is results[5], name
+            with inject_faults("worker-crash:p=1"):
+                with pytest.raises(kind):
+                    decide_many(engine, batch)
+
+    def test_batch_counters_count_once(self, schema):
+        from repro.core.parallel import try_decide_many
+
+        batch = self._batch(schema)
+        for name, engine in self._engines().items():
+            requests = METRICS.counter_value("engine.batch_requests")
+            deduped = METRICS.counter_value("engine.batch_deduped")
+            try_decide_many(engine, batch)
+            assert METRICS.counter_value("engine.batch_requests") == requests + 7
+            assert METRICS.counter_value("engine.batch_deduped") == deduped + 2
+        resilient = self._engines()["resilient"]
+        requests = METRICS.counter_value("engine.batch_requests")
+        outcomes = resilient.decide_many_outcomes(batch)
+        assert [outcome.ok for outcome in outcomes] == [True] * 7
+        assert METRICS.counter_value("engine.batch_requests") == requests + 7
+
+    def test_engines_define_only_their_procedures(self):
+        from repro.core.compile import CompiledDecisionEngine
+        from repro.core.resilience import ResilientDecisionEngine
+
+        for cls in (
+            ParallelDecisionEngine, CompiledDecisionEngine, ResilientDecisionEngine
+        ):
+            for name in ("dimsat", "implies", "is_summarizable"):
+                assert name in vars(cls), (cls.__name__, name)
+            for name in self.DELETED:
+                assert name not in vars(cls), (cls.__name__, name)
+        # The one batch method left is the tracer's delegate.
+        assert "try_decide_many" in vars(ParallelDecisionEngine)
+        for cls in (CompiledDecisionEngine, ResilientDecisionEngine):
+            assert "try_decide_many" not in vars(cls), cls.__name__

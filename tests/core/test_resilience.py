@@ -8,7 +8,7 @@ from repro._types import ALL
 from repro.core.decisioncache import DecisionCache
 from repro.core.dimsat import dimsat
 from repro.core.faults import inject_faults
-from repro.core.parallel import ParallelDecisionEngine
+from repro.core.parallel import ParallelDecisionEngine, decide_many, try_decide_many
 from repro.core.resilience import (
     AttemptRecord,
     CircuitBreaker,
@@ -34,11 +34,9 @@ def schema():
 
 @pytest.fixture()
 def engine():
-    built = ResilientDecisionEngine(
-        retry=FAST_RETRY, cache=DecisionCache()
+    return ResilientDecisionEngine(
+        ParallelDecisionEngine(cache=DecisionCache()), retry=FAST_RETRY
     )
-    yield built
-    built.shutdown()
 
 
 class TestClassification:
@@ -100,7 +98,7 @@ class TestNoFaultEquivalence:
         categories = sorted(schema.hierarchy.categories - {ALL})
         for category in categories:
             expected = dimsat(schema, category).satisfiable
-            assert engine.is_satisfiable(schema, category) == expected
+            assert engine.dimsat(schema, category).satisfiable == expected
         assert engine.is_summarizable(schema, "SaleRegion", ["Store"]) is True
         assert engine.is_summarizable(schema, "SaleRegion", ["City"]) is False
         assert engine.stats.unknown_verdicts == 0
@@ -116,7 +114,7 @@ class TestNoFaultEquivalence:
         assert [o.status for o in outcomes] == ["ok", "ok", "ok"]
         assert [o.rung for o in outcomes] == ["parallel"] * 3
         assert [o.verdict for o in outcomes] == [True, True, True]
-        assert engine.decide_many(items) == [True, True, True]
+        assert decide_many(engine, items) == [True, True, True]
 
     def test_decide_single(self, engine, schema):
         outcome = engine.decide(schema, ("dimsat", "City"))
@@ -126,7 +124,7 @@ class TestNoFaultEquivalence:
 
     def test_malformed_request_still_raises(self, engine, schema):
         with pytest.raises(ReproError):
-            engine.decide_many([(schema, ("nonsense", "City"))])
+            decide_many(engine, [(schema, ("nonsense", "City"))])
 
 
 class TestRetries:
@@ -143,7 +141,7 @@ class TestRetries:
 
     def test_single_decision_retries(self, engine, schema):
         with inject_faults("oserror:p=1.0,times=2;seed=5"):
-            assert engine.is_satisfiable(schema, "City") is True
+            assert engine.dimsat(schema, "City").satisfiable is True
 
 
 class TestDegradation:
@@ -181,7 +179,7 @@ class TestDegradation:
     def test_decide_many_raises_decision_unavailable(self, engine, schema):
         with inject_faults("worker-crash:p=1.0;seed=3"):
             with pytest.raises(DecisionUnavailable) as info:
-                engine.decide_many([(schema, ("dimsat", "City"))])
+                decide_many(engine, [(schema, ("dimsat", "City"))])
         assert info.value.failures  # provenance travels with the error
 
     def test_single_decision_raises_decision_unavailable(self, engine, schema):
@@ -194,94 +192,79 @@ class TestDegradation:
         # would burn attempts on a certainty, so the ladder degrades
         # straight through to UNKNOWN with BudgetExceeded provenance.
         engine = ResilientDecisionEngine(
-            retry=FAST_RETRY, budget=DecisionBudget(max_nodes=0), cache=None,
+            ParallelDecisionEngine(budget=DecisionBudget(max_nodes=0), cache=None),
+            retry=FAST_RETRY,
         )
-        try:
-            outcome = engine.decide(schema, ("dimsat", "City"))
-            assert outcome.unknown
-            error_types = {f.error_type for f in outcome.failures}
-            assert error_types == {"BudgetExceeded"}
-            # one attempt per rung, no retries
-            assert outcome.attempts == 2
-        finally:
-            engine.shutdown()
+        outcome = engine.decide(schema, ("dimsat", "City"))
+        assert outcome.unknown
+        error_types = {f.error_type for f in outcome.failures}
+        assert error_types == {"BudgetExceeded"}
+        # one attempt per rung, no retries
+        assert outcome.attempts == 2
 
 
 class TestBreaker:
     def test_breaker_opens_and_skips_parallel_rung(self, schema):
         engine = ResilientDecisionEngine(
+            ParallelDecisionEngine(cache=DecisionCache()),
             retry=RetryPolicy(max_attempts=1, base_delay_ms=0.0),
-            breaker=CircuitBreaker(failure_threshold=2, cooldown_ms=60_000.0),
-            cache=DecisionCache(),
+            breaker=CircuitBreaker(failure_threshold=2, cooldown_ms=60000.0),
         )
-        try:
-            # Crash the worker site only for the first two decisions; the
-            # sequential rung passes through the same site, so give it
-            # enough quiet fires... easiest: crash everything for 2
-            # decisions' worth of attempts (parallel + sequential = 2
-            # opportunities per decision at max_attempts=1).
-            with inject_faults("worker-crash:p=1.0,times=4;seed=2"):
-                for _ in range(2):
-                    outcome = engine.decide(schema, ("dimsat", "City"))
-                    assert outcome.unknown
-            assert engine.breaker.state(schema.fingerprint()) == "open"
-            # Faults gone, circuit open: the parallel rung is skipped and
-            # the sequential rung answers correctly.
-            outcome = engine.decide(schema, ("dimsat", "City"))
-            assert outcome.ok and outcome.verdict is True
-            assert outcome.rung == "sequential"
-            assert outcome.failures[0].error_type == "CircuitOpen"
-            assert engine.stats.breaker_open_skips >= 1
-        finally:
-            engine.shutdown()
+        # Crash the worker site only for the first two decisions; the
+        # sequential rung passes through the same site, so give it
+        # enough quiet fires... easiest: crash everything for 2
+        # decisions' worth of attempts (parallel + sequential = 2
+        # opportunities per decision at max_attempts=1).
+        with inject_faults("worker-crash:p=1.0,times=4;seed=2"):
+            for _ in range(2):
+                outcome = engine.decide(schema, ("dimsat", "City"))
+                assert outcome.unknown
+        assert engine.breaker.state(schema.fingerprint()) == "open"
+        # Faults gone, circuit open: the parallel rung is skipped and
+        # the sequential rung answers correctly.
+        outcome = engine.decide(schema, ("dimsat", "City"))
+        assert outcome.ok and outcome.verdict is True
+        assert outcome.rung == "sequential"
+        assert outcome.failures[0].error_type == "CircuitOpen"
+        assert engine.stats.breaker_open_skips >= 1
 
 
 class TestCacheCleanliness:
     def test_no_faulted_entry_ever_cached(self, schema):
         cache = DecisionCache()
         engine = ResilientDecisionEngine(
-            retry=FAST_RETRY, cache=cache
+            ParallelDecisionEngine(cache=cache),
+            retry=FAST_RETRY,
         )
-        try:
-            with inject_faults("worker-crash:p=1.0;seed=3"):
-                outcomes = engine.decide_many_outcomes(
-                    [(schema, ("dimsat", c)) for c in ("City", "State", "Store")]
-                )
-            assert all(o.unknown for o in outcomes)
-            assert len(cache) == 0  # PR 2 invariant extended: UNKNOWN != verdict
-        finally:
-            engine.shutdown()
+        with inject_faults("worker-crash:p=1.0;seed=3"):
+            outcomes = engine.decide_many_outcomes(
+                [(schema, ("dimsat", c)) for c in ("City", "State", "Store")]
+            )
+        assert all(o.unknown for o in outcomes)
+        assert len(cache) == 0  # caches stay verdict-clean: UNKNOWN != verdict
 
     def test_cache_store_fault_returns_verdict_stores_nothing(self, schema):
         cache = DecisionCache()
         engine = ResilientDecisionEngine(
-            retry=FAST_RETRY, cache=cache
+            ParallelDecisionEngine(cache=cache),
+            retry=FAST_RETRY,
         )
-        try:
-            with inject_faults("cache-store:p=1.0;seed=1"):
-                outcome = engine.decide(schema, ("dimsat", "City"))
-            assert outcome.ok and outcome.verdict is True
-            assert len(cache) == 0
-            assert cache.stats.store_failures >= 1
-            # Healthy again: the verdict lands on the next decision.
-            assert engine.decide(schema, ("dimsat", "City")).verdict is True
-            assert len(cache) > 0
-        finally:
-            engine.shutdown()
+        with inject_faults("cache-store:p=1.0;seed=1"):
+            outcome = engine.decide(schema, ("dimsat", "City"))
+        assert outcome.ok and outcome.verdict is True
+        assert len(cache) == 0
+        assert cache.stats.store_failures >= 1
+        # Healthy again: the verdict lands on the next decision.
+        assert engine.decide(schema, ("dimsat", "City")).verdict is True
+        assert len(cache) > 0
 
 
 class TestConstruction:
     def test_wraps_prebuilt_engine(self, schema):
         inner = ParallelDecisionEngine(cache=DecisionCache())
-        with ResilientDecisionEngine(inner, retry=FAST_RETRY) as engine:
-            assert engine.engine is inner
-            assert engine.is_satisfiable(schema, "City") is True
-
-    def test_rejects_engine_plus_kwargs(self):
-        inner = ParallelDecisionEngine()
-        with pytest.raises(ReproError):
-            ResilientDecisionEngine(inner, cache=None)
-        inner.shutdown()
+        engine = ResilientDecisionEngine(inner, retry=FAST_RETRY)
+        assert engine.engine is inner
+        assert engine.dimsat(schema, "City").satisfiable is True
 
     def test_report(self, engine, schema):
         engine.decide(schema, ("dimsat", "City"))
@@ -422,7 +405,8 @@ class TestOneLadder:
         walks = {}
         for name, surface in surfaces.items():
             engine = ResilientDecisionEngine(
-                retry=FAST_RETRY, cache=DecisionCache()
+                ParallelDecisionEngine(cache=DecisionCache()),
+                retry=FAST_RETRY,
             )
             with inject_faults(spec) as injector:
                 outcome = surface(engine)
@@ -454,9 +438,9 @@ class TestOneLadder:
     def test_breaker_opening_mid_batch_diverts_later_requests(self, schema):
         other = location_schema().with_constraints(["City -> Country"])
         engine = ResilientDecisionEngine(
+            ParallelDecisionEngine(cache=DecisionCache()),
             retry=RetryPolicy(max_attempts=1, base_delay_ms=0.0),
-            breaker=CircuitBreaker(failure_threshold=1, cooldown_ms=60_000.0),
-            cache=DecisionCache(),
+            breaker=CircuitBreaker(failure_threshold=1, cooldown_ms=60000.0),
         )
         # One fire: the first request's parallel attempt crashes, which
         # opens its schema's circuit; nothing fails after that.
@@ -479,14 +463,14 @@ class TestOneLadder:
     ):
         # A cached verdict answers on the parallel rung past an armed
         # crash; the computed one degrades to UNKNOWN.
-        assert engine.is_satisfiable(schema, "City")
+        assert engine.dimsat(schema, "City").satisfiable
         items = [
             (schema, ("dimsat", "City")),
             (schema, ("dimsat", "State")),
             (schema, ("dimsat", "City")),
         ]
         with inject_faults("worker-crash:p=1.0;seed=3"):
-            results = engine.try_decide_many(items)
+            results = try_decide_many(engine, items)
         assert results[0] is True and results[2] is True
         assert isinstance(results[1], DecisionUnavailable)
         assert {f.rung for f in results[1].failures} == {
@@ -494,4 +478,4 @@ class TestOneLadder:
         }
         with inject_faults("worker-crash:p=1.0;seed=3"):
             with pytest.raises(DecisionUnavailable):
-                engine.decide_many(items)
+                decide_many(engine, items)

@@ -51,7 +51,6 @@ def running_server(**kwargs):
         server.request_shutdown()
         thread.join(10)
         assert not thread.is_alive(), "server thread did not stop"
-        server.engine.shutdown()
 
 
 def _client(server: DecisionServer, **kwargs) -> DecisionClient:
@@ -205,10 +204,7 @@ class TestWireOpsEndToEnd:
 
     def test_default_server_serves_the_compiled_engine(self):
         server = DecisionServer()
-        try:
-            assert isinstance(server.engine.engine, CompiledDecisionEngine)
-        finally:
-            server.engine.shutdown()
+        assert isinstance(server.engine.engine, CompiledDecisionEngine)
 
     def test_blown_budget_is_budget_exceeded_on_the_compiled_engine(
         self, loc_schema
@@ -833,7 +829,6 @@ class TestLifecycleAndPersistence:
             assert ack["status"] == "ok" and ack["stopping"] is True
         thread.join(10)
         assert not thread.is_alive()
-        server.engine.shutdown()
         with pytest.raises((ServerClosed, OSError)):
             DecisionClient(server.host, server.port, timeout=2).stats()
 
@@ -875,7 +870,6 @@ class TestLifecycleAndPersistence:
         server.request_shutdown()
         thread.join(10)
         assert not thread.is_alive()
-        server.engine.shutdown()
         assert (tmp_path / "cache" / "decisions.cache").exists()
 
     def test_decision_ops_are_the_gated_subset(self):

@@ -98,34 +98,32 @@ class TestResilientEngine:
     def test_unknown_degrades_to_base_scan_then_recovers(self, facts, loc_schema):
         from repro.core.decisioncache import DecisionCache
         from repro.core.faults import inject_faults
+        from repro.core.parallel import ParallelDecisionEngine
         from repro.core.resilience import ResilientDecisionEngine, RetryPolicy
 
         engine = ResilientDecisionEngine(
+            ParallelDecisionEngine(cache=DecisionCache()),
             retry=RetryPolicy(max_attempts=2, base_delay_ms=0.0),
-            cache=DecisionCache(),
         )
-        try:
-            navigator = AggregateNavigator(
-                facts, schema=loc_schema, engine=engine
-            )
-            navigator.materialize("City", SUM, "sales")
-            # Every summarizability probe degrades to UNKNOWN: the
-            # navigator must fall back to the always-correct base scan
-            # rather than guess or crash.
-            with inject_faults("worker-crash:p=1.0;seed=3"):
-                view, plan = navigator.answer("Country", SUM, "sales")
-            assert plan.kind == "base-scan"
-            assert navigator.stats.unknown_verdicts > 0
-            assert views_equal(view, cube_view(facts, "Country", SUM, "sales"))
-            assert navigator._verdicts == {}
-            # The abstention was not cached: the next healthy query
-            # proves City -> Country summarizable, keeps that verdict and
-            # rewrites.
-            _view, plan = navigator.answer("Country", SUM, "sales")
-            assert plan.kind == "rewritten"
-            assert navigator._verdicts == {("Country", frozenset({"City"})): True}
-        finally:
-            engine.shutdown()
+        navigator = AggregateNavigator(
+            facts, schema=loc_schema, engine=engine
+        )
+        navigator.materialize("City", SUM, "sales")
+        # Every summarizability probe degrades to UNKNOWN: the
+        # navigator must fall back to the always-correct base scan
+        # rather than guess or crash.
+        with inject_faults("worker-crash:p=1.0;seed=3"):
+            view, plan = navigator.answer("Country", SUM, "sales")
+        assert plan.kind == "base-scan"
+        assert navigator.stats.unknown_verdicts > 0
+        assert views_equal(view, cube_view(facts, "Country", SUM, "sales"))
+        assert navigator._verdicts == {}
+        # The abstention was not cached: the next healthy query
+        # proves City -> Country summarizable, keeps that verdict and
+        # rewrites.
+        _view, plan = navigator.answer("Country", SUM, "sales")
+        assert plan.kind == "rewritten"
+        assert navigator._verdicts == {("Country", frozenset({"City"})): True}
 
 
 class TestStats:

@@ -9,6 +9,7 @@ from repro.constraints.printer import unparse
 from repro.core import (
     DecisionCache,
     compiled_artifact_store,
+    default_decision_cache,
     DimensionSchema,
     DimensionInstance,
     HierarchySchema,
@@ -223,9 +224,8 @@ class TestCacheHygiene:
         self, hierarchy, cache
     ):
         """The dual-store hazard the `invalidate_everywhere` helper
-        closes: after any edit, no registered fingerprint store still
-        holds the replaced version."""
-        from repro.core import registered_stores
+        closes: after any edit, neither process-wide fingerprint store
+        nor the editor's cache still holds the replaced version."""
 
         for op in sorted(self.OPS):
             base = (
@@ -239,7 +239,9 @@ class TestCacheHygiene:
             self.OPS[op](editor)
             stale = [
                 type(store).__name__
-                for store in (*registered_stores(), cache)
+                for store in (
+                    default_decision_cache(), compiled_artifact_store(), cache
+                )
                 if store.holds(base.fingerprint())
             ]
             assert stale == [], f"{op}: stale stores {stale}"

@@ -149,11 +149,12 @@ class TestResilientEngine:
     @pytest.fixture()
     def engine(self):
         from repro.core.decisioncache import DecisionCache
+        from repro.core.parallel import ParallelDecisionEngine
         from repro.core.resilience import ResilientDecisionEngine, RetryPolicy
 
         return ResilientDecisionEngine(
+            ParallelDecisionEngine(cache=DecisionCache()),
             retry=RetryPolicy(max_attempts=2, base_delay_ms=0.0),
-            cache=DecisionCache(),
         )
 
     def test_unknown_checks_stay_out_of_the_local_dict(self, loc_schema, engine):

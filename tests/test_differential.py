@@ -29,7 +29,7 @@ from repro.core.compile import CompiledArtifactStore, CompiledDecisionEngine
 from repro.core.decisioncache import DecisionCache
 from repro.core.dimsat import dimsat
 from repro.core.implication import is_implied
-from repro.core.parallel import ParallelDecisionEngine
+from repro.core.parallel import ParallelDecisionEngine, decide_many
 from repro.core.schema import DimensionSchema
 from repro.core.summarizability import (
     is_summarizable_in_schema,
@@ -109,7 +109,7 @@ def test_dimsat_differential(engines, schema):
     assert sequential == oracle
     batch = [(schema, ("dimsat", c)) for c in categories]
     for config, engine in engines.items():
-        assert engine.decide_many(batch + batch) == oracle + oracle, config
+        assert decide_many(engine, batch + batch) == oracle + oracle, config
 
 
 @SETTINGS
@@ -120,7 +120,7 @@ def test_dimsat_single_decision_differential(engines, schema):
     for category in categories:
         expected = dimsat(schema, category).satisfiable
         for config, engine in engines.items():
-            assert engine.is_satisfiable(schema, category) == expected, (
+            assert engine.dimsat(schema, category).satisfiable == expected, (
                 config,
                 category,
             )
@@ -142,8 +142,8 @@ def test_implication_differential(engines, query, sigma):
     # The same question twice, once as a node and once as its text.
     batch = [(schema, ("implies", query)), (schema, ("implies", unparse(query)))]
     for config, engine in engines.items():
-        assert engine.is_implied(schema, query) == oracle, config
-        assert engine.decide_many(batch) == [oracle, oracle], config
+        assert engine.implies(schema, query).implied == oracle, config
+        assert decide_many(engine, batch) == [oracle, oracle], config
 
 
 @SETTINGS
@@ -158,7 +158,7 @@ def test_summarizability_differential(engines, case):
     ]
     for config, engine in engines.items():
         assert engine.is_summarizable(schema, target, sources) == oracle, config
-        assert engine.decide_many(batch) == [oracle, oracle], config
+        assert decide_many(engine, batch) == [oracle, oracle], config
 
 
 @SETTINGS
@@ -172,4 +172,4 @@ def test_batch_dedup_preserves_alignment(engines, schema):
     expected = [dimsat(schema, c).satisfiable for c in categories]
     expected = expected + list(reversed(expected))
     for config, engine in engines.items():
-        assert engine.decide_many(doubled) == expected, config
+        assert decide_many(engine, doubled) == expected, config

@@ -28,6 +28,7 @@ from repro.core.decisioncache import DecisionCache
 from repro.core.dimsat import dimsat
 from repro.core.faults import inject_faults
 from repro.core.implication import is_implied
+from repro.core.parallel import ParallelDecisionEngine, decide_many
 from repro.core.resilience import ResilientDecisionEngine, RetryPolicy
 from repro.core.summarizability import is_summarizable_in_schema
 from repro.generators.location import LOCATION_CONSTRAINTS, location_schema
@@ -65,11 +66,9 @@ def small_schemas(draw):
 
 @pytest.fixture(scope="module")
 def resilient():
-    engine = ResilientDecisionEngine(
-        retry=FAST_RETRY, cache=DecisionCache()
+    return ResilientDecisionEngine(
+        ParallelDecisionEngine(cache=DecisionCache()), retry=FAST_RETRY
     )
-    yield engine
-    engine.shutdown()
 
 
 @SETTINGS
@@ -84,9 +83,9 @@ def test_fault_free_dimsat_three_way(resilient, schema):
     outcomes = resilient.decide_many_outcomes(items)
     assert [o.status for o in outcomes] == ["ok"] * len(categories)
     assert [o.verdict for o in outcomes] == oracle
-    assert resilient.decide_many(items) == oracle
+    assert decide_many(resilient, items) == oracle
     for category, expected in zip(categories, oracle):
-        assert resilient.is_satisfiable(schema, category) == expected
+        assert resilient.dimsat(schema, category).satisfiable == expected
     assert resilient.stats.unknown_verdicts == 0
     assert resilient.stats.degraded_sequential == 0
 
@@ -153,45 +152,43 @@ def test_cache_poisoning_hammer():
 
     cache = DecisionCache()
     engine = ResilientDecisionEngine(
-        retry=FAST_RETRY, cache=cache
+        ParallelDecisionEngine(cache=cache),
+        retry=FAST_RETRY,
     )
-    try:
-        with inject_faults(HAMMER_SPEC) as injector:
-            outcomes = engine.decide_many_outcomes(items)
-        fired = injector.fired()
-        assert fired["worker-crash"] > 0, "hammer never hit the workers"
-        assert fired["cache-store"] > 0, "hammer never hit the cache store"
+    with inject_faults(HAMMER_SPEC) as injector:
+        outcomes = engine.decide_many_outcomes(items)
+    fired = injector.fired()
+    assert fired["worker-crash"] > 0, "hammer never hit the workers"
+    assert fired["cache-store"] > 0, "hammer never hit the cache store"
 
-        # Every decision completed: correct verdict or typed UNKNOWN.
-        assert len(outcomes) == 200
-        from repro.core.request import normalize_request
+    # Every decision completed: correct verdict or typed UNKNOWN.
+    assert len(outcomes) == 200
+    from repro.core.request import normalize_request
 
-        wrong = []
-        unknown = 0
-        for (schema_i, request), outcome in zip(items, outcomes):
-            if outcome.unknown:
-                unknown += 1
-                assert outcome.verdict is None
-                assert outcome.failures, "UNKNOWN without provenance"
-                continue
-            key = normalize_request(request)
-            if outcome.verdict != _sequential_oracle(schema_i, key):
-                wrong.append((request, outcome.verdict))
-        assert not wrong, f"faulted batch returned wrong verdicts: {wrong}"
+    wrong = []
+    unknown = 0
+    for (schema_i, request), outcome in zip(items, outcomes):
+        if outcome.unknown:
+            unknown += 1
+            assert outcome.verdict is None
+            assert outcome.failures, "UNKNOWN without provenance"
+            continue
+        key = normalize_request(request)
+        if outcome.verdict != _sequential_oracle(schema_i, key):
+            wrong.append((request, outcome.verdict))
+    assert not wrong, f"faulted batch returned wrong verdicts: {wrong}"
 
-        # The cache holds zero faulted entries: every stored verdict
-        # matches a fresh fault-free recompute.
-        for full_key, stored in list(cache._data.items()):
-            fingerprint, key = full_key[0], full_key[1:]
-            assert fingerprint == schema.fingerprint()
-            recomputed = _sequential_oracle(schema, key[:-1])
-            stored_verdict = (
-                stored if isinstance(stored, bool)
-                else getattr(stored, "satisfiable", getattr(stored, "implied", None))
-            )
-            assert stored_verdict == recomputed, f"poisoned cache entry {key}"
-    finally:
-        engine.shutdown()
+    # The cache holds zero faulted entries: every stored verdict
+    # matches a fresh fault-free recompute.
+    for full_key, stored in list(cache._data.items()):
+        fingerprint, key = full_key[0], full_key[1:]
+        assert fingerprint == schema.fingerprint()
+        recomputed = _sequential_oracle(schema, key[:-1])
+        stored_verdict = (
+            stored if isinstance(stored, bool)
+            else getattr(stored, "satisfiable", getattr(stored, "implied", None))
+        )
+        assert stored_verdict == recomputed, f"poisoned cache entry {key}"
 
 
 def test_hammer_is_deterministic():
@@ -202,19 +199,16 @@ def test_hammer_is_deterministic():
 
     def run():
         engine = ResilientDecisionEngine(
+            ParallelDecisionEngine(cache=DecisionCache()),
             retry=RetryPolicy(max_attempts=2, base_delay_ms=0.0),
-            cache=DecisionCache(),
         )
-        try:
-            with inject_faults("worker-crash:p=0.5;seed=99") as injector:
-                outcomes = engine.decide_many_outcomes(items)
-            return (
-                injector.fired(),
-                [o.status for o in outcomes],
-                [o.verdict for o in outcomes],
-            )
-        finally:
-            engine.shutdown()
+        with inject_faults("worker-crash:p=0.5;seed=99") as injector:
+            outcomes = engine.decide_many_outcomes(items)
+        return (
+            injector.fired(),
+            [o.status for o in outcomes],
+            [o.verdict for o in outcomes],
+        )
 
     first, second = run(), run()
     assert first[0] == second[0]

@@ -47,10 +47,7 @@ class TestConfig:
     def test_build_engine(self, engine):
         config = SoakConfig(engine=engine)
         resilient = build_engine(config.engine, retries=config.retries)
-        try:
-            assert resilient.retry.max_attempts == 3
-        finally:
-            resilient.shutdown()
+        assert resilient.retry.max_attempts == 3
 
 
 class TestRunSoak:

@@ -22,7 +22,7 @@ from repro.core.normalize import (
 )
 from repro.core.profile import profile_report, schema_profile
 from repro.core.budget import DecisionBudget
-from repro.core.parallel import ParallelDecisionEngine
+from repro.core.parallel import ParallelDecisionEngine, try_decide_many
 from repro.generators.adversarial import adversarial_corpus
 from repro.generators.suite import suite_schemas
 from repro.io import schema_from_json, schema_report, schema_to_json
@@ -122,12 +122,9 @@ class TestAdversarialSweep:
 
     def test_budgeted_engine_agrees_or_degrades(self, case):
         engine = ParallelDecisionEngine(budget=self.BUDGET)
-        try:
-            (outcome,) = engine.try_decide_many(
-                [(case.schema, ("dimsat", case.root))]
-            )
-        finally:
-            engine.shutdown()
+        (outcome,) = try_decide_many(
+            engine, [(case.schema, ("dimsat", case.root))]
+        )
         if not isinstance(outcome, BaseException):
             assert outcome == dimsat(case.schema, case.root).satisfiable
 

@@ -126,19 +126,25 @@ class TestSection10BatchedDecisions:
         on the calling thread.'"""
         import threading
 
-        from repro.core import DecisionBudget, DecisionCache, ParallelDecisionEngine
+        from repro.core import (
+            DecisionBudget,
+            DecisionCache,
+            ParallelDecisionEngine,
+            decide_many,
+        )
 
         before = {t.ident for t in threading.enumerate()}
-        with ParallelDecisionEngine(
+        engine = ParallelDecisionEngine(
             budget=DecisionBudget(time_ms=500), cache=DecisionCache()
-        ) as engine:
-            verdicts = engine.decide_many([
-                (ds, ("dimsat", "Shipment")),
-                (ds, ("implies", "Shipment -> Region")),
-                (ds, ("summarizable", "Region", ["Center", "Gateway"])),
-                (ds, ("dimsat", "Shipment")),
-            ])
-            assert engine.stats.batch_deduped == 1
+        )
+        verdicts = decide_many(engine, [
+            (ds, ("dimsat", "Shipment")),
+            (ds, ("implies", "Shipment -> Region")),
+            (ds, ("summarizable", "Region", ["Center", "Gateway"])),
+            (ds, ("dimsat", "Shipment")),
+        ])
+        # Three unique requests, each decided once.
+        assert engine.stats.decisions == 3
         assert verdicts == [
             True,
             implies(ds, "Shipment -> Region").implied,
@@ -165,13 +171,18 @@ class TestSection10BatchedDecisions:
 
     def test_metrics_table_names_live_metrics(self, ds):
         """The engine and budget rows of the Section 11 metrics table."""
-        from repro.core import DecisionBudget, DecisionCache, ParallelDecisionEngine
+        from repro.core import (
+            DecisionBudget,
+            DecisionCache,
+            ParallelDecisionEngine,
+            try_decide_many,
+        )
         from repro.core.metrics import metrics_registry
 
-        with ParallelDecisionEngine(
+        engine = ParallelDecisionEngine(
             budget=DecisionBudget(max_nodes=0), cache=DecisionCache()
-        ) as engine:
-            engine.try_decide_many([(ds, ("dimsat", "Shipment"))] * 2)
+        )
+        try_decide_many(engine, [(ds, ("dimsat", "Shipment"))] * 2)
         counters = metrics_registry().snapshot()["counters"]
         for name in ("engine.batch_deduped", "budget.exceeded"):
             assert name in counters
@@ -239,6 +250,42 @@ class TestSection11Observability:
         snapshot = metrics_registry().snapshot()
         assert set(snapshot) == {"counters", "gauges", "histograms"}
         assert snapshot["counters"]["dimsat.decisions"] == before + 1
+
+
+class TestSection12Resilience:
+    def test_the_ladder_snippet(self, ds):
+        """The Section 12 snippet: `build_engine(retries=...)` wraps the
+        default engine in the ladder, and a healthy decision answers on
+        the parallel rung."""
+        from repro.core import DecisionCache, ResilientDecisionEngine, build_engine
+
+        engine = build_engine(retries=3, cache=DecisionCache())
+        assert isinstance(engine, ResilientDecisionEngine)
+        outcome = engine.decide(ds, ("dimsat", "Shipment"))
+        assert (outcome.ok, outcome.verdict, outcome.rung) == (True, True, "parallel")
+
+    def test_batch_functions_serve_the_resilient_engine(self, ds):
+        """'the batch functions serve a resilient engine as they serve a
+        bare one: `decide_many` raises it, and `try_decide_many` puts it
+        in the failed request's slot.'"""
+        from repro.core import (
+            DecisionCache,
+            build_engine,
+            decide_many,
+            inject_faults,
+            try_decide_many,
+        )
+        from repro.errors import DecisionUnavailable
+
+        engine = build_engine(retries=1, cache=DecisionCache())
+        assert engine.dimsat(ds, "Shipment").satisfiable
+        batch = [(ds, ("dimsat", "Shipment")), (ds, ("dimsat", "Center"))]
+        with inject_faults("worker-crash:p=1"):
+            cached, failed = try_decide_many(engine, batch)
+            with pytest.raises(DecisionUnavailable):
+                decide_many(engine, batch)
+        assert cached is True
+        assert isinstance(failed, DecisionUnavailable)
 
 
 class TestSection9OrderPredicates:
@@ -366,7 +413,6 @@ class TestSection17Serving:
         yield server
         server.request_shutdown()
         thread.join(10)
-        server.engine.shutdown()
 
     def test_every_client_sees_the_same_warm_cache(self, ds, server):
         """'the first `implies` from any connection pays the search,
