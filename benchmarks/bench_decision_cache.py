@@ -9,9 +9,10 @@ Three claims, measured over the realistic schema suite:
 * **hit rates** - the speedup is attributable: the decision cache reports
   its hit rate and a repeat DIMSAT run reports circle-operator hits in
   :class:`~repro.core.dimsat.DimsatStats`;
-* **equivalence** - every DIMSAT ablation configuration (the 8
-  combinations of the E10 pruning flags) returns bit-identical verdicts
-  with caching on and off, so the cache layers are pure accelerators.
+* **equivalence** - the DIMSAT search under every ablation configuration
+  (the combinations of the E10 pruning flags and the circle cache)
+  reaches the verdict the decision cache holds under the defaults, so
+  the pruning rules and the cache layers are pure accelerators.
 """
 
 from __future__ import annotations
@@ -22,12 +23,16 @@ from itertools import product
 import pytest
 from conftest import print_table
 
+from repro.constraints import Not, constraint_root, parse
 from repro.core import (
+    ALL,
     DecisionCache,
     DimsatOptions,
     dimsat,
+    is_category_satisfiable,
     is_implied,
     is_summarizable_in_schema,
+    summarizability_constraints,
     summarizable_sets,
 )
 from repro.generators.location import location_schema
@@ -177,25 +182,37 @@ ABLATIONS = [
     f"-into{int(o.into_pruning)}-circ{int(o.circle_cache)}"
 ))
 def test_ablation_verdicts_identical_with_and_without_cache(options):
-    """Caching never changes an answer, under any pruning configuration."""
+    """The DIMSAT search under any pruning configuration reaches the
+    verdict cached under the defaults: category satisfiability directly,
+    implication through Theorem 2's refutation search, summarizability
+    through Theorem 1's per-bottom implications."""
     schema = location_schema()
     queries = implication_workload(schema, n_queries=8, seed=5)
     pairs = _summarizability_pairs(schema, max_pairs=6)
     cache = DecisionCache()
+
+    def refuted(node):
+        """Theorem 2 under ``options``: ``node`` is implied iff its root
+        is unsatisfiable in the schema extended with its negation."""
+        node = parse(node) if isinstance(node, str) else node
+        extended = schema.with_constraints([Not(node)])
+        return not dimsat(extended, constraint_root(node), options).satisfiable
+
+    for category in sorted(schema.hierarchy.categories - {ALL}):
+        cached = is_category_satisfiable(schema, category, cache=cache)
+        assert dimsat(schema, category, options).satisfiable == cached
     for query in queries:
-        uncached = is_implied(schema, query, options, cache=None)
-        first = is_implied(schema, query, options, cache=cache)
-        second = is_implied(schema, query, options, cache=cache)  # hit
-        assert uncached == first == second
+        assert refuted(query) == is_implied(schema, query, cache=cache)
     for target, sources in pairs:
-        uncached = is_summarizable_in_schema(
-            schema, target, sources, options, cache=None
+        ablated = all(
+            refuted(node)
+            for bottom, node in summarizability_constraints(
+                schema.hierarchy, target, sources
+            )
+            if bottom != ALL
         )
-        cached = is_summarizable_in_schema(
-            schema, target, sources, options, cache=cache
-        )
-        assert uncached == cached
-    assert cache.stats.hits > 0
+        cached = is_summarizable_in_schema(schema, target, sources, cache=cache)
+        assert ablated == cached
 
 
 def test_minimal_source_set_search_shares_implication_work():

@@ -684,7 +684,6 @@ def _telemetry_smoke(output_path, telemetry_dir=None, repeats=7):
             "schemas": audit.schemas,
             "replayed": audit.verified,
             "skipped_unknown": audit.skipped_unknown,
-            "skipped_options": audit.skipped_options,
             "divergences": len(audit.divergences),
         },
     }
@@ -928,11 +927,11 @@ def _edit_survival(output_path, repeats=5):
 
     def recompute(schema, key):
         """Fresh sequential recomputation of one warm cache key."""
-        return decide(schema, key[1:-1], cache=None)
+        return decide(schema, key[1:], cache=None)
 
     def serve(cache, schema, key):
         """The same decision through the (possibly rekeyed) cache."""
-        return decide(schema, key[1:-1], cache=cache)
+        return decide(schema, key[1:], cache=cache)
 
     per_schema = {}
     total_warm = total_survived = 0
@@ -1000,7 +999,7 @@ def _edit_survival(output_path, repeats=5):
             editor_rule = "model-preserving"
             expected_rekeyed = {
                 (edited.fingerprint(),) + key[1:] for key in warm_keys
-            } | {(edited.fingerprint(), "implies", edit_text, ())}
+            } | {(edited.fingerprint(), "implies", edit_text)}
         elif (
             METRICS.counter_value("maintenance.edit_decision_fallbacks")
             == fallbacks + 1

@@ -33,12 +33,7 @@ from repro.constraints.ast import (
     hash_cons,
     walk,
 )
-from repro.constraints.atoms import (
-    PathCache,
-    expand,
-    shared_path_cache,
-    validate_constraint,
-)
+from repro.constraints.atoms import expand, validate_constraint
 from repro.constraints.builder import compare, eq, into, name_is, one, path, rollsup, through
 from repro.constraints.parser import parse, parse_many
 from repro.constraints.printer import unparse
@@ -67,7 +62,6 @@ __all__ = [
     "Not",
     "Or",
     "PathAtom",
-    "PathCache",
     "RollsUpAtom",
     "ThroughAtom",
     "TrueConst",
@@ -90,7 +84,6 @@ __all__ = [
     "satisfies",
     "satisfies_all",
     "satisfies_at",
-    "shared_path_cache",
     "simplify",
     "substitute",
     "through",

@@ -14,8 +14,7 @@ simple paths of the schema.
 
 from __future__ import annotations
 
-import weakref
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, List
 
 from repro.constraints.ast import (
     FALSE,
@@ -45,55 +44,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.hierarchy import HierarchySchema
 
 
-class PathCache:
-    """Memoized simple-path enumeration for one hierarchy schema.
-
-    Composed-atom expansion and Theorem 1 both enumerate the simple paths
-    between category pairs repeatedly; sharing a cache makes schema-level
-    reasoning over large schemas practical.
-    """
-
-    def __init__(self, hierarchy: HierarchySchema) -> None:
-        self.hierarchy = hierarchy
-        self._paths: Dict[Tuple[Category, Category], Tuple[Tuple[Category, ...], ...]] = {}
-
-    def paths(self, start: Category, end: Category) -> Tuple[Tuple[Category, ...], ...]:
-        """All simple paths from ``start`` to ``end``, cached."""
-        key = (start, end)
-        cached = self._paths.get(key)
-        if cached is None:
-            cached = tuple(self.hierarchy.simple_paths(start, end))
-            self._paths[key] = cached
-        return cached
-
-
-#: One shared :class:`PathCache` per live hierarchy schema.  Implication
-#: and summarizability derive many transient schemas over the *same*
-#: hierarchy (one per tested constraint); routing them all through this
-#: registry means the simple-path enumeration for a hierarchy runs at
-#: most once per category pair, process-wide.
-_SHARED_PATH_CACHES: "weakref.WeakKeyDictionary[HierarchySchema, PathCache]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
-def shared_path_cache(hierarchy: HierarchySchema) -> PathCache:
-    """The process-wide :class:`PathCache` for ``hierarchy``.
-
-    Hierarchies compare structurally, so equal schema objects share one
-    cache entry; the registry holds its keys weakly and follows the
-    hierarchy's lifetime.
-    """
-    cache = _SHARED_PATH_CACHES.get(hierarchy)
-    if cache is None:
-        cache = PathCache(hierarchy)
-        _SHARED_PATH_CACHES[hierarchy] = cache
-    return cache
-
-
-def expand_rolls_up(
-    atom: RollsUpAtom, cache: PathCache
-) -> Node:
+def expand_rolls_up(atom: RollsUpAtom, hierarchy: HierarchySchema) -> Node:
     """Expand ``c.ci`` per Section 3.1.
 
     ``c.c`` is ``TRUE``; otherwise the disjunction of all path atoms from
@@ -102,12 +53,13 @@ def expand_rolls_up(
     if atom.root == atom.target:
         return TRUE
     options: List[Node] = [
-        PathAtom(atom.root, path[1:]) for path in cache.paths(atom.root, atom.target)
+        PathAtom(atom.root, path[1:])
+        for path in hierarchy.simple_paths(atom.root, atom.target)
     ]
     return _disjoin(options)
 
 
-def expand_through(atom: ThroughAtom, cache: PathCache) -> Node:
+def expand_through(atom: ThroughAtom, hierarchy: HierarchySchema) -> Node:
     """Expand ``c.ci.cj`` per the five cases of Section 3.3."""
     c, ci, cj = atom.root, atom.via, atom.target
     if c == ci == cj:
@@ -117,12 +69,14 @@ def expand_through(atom: ThroughAtom, cache: PathCache) -> Node:
         # need an ancestor in the member's category, forbidden by (C6).
         return FALSE
     if c == ci and c != cj:
-        return expand_rolls_up(RollsUpAtom(c, cj), cache)
+        return expand_rolls_up(RollsUpAtom(c, cj), hierarchy)
     if ci == cj and c != ci:
-        return expand_rolls_up(RollsUpAtom(c, ci), cache)
+        return expand_rolls_up(RollsUpAtom(c, ci), hierarchy)
     # All three categories distinct: simple paths from c to cj through ci.
     options: List[Node] = [
-        PathAtom(c, path[1:]) for path in cache.paths(c, cj) if ci in path[1:-1]
+        PathAtom(c, path[1:])
+        for path in hierarchy.simple_paths(c, cj)
+        if ci in path[1:-1]
     ]
     return _disjoin(options)
 
@@ -135,20 +89,18 @@ def _disjoin(options: List[Node]) -> Node:
     return Or(tuple(options))
 
 
-def expand(node: Node, hierarchy: HierarchySchema, cache: Optional[PathCache] = None) -> Node:
+def expand(node: Node, hierarchy: HierarchySchema) -> Node:
     """Rewrite ``node`` so it mentions only plain path and equality atoms.
 
     The result is logically equivalent over every instance of the schema
     (the disjunction semantics of composed atoms coincides with rollup
     reachability in valid instances; see DESIGN.md and the property tests).
     """
-    cache = cache or shared_path_cache(hierarchy)
-
     def rewrite(n: Node) -> Node:
         if isinstance(n, RollsUpAtom):
-            return expand_rolls_up(n, cache)
+            return expand_rolls_up(n, hierarchy)
         if isinstance(n, ThroughAtom):
-            return expand_through(n, cache)
+            return expand_through(n, hierarchy)
         if isinstance(n, (PathAtom, EqualityAtom, ComparisonAtom, TrueConst, FalseConst)):
             return n
         if isinstance(n, Not):

@@ -120,7 +120,6 @@ class AuditLog:
         self,
         schema: object,
         request: Sequence[object],
-        options_key: Tuple[object, ...],
         result: object,
         duration_ms: float,
         cache_hit: bool,
@@ -129,7 +128,6 @@ class AuditLog:
         self._emit(
             schema,
             request,
-            options_key,
             verdict=_verdict_of(result),
             status="ok",
             duration_ms=duration_ms,
@@ -153,7 +151,6 @@ class AuditLog:
         self._emit(
             schema,
             request,
-            (),
             verdict=None,
             status="unknown",
             duration_ms=duration_ms,
@@ -170,7 +167,6 @@ class AuditLog:
         self,
         schema: object,
         request: Sequence[object],
-        options_key: Tuple[object, ...],
         verdict: Optional[bool],
         status: str,
         duration_ms: float,
@@ -189,7 +185,6 @@ class AuditLog:
             "kind": str(request[0]),
             "fingerprint": fingerprint,
             "request": _request_json(request),
-            "options": list(options_key),
             "verdict": verdict,
             "status": status,
             "duration_ms": duration_ms,
@@ -259,7 +254,6 @@ class AuditVerifyReport:
     records: int = 0
     verified: int = 0
     skipped_unknown: int = 0
-    skipped_options: int = 0
     missing_schemas: int = 0
     schemas: int = 0
     divergences: List[Divergence] = field(default_factory=list)
@@ -275,7 +269,6 @@ class AuditVerifyReport:
             f"  schemas          {self.schemas}",
             f"  replayed         {self.verified}",
             f"  skipped UNKNOWN  {self.skipped_unknown}",
-            f"  skipped options  {self.skipped_options}",
             f"  missing schemas  {self.missing_schemas}",
             f"  divergences      {len(self.divergences)}",
         ]
@@ -349,10 +342,10 @@ def verify_audit_log(
     the canonical JSON encoding of the recorded and recomputed verdicts
     - any byte difference is a :class:`Divergence`.
 
-    Records are skipped (and counted) when there is nothing sound to
-    replay: UNKNOWN outcomes carry no verdict, and records decided under
-    non-default :class:`~repro.core.dimsat.DimsatOptions` would need
-    those options to reproduce byte-identically.
+    UNKNOWN outcomes carry no verdict; they are skipped and counted, so
+    a clean log replays ``records - skipped_unknown`` verdicts.  A legacy
+    record's ``"options"`` field is ignored: pruning flags never change
+    a verdict.
     """
     import os
 
@@ -380,9 +373,6 @@ def verify_audit_log(
         for record in records:
             if record.get("status") == "unknown":
                 report.skipped_unknown += 1
-                continue
-            if record.get("options"):
-                report.skipped_options += 1
                 continue
             schema = schemas.get(record["fingerprint"])
             if schema is None:

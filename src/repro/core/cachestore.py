@@ -16,10 +16,10 @@ file with the durability discipline the audit log established:
   an error, never silently wrong verdicts;
 * **atomic**: written to a temp file, fsynced, then ``os.replace``-d into
   place, so a crash mid-save leaves the previous file intact;
-* **replay-verified**: :func:`load_cache` can replay every default-options
-  entry through the plain sequential kernel (the same oracle
-  ``audit-verify`` uses) and drop any divergent entry before the cache
-  serves it.
+* **replay-verified**: :func:`load_cache` can replay every entry (keyed
+  ``(fingerprint, kind, query...)``) through the plain sequential kernel
+  (the same oracle ``audit-verify`` uses) and drop any divergent entry
+  before the cache serves it.
 
 Schemas ride along as canonical JSON (not pickle) and their fingerprints
 are recomputed on load - the same defense
@@ -57,7 +57,9 @@ __all__ = [
 ]
 
 MAGIC = "repro-decision-cache"
-FORMAT_VERSION = 1
+#: Bumped whenever the entry key or payload changes shape; entries are
+#: keyed ``(fingerprint, kind, query...)``.
+FORMAT_VERSION = 2
 CACHE_FILENAME = "decisions.cache"
 
 _M_SAVED = METRICS.counter("cache_persist.saved_entries")
@@ -105,10 +107,6 @@ class LoadReport:
     dropped_divergent: int = 0
     #: Entries dropped because their schema sidecar was absent.
     dropped_missing_schema: int = 0
-    #: Entries carrying non-default options, installed without replay
-    #: (the checksum still guarantees integrity) - same accounting as
-    #: ``audit-verify``'s skipped-options records.
-    skipped_options: int = 0
     schemas: int = 0
     divergences: List[str] = field(default_factory=list)
 
@@ -129,7 +127,6 @@ class LoadReport:
             f"  replayed         {self.replayed}",
             f"  divergent        {self.dropped_divergent}",
             f"  missing schemas  {self.dropped_missing_schema}",
-            f"  skipped options  {self.skipped_options}",
             f"  schemas          {self.schemas}",
         ]
         for divergence in self.divergences[:20]:
@@ -336,10 +333,10 @@ def load_cache(
     to a cold start (the CLI warns and continues).
 
     With ``verify_replay`` (the default, and the posture the persistent
-    cache ships with), every default-options entry is recomputed on the
-    plain sequential kernel before installation - the same oracle
-    ``audit-verify`` replays the audit log against - and divergent
-    entries are dropped and reported rather than served.
+    cache ships with), every entry is recomputed on the plain sequential
+    kernel before installation - the same oracle ``audit-verify`` replays
+    the audit log against - and divergent entries are dropped and
+    reported rather than served.
     """
     from repro.io.json_io import schema_from_json
 
@@ -382,23 +379,17 @@ def load_cache(
             report.dropped_missing_schema += 1
             continue
         if verify_replay:
-            key = full_key[1:]
-            if key[-1] != ():
-                # Non-default options cannot be replayed on the plain
-                # kernel; the checksum already vouches for integrity.
-                report.skipped_options += 1
-            else:
-                request = list(key[:-1])
-                replayed = _replay(schema, request)
-                report.replayed += 1
-                if replayed != _verdict_of(value):
-                    report.dropped_divergent += 1
-                    report.divergences.append(
-                        f"{request!r} (schema {str(fingerprint)[:12]}): "
-                        f"stored {json.dumps(_verdict_of(value))} != "
-                        f"replayed {json.dumps(replayed)}"
-                    )
-                    continue
+            request = list(full_key[1:])
+            replayed = _replay(schema, request)
+            report.replayed += 1
+            if replayed != _verdict_of(value):
+                report.dropped_divergent += 1
+                report.divergences.append(
+                    f"{request!r} (schema {str(fingerprint)[:12]}): "
+                    f"stored {json.dumps(_verdict_of(value))} != "
+                    f"replayed {json.dumps(replayed)}"
+                )
+                continue
         entries[full_key] = value
         provenance[full_key] = provenance_in.get(full_key)  # type: ignore[union-attr]
 

@@ -755,9 +755,8 @@ class CompiledDecisionEngine:
     keys* as the interpreted engine - the compiled tier
     changes where cold verdicts come from, never what they are.
 
-    The compiled tier always decides under default
-    :class:`~repro.core.dimsat.DimsatOptions`, which also keeps its
-    audit records replayable by ``repro-olap audit-verify``.
+    Its audit records replay under ``repro-olap audit-verify`` like the
+    interpreted engine's.
 
     ``budget`` is a per-decision template, as on the interpreted engine:
     each computed decision charges one fresh copy across the root's
@@ -869,7 +868,7 @@ class CompiledDecisionEngine:
         except CompilationError as error:
             # The fallback continues the decision under the same budget.
             self._note_fallback("implies", error)
-            return run_implies(schema, node, None, cache=None, budget=budget)
+            return run_implies(schema, node, cache=None, budget=budget)
         # Counted without the lock, on every computed decision's path: a
         # thread switch inside the increment can only undercount.
         self.stats.compiled_decisions += 1

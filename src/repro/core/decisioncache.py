@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.auditlog import AUDIT
@@ -41,7 +41,6 @@ from repro.core.metrics import METRICS
 from repro.core.trace import TRACER
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.dimsat import DimsatOptions
     from repro.core.provenance import SchemaDelta, VerdictProvenance
     from repro.core.schema import DimensionSchema
 
@@ -49,43 +48,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: Sentinel distinguishing "use the process-wide default cache" (the
 #: argument default everywhere) from an explicit ``None`` (uncached).
 USE_DEFAULT_CACHE: Any = object()
-
-
-def _hashable(value: object) -> object:
-    """Normalize a field value to something hashable.
-
-    Future option fields may be lists, sets, or dicts; the cache key must
-    never become silently unhashable, so containers collapse to sorted
-    tuples here.
-    """
-    if isinstance(value, (list, tuple)):
-        return tuple(_hashable(item) for item in value)
-    if isinstance(value, (set, frozenset)):
-        return tuple(sorted((_hashable(item) for item in value), key=repr))
-    if isinstance(value, dict):
-        return tuple(sorted((k, _hashable(v)) for k, v in value.items()))
-    return value
-
-
-def _options_key(options: "Optional[DimsatOptions]") -> Tuple[object, ...]:
-    """A hashable key covering every DIMSAT tuning knob.
-
-    The pruning flags never change verdicts, but ``keep_trace`` changes
-    the result payload, so the full option tuple participates in the key
-    - correctness first, sharing second.
-
-    Each field appears as an explicit ``(name, value)`` pair rather than
-    through ``dataclasses.astuple``: astuple deep-converts recursively
-    and depends on positional field order, so a reordered or
-    container-typed option field would silently change (or break) every
-    key.  The regression test pins this shape.
-    """
-    if options is None:
-        return ()
-    return tuple(
-        (field.name, _hashable(getattr(options, field.name)))
-        for field in fields(options)
-    )
 
 
 @dataclass
@@ -125,7 +87,7 @@ _STATS = METRICS.stats_family("decision_cache.", DecisionCacheStats)
 class DecisionCache:
     """Memoized schema-level verdicts, keyed by schema fingerprint.
 
-    Entries are ``(fingerprint, kind, query..., options) -> result``,
+    Entries are ``(fingerprint, kind, query...) -> result``,
     the key :func:`~repro.core.request.request_key` builds.  The table
     only memoizes: every decision reaches it through :meth:`memoize`,
     from the kernel's dispatch
@@ -184,10 +146,8 @@ class DecisionCache:
             if AUDIT.enabled:
                 # Cache hits are verdicts served too: the audit log must
                 # show *every* answer the service gave, not only the ones
-                # it computed.  ``key`` is ``(kind, query..., options)``.
-                AUDIT.record_decision(
-                    schema, key[:-1], key[-1], hit_value, 0.0, cache_hit=True
-                )
+                # it computed.  ``key`` is ``(kind, query...)``.
+                AUDIT.record_decision(schema, key, hit_value, 0.0, cache_hit=True)
             return hit_value
         value = memoize_or_audit(None, schema, key, compute)
         # Provenance is derived only after ``compute`` succeeded, and a
@@ -439,7 +399,7 @@ def memoize_or_audit(
     Every engine's single decisions end here, so a served verdict is
     audited exactly once either way: :meth:`DecisionCache.memoize`
     records hits and misses, and without a cache the computed verdict is
-    recorded here.  ``key`` is ``(kind, query..., options)``.
+    recorded here.  ``key`` is ``(kind, query...)``.
     """
     if cache is not None:
         return cache.memoize(schema, key, compute)
@@ -449,8 +409,7 @@ def memoize_or_audit(
     value = compute()
     AUDIT.record_decision(
         schema,
-        key[:-1],
-        key[-1],
+        key,
         value,
         (time.perf_counter() - start) * 1000.0,
         cache_hit=False,

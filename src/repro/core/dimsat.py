@@ -83,7 +83,9 @@ class DimsatOptions:
 
     The defaults reproduce the paper's algorithm; the ``*_pruning`` flags
     exist for the heuristic-ablation experiment (E10) and never change the
-    answer, only the work done.
+    answer, only the work done.  Only :func:`dimsat` and
+    :func:`enumerate_frozen_dimensions` take them: the decision entry
+    points above the search, and their memo keys, run the defaults.
     """
 
     #: Prune expansions that would close a directed cycle (Figure 6 line 12).

@@ -23,7 +23,6 @@ from typing import List, Optional, Sequence, Tuple
 from repro._types import Category, Member
 from repro.constraints.ast import ThroughAtom
 from repro.constraints.semantics import satisfies_at
-from repro.core.dimsat import DimsatOptions
 from repro.core.frozen import FrozenDimension
 from repro.core.implication import implies
 from repro.core.instance import DimensionInstance
@@ -145,7 +144,6 @@ def explain_summarizability_in_schema(
     schema: DimensionSchema,
     target: Category,
     sources: Sequence[Category],
-    options: Optional[DimsatOptions] = None,
 ) -> SummarizabilityExplanation:
     """Schema-level verdict; on failure, the counterexample frozen
     dimension is materialized and diagnosed like data."""
@@ -155,7 +153,7 @@ def explain_summarizability_in_schema(
     ):
         if bottom == "All":
             continue
-        result = implies(schema, node, options)
+        result = implies(schema, node)
         if result.implied:
             continue
         witness = result.counterexample

@@ -26,7 +26,7 @@ from repro.constraints.atoms import validate_constraint
 from repro.constraints.parser import parse
 from repro.core.budget import DecisionBudget
 from repro.core.decisioncache import USE_DEFAULT_CACHE, resolve_cache
-from repro.core.dimsat import DimsatOptions, DimsatResult, dimsat
+from repro.core.dimsat import DimsatResult, dimsat
 from repro.core.frozen import FrozenDimension
 from repro.core.hierarchy import ALL, Category
 from repro.core.instance import DimensionInstance
@@ -65,7 +65,7 @@ class ImplicationResult:
 def is_category_satisfiable(
     schema: DimensionSchema,
     category: Category,
-    options: Optional[DimsatOptions] = None,
+    *,
     cache: object = USE_DEFAULT_CACHE,
     budget: Optional[DecisionBudget] = None,
 ) -> bool:
@@ -79,13 +79,13 @@ def is_category_satisfiable(
     """
     from repro.core.summarizability import decide
 
-    return decide(schema, ("dimsat", category), options, cache, budget).satisfiable  # type: ignore[attr-defined]
+    return decide(schema, ("dimsat", category), cache=cache, budget=budget).satisfiable  # type: ignore[attr-defined]
 
 
 def implies(
     schema: DimensionSchema,
     constraint: object,
-    options: Optional[DimsatOptions] = None,
+    *,
     cache: object = USE_DEFAULT_CACHE,
     budget: Optional[DecisionBudget] = None,
 ) -> ImplicationResult:
@@ -115,7 +115,7 @@ def implies(
         # this module.
         from repro.core.summarizability import decide
 
-        return decide(schema, ("implies", constraint), options, resolved, budget)  # type: ignore[return-value]
+        return decide(schema, ("implies", constraint), cache=resolved, budget=budget)  # type: ignore[return-value]
     node: Node = resolve_request(("implies", constraint))[1]
     root = validate_constraint(schema.hierarchy, node)
     if root == ALL:  # pragma: no cover - validate_constraint already rejects
@@ -127,7 +127,7 @@ def implies(
     # spans attribute its cost.
     with TRACER.span("implication.decide", root=root) as span:
         extended = schema.with_constraints([Not(node)])
-        result = dimsat(extended, root, options, budget)
+        result = dimsat(extended, root, budget=budget)
         span.set(implied=not result.satisfiable)
     _M_DECISIONS.inc()
     return ImplicationResult(
@@ -167,19 +167,19 @@ def implication_provenance(schema: DimensionSchema, constraint: object):
 def is_implied(
     schema: DimensionSchema,
     constraint: object,
-    options: Optional[DimsatOptions] = None,
+    *,
     cache: object = USE_DEFAULT_CACHE,
     budget: Optional[DecisionBudget] = None,
 ) -> bool:
     """Shorthand for ``implies(...).implied``."""
-    return implies(schema, constraint, options, cache, budget).implied
+    return implies(schema, constraint, cache=cache, budget=budget).implied
 
 
 def equivalent(
     schema: DimensionSchema,
     left: object,
     right: object,
-    options: Optional[DimsatOptions] = None,
+    *,
     cache: object = USE_DEFAULT_CACHE,
     budget: Optional[DecisionBudget] = None,
 ) -> bool:
@@ -190,12 +190,12 @@ def equivalent(
     from repro.constraints.ast import Iff
 
     both = Iff(left_node, right_node)
-    return is_implied(schema, both, options, cache, budget)
+    return is_implied(schema, both, cache=cache, budget=budget)
 
 
 def unsatisfiable_categories(
     schema: DimensionSchema,
-    options: Optional[DimsatOptions] = None,
+    *,
     cache: object = USE_DEFAULT_CACHE,
 ) -> List[Category]:
     """Categories no instance of the schema can populate (Example 11).
@@ -208,14 +208,14 @@ def unsatisfiable_categories(
     for category in sorted(schema.hierarchy.categories):
         if category == ALL:
             continue
-        if not is_category_satisfiable(schema, category, options, cache):
+        if not is_category_satisfiable(schema, category, cache=cache):
             bad.append(category)
     return bad
 
 
 def prune_unsatisfiable(
     schema: DimensionSchema,
-    options: Optional[DimsatOptions] = None,
+    *,
     cache: object = USE_DEFAULT_CACHE,
 ) -> Tuple[DimensionSchema, List[Category]]:
     """Drop unsatisfiable categories from the schema.
@@ -227,7 +227,7 @@ def prune_unsatisfiable(
 
     Returns the cleaned schema and the dropped categories.
     """
-    dropped = unsatisfiable_categories(schema, options, cache)
+    dropped = unsatisfiable_categories(schema, cache=cache)
     if not dropped:
         return schema, []
     hierarchy = schema.hierarchy
@@ -255,7 +255,7 @@ def prune_unsatisfiable(
 
 def satisfiability_report(
     schema: DimensionSchema,
-    options: Optional[DimsatOptions] = None,
+    *,
     cache: object = USE_DEFAULT_CACHE,
 ) -> Dict[Category, bool]:
     """Satisfiability verdict for every category of the schema."""
@@ -263,7 +263,7 @@ def satisfiability_report(
         category: (
             True
             if category == ALL
-            else is_category_satisfiable(schema, category, options, cache)
+            else is_category_satisfiable(schema, category, cache=cache)
         )
         for category in sorted(schema.hierarchy.categories)
     }

@@ -18,18 +18,15 @@ built on the implication engine:
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro._types import ALL, Edge
 from repro.constraints.ast import Node, PathAtom
-from repro.core.dimsat import DimsatOptions
 from repro.core.implication import is_implied
 from repro.core.schema import DimensionSchema
 
 
-def redundant_constraints(
-    schema: DimensionSchema, options: Optional[DimsatOptions] = None
-) -> List[int]:
+def redundant_constraints(schema: DimensionSchema) -> List[int]:
     """Indices of constraints implied by the *other* constraints.
 
     Note this is a per-constraint test against the rest of SIGMA; removing
@@ -42,14 +39,12 @@ def redundant_constraints(
     for index, node in enumerate(all_constraints):
         rest = all_constraints[:index] + all_constraints[index + 1 :]
         reduced = DimensionSchema(schema.hierarchy, rest)
-        if is_implied(reduced, node, options):
+        if is_implied(reduced, node):
             redundant.append(index)
     return redundant
 
 
-def minimize(
-    schema: DimensionSchema, options: Optional[DimsatOptions] = None
-) -> Tuple[DimensionSchema, List[Node]]:
+def minimize(schema: DimensionSchema) -> Tuple[DimensionSchema, List[Node]]:
     """A minimal equivalent subset of SIGMA (greedy, front to back).
 
     Returns the minimized schema and the constraints that were dropped.
@@ -63,7 +58,7 @@ def minimize(
         candidate = survivors[index]
         rest = survivors[:index] + survivors[index + 1 :]
         reduced = DimensionSchema(schema.hierarchy, rest)
-        if is_implied(reduced, candidate, options):
+        if is_implied(reduced, candidate):
             dropped.append(candidate)
             survivors = rest
         else:
@@ -71,9 +66,7 @@ def minimize(
     return DimensionSchema(schema.hierarchy, survivors), dropped
 
 
-def implied_into_edges(
-    schema: DimensionSchema, options: Optional[DimsatOptions] = None
-) -> List[Edge]:
+def implied_into_edges(schema: DimensionSchema) -> List[Edge]:
     """Edges ``(c, c')`` whose into constraint is implied but not declared.
 
     Only satisfiable child categories are reported: over an unsatisfiable
@@ -88,15 +81,15 @@ def implied_into_edges(
             continue
         if parent in schema.into_targets(child):
             continue
-        if not is_category_satisfiable(schema, child, options):
+        if not is_category_satisfiable(schema, child):
             continue
-        if is_implied(schema, PathAtom(child, (parent,)), options):
+        if is_implied(schema, PathAtom(child, (parent,))):
             found.append((child, parent))
     return found
 
 
 def strengthen_with_intos(
-    schema: DimensionSchema, options: Optional[DimsatOptions] = None
+    schema: DimensionSchema,
 ) -> Tuple[DimensionSchema, List[Edge]]:
     """Declare every implied into constraint explicitly.
 
@@ -106,18 +99,14 @@ def strengthen_with_intos(
     satisfiability, implication, and summarizability calls get faster on
     schemas whose intos were implicit.
     """
-    edges = implied_into_edges(schema, options)
+    edges = implied_into_edges(schema)
     if not edges:
         return schema, []
     extra = [PathAtom(child, (parent,)) for child, parent in edges]
     return schema.with_constraints(extra), edges
 
 
-def schemas_equivalent(
-    left: DimensionSchema,
-    right: DimensionSchema,
-    options: Optional[DimsatOptions] = None,
-) -> bool:
+def schemas_equivalent(left: DimensionSchema, right: DimensionSchema) -> bool:
     """Whether two schemas over the same hierarchy admit the same
     instances (mutual implication of their constraint sets).
 
@@ -128,9 +117,9 @@ def schemas_equivalent(
     if left.hierarchy != right.hierarchy:
         return False
     for node in right.constraints:
-        if not is_implied(left, node, options):
+        if not is_implied(left, node):
             return False
     for node in left.constraints:
-        if not is_implied(right, node, options):
+        if not is_implied(right, node):
             return False
     return True

@@ -245,11 +245,9 @@ class ParallelDecisionEngine:
         memoized in (default: the process-wide one; ``None`` disables
         caching, and the audit log then records each computed verdict).
 
-    Every search runs under default
-    :class:`~repro.core.dimsat.DimsatOptions`, so the engine's verdicts
-    share their cache keys with the kernel's entry points and replay
-    under ``repro-olap audit-verify``.  The engine is thread-safe and
-    can be shared.
+    The engine's verdicts share their cache keys with the kernel's entry
+    points and replay under ``repro-olap audit-verify``.  The engine is
+    thread-safe and can be shared.
     """
 
     #: Its :func:`~repro.core.resilience.build_engine` name.
@@ -330,14 +328,14 @@ class ParallelDecisionEngine:
         budget: Optional[DecisionBudget],
     ) -> DimsatResult:
         """Theorem 3: the DIMSAT search."""
-        return dimsat(schema, category, None, budget)
+        return dimsat(schema, category, budget=budget)
 
     def _implies_fanout(
         self, schema: DimensionSchema, node: object, budget: Optional[DecisionBudget]
     ) -> ImplicationResult:
         """Theorem 2: the kernel's reduction onto DIMSAT over
         ``(G, SIGMA | {NOT alpha})``."""
-        return implies(schema, node, None, None, budget)
+        return implies(schema, node, cache=None, budget=budget)
 
     def _summarizable_fanout(
         self,
@@ -348,9 +346,7 @@ class ParallelDecisionEngine:
     ) -> bool:
         """Theorem 1: the kernel's bottom loop, each bottom's implication
         test memoized in the engine's cache."""
-        return _is_summarizable_uncached(
-            schema, target, sources, None, self.cache, budget
-        )
+        return _is_summarizable_uncached(schema, target, sources, self.cache, budget)
 
 
 # ----------------------------------------------------------------------
@@ -373,5 +369,5 @@ def _decide(engine: Any, schema: DimensionSchema, request: Tuple[Any, ...]) -> o
     # *before* its cache lookup, once per attempt: an armed worker fault
     # then fails every rung of the ladder, cached or not.
     FAULTS.worker()
-    run = partial(_compute, schema, request, None, engine.cache)
+    run = partial(_compute, schema, request, engine.cache)
     return serve(engine, schema, request, run, checkpoint=False)

@@ -14,7 +14,7 @@ Exposed on the command line as ``repro-olap stats``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro._types import ALL, Category
 from repro.constraints.ast import (
@@ -24,7 +24,7 @@ from repro.constraints.ast import (
     RollsUpAtom,
     ThroughAtom,
 )
-from repro.core.dimsat import DimsatOptions, dimsat
+from repro.core.dimsat import dimsat
 from repro.core.schema import DimensionSchema
 
 
@@ -140,14 +140,10 @@ class ReasoningProfile:
         )
 
 
-def reasoning_profile(
-    schema: DimensionSchema,
-    category: Category,
-    options: Optional[DimsatOptions] = None,
-) -> ReasoningProfile:
+def reasoning_profile(schema: DimensionSchema, category: Category) -> ReasoningProfile:
     """Run DIMSAT and compare its effort with the unpruned spaces."""
     hierarchy = schema.hierarchy
-    result = dimsat(schema, category, options)
+    result = dimsat(schema, category)
     reachable_edges = sum(
         1 for child, _parent in hierarchy.edges if hierarchy.reaches(category, child)
     )

@@ -239,7 +239,7 @@ def provenance_for_key(
 ) -> Optional[VerdictProvenance]:
     """Derive provenance from a canonical decision-cache key.
 
-    Keys have the shape ``(kind, query..., options)`` shared by the
+    Keys have the shape ``(kind, query...)`` shared by the
     sequential wrappers, the parallel engine, and the compiled tier, so
     every store site gets provenance without threading extra arguments.
     Unknown kinds return ``None`` (the entry is then invalidated on any

@@ -6,23 +6,21 @@ the paper's three procedures: ``("dimsat", category)`` (Theorem 3),
 sources)`` (Theorem 1).  :func:`resolve_request` is the one place a
 request is validated and canonicalized (constraint text parsed, the
 source set sorted), and :func:`request_key` the one place its memo key
-``(kind, query..., options_key)`` is built - the key the
+``(kind, query...)`` is built - the key the
 :class:`~repro.core.decisioncache.DecisionCache`, the audit log and the
-on-disk cache store all share.
+on-disk cache store all share.  The key carries no DIMSAT tuning: the
+pruning rules never change a verdict, so every stored verdict replays
+on the plain kernel.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Optional, Sequence, Tuple
+from typing import Any, Sequence, Tuple
 
 from repro.constraints.ast import Node
 from repro.constraints.parser import parse
 from repro.constraints.printer import unparse
-from repro.core.decisioncache import _options_key
 from repro.errors import ReproError
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.dimsat import DimsatOptions
 
 #: A normalized decision request: ``("dimsat", category)``,
 #: ``("implies", canonical_constraint_text)``, or
@@ -83,20 +81,15 @@ def resolve_request(request: Sequence[object]) -> Tuple[Any, ...]:
     )
 
 
-def request_key(
-    request: Sequence[object], options: "Optional[DimsatOptions]" = None
-) -> RequestKey:
-    """The memo key of a resolved request decided under ``options``
-    (:class:`~repro.core.dimsat.DimsatOptions`, ``None`` for the
-    defaults): ``(kind, query..., options_key)``, with an implication's
-    constraint printed back to its canonical text."""
+def request_key(request: Sequence[object]) -> RequestKey:
+    """The memo key of a resolved request: ``(kind, query...)``, with an
+    implication's constraint printed back to its canonical text."""
     if request[0] == "implies":
-        return ("implies", unparse(request[1]), _options_key(options))  # type: ignore[arg-type]
-    return (*request, _options_key(options))
+        return ("implies", unparse(request[1]))  # type: ignore[arg-type]
+    return tuple(request)
 
 
 def normalize_request(request: Sequence[object]) -> RequestKey:
     """The canonical, hashable form of a request: two requests asking the
-    same question normalize to the same key (the memo key without its
-    options part)."""
-    return request_key(resolve_request(request))[:-1]
+    same question normalize to the same key, the memo key."""
+    return request_key(resolve_request(request))

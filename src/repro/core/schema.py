@@ -24,7 +24,7 @@ from repro.constraints.ast import (
     hash_cons,
 )
 from repro.errors import ConstraintError
-from repro.constraints.atoms import PathCache, shared_path_cache, validate_constraint
+from repro.constraints.atoms import validate_constraint
 from repro.constraints.parser import parse
 from repro.core.hierarchy import Category, HierarchySchema
 
@@ -60,7 +60,6 @@ class DimensionSchema:
         "_roots",
         "_const_map",
         "_thresholds",
-        "_path_cache",
         "_fingerprint",
         "__weakref__",
     )
@@ -69,7 +68,6 @@ class DimensionSchema:
         self,
         hierarchy: HierarchySchema,
         constraints: Iterable[object] = (),
-        path_cache: Optional[PathCache] = None,
     ) -> None:
         self.hierarchy = hierarchy
         parsed: List[Node] = []
@@ -88,10 +86,6 @@ class DimensionSchema:
         self._const_map = self._compute_const_map()
         self._thresholds = self._compute_thresholds()
         self._check_numeric_consistency()
-        if path_cache is not None and path_cache.hierarchy == hierarchy:
-            self._path_cache = path_cache
-        else:
-            self._path_cache = shared_path_cache(hierarchy)
         self._fingerprint: Optional[str] = None
 
     def _compute_const_map(self) -> Dict[Category, FrozenSet[str]]:
@@ -141,11 +135,6 @@ class DimensionSchema:
     def constraints_with_roots(self) -> Iterable[Tuple[Category, Node]]:
         """``(root, constraint)`` pairs."""
         return zip(self._roots, self._constraints)
-
-    @property
-    def path_cache(self) -> PathCache:
-        """Shared simple-path cache over the hierarchy schema."""
-        return self._path_cache
 
     def constants(self, category: Category) -> FrozenSet[str]:
         """``Const_ds(category)``: constants equality atoms mention for it."""
@@ -221,17 +210,8 @@ class DimensionSchema:
     # ------------------------------------------------------------------
 
     def with_constraints(self, extra: Iterable[object]) -> "DimensionSchema":
-        """A new schema with additional constraints.
-
-        The simple-path cache is shared with this schema (the hierarchy is
-        unchanged), so constraint-by-constraint derivation - the implication
-        tester's hot loop - never re-enumerates paths.
-        """
-        return DimensionSchema(
-            self.hierarchy,
-            list(self._constraints) + list(extra),
-            path_cache=self._path_cache,
-        )
+        """A new schema with additional constraints."""
+        return DimensionSchema(self.hierarchy, list(self._constraints) + list(extra))
 
     def fingerprint(self) -> str:
         """A canonical fingerprint of ``(G, SIGMA)``.

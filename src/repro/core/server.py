@@ -74,7 +74,6 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import TYPE_CHECKING, Any, Dict, Optional, Sequence, Tuple
 
 from repro.core.compile import CompiledDecisionEngine
@@ -636,8 +635,12 @@ class DecisionServer:
     ) -> Dict[str, Any]:
         """The schema-level aggregate-navigation plan (Section 6 without
         the data): answer a query at ``target`` from the ``materialized``
-        category views.  Deterministic search order (size, then lexical),
-        so every client sees byte-identical plans."""
+        category views.  The search is the navigator's
+        :func:`~repro.olap.navigator.cheapest_rewriting` with every view
+        costing nothing, so its order is set size, then names: every
+        client sees byte-identical plans."""
+        from repro.olap.navigator import cheapest_rewriting
+
         target = request.get("target")
         materialized = request.get("materialized")
         max_sources = request.get("max_sources", 3)
@@ -650,28 +653,20 @@ class DecisionServer:
                 "sources": [target],
                 "checked": 0,
             }
-        reachable = sorted(
-            category
-            for category in set(materialized)
-            if category != target
-            and category in schema.hierarchy.categories
-            and schema.hierarchy.reaches(category, target)
-        )
+        hierarchy = schema.hierarchy
+        sizes = {c: 0 for c in materialized if c in hierarchy.categories}
         checked = 0
-        for size in range(1, min(int(max_sources), len(reachable)) + 1):
-            for combo in combinations(reachable, size):
-                checked += 1
-                if self.engine.is_summarizable(schema, target, combo):
-                    return {
-                        "plan": "rewritten",
-                        "target": target,
-                        "sources": list(combo),
-                        "checked": checked,
-                    }
+
+        def proven(sources: frozenset) -> bool:
+            nonlocal checked
+            checked += 1
+            return self.engine.is_summarizable(schema, target, sources)
+
+        found = cheapest_rewriting(hierarchy, target, sizes, int(max_sources), proven)
         return {
-            "plan": "base-scan",
+            "plan": "base-scan" if found is None else "rewritten",
             "target": target,
-            "sources": [],
+            "sources": [] if found is None else list(found[0]),
             "checked": checked,
         }
 

@@ -712,8 +712,7 @@ class _SoakRun:
 
     def _check_rekey_sound(self, state: _CaseState, step: int) -> None:
         """Post-edit: the verdicts the rekey carried over to the new
-        fingerprint must match a fresh sequential run (default-options
-        entries only).  After a syntactic move a sample of four is
+        fingerprint must match a fresh sequential run.  After a syntactic move a sample of four is
         checked - a mismatch means a dependency cone was computed too
         narrow.  After a model-preserving move every entry is checked -
         a mismatch means the edit was wrongly judged to keep the
@@ -725,13 +724,10 @@ class _SoakRun:
         limit = None if state.editor.last_edit_preserved_models else 4
         checked = 0
         for full_key in cache.entries_for(schema.fingerprint()):
-            key = full_key[1:]
-            if key[-1] != ():
-                continue
             stored = cache.peek(full_key)
             if stored is None:
                 continue
-            request = list(key[:-1])
+            request = list(full_key[1:])
             truth = oracle_decide(schema, request)
             self.report.rekey_checks += 1
             if _verdict_of(stored) != truth:

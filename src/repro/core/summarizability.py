@@ -37,7 +37,7 @@ from repro.constraints.ast import FALSE, ExactlyOne, Implies, Node, RollsUpAtom,
 from repro.constraints.semantics import satisfies
 from repro.core.budget import DecisionBudget
 from repro.core.decisioncache import USE_DEFAULT_CACHE, DecisionCache, resolve_cache
-from repro.core.dimsat import DimsatOptions, dimsat
+from repro.core.dimsat import dimsat
 from repro.core.hierarchy import ALL, Category, HierarchySchema
 from repro.core.implication import implies, is_implied
 from repro.core.instance import DimensionInstance
@@ -108,7 +108,7 @@ def is_summarizable_in_schema(
     schema: DimensionSchema,
     target: Category,
     sources: Iterable[Category],
-    options: Optional[DimsatOptions] = None,
+    *,
     cache: object = USE_DEFAULT_CACHE,
     budget: Optional[DecisionBudget] = None,
 ) -> bool:
@@ -123,13 +123,13 @@ def is_summarizable_in_schema(
     process-wide one) keyed by schema fingerprint, target, and source set;
     pass ``cache=None`` for the uncached path.  See :func:`decide`.
     """
-    return decide(schema, ("summarizable", target, sources), options, cache, budget)  # type: ignore[return-value]
+    return decide(schema, ("summarizable", target, sources), cache=cache, budget=budget)  # type: ignore[return-value]
 
 
 def decide(
     schema: DimensionSchema,
     request: Sequence[object],
-    options: Optional[DimsatOptions] = None,
+    *,
     cache: object = USE_DEFAULT_CACHE,
     budget: Optional[DecisionBudget] = None,
 ) -> object:
@@ -157,16 +157,15 @@ def decide(
     """
     request = resolve_request(request)
     resolved = resolve_cache(cache)
-    compute = partial(_compute, schema, request, options, resolved, budget)
+    compute = partial(_compute, schema, request, resolved, budget)
     if resolved is None:
         return compute()
-    return resolved.memoize(schema, request_key(request, options), compute)
+    return resolved.memoize(schema, request_key(request), compute)
 
 
 def _compute(
     schema: DimensionSchema,
     request: Tuple[Any, ...],
-    options: Optional[DimsatOptions],
     cache: Optional[DecisionCache],
     budget: Optional[DecisionBudget],
 ) -> object:
@@ -176,19 +175,16 @@ def _compute(
     share work."""
     kind = request[0]
     if kind == "dimsat":
-        return dimsat(schema, request[1], options, budget)
+        return dimsat(schema, request[1], budget=budget)
     if kind == "implies":
-        return implies(schema, request[1], options, None, budget)
-    return _is_summarizable_uncached(
-        schema, request[1], request[2], options, cache, budget
-    )
+        return implies(schema, request[1], cache=None, budget=budget)
+    return _is_summarizable_uncached(schema, request[1], request[2], cache, budget)
 
 
 def _is_summarizable_uncached(
     schema: DimensionSchema,
     target: Category,
     sources: Iterable[Category],
-    options: Optional[DimsatOptions],
     implication_cache: object,
     budget: Optional[DecisionBudget] = None,
 ) -> bool:
@@ -200,7 +196,7 @@ def _is_summarizable_uncached(
         target,
         sources,
         lambda _bottom, node: is_implied(
-            schema, node, options, cache=implication_cache, budget=budget
+            schema, node, cache=implication_cache, budget=budget
         ),
     )
 
@@ -271,7 +267,7 @@ def summarizable_sets(
     target: Category,
     candidates: Optional[Iterable[Category]] = None,
     max_size: int = 3,
-    options: Optional[DimsatOptions] = None,
+    *,
     cache: object = USE_DEFAULT_CACHE,
 ) -> List[FrozenSet[Category]]:
     """Minimal source sets from which ``target`` is schema-summarizable.
@@ -299,7 +295,7 @@ def summarizable_sets(
             combo_set = frozenset(combo)
             if any(known <= combo_set for known in found):
                 continue
-            if is_summarizable_in_schema(schema, target, combo_set, options, cache):
+            if is_summarizable_in_schema(schema, target, combo_set, cache=cache):
                 found.append(combo_set)
     return found
 

@@ -15,7 +15,7 @@ Generator families
 ``deep-chain``
     A rollup chain dozens of categories tall with periodic skip edges and
     choice constraints: stresses the Definition 8 circle-operator
-    reductions along long paths and the path cache.
+    reductions along long paths.
 ``wide-fanout``
     One bottom with many alternative parents under an ``one(...)``
     constraint: the DIMSAT branch factor (Figure 6's EXPAND loop) equals

@@ -19,7 +19,7 @@ from repro.constraints.ast import (
     RollsUpAtom,
 )
 from repro.constraints.printer import unparse
-from repro.core.dimsat import DimsatOptions, enumerate_frozen_dimensions
+from repro.core.dimsat import enumerate_frozen_dimensions
 from repro.core.profile import schema_profile
 from repro.core.schema import NK, DimensionSchema
 from repro.core.summarizability import is_summarizable_in_schema
@@ -44,7 +44,6 @@ def schema_report(
     schema: DimensionSchema,
     root: Optional[Category] = None,
     matrix_targets: Optional[List[Category]] = None,
-    options: Optional[DimsatOptions] = None,
 ) -> str:
     """The full markdown report for one dimension schema.
 
@@ -87,7 +86,7 @@ def schema_report(
 
     lines.append(f"## Frozen dimensions (root: {root})")
     lines.append("")
-    frozen = enumerate_frozen_dimensions(schema, root, options)
+    frozen = enumerate_frozen_dimensions(schema, root)
     if not frozen:
         lines.append(f"**{root} is unsatisfiable** — no data can ever live there.")
     for index, frozen_dim in enumerate(frozen, start=1):
@@ -121,7 +120,7 @@ def schema_report(
         for source in sources:
             if source == target or not hierarchy.reaches(source, target):
                 cells.append("·")
-            elif is_summarizable_in_schema(schema, target, [source], options):
+            elif is_summarizable_in_schema(schema, target, [source]):
                 cells.append("yes")
             else:
                 cells.append("**NO**")

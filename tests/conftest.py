@@ -74,3 +74,37 @@ def chain_instance(chain_hierarchy) -> DimensionInstance:
         },
         child_parent=[("d1", "jan"), ("d2", "jan"), ("jan", "y2020")],
     )
+
+
+@pytest.fixture()
+def write_previous_version_store():
+    """``write(cache, directory)``: persist ``cache`` in cache-file format
+    version 1, whose entry keys end in an empty DIMSAT-options slot."""
+    import hashlib
+    import json
+    import pickle
+
+    from repro.core.cachestore import MAGIC, cache_file_path, save_cache
+
+    def write(cache, directory):
+        save_cache(cache, directory)
+        path = cache_file_path(directory)
+        with open(path, "rb") as handle:
+            handle.readline()
+            data = pickle.loads(handle.read())
+        for section in ("entries", "provenance"):
+            data[section] = {key + ((),): value for key, value in data[section].items()}
+        payload = pickle.dumps(data, protocol=pickle.HIGHEST_PROTOCOL)
+        header = {
+            "magic": MAGIC,
+            "version": 1,
+            "entries": len(data["entries"]),
+            "schemas": len(data["schemas"]),
+            "payload_sha256": hashlib.sha256(payload).hexdigest(),
+        }
+        with open(path, "wb") as handle:
+            handle.write(json.dumps(header, sort_keys=True).encode() + b"\n")
+            handle.write(payload)
+        return path
+
+    return write

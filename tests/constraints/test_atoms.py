@@ -10,7 +10,6 @@ from repro.constraints import (
     TRUE,
     Or,
     PathAtom,
-    PathCache,
     RollsUpAtom,
     ThroughAtom,
     expand,
@@ -87,13 +86,6 @@ class TestExpandTraversal:
         expanded = expand(node, loc_hierarchy)
         for atom in expanded.atoms():
             assert isinstance(atom, PathAtom)
-
-    def test_shared_cache_reused(self, loc_hierarchy):
-        cache = PathCache(loc_hierarchy)
-        expand(RollsUpAtom("Store", "Country"), loc_hierarchy, cache)
-        first = cache.paths("Store", "Country")
-        again = cache.paths("Store", "Country")
-        assert first is again
 
     def test_plain_atoms_unchanged(self, loc_hierarchy):
         node = parse("Store -> City and Store.Country = 'Canada'")

@@ -163,7 +163,6 @@ def _record(schema, seq=1, verdict=True, **overrides):
         "kind": "implies",
         "fingerprint": schema.fingerprint(),
         "request": ["implies", "Store -> City"],
-        "options": [],
         "verdict": verdict,
         "status": "ok",
         "duration_ms": 0.1,
@@ -201,21 +200,24 @@ class TestVerify:
         assert divergence.recorded is False and divergence.replayed is True
         assert "DIVERGED" in report.render()
 
-    def test_unknown_and_options_records_are_skipped(self, tmp_path):
+    def test_unknown_skipped_and_legacy_options_replayed(self, tmp_path):
+        """UNKNOWN records carry no verdict and are skipped; a record
+        from an older build with a non-empty ``"options"`` list replays
+        like any other, because pruning flags never change a verdict."""
         schema = location_schema()
         directory = _write_log(
             tmp_path,
             [
                 _record(schema, seq=1, status="unknown", verdict=None),
-                _record(schema, seq=2, options=["exhaustive"]),
+                _record(schema, seq=2, options=[["into_pruning", False]]),
                 _record(schema, seq=3),
             ],
         )
         report = verify_audit_log(str(directory))
-        assert report.ok
+        assert report.ok and report.divergences == []
         assert report.skipped_unknown == 1
-        assert report.skipped_options == 1
-        assert report.verified == 1
+        assert report.verified == 2
+        assert report.verified + report.skipped_unknown == report.records
 
     def test_missing_schema_fails_verification(self, tmp_path):
         schema = location_schema()

@@ -54,7 +54,7 @@ class TestRoundTrip:
         save_cache(warm_cache, str(tmp_path))
         fresh = DecisionCache()
         load_cache(fresh, str(tmp_path))
-        key = (loc_schema.fingerprint(), "dimsat", "SaleRegion", ())
+        key = (loc_schema.fingerprint(), "dimsat", "SaleRegion")
         provenance = fresh.provenance_of(key)
         assert provenance is not None
         assert provenance == warm_cache.provenance_of(key)
@@ -115,6 +115,15 @@ class TestIntegrity:
         with pytest.raises(CacheStoreError, match="version"):
             load_cache(DecisionCache(), str(tmp_path))
 
+    def test_previous_format_version_is_rejected(
+        self, warm_cache, tmp_path, write_previous_version_store
+    ):
+        """Format 1 keyed its entries ``(fingerprint, kind, query...,
+        ())``; such a file is version skew, never replayed."""
+        write_previous_version_store(warm_cache, str(tmp_path))
+        with pytest.raises(CacheStoreError, match="version 1 "):
+            load_cache(DecisionCache(), str(tmp_path))
+
     def test_injected_store_fault_leaves_previous_file(
         self, warm_cache, tmp_path
     ):
@@ -171,7 +180,7 @@ class TestMergeOnSave:
         save_cache(self._other_cache(loc_schema), str(tmp_path))
         union = DecisionCache()
         load_cache(union, str(tmp_path))
-        key = (loc_schema.fingerprint(), "dimsat", "SaleRegion", ())
+        key = (loc_schema.fingerprint(), "dimsat", "SaleRegion")
         assert union.provenance_of(key) == warm_cache.provenance_of(key)
 
     def test_merge_false_overwrites(self, warm_cache, loc_schema, tmp_path):
@@ -237,7 +246,7 @@ class TestReplayVerification:
         with open(path, "rb") as handle:
             handle.readline()
             data = pickle.loads(handle.read())
-        key = (loc_schema.fingerprint(), "dimsat", "SaleRegion", ())
+        key = (loc_schema.fingerprint(), "dimsat", "SaleRegion")
         honest = data["entries"][key]
         data["entries"][key] = type(honest)(
             satisfiable=not honest.satisfiable,

@@ -143,22 +143,22 @@ def _sequential_rung(schema, request, cache, store):
 #: One question per way of asking it: the request, and the memo key
 #: (without its fingerprint) every surface must file it under.
 KEY_QUESTIONS = {
-    "dimsat": (("dimsat", "State"), ("dimsat", "State", ())),
+    "dimsat": (("dimsat", "State"), ("dimsat", "State")),
     "implies-text": (
         ("implies", "Store.City.Country"),
-        ("implies", "Store.City.Country", ()),
+        ("implies", "Store.City.Country"),
     ),
     "implies-node": (
         ("implies", parse("Store.City.Country")),
-        ("implies", "Store.City.Country", ()),
+        ("implies", "Store.City.Country"),
     ),
     "implies-spaced": (
         ("implies", "Store . City . Country"),
-        ("implies", "Store.City.Country", ()),
+        ("implies", "Store.City.Country"),
     ),
     "summarizable": (
         ("summarizable", "Country", ["State", "City", "City"]),
-        ("summarizable", "Country", ("City", "State"), ()),
+        ("summarizable", "Country", ("City", "State")),
     ),
 }
 
@@ -807,9 +807,9 @@ class TestEngineIntegration:
         assert resolve_engine(sentinel) is sentinel
 
     def test_audit_records_are_replayable(self, schemas, tmp_path):
-        """Compiled verdicts audit with empty options keys, so
-        ``verify_audit_log`` replays them against the sequential kernel
-        with zero divergences."""
+        """Compiled verdicts audit as ``(kind, query...)`` records, so
+        ``verify_audit_log`` replays every one of them against the
+        sequential kernel with zero divergences."""
         import json
 
         from repro.core.auditlog import AUDIT, verify_audit_log
@@ -839,7 +839,7 @@ class TestEngineIntegration:
         finally:
             AUDIT.detach()
         assert sink.records
-        assert all(record["options"] == [] for record in sink.records)
+        assert all("options" not in record for record in sink.records)
         (tmp_path / "audit.jsonl").write_text(
             "".join(json.dumps(r) + "\n" for r in sink.records)
         )
@@ -860,8 +860,8 @@ class TestEngineIntegration:
     @pytest.mark.parametrize("name", ENGINE_NAMES)
     def test_engines_take_no_options(self, name):
         """Every engine decides under default options: none accepts an
-        ``options`` argument, and every key it files ends in the default
-        options key."""
+        ``options`` argument, and every key it files is ``(fingerprint,
+        kind, query...)`` with no options slot."""
         from repro.core.resilience import _ENGINES
 
         with pytest.raises(TypeError):
@@ -872,8 +872,15 @@ class TestEngineIntegration:
         engine.dimsat(schema, "Store")
         engine.implies(schema, "Store.City.Country")
         engine.is_summarizable(schema, "Country", ["City"])
-        keys = cache.entries_for(schema.fingerprint())
-        assert keys and all(key[-1] == () for key in keys)
+        fingerprint = schema.fingerprint()
+        keys = set(cache.entries_for(fingerprint))
+        assert {
+            (fingerprint, "dimsat", "Store"),
+            (fingerprint, "implies", "Store.City.Country"),
+            (fingerprint, "summarizable", "Country", ("City",)),
+        } <= keys
+        arity = {"dimsat": 3, "implies": 3, "summarizable": 4}
+        assert all(len(key) == arity[key[1]] for key in keys)
 
 
 class TestNavigatorViewselect:

@@ -8,7 +8,6 @@ import pytest
 from repro.core import (
     DecisionCache,
     DimensionSchema,
-    DimsatOptions,
     USE_DEFAULT_CACHE,
     default_decision_cache,
     implies,
@@ -105,17 +104,6 @@ class TestMemoization:
         assert is_implied(location_schema(), "Store -> City", cache=cache)
         assert cache.stats.misses == misses  # rebuilt schema, same entry
 
-    def test_options_participate_in_the_key(self, loc_schema, cache):
-        default = implies(loc_schema, "Store -> City", cache=cache)
-        ablated = implies(
-            loc_schema,
-            "Store -> City",
-            DimsatOptions(into_pruning=False),
-            cache=cache,
-        )
-        assert default.implied == ablated.implied
-        assert cache.stats.misses == 2  # distinct entries per option set
-
 
 class TestInvalidation:
     def test_invalidate_drops_only_that_schema(self, loc_schema, cache):
@@ -141,45 +129,6 @@ class TestInvalidation:
         cache.clear()
         assert len(cache) == 0
         assert cache.stats.misses == 0
-
-
-class TestOptionsKey:
-    def test_key_shape_is_named_per_field(self):
-        """Pin the explicit (name, value) pair shape: a reordered or
-        renamed `DimsatOptions` field must change the key visibly, and
-        the `astuple` positional footgun must stay gone."""
-        from dataclasses import fields
-
-        from repro.core.decisioncache import _options_key
-
-        assert _options_key(None) == ()
-        key = _options_key(DimsatOptions())
-        assert key == tuple(
-            (f.name, getattr(DimsatOptions(), f.name)) for f in fields(DimsatOptions)
-        )
-        names = [pair[0] for pair in key]
-        assert "circle_cache" in names and "keep_trace" in names
-        hash(key)  # the whole point: always hashable
-
-    def test_container_fields_stay_hashable(self):
-        """Regression for the astuple hazard: a future list/set/dict
-        option field must normalize into a hashable key, not blow up
-        every memoized decision."""
-        from dataclasses import make_dataclass, field
-
-        from repro.core.decisioncache import _options_key
-
-        Grown = make_dataclass(
-            "Grown",
-            [
-                ("flags", list, field(default_factory=lambda: ["a", "b"])),
-                ("tags", set, field(default_factory=lambda: {"y", "x"})),
-                ("table", dict, field(default_factory=lambda: {"k": [1, 2]})),
-            ],
-        )
-        key = _options_key(Grown())
-        hash(key)
-        assert key == _options_key(Grown())  # deterministic (sets sorted)
 
 
 class TestEviction:
@@ -247,7 +196,7 @@ class TestRekey:
 
     def test_provenance_is_recorded_per_entry(self, loc_schema, cache):
         is_category_satisfiable(loc_schema, "SaleRegion", cache=cache)
-        key = (loc_schema.fingerprint(), "dimsat", "SaleRegion", ())
+        key = (loc_schema.fingerprint(), "dimsat", "SaleRegion")
         provenance = cache.provenance_of(key)
         assert provenance is not None
         assert provenance.kind == "dimsat"

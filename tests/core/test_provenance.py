@@ -137,14 +137,14 @@ class TestSurvival:
 class TestProvenanceForKey:
     def test_dispatch_matches_the_kernel_hooks(self, schema):
         assert provenance_for_key(
-            schema, ("dimsat", "C", ())
+            schema, ("dimsat", "C")
         ) == decision_provenance(schema, "C")
         assert provenance_for_key(
-            schema, ("implies", "C -> T", ())
+            schema, ("implies", "C -> T")
         ) == implication_provenance(schema, "C -> T")
         assert provenance_for_key(
-            schema, ("summarizable", "T", ("C",), ())
+            schema, ("summarizable", "T", ("C",))
         ) == summarizability_provenance(schema, "T", ("C",))
 
     def test_unknown_kind_is_conservative(self, schema):
-        assert provenance_for_key(schema, ("mystery", "C", ())) is None
+        assert provenance_for_key(schema, ("mystery", "C")) is None

@@ -144,6 +144,24 @@ class TestWireOpsEndToEnd:
                 )
                 # Nothing materialized reaches the target: full base scan.
                 assert client.navigate(fp, "Country", [])["plan"] == "base-scan"
+                # A view outside the hierarchy is never a candidate; the
+                # rest are checked by set size, then names: Province
+                # fails, SaleRegion is proven.
+                plan = client.navigate(
+                    fp, "Country", ["State", "SaleRegion", "Province", "Galaxy"]
+                )
+                assert (plan["plan"], plan["sources"], plan["checked"]) == (
+                    "rewritten",
+                    ["SaleRegion"],
+                    2,
+                )
+                # Province, State, then the pair: all three fail.
+                plan = client.navigate(fp, "Country", ["Province", "State", "Galaxy"])
+                assert (plan["plan"], plan["sources"], plan["checked"]) == (
+                    "base-scan",
+                    [],
+                    3,
+                )
 
     def test_unknown_fingerprint_is_typed_error(self, loc_schema):
         with running_server() as server:

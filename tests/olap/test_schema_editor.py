@@ -410,7 +410,7 @@ class TestModelPreservingEdits:
         edited = editor.add_constraint(self.IMPLIED)
         assert editor.last_edit_preserved_models
         moved = set(cache.entries_for(edited.fingerprint()))
-        own = (edited.fingerprint(), "implies", self.IMPLIED, ())
+        own = (edited.fingerprint(), "implies", self.IMPLIED)
         assert moved == {(edited.fingerprint(),) + key[1:] for key in warm} | {own}
         for key in moved:
             fresh = implies(edited, key[2], cache=None)

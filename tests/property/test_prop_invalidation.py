@@ -132,7 +132,7 @@ def test_every_edit_splits_the_cache_soundly(seed):
         assert not cache.holds(current.fingerprint())
         assert not compiled_artifact_store().holds(current.fingerprint())
 
-        own = (edited.fingerprint(), "implies", unparse(node), ())
+        own = (edited.fingerprint(), "implies", unparse(node))
         expected = {(edited.fingerprint(),) + key[1:] for key in warm}
         if decided:
             expected.add(own)

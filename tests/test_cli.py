@@ -313,6 +313,42 @@ class TestCacheDir:
         assert "warning: ignoring persistent cache" in captured.err
         assert "implied" in captured.out
 
+    @pytest.mark.parametrize("engine", ["compiled", "sequential"])
+    def test_round_trip_replays_every_entry(self, engine, schema_file, tmp_path):
+        """Every entry an engine files - the per-bottom implications of a
+        summarizability check included - replays on load."""
+        from repro.core import DecisionCache, default_decision_cache, load_cache
+
+        cache_dir = str(tmp_path / "cache")
+        argv = ["--engine", engine, "--cache-dir", cache_dir]
+        assert main([*argv, "audit", schema_file]) == 0
+        assert main([*argv, "summarizable", schema_file, "Country", "State"]) == 1
+        stored = len(default_decision_cache())
+        report = load_cache(DecisionCache(), cache_dir)
+        assert report.found and report.clean
+        assert report.replayed == report.loaded == stored > 6
+
+    def test_previous_format_version_cold_starts(
+        self, schema_file, tmp_path, capsys, write_previous_version_store
+    ):
+        from repro.core import DecisionCache, is_implied, load_cache
+
+        cache_dir = str(tmp_path / "cache")
+        warm = DecisionCache()
+        is_implied(location_schema(), "Store -> City", cache=warm)
+        write_previous_version_store(warm, cache_dir)
+        assert (
+            main(["--cache-dir", cache_dir, "implies", schema_file, "Store -> City"])
+            == 0
+        )
+        captured = capsys.readouterr()
+        assert "warning: ignoring persistent cache" in captured.err
+        assert "version" in captured.err
+        assert "implied" in captured.out
+        # The run saved its verdict in the current format.
+        report = load_cache(DecisionCache(), cache_dir)
+        assert report.clean and report.replayed == report.loaded >= 1
+
     def test_missing_dir_is_a_cold_start(self, schema_file, tmp_path, capsys):
         cache_dir = str(tmp_path / "never-created")
         assert (
@@ -580,6 +616,29 @@ class TestTelemetryDir:
         assert main(["audit-verify", str(directory)]) == 0
         out = capsys.readouterr().out
         assert "divergences      0" in out
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["--engine", "compiled"], 0),
+            (["--engine", "sequential"], 0),
+            (["--retries", "2", "--inject-faults", "worker-crash:p=1.0;seed=1"], 4),
+        ],
+        ids=["compiled", "sequential", "all-unknown"],
+    )
+    def test_audit_pass_replays_every_record(self, argv, code, schema_file, tmp_path):
+        """Every record of an audit pass replays; only UNKNOWN, which
+        carries no verdict, is skipped."""
+        from repro.core import default_decision_cache
+        from repro.core.auditlog import verify_audit_log
+
+        default_decision_cache().clear()
+        directory = str(tmp_path / "telemetry")
+        assert main([*argv, "--telemetry-dir", directory, "audit", schema_file]) == code
+        report = verify_audit_log(directory)
+        assert report.ok and report.records > 0
+        assert report.verified + report.skipped_unknown == report.records
+        assert report.skipped_unknown == (6 if code == 4 else 0)
 
     def test_audit_verify_flags_a_tampered_log(
         self, schema_file, tmp_path, capsys

@@ -183,7 +183,7 @@ def test_cache_poisoning_hammer():
     for full_key, stored in list(cache._data.items()):
         fingerprint, key = full_key[0], full_key[1:]
         assert fingerprint == schema.fingerprint()
-        recomputed = _sequential_oracle(schema, key[:-1])
+        recomputed = _sequential_oracle(schema, key)
         stored_verdict = (
             stored if isinstance(stored, bool)
             else getattr(stored, "satisfiable", getattr(stored, "implied", None))

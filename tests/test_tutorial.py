@@ -303,6 +303,39 @@ class TestSection9OrderPredicates:
         assert not implies(ds2, "Shipment -> Center implies Shipment < 30").implied
 
 
+class TestSection13AuditLog:
+    def test_records_carry_the_documented_fields(self, ds):
+        """The sample record: a served verdict is recorded under its
+        request alone, with no options slot."""
+        import json
+        from pathlib import Path
+
+        from repro.core import DecisionCache, decide
+        from repro.core.auditlog import AUDIT
+
+        text = (Path(__file__).parents[1] / "docs" / "TUTORIAL.md").read_text()
+        start = text.index('{"seq": 1')
+        documented = json.loads(text[start : text.index("}", start) + 1])
+
+        records = []
+
+        class Sink:
+            def export_audit(self, record):
+                records.append(record)
+
+            def export_schema(self, fingerprint, schema_json):
+                pass
+
+        AUDIT.attach(Sink())
+        try:
+            decide(ds, ("implies", "Center -> Region"), cache=DecisionCache())
+        finally:
+            AUDIT.detach()
+        (record,) = records
+        assert set(record) == set(documented)
+        assert record["request"] == ["implies", "Center -> Region"]
+
+
 class TestSection15Soak:
     def test_soak_claims(self):
         from repro.core.soak import SoakConfig, run_soak
@@ -374,8 +407,8 @@ class TestSection16SurvivingEdits:
         assert cache.stats.hits == hits  # recomputed
 
     def test_persistent_cache_round_trip_replays_clean(self, ds, tmp_path):
-        """'On load every default-options entry is replayed through the
-        audit-verify machinery before it may serve.'"""
+        """'On load every entry is replayed through the audit-verify
+        machinery before it may serve.'"""
         from repro.core import decide, load_cache, save_cache
         from repro.core.decisioncache import DecisionCache
 
