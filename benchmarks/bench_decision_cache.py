@@ -7,12 +7,11 @@ Three claims, measured over the realistic schema suite:
   session) run at least 2x faster against a warm
   :class:`~repro.core.decisioncache.DecisionCache` than uncached;
 * **hit rates** - the speedup is attributable: the decision cache reports
-  its hit rate and a repeat DIMSAT run reports circle-operator hits in
-  :class:`~repro.core.dimsat.DimsatStats`;
+  its hit rate;
 * **equivalence** - the DIMSAT search under every ablation configuration
-  (the combinations of the E10 pruning flags and the circle cache)
-  reaches the verdict the decision cache holds under the defaults, so
-  the pruning rules and the cache layers are pure accelerators.
+  (the combinations of the three E10 pruning flags) reaches the verdict
+  the decision cache holds under the defaults, so the pruning rules and
+  the cache are pure accelerators.
 """
 
 from __future__ import annotations
@@ -151,35 +150,20 @@ def test_repeated_summarizability_speedup():
     assert total_uncached >= 2.0 * total_cached
 
 
-def test_circle_hits_surface_in_dimsat_stats(loc_schema):
-    """A DIMSAT run over a warm circle cache reports its hits."""
-    warm = dimsat(loc_schema, "Store")  # warm the process-wide memo
-    result = dimsat(loc_schema, "Store")
-    stats = result.stats
-    assert stats.circle_hits + stats.circle_misses > 0
-    assert stats.circle_hits > 0
-    assert stats.circle_hit_rate > 0.5
-    # The ablation path never touches the memo.
-    off = dimsat(loc_schema, "Store", DimsatOptions(circle_cache=False))
-    assert off.stats.circle_hits == 0
-    assert off.satisfiable == result.satisfiable == warm.satisfiable
-
-
 #: The E10 ablation grid: every combination of the pruning heuristics.
 ABLATIONS = [
     DimsatOptions(
         cycle_pruning=cycle,
         shortcut_pruning=shortcut,
         into_pruning=into,
-        circle_cache=circle,
     )
-    for cycle, shortcut, into, circle in product([True, False], repeat=4)
+    for cycle, shortcut, into in product([True, False], repeat=3)
 ]
 
 
 @pytest.mark.parametrize("options", ABLATIONS, ids=lambda o: (
     f"cyc{int(o.cycle_pruning)}-sc{int(o.shortcut_pruning)}"
-    f"-into{int(o.into_pruning)}-circ{int(o.circle_cache)}"
+    f"-into{int(o.into_pruning)}"
 ))
 def test_ablation_verdicts_identical_with_and_without_cache(options):
     """The DIMSAT search under any pruning configuration reaches the

@@ -773,7 +773,7 @@ def _compiled_smoke(output_path, repeats=7):
     gc.disable()
     try:
         for name in sorted(workloads):
-            interpreted_pass(name)  # warm-up (imports, circle caches)
+            interpreted_pass(name)  # warm-up (imports, compiled artifacts)
             compiled_pass(name)
             interpreted_times = []
             compiled_times = []
@@ -918,8 +918,8 @@ def _edit_survival(output_path, repeats=5):
     from repro.olap.maintenance import SchemaEditor
 
     def canonical(verdict):
-        """Byte-comparable verdict content (work counters depend on
-        process-global circle caches, so they stay out)."""
+        """Byte-comparable verdict content (work counters are not part
+        of a verdict, so they stay out)."""
         satisfiable = getattr(verdict, "satisfiable", None)
         if satisfiable is not None:
             return json.dumps([satisfiable, repr(verdict.witness)])

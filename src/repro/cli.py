@@ -555,7 +555,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache-stats",
         action="store_true",
         help="after the command, print satisfiability-kernel cache "
-        "statistics (decision cache, circle-operator cache, interned "
+        "statistics (decision cache, compiled artifacts, interned "
         "nodes) to stderr",
     )
     parser.add_argument(

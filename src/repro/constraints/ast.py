@@ -20,9 +20,9 @@ A").
 All nodes are immutable and hashable; structural equality is definitional.
 Structural hashes are computed once per node and cached, and
 :func:`hash_cons` interns nodes so structurally equal expressions become
-the *same* object - the satisfiability kernel keys its memo tables on
-nodes, so repeated reductions of a shared constraint set cost dictionary
-lookups instead of tree walks.
+the *same* object - the decision cache and the compiled tier's query
+memo key on nodes, so repeated questions over a shared constraint set
+cost dictionary lookups instead of tree walks.
 """
 
 from __future__ import annotations
@@ -455,7 +455,7 @@ _INTERN_TABLE: "weakref.WeakValueDictionary[Tuple[object, ...], Node]" = (
 #: Guards the check-then-insert in :func:`_intern`.  Without it, two
 #: threads interning equal nodes could each insert their own copy and
 #: hand out *different* canonical objects, breaking every identity-keyed
-#: memo downstream (circle cache, decision cache).
+#: memo downstream (decision cache, compiled query memo).
 _INTERN_LOCK = threading.Lock()
 
 
@@ -475,8 +475,8 @@ def hash_cons(node: Node) -> Node:
     Structurally equal expressions map to the identical object (bottom-up
     interning), so ``hash_cons(a) is hash_cons(b)`` exactly when
     ``a == b``.  :class:`~repro.core.schema.DimensionSchema` interns its
-    constraint set at construction, which makes the circle-operator memo
-    and the decision cache hit by object identity.
+    constraint set at construction, which makes the decision cache and
+    the compiled query memo hit by object identity.
     """
     if isinstance(node, TrueConst):
         return TRUE

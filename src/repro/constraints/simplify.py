@@ -15,7 +15,7 @@ Three operations the rest of the system builds on:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional
+from typing import Callable, FrozenSet, Iterable, List, Mapping, Optional
 
 from repro.constraints.ast import (
     FALSE,
@@ -73,41 +73,14 @@ def substitute(node: Node, mapping: Callable[[Atom], Optional[Node]]) -> Node:
     raise ConstraintError(f"unknown node type {type(node).__name__}")
 
 
-#: Bounded memo table for :func:`simplify`.  Simplification is a pure
-#: function of node structure and nodes cache their hashes (see
-#: :mod:`repro.constraints.ast`), so a lookup is a cheap dict probe; the
-#: cap bounds memory across long-lived processes (FIFO eviction).
-_SIMPLIFY_MEMO: Dict[Node, Node] = {}
-_SIMPLIFY_MEMO_MAX = 65536
-
-
-def clear_simplify_memo() -> None:
-    """Drop the :func:`simplify` memo table (tests, memory pressure)."""
-    _SIMPLIFY_MEMO.clear()
-
-
 def simplify(node: Node) -> Node:
     """Constant-fold and flatten ``node``.
 
     The result is logically equivalent and contains ``TRUE``/``FALSE`` only
     if the whole expression is constant.  Simplification is syntactic (no
     SAT reasoning): it exists to shrink circle-operator results, not to
-    decide them.  Results are memoized on node structure, so re-simplifying
-    a shared subexpression costs one dictionary lookup.
+    decide them.
     """
-    if isinstance(node, _ATOM_TYPES) or isinstance(node, (TrueConst, FalseConst)):
-        return node
-    cached = _SIMPLIFY_MEMO.get(node)
-    if cached is not None:
-        return cached
-    folded = _simplify_uncached(node)
-    if len(_SIMPLIFY_MEMO) >= _SIMPLIFY_MEMO_MAX:
-        _SIMPLIFY_MEMO.pop(next(iter(_SIMPLIFY_MEMO)))
-    _SIMPLIFY_MEMO[node] = folded
-    return folded
-
-
-def _simplify_uncached(node: Node) -> Node:
     if isinstance(node, _ATOM_TYPES) or isinstance(node, (TrueConst, FalseConst)):
         return node
     if isinstance(node, Not):

@@ -358,9 +358,7 @@ class DecisionCache:
         """A human-readable stats block (the CLI's ``--cache-stats``)."""
         from repro.constraints.ast import intern_table_size
         from repro.core.compile import compiled_artifact_store
-        from repro.core.dimsat import circle_cache
 
-        circ = circle_cache()
         lines = [
             "decision cache:",
             f"  entries        {len(self)}",
@@ -372,11 +370,6 @@ class DecisionCache:
             f"  invalidations  {self.stats.invalidations}",
             f"  rekeyed        {self.stats.rekeyed}",
             f"  store failures {self.stats.store_failures}",
-            "circle-operator cache:",
-            f"  entries        {len(circ)}",
-            f"  hits           {circ.stats.hits}",
-            f"  misses         {circ.stats.misses}",
-            f"  hit rate       {circ.hit_rate:.1%}",
         ]
         lines.extend(compiled_artifact_store().report_lines())
         lines.extend(

@@ -32,7 +32,6 @@ so every configuration remains sound and complete - only slower.
 from __future__ import annotations
 
 import itertools
-import threading
 from dataclasses import dataclass, field
 from typing import (
     Dict,
@@ -97,10 +96,6 @@ class DimsatOptions:
     into_pruning: bool = True
     #: Record the EXPAND/CHECK trace (Figure 7 regeneration).
     keep_trace: bool = False
-    #: Memoize circle-operator reductions in the process-wide
-    #: :class:`CircleCache`.  Never changes the answer, only the work done
-    #: (the cache ablation of ``bench_decision_cache``).
-    circle_cache: bool = True
 
 
 @dataclass
@@ -117,15 +112,11 @@ class DimsatStats:
     subhierarchies_completed: int = 0
     into_pruned_branches: int = 0
     dead_ends: int = 0
-    #: Circle-operator reductions answered by the memo / computed fresh.
+    #: Kept for ``perfbench/tracer.py``, which reads both: the kernel keeps
+    #: no memo, so ``circle_hits`` stays 0 and ``circle_misses`` counts
+    #: every circle-operator reduction.
     circle_hits: int = 0
     circle_misses: int = 0
-
-    @property
-    def circle_hit_rate(self) -> float:
-        """Fraction of circle-operator reductions served from the memo."""
-        total = self.circle_hits + self.circle_misses
-        return self.circle_hits / total if total else 0.0
 
 
 @dataclass(frozen=True)
@@ -224,95 +215,15 @@ def circle(constraints: Iterable[Node], sub: Subhierarchy) -> List[Node]:
     return [circle_node(node, sub) for node in constraints]
 
 
-@dataclass
-class CircleCacheStats:
-    """Cumulative counters for one :class:`CircleCache`."""
-
-    hits: int = 0
-    misses: int = 0
-
-
-_STATS = METRICS.stats_family("circle_cache.", CircleCacheStats)
-
-
-class CircleCache:
-    """Process-wide memo for the interpreted kernel's circle-operator
-    reductions (the compiled tier lifts the operator into its encoding
-    and reduces nothing; see :mod:`repro.core.compile`).
-
-    Keyed by ``(constraint node, subhierarchy)``: EXPAND enumerates the
-    same complete subhierarchies for every DIMSAT run over a hierarchy,
-    and derived schemas share interned constraint nodes, so repeated
-    decisions (implication batteries, summarizability sweeps, the
-    navigator's rewrite search) reduce each constraint against each
-    subhierarchy exactly once process-wide.  Bounded FIFO eviction keeps
-    long-lived services at a fixed memory ceiling.
-    """
-
-    __slots__ = ("max_entries", "stats", "_data", "_lock", "__weakref__")
-
-    def __init__(self, max_entries: int = 65536) -> None:
-        self.max_entries = max_entries
-        self.stats = _STATS.track(self, CircleCacheStats())
-        self._data: Dict[Tuple[Node, Subhierarchy], Node] = {}
-        # The cache is process-wide and concurrent requests reduce from
-        # many threads at once; the lock guards the lookup/insert *and*
-        # the counters, so hits + misses always equals reduce() calls.
-        self._lock = threading.Lock()
-
-    def reduce(
-        self,
-        node: Node,
-        sub: Subhierarchy,
-        stats: Optional[DimsatStats] = None,
-    ) -> Node:
-        """``simplify(circle_node(node, sub))``, memoized."""
-        key = (node, sub)
-        with self._lock:
-            cached = self._data.get(key)
-            if cached is not None:
-                self.stats.hits += 1
-            else:
-                self.stats.misses += 1
-        if TRACER.enabled:
-            TRACER.event("dimsat.circle_cache", hit=cached is not None)
-        if cached is not None:
-            if stats is not None:
-                stats.circle_hits += 1
-            return cached
-        if stats is not None:
-            stats.circle_misses += 1
-        # Reduction runs outside the lock: it can be expensive, and the
-        # result is deterministic, so concurrent duplicate work is safe
-        # (both threads store the same folded node).
-        folded = simplify(circle_node(node, sub))
-        with self._lock:
-            if key not in self._data and len(self._data) >= self.max_entries:
-                self._data.pop(next(iter(self._data)))
-            self._data[key] = folded
-        return folded
-
-    def __len__(self) -> int:
-        return len(self._data)
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.stats.hits + self.stats.misses
-        return self.stats.hits / total if total else 0.0
-
+class _NoMemo:
     def clear(self) -> None:
-        """Drop all entries and reset the counters."""
-        with self._lock:
-            self._data.clear()
-            _STATS.reset(self.stats)
+        pass
 
 
-_CIRCLE_CACHE = CircleCache()
-
-
-def circle_cache() -> CircleCache:
-    """The process-wide circle-operator memo."""
-    return _CIRCLE_CACHE
+def circle_cache() -> _NoMemo:
+    """Kept for ``perfbench/olap_answer.py``, which clears it before each
+    pass.  The kernel keeps no memo, so ``clear()`` does nothing."""
+    return _NoMemo()
 
 
 def reduced_constraints(
@@ -320,28 +231,24 @@ def reduced_constraints(
     category: Category,
     sub: Subhierarchy,
     stats: Optional[DimsatStats] = None,
-    cache: Optional[CircleCache] = None,
 ) -> Optional[List[Node]]:
     """The reduced constraint set CHECK evaluates for a subhierarchy.
 
     Constraints from ``SIGMA(ds, category)`` whose root is not populated by
     the subhierarchy are vacuously true and dropped; the rest go through
-    the circle operator and constant folding (memoized in ``cache`` when
-    given).  Returns ``None`` as soon as some constraint reduces to
-    ``FALSE`` (no c-assignment can help), else the list of residual
-    constraints (each mentioning only equality atoms).
+    the circle operator and constant folding.  Returns ``None`` as soon as
+    some constraint reduces to ``FALSE`` (no c-assignment can help), else
+    the list of residual constraints (each mentioning only equality
+    atoms).
     """
     residual: List[Node] = []
     for node in schema.relevant_constraints(category):
         root = constraint_root(node)
         if root is not None and root not in sub.categories:
             continue
-        if cache is not None:
-            folded = cache.reduce(node, sub, stats)
-        else:
-            folded = simplify(circle_node(node, sub))
-            if stats is not None:
-                stats.circle_misses += 1
+        folded = simplify(circle_node(node, sub))
+        if stats is not None:
+            stats.circle_misses += 1
         if folded is FALSE or folded == FALSE:
             return None
         if folded is TRUE or folded == TRUE:
@@ -421,7 +328,6 @@ def induced_frozen_dimensions(
     sub: Subhierarchy,
     stats: Optional[DimsatStats] = None,
     require_structure: bool = False,
-    cache: Optional[CircleCache] = None,
 ) -> Iterator[FrozenDimension]:
     """All frozen dimensions a subhierarchy induces (Proposition 2).
 
@@ -436,7 +342,7 @@ def induced_frozen_dimensions(
     if require_structure:
         if not sub.is_acyclic() or sub.shortcut_edges():
             return
-    residual = reduced_constraints(schema, category, sub, stats, cache)
+    residual = reduced_constraints(schema, category, sub, stats)
     if residual is None:
         return
     for assignment in satisfying_assignments(schema, residual, stats):
@@ -542,7 +448,6 @@ class _Search:
         self.budget = budget
         self.stats = DimsatStats()
         self.trace: List[TraceEntry] = []
-        self.circle_cache = _CIRCLE_CACHE if options.circle_cache else None
 
     def _record(
         self,
@@ -610,7 +515,6 @@ class _Search:
                 sub,
                 stats=self.stats,
                 require_structure=need_structure,
-                cache=self.circle_cache,
             )
             # One span per CHECK branch (Proposition 2 applied to one
             # complete subhierarchy): the unit of work a slow DIMSAT call

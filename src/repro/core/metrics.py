@@ -9,14 +9,14 @@ serializes to JSON through :meth:`MetricsRegistry.snapshot` (the CLI's
 ``--emit-metrics PATH`` and the bench smoke's artifact).
 
 Naming convention: dotted ``subsystem.metric`` names, e.g.
-``decision_cache.hits``, ``circle_cache.misses``,
+``decision_cache.hits``, ``compiled.artifact_misses``,
 ``engine.batch_deduped``, ``budget.exceeded``, ``resilience.retries``,
 ``faults.worker-crash``.  The registry creates metrics on first use, so
 readers never race creators.
 
 Each event is counted once.  An object that keeps per-object stats (a
-:class:`~repro.core.decisioncache.DecisionCache`, the circle-operator
-memo, an engine, a server, a navigator) counts into its own record, and
+:class:`~repro.core.decisioncache.DecisionCache`, the compiled
+artifact store, an engine, a server, a navigator) counts into its own record, and
 the registry *reads* those records through a :class:`StatsFamily`: the
 exported counter ``prefix + field`` is the field's sum over every
 record of the kind ever built, never decreasing.  Only counts without a

@@ -652,13 +652,6 @@ def render_report(directory: str) -> str:
             f" persisted loads {counters.get('cache_persist.loaded_entries', 0)})"
         )
         lines.append(
-            "  circle cache    hit rate "
-            + _rate(
-                counters.get("circle_cache.hits", 0),
-                counters.get("circle_cache.misses", 0),
-            )
-        )
-        lines.append(
             "  compiled tier   artifact hit rate "
             + _rate(
                 counters.get("compiled.artifact_hits", 0),

@@ -64,6 +64,7 @@ from repro.core.hierarchy import HierarchySchema
 from repro.core.instance import DimensionInstance
 from repro.core.schema import DimensionSchema
 from repro.errors import SchemaError
+from repro.generators.suite import personnel_schema, product_schema, time_schema
 
 
 @dataclass(frozen=True)
@@ -309,30 +310,9 @@ def np_boundary_schema(
 
 
 def census_time_schema() -> DimensionSchema:
-    """The ISO-calendar schema (the suite's ``time`` shape) at census
-    scale: the schema is identical - the scale lives in the instance."""
-    g = HierarchySchema(
-        ["Day", "Week", "Month", "Quarter", "Year"],
-        [
-            ("Day", "Week"),
-            ("Day", "Month"),
-            ("Week", "Year"),
-            ("Week", ALL),  # boundary weeks skip Year
-            ("Month", "Quarter"),
-            ("Quarter", "Year"),
-            ("Year", ALL),
-        ],
-    )
-    return DimensionSchema(
-        g,
-        [
-            "Day -> Week",
-            "Day -> Month",
-            "Week = 'boundary' iff not (Week -> Year)",
-            "Month -> Quarter",
-            "Quarter -> Year",
-        ],
-    )
+    """The suite's ISO-calendar ``time`` schema: the schema is identical -
+    the census scale lives in the instance."""
+    return time_schema()
 
 
 def census_time_instance(
@@ -390,30 +370,8 @@ def census_time_instance(
 
 
 def census_product_schema() -> DimensionSchema:
-    """The branded-vs-generic product schema (the suite's shape)."""
-    g = HierarchySchema(
-        ["SKU", "Brand", "GenericClass", "Company", "Department", "RegClass"],
-        [
-            ("SKU", "Brand"),
-            ("SKU", "GenericClass"),
-            ("Brand", "Company"),
-            ("Brand", "RegClass"),
-            ("GenericClass", "Department"),
-            ("Company", ALL),
-            ("Department", ALL),
-            ("RegClass", ALL),
-        ],
-    )
-    return DimensionSchema(
-        g,
-        [
-            "one(SKU -> Brand, SKU -> GenericClass)",
-            "Brand -> Company",
-            "GenericClass -> Department",
-            "SKU.Department = 'Pharmacy' implies SKU -> GenericClass",
-            "Brand.RegClass = 'OTC' or Brand.RegClass = 'Rx' or not Brand -> RegClass",
-        ],
-    )
+    """The suite's branded-vs-generic ``product`` schema."""
+    return product_schema()
 
 
 def census_product_instance(
@@ -467,26 +425,8 @@ def census_product_instance(
 
 
 def census_org_schema() -> DimensionSchema:
-    """The staff-vs-consultant org schema (the suite's shape)."""
-    g = HierarchySchema(
-        ["Employee", "Team", "Department", "Division"],
-        [
-            ("Employee", "Team"),
-            ("Employee", "Department"),  # the consultant shortcut
-            ("Team", "Department"),
-            ("Department", "Division"),
-            ("Division", ALL),
-        ],
-    )
-    return DimensionSchema(
-        g,
-        [
-            "one(Employee -> Team, Employee -> Department)",
-            "Employee = 'consultant' iff Employee -> Department",
-            "Team -> Department",
-            "Department -> Division",
-        ],
-    )
+    """The suite's staff-vs-consultant ``personnel`` schema."""
+    return personnel_schema()
 
 
 def census_org_instance(

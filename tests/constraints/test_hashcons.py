@@ -1,5 +1,5 @@
-"""Hash-consing of constraint ASTs: interning, cached hashes, and the
-identity fast paths the satisfiability kernel's memo tables rely on."""
+"""Hash-consing of constraint ASTs: interning, cached hashes, the
+identity fast paths the decision cache relies on, and constant folding."""
 
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ from repro.constraints.ast import (
     hash_cons,
     intern_table_size,
 )
-from repro.constraints.simplify import clear_simplify_memo, simplify
+from repro.constraints.simplify import simplify
 
 
 class TestInterning:
@@ -76,23 +76,15 @@ class TestCachedHash:
         assert a != b
 
 
-class TestSimplifyMemo:
-    def test_memo_returns_identical_result(self):
-        clear_simplify_memo()
+class TestSimplifyFolding:
+    def test_constants_fold_away(self):
         node = hash_cons(parse("(Store -> City and true) or false"))
-        first = simplify(node)
-        second = simplify(node)
-        assert first is second
-        assert first == parse("Store -> City")
+        assert simplify(node) == parse("Store -> City")
 
-    def test_memo_survives_equal_reconstruction(self):
-        clear_simplify_memo()
-        first = simplify(hash_cons(parse("not not Store -> City")))
-        second = simplify(hash_cons(parse("not not Store -> City")))
-        assert first is second
+    def test_double_negation_folds(self):
+        node = hash_cons(parse("not not Store -> City"))
+        assert simplify(node) == parse("Store -> City")
 
-    def test_clear_resets(self):
+    def test_true_conjunct_drops(self):
         node = hash_cons(parse("Store -> City and true"))
-        simplify(node)
-        clear_simplify_memo()
         assert simplify(node) == parse("Store -> City")

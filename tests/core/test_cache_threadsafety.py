@@ -1,12 +1,13 @@
 """Concurrency hammer for the kernel's shared mutable state.
 
-Eight threads pound the hash-consing intern table, the circle-operator
-cache, and the decision cache with *equal but independently rebuilt*
+Eight threads pound the hash-consing intern table, the interpreted
+kernel, and the decision cache with *equal but independently rebuilt*
 schemas (the worst case for interning: every thread parses its own copies
 of the same constraints).  Afterwards:
 
 * the intern table holds exactly one canonical node per distinct
   constraint (no duplicate interned nodes);
+* the kernel's verdicts and witnesses equal a sequential run's;
 * the decision cache lost no entries and corrupted none (every cached
   verdict equals a fresh sequential computation);
 * the hit/miss counters sum to exactly the number of lookups made.
@@ -14,16 +15,19 @@ of the same constraints).  Afterwards:
 
 from __future__ import annotations
 
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
 from repro.constraints.ast import RollsUpAtom, hash_cons
 from repro.constraints.parser import parse
 from repro.core.decisioncache import DecisionCache
-from repro.core.dimsat import CircleCache, dimsat
-from repro.core.implication import is_implied
-from repro.core.summarizability import decide
+from repro.core.dimsat import dimsat
+from repro.core.implication import implies, is_implied
+from repro.core.summarizability import decide, is_summarizable_in_schema
 from repro.generators.location import location_schema
+from repro.generators.suite import suite_schemas
+from repro.generators.workloads import implication_workload
 from repro.io.json_io import schema_from_json, schema_to_json
 
 THREADS = 8
@@ -83,34 +87,59 @@ def test_interning_mixed_fresh_nodes():
             assert canonical.setdefault((node.root, node.target), node) is node
 
 
-def test_circle_cache_counters_consistent_under_contention():
-    """A private CircleCache hammered from 8 threads: hits + misses must
-    equal the number of reduce() calls, and every reduction must equal the
-    sequential reduction."""
-    schema = location_schema()
-    result = dimsat(schema, "Store")
-    assert result.satisfiable
-    sub = result.witness.subhierarchy
-    nodes = [hash_cons(parse(text)) for text in CONSTRAINT_TEXTS]
+def _oracle_questions(schema):
+    """Every category's satisfiability, a seeded implication mix and six
+    single-source summarizability questions."""
+    hierarchy = schema.hierarchy
+    categories = sorted(hierarchy.categories - {"All"})
+    summarizable = [
+        (target, (source,))
+        for target in categories
+        for source in categories
+        if source != target and hierarchy.reaches(source, target)
+    ]
+    return categories, implication_workload(schema, 6, seed=2), summarizable[:6]
 
-    cache = CircleCache()
-    expected = {node: CircleCache().reduce(node, sub) for node in nodes}
 
-    def worker(index):
-        out = []
-        for round_index in range(ROUNDS):
-            for node in nodes:
-                out.append((node, cache.reduce(node, sub)))
-        return out
+def _oracle_answers(schema, questions):
+    """The interpreted kernel's verdicts and witnesses, uncached."""
+    categories, queries, summarizable = questions
+    out = []
+    for category in categories:
+        result = dimsat(schema, category)
+        out.append((result.satisfiable, result.witness))
+    for query in queries:
+        result = implies(schema, query, cache=None)
+        out.append((is_implied(schema, query, cache=None), result.counterexample))
+    for target, sources in summarizable:
+        out.append(is_summarizable_in_schema(schema, target, sources, cache=None))
+    return out
 
-    results = _run_in_threads(worker)
+
+def test_memo_free_oracle_matches_sequential_under_threads():
+    """The interpreted kernel keeps no memo, so 8 threads running its
+    three decisions over the suite schemas (the location schema is its
+    ``retail``) at once reach exactly the verdicts and witnesses of a
+    sequential run."""
+    schemas = list(suite_schemas().values())
+    questions = [_oracle_questions(schema) for schema in schemas]
+    expected = [
+        _oracle_answers(schema, asked) for schema, asked in zip(schemas, questions)
+    ]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads mid-reduction
+    try:
+        results = _run_in_threads(
+            lambda index: [
+                _oracle_answers(schema, asked)
+                for schema, asked in zip(schemas, questions)
+            ]
+        )
+    finally:
+        sys.setswitchinterval(interval)
     for per_thread in results:
-        for node, reduced in per_thread:
-            assert reduced == expected[node]
-    lookups = THREADS * ROUNDS * len(CONSTRAINT_TEXTS)
-    assert cache.stats.hits + cache.stats.misses == lookups
-    assert cache.stats.misses >= len(nodes)
-    assert len(cache) <= len(nodes)
+        assert per_thread == expected
 
 
 def test_decision_cache_hammer_equal_rebuilt_schemas():

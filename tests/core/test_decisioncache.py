@@ -209,7 +209,7 @@ class TestReport:
         is_category_satisfiable(loc_schema, "Store", cache=cache)
         text = cache.report()
         assert "decision cache:" in text
-        assert "circle-operator cache:" in text
+        assert "compiled artifacts:" in text
         assert "interned constraint nodes:" in text
         assert "hit rate" in text
         stats = cache.stats.as_dict()

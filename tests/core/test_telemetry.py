@@ -6,6 +6,7 @@ from __future__ import annotations
 import io
 import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -138,7 +139,7 @@ class TestAtexitSafetyNet:
             capture_output=True,
             text=True,
             env=env,
-            cwd="/root/repo",
+            cwd=str(Path(__file__).resolve().parents[2]),
             timeout=60,
         )
 

@@ -34,6 +34,7 @@ from repro.generators.adversarial import (
     shortcut_lattice_schema,
     wide_fanout_schema,
 )
+from repro.generators.suite import personnel_schema, product_schema, time_schema
 from repro.io.json_io import schema_from_json, schema_to_json
 
 
@@ -152,6 +153,17 @@ class TestNpBoundary:
 
 
 class TestCensusDomains:
+    @pytest.mark.parametrize(
+        "census, suite",
+        [
+            (census_time_schema, time_schema),
+            (census_product_schema, product_schema),
+            (census_org_schema, personnel_schema),
+        ],
+    )
+    def test_census_schemas_are_the_suite_schemas(self, census, suite):
+        assert census().fingerprint() == suite().fingerprint()
+
     def test_time_instance_satisfies_schema(self):
         schema = census_time_schema()
         instance = census_time_instance(years=1, start_year=2022, seed=0)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -247,7 +248,7 @@ class TestCacheStats:
         captured = capsys.readouterr()
         assert "implied" in captured.out
         assert "decision cache:" in captured.err
-        assert "circle-operator cache:" in captured.err
+        assert "interned constraint nodes:" in captured.err
         assert "hit rate" in captured.err
 
     def test_flag_off_prints_nothing_extra(self, schema_file, capsys):
@@ -542,7 +543,7 @@ class TestExitPathPersistence:
         proc = subprocess.Popen(
             [sys.executable, "-c", code, schema_file, cache_dir, marker],
             env=env,
-            cwd="/root/repo",
+            cwd=str(Path(__file__).resolve().parents[1]),
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             text=True,
