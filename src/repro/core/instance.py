@@ -91,6 +91,7 @@ class DimensionInstance:
         "_ancestors_cache",
         "_rollup_cache",
         "_mapping_cache",
+        "_groups_cache",
     )
 
     def __init__(
@@ -160,6 +161,9 @@ class DimensionInstance:
         self._ancestors_cache: Dict[Member, FrozenSet[Member]] = {}
         self._rollup_cache: Dict[Category, Dict[Member, Optional[Member]]] = {}
         self._mapping_cache: Dict[Tuple[Category, Category], Dict[Member, Member]] = {}
+        self._groups_cache: Dict[
+            Tuple[Category, Category], Mapping[Member, Tuple[Member, ...]]
+        ] = {}
 
         if validate:
             self.validate()
@@ -278,6 +282,36 @@ class DimensionInstance:
             if self.hierarchy.has_category(upper):
                 self._mapping_cache[(lower, upper)] = mapping
         return MappingProxyType(mapping)
+
+    def rollup_groups(
+        self, lower: Category, upper: Category
+    ) -> Mapping[Member, Tuple[Member, ...]]:
+        """The inverse of :meth:`rollup_mapping`, read-only: each member of
+        ``upper`` that some member of ``lower`` rolls up to, mapped to the
+        tuple of those members.
+
+        Groups, and the members inside each group, follow the order the
+        members were declared in, so iterating it does not depend on
+        hashing.  It is computed once per instance and pair; every call
+        returns the same mapping.
+        """
+        groups = self._groups_cache.get((lower, upper))
+        if groups is None:
+            mapping = self.rollup_mapping(lower, upper)
+            lists: Dict[Member, List[Member]] = {
+                member: []
+                for member, category in self._category_of.items()
+                if category == upper
+            }
+            for member, category in self._category_of.items():
+                if category == lower and member in mapping:
+                    lists[mapping[member]].append(member)
+            groups = MappingProxyType(
+                {member: tuple(group) for member, group in lists.items() if group}
+            )
+            if self.hierarchy.has_category(upper):
+                self._groups_cache[(lower, upper)] = groups
+        return groups
 
     def rollup_to(self, category: Category) -> Mapping[Member, Optional[Member]]:
         """Every member's :meth:`ancestor_in` ``category``, read-only.

@@ -11,23 +11,29 @@ The cube-view recombination of Definition 6 applies ``af`` at the base
 level and ``af^c`` when merging pre-aggregated cube views, so both halves
 live on one object here.
 
-SUM's base function is :func:`math.fsum`, which is correctly rounded:
-a cell's value is the same whatever order its facts are read in, so a
-scan may group the facts by member (see
-:func:`~repro.olap.cubeview.cube_view`) and still agree bit for bit with
-one that reads them in row order.  MIN, MAX and COUNT ignore order
-anyway.
+SUM's base function and the combiner of SUM and COUNT are
+:func:`math.fsum`, which is correctly rounded: a cell's value is the same
+whatever order its facts or partials are read in.  So a scan may group
+the facts by member (see :func:`~repro.olap.cubeview.cube_view`), and a
+recombination may group the partials by target member (see
+:func:`~repro.olap.cubeview.recombine`), and each still agrees bit for
+bit with a fold in row order.  MIN, MAX and COUNT's base ignore order
+anyway.  ``math.fsum`` raises on ``+inf`` and ``-inf`` together and on an
+intermediate overflow; :func:`fold_cells`, which every view fold goes
+through, reports that as an :class:`~repro.errors.OlapError` naming the
+cell.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Tuple
+from typing import Callable, Dict, Hashable, Iterable, List, Mapping, Tuple, TypeVar
 
 from repro.errors import OlapError
 
 Number = float
+Cell = TypeVar("Cell", bound=Hashable)
 
 
 @dataclass(frozen=True)
@@ -65,13 +71,42 @@ class AggregateFunction:
         return self.combine(partials)
 
 
+def fold_cells(
+    fold: Callable[[List[Number]], Number],
+    name: str,
+    where: object,
+    groups: Mapping[Cell, List[Number]],
+) -> Dict[Cell, Number]:
+    """``{cell: fold(values)}`` over non-empty ``groups``.
+
+    A fold with no value - ``math.fsum`` over ``+inf`` and ``-inf``, or
+    past the float range - raises :class:`OlapError` naming the ``name``
+    aggregate, the cell and ``where`` it lies.  Only after a failure are
+    the cells folded again to find that cell, so a defined fold pays
+    nothing for the search.
+    """
+    try:
+        return {cell: fold(values) for cell, values in groups.items()}
+    except (ValueError, OverflowError):
+        for cell, values in groups.items():
+            try:
+                fold(values)
+            except (ValueError, OverflowError) as exc:
+                raise OlapError(
+                    f"{name} of cell {cell!r} at {where!r} is undefined: {exc}"
+                ) from exc
+        raise
+
+
 def _count(values: List[Number]) -> Number:
     return float(len(values))
 
 
-SUM = AggregateFunction("SUM", base=math.fsum, combine=sum, combine_name="SUM", empty_value=0.0)
+SUM = AggregateFunction(
+    "SUM", base=math.fsum, combine=math.fsum, combine_name="SUM", empty_value=0.0
+)
 COUNT = AggregateFunction(
-    "COUNT", base=_count, combine=sum, combine_name="SUM", empty_value=0.0
+    "COUNT", base=_count, combine=math.fsum, combine_name="SUM", empty_value=0.0
 )
 MIN = AggregateFunction("MIN", base=min, combine=min, combine_name="MIN")
 MAX = AggregateFunction("MAX", base=max, combine=max, combine_name="MAX")

@@ -17,12 +17,12 @@ data.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional
+from typing import Dict, Iterable, List, Mapping
 
 from repro._types import Category, Member
 from repro.core.instance import DimensionInstance
 from repro.errors import OlapError, SchemaError
-from repro.olap.aggregates import AggregateFunction
+from repro.olap.aggregates import AggregateFunction, fold_cells
 from repro.olap.facttable import FactTable
 
 
@@ -54,15 +54,12 @@ class CubeView:
         return len(self.cells)
 
 
-def _rollup(
-    instance: DimensionInstance, category: Category
-) -> Mapping[Member, Optional[Member]]:
-    """``instance.rollup_to(category)``, which maps every member to
-    ``None`` at a category the hierarchy lacks: a mistyped category would
-    read as an empty view, so it raises instead."""
+def _check_category(instance: DimensionInstance, category: Category) -> None:
+    """Raise on a category the hierarchy lacks: ``rollup_to`` maps every
+    member to ``None`` there, so a mistyped category would read as an
+    empty view."""
     if not instance.hierarchy.has_category(category):
         raise SchemaError(f"unknown category {category!r}")
-    return instance.rollup_to(category)
 
 
 def cube_view(
@@ -92,7 +89,8 @@ def cube_view(
     {'Canada': 17.0}
     """
     instance = facts.instance
-    rollup = _rollup(instance, category)
+    _check_category(instance, category)
+    rollup = instance.rollup_to(category)
     groups: Dict[Member, List[float]] = {}
     if isinstance(facts, FactTable):
         scanned = len(facts)
@@ -120,8 +118,8 @@ def cube_view(
                 groups[target] = [fact.value(measure)]
             else:
                 cell.append(fact.value(measure))
-    base = aggregate.base  # every cell holds at least one value
-    cells = {member: base(values) for member, values in groups.items()}
+    # Every cell holds at least one value.
+    cells = fold_cells(aggregate.base, aggregate.name, category, groups)
     return CubeView(category, aggregate, measure, cells, rows_scanned=scanned)
 
 
@@ -134,16 +132,20 @@ def recombine(
     """Definition 6 RHS: derive the cube view at ``target`` from views at
     source categories.
 
-    For each source view at ``c_i``, every cell is mapped up through
-    ``GAMMA_{c_i}^{target}`` and the mapped partials are merged with the
-    combiner ``af^c``.  A view's cells are members of its category, so
-    one memoized table,
-    :meth:`~repro.core.instance.DimensionInstance.rollup_to` ``target``,
-    serves every source.  The result equals the direct
-    :func:`cube_view` for *every* fact table exactly when ``target`` is
-    summarizable from the source categories (Theorem 1); otherwise facts
-    can be lost (no source on their path) or double counted (two sources
-    on their path).
+    For each source view at ``c_i`` the cells are grouped by
+    ``GAMMA_{c_i}^{target}`` and each group is folded with the combiner
+    ``af^c``.  The grouping is the instance's memoized inverse of
+    ``GAMMA``
+    (:meth:`~repro.core.instance.DimensionInstance.rollup_groups`), so a
+    view costs one Python step per target cell: each group's partials are
+    gathered by one comprehension over the group's members.  Only members
+    of ``c_i`` are read; a cell at any other member is dropped.
+    ``rows_scanned`` is the sum of the source views' sizes.
+
+    The result equals the direct :func:`cube_view` for *every* fact table
+    exactly when ``target`` is summarizable from the source categories
+    (Theorem 1); otherwise facts can be lost (no source on their path) or
+    double counted (two sources on their path).
     """
     views = tuple(source_views)
     if not views:
@@ -151,8 +153,8 @@ def recombine(
     measures = {view.measure for view in views}
     if len(measures) > 1:
         raise OlapError(f"source views mix measures: {sorted(measures)}")
+    _check_category(instance, target)
 
-    rollup = _rollup(instance, target)
     partials: Dict[Member, List[float]] = {}
     scanned = 0
     for view in views:
@@ -161,22 +163,18 @@ def recombine(
                 f"source view at {view.category!r} was built with "
                 f"{view.aggregate.name}, cannot recombine with {aggregate.name}"
             )
-        for member, value in view.cells.items():
-            scanned += 1
-            try:
-                up = rollup[member]
-            except KeyError:  # not a member of this instance
-                continue
-            if up is None:
-                continue
-            values = partials.get(up)
-            if values is None:
-                partials[up] = [value]
-            else:
-                values.append(value)
-    cells = {
-        member: aggregate.recombine(values) for member, values in partials.items()
-    }
+        scanned += len(view.cells)
+        get = view.cells.get
+        for up, group in instance.rollup_groups(view.category, target).items():
+            values = [value for value in map(get, group) if value is not None]
+            if values:
+                cell = partials.get(up)
+                if cell is None:
+                    partials[up] = values
+                else:
+                    cell.extend(values)
+    # Every group holds at least one partial.
+    cells = fold_cells(aggregate.combine, aggregate.combine_name, target, partials)
     return CubeView(target, aggregate, views[0].measure, cells, rows_scanned=scanned)
 
 

@@ -58,6 +58,7 @@ from repro.core.metrics import METRICS
 from repro.core.provenance import SchemaDelta, mentioned_categories, schema_delta
 from repro.core.schema import DimensionSchema
 from repro.errors import BudgetExceeded, OlapError, SchemaError
+from repro.olap.aggregates import fold_cells
 from repro.olap.cubeview import CubeView, cube_view
 from repro.olap.facttable import FactTable
 from repro.olap.navigator import AggregateNavigator
@@ -133,12 +134,16 @@ def apply_delta(
                     "the delta than in the view's dimension instance"
                 )
     partial = cube_view(delta, view.category, view.aggregate, view.measure)
-    cells: Dict[Member, float] = dict(view.cells)
-    for member, value in partial.cells.items():
-        if member in cells:
-            cells[member] = view.aggregate.recombine([cells[member], value])
-        else:
-            cells[member] = value
+    both = {
+        member: [view.cells[member], value]
+        for member, value in partial.cells.items()
+        if member in view.cells
+    }
+    cells: Dict[Member, float] = {**view.cells, **partial.cells}
+    aggregate = view.aggregate
+    cells.update(
+        fold_cells(aggregate.combine, aggregate.combine_name, view.category, both)
+    )
     return CubeView(
         category=view.category,
         aggregate=view.aggregate,

@@ -29,7 +29,7 @@ from repro.core.summarizability import (
     is_summarizable_in_schema,
 )
 from repro.errors import NavigationError, OlapError
-from repro.olap.aggregates import AggregateFunction
+from repro.olap.aggregates import AggregateFunction, fold_cells
 
 #: A level assignment: one category per dimension name.
 Levels = Mapping[str, Category]
@@ -147,9 +147,7 @@ class Cube:
             except KeyError:
                 raise OlapError(f"fact has no measure {measure!r}") from None
             groups.setdefault(tuple(key), []).append(value)
-        cells = {
-            key: aggregate.aggregate(values) for key, values in groups.items()
-        }
+        cells = fold_cells(aggregate.base, aggregate.name, dict(levels), groups)
         return MultiCubeView(
             levels=dict(levels),
             aggregate=aggregate,
@@ -222,12 +220,10 @@ class Cube:
                 continue
             new_key = key[:axis] + (target,) + key[axis + 1 :]
             partials.setdefault(new_key, []).append(value)
-        cells = {
-            key: view.aggregate.recombine(values)
-            for key, values in partials.items()
-        }
         levels = dict(view.levels)
         levels[name] = upper
+        aggregate = view.aggregate
+        cells = fold_cells(aggregate.combine, aggregate.combine_name, levels, partials)
         return MultiCubeView(
             levels=levels,
             aggregate=view.aggregate,

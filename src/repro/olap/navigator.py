@@ -27,9 +27,19 @@ query falls back to the always-correct base scan.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Any, Callable, Dict, FrozenSet, List, Mapping, Optional, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Tuple,
+)
 
 from repro._types import Category
 from repro.core.compile import resolve_engine
@@ -115,20 +125,39 @@ def cheapest_rewriting(
     ``sizes`` strictly below ``target``, checked with ``proven`` in order
     of (summed size, set size, sorted names): the first proven set is
     the cheapest, a tie in rows read goes to the smaller set, and no set
-    after it is checked.  Sizes are at least 0, so a proven set sorts
-    before all of its supersets.
+    after it is checked, or even built.  Sizes are at least 0, so a
+    proven set sorts before all of its supersets.
     """
     below = sorted(c for c in sizes if c != target and hierarchy.reaches(c, target))
-    candidates = [
-        (sum(sizes[c] for c in combo), n, combo)
-        for n in range(1, min(max_sources, len(below)) + 1)
-        for combo in combinations(below, n)
-    ]
-    candidates.sort()
-    for cost, _n, combo in candidates:
+    for cost, combo in _by_cost(below, sizes, max_sources):
         if proven(frozenset(combo)):
             return combo, cost
     return None
+
+
+def _by_cost(
+    below: List[Category], sizes: Mapping[Category, int], max_sources: int
+) -> Iterator[Tuple[int, Tuple[Category, ...]]]:
+    """The sets of 1..``max_sources`` categories of the sorted ``below``,
+    with their summed sizes, in order of (summed size, set size, names).
+
+    They are generated best-first from a heap seeded with the singletons;
+    a popped set is extended only by categories after its last one, so
+    each set is pushed once, by its prefix.  Sizes are at least 0, so a
+    set never sorts before its prefix and the heap pops in sorted order:
+    the caller pays only for the sets it reads.
+    """
+    if max_sources < 1:
+        return
+    heap = [(sizes[c], 1, (c,), index) for index, c in enumerate(below)]
+    heapq.heapify(heap)
+    while heap:
+        cost, n, combo, last = heapq.heappop(heap)
+        yield cost, combo
+        if n < max_sources:
+            for index in range(last + 1, len(below)):
+                extra = below[index]
+                heapq.heappush(heap, (cost + sizes[extra], n + 1, combo + (extra,), index))
 
 
 class AggregateNavigator:

@@ -125,6 +125,68 @@ class TestRollup:
         assert loc_instance.children_of("s1") is loc_instance.children_of("s2")
 
 
+class TestRollupGroups:
+    def test_inverse_of_rollup_mapping(self, loc_instance):
+        categories = sorted(loc_instance.hierarchy.categories)
+        for lower in categories:
+            for upper in categories:
+                gamma = loc_instance.rollup_mapping(lower, upper)
+                groups = loc_instance.rollup_groups(lower, upper)
+                assert all(groups.values())  # no empty group
+                assert set(groups) == set(gamma.values())
+                assert sorted(m for group in groups.values() for m in group) == sorted(gamma)
+                for target, group in groups.items():
+                    assert all(gamma[member] == target for member in group)
+
+    def test_partial_mapping_groups_only_reaching_members(self, loc_instance):
+        assert loc_instance.rollup_groups("City", "State") == {
+            "DF": ("MexicoCity",),
+            "Texas": ("Austin",),
+        }
+
+    def test_read_only(self, loc_instance):
+        groups = loc_instance.rollup_groups("Store", "Country")
+        with pytest.raises(TypeError):
+            groups["Canada"] = ()  # type: ignore[index]
+        assert len(loc_instance.rollup_groups("Store", "Country")["Canada"]) == 3
+
+    def test_second_call_returns_the_same_object(self, loc_instance):
+        groups = loc_instance.rollup_groups("City", "Country")
+        assert loc_instance.rollup_groups("City", "Country") is groups
+
+    def test_follows_declaration_order(self, chain_hierarchy):
+        # Declared out of name order: the groups, and the members in each,
+        # come back in declaration order, not sorted or hash order.
+        d = DimensionInstance(
+            chain_hierarchy,
+            members={
+                "d9": "Day",
+                "d2": "Day",
+                "d5": "Day",
+                "d1": "Day",
+                "mar": "Month",
+                "jan": "Month",
+                "y2020": "Year",
+            },
+            child_parent=[
+                ("d9", "jan"),
+                ("d2", "mar"),
+                ("d5", "jan"),
+                ("d1", "mar"),
+                ("mar", "y2020"),
+                ("jan", "y2020"),
+            ],
+        )
+        groups = d.rollup_groups("Day", "Month")
+        assert list(groups.items()) == [("mar", ("d2", "d1")), ("jan", ("d9", "d5"))]
+        assert d.rollup_groups("Day", "Year") == {"y2020": ("d9", "d2", "d5", "d1")}
+
+    def test_unknown_categories(self, loc_instance):
+        assert loc_instance.rollup_groups("Store", "Galaxy") == {}
+        with pytest.raises(SchemaError):
+            loc_instance.rollup_groups("Galaxy", "Country")
+
+
 def build(hierarchy, members, edges, **kw):
     return DimensionInstance(hierarchy, members, edges, validate=False, **kw)
 

@@ -3,6 +3,8 @@ loss/double-count failure modes that motivate summarizability."""
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.errors import OlapError
@@ -11,6 +13,7 @@ from repro.olap import (
     MAX,
     MIN,
     SUM,
+    CubeView,
     FactTable,
     cube_view,
     recombine,
@@ -121,6 +124,54 @@ class TestRecombination:
     def test_empty_sources_rejected(self, loc_instance):
         with pytest.raises(OlapError):
             recombine(loc_instance, "Country", [], SUM)
+
+    def test_cells_outside_the_source_category_are_dropped(self, facts, loc_instance):
+        # A cell is read only at a member of its view's category: a store,
+        # a province or an unknown member in a City view counts nothing.
+        city = cube_view(facts, "City", SUM, "sales")
+        stray = CubeView(
+            "City", SUM, "sales",
+            {**city.cells, "s1": 100.0, "Ontario": 50.0, "ghost": 1.0},
+        )
+        derived = recombine(loc_instance, "Country", [stray], SUM)
+        assert derived.cells == recombine(loc_instance, "Country", [city], SUM).cells
+        assert derived.rows_scanned == len(city) + 3
+
+    def test_partial_source_view_skips_missing_cells(self, loc_instance):
+        # Only Toronto and Austin have facts: Canada folds one partial and
+        # Mexico, with no cell below it, gets none.
+        facts = FactTable(loc_instance, [("s1", {"sales": 1.5}), ("s4", {"sales": 2.0})])
+        city = cube_view(facts, "City", MIN, "sales")
+        derived = recombine(loc_instance, "Country", [city], MIN)
+        assert derived.cells == {"Canada": 1.5, "USA": 2.0}
+        assert derived.rows_scanned == 2
+
+
+class TestNonFiniteSums:
+    """``math.fsum`` has no value for ``+inf`` and ``-inf`` together, nor
+    past the float range: both folds raise a typed error naming the cell."""
+
+    @pytest.mark.parametrize(
+        "values", [(math.inf, -math.inf), (1e308, 1e308)], ids=["inf-inf", "overflow"]
+    )
+    def test_base_scan_names_the_cell(self, loc_instance, values):
+        rows = [("s1", {"sales": values[0]}), ("s2", {"sales": values[1]})]
+        rows.append(("s3", {"sales": 1.0}))
+        facts = FactTable(loc_instance, rows)
+        with pytest.raises(OlapError, match="SUM of cell 'Canada' at 'Country'"):
+            cube_view(facts, "Country", SUM, "sales")
+        assert cube_view(facts, "Country", MAX, "sales").cells["Mexico"] == 1.0
+
+    @pytest.mark.parametrize(
+        "values", [(math.inf, -math.inf), (1e308, 1e308)], ids=["inf-inf", "overflow"]
+    )
+    def test_recombination_names_the_cell(self, loc_instance, values):
+        # Toronto and Ottawa each hold one finite-or-infinite partial; only
+        # their fold into Canada is undefined.
+        rows = [("s1", {"sales": values[0]}), ("s2", {"sales": values[1]})]
+        city = cube_view(FactTable(loc_instance, rows), "City", SUM, "sales")
+        with pytest.raises(OlapError, match="SUM of cell 'Canada' at 'Country'"):
+            recombine(loc_instance, "Country", [city], SUM)
 
 
 class TestViewsEqual:

@@ -41,6 +41,16 @@ class TestApplyDelta:
         patched = apply_delta(loc_instance, view, FactTable(loc_instance, []))
         assert views_equal(view, patched)
 
+    def test_undefined_merged_sum_names_the_cell(self, loc_instance):
+        from repro.olap import SUM
+
+        stale = cube_view(
+            FactTable(loc_instance, [("s1", {"sales": float("inf")})]), "City", SUM, "sales"
+        )
+        delta = FactTable(loc_instance, [("s1", {"sales": float("-inf")})])
+        with pytest.raises(OlapError, match="SUM of cell 'Toronto' at 'City'"):
+            apply_delta(loc_instance, stale, delta)
+
     def test_foreign_dimension_rejected(self, loc_instance, chain_instance):
         from repro.olap import SUM
 

@@ -96,6 +96,24 @@ class TestViews:
         with pytest.raises(OlapError):
             cube.view({"location": "Country", "time": "Year"}, SUM, "profit")
 
+    def test_undefined_sum_names_the_cell(self):
+        # +inf and -inf meet in Canada in December 2021: the scan names
+        # the (Country, Year) cell, and the roll-up from (City, Month),
+        # location first, the (Country, Month) cell.
+        cube = Cube(
+            {"location": location_instance(), "time": time_instance()},
+            {"location": location_schema(), "time": time_schema()},
+        ).load([
+            ({"location": "s1", "time": "2021-12-20"}, {"sales": float("inf")}),
+            ({"location": "s6", "time": "2021-12-31"}, {"sales": float("-inf")}),
+        ])
+        coarse = {"location": "Country", "time": "Year"}
+        with pytest.raises(OlapError, match=r"SUM of cell \('Canada', '2021'\)"):
+            cube.view(coarse, SUM, "sales")
+        fine = cube.view({"location": "City", "time": "Month"}, SUM, "sales")
+        with pytest.raises(OlapError, match=r"SUM of cell \('Canada', '2021-12'\)"):
+            cube.rollup(fine, coarse)
+
     def test_cells_match_per_fact_rollup(self):
         cube = make_cube()
         order = cube.dimension_order

@@ -3,12 +3,15 @@
 * cube views equal a straight-line reference computation on random facts;
 * the member-clustered scan of a fact table equals the per-fact scan of
   the same rows, on the tip, an older handle and a branch;
+* grouped recombination equals a per-cell ``ancestor_in`` fold, over
+  partial views from those three handles and multi-source sets;
 * delta maintenance equals full rebuilds for random splits of a fact set;
 * a one-dimensional multidim cube agrees with the single-dimension
   engine cell for cell;
 * restriction/composition laws of fact tables;
 * the rewriting search returns the least proven source set by (cost,
-  size, names) and checks exactly the sets ordered before it.
+  size, names) and checks exactly the sets ordered before it; its lazy
+  candidate order is the sorted list of every candidate.
 """
 
 from __future__ import annotations
@@ -18,11 +21,20 @@ from hypothesis import strategies as st
 
 from repro.core import HierarchySchema
 from repro.generators.location import location_instance
-from repro.olap import COUNT, SUM, FactTable, all_aggregates, cube_view, views_equal
+from repro.olap import (
+    COUNT,
+    SUM,
+    CubeView,
+    FactTable,
+    all_aggregates,
+    cube_view,
+    recombine,
+    views_equal,
+)
 from repro.olap.facttable import Fact
 from repro.olap.maintenance import apply_delta
 from repro.olap.multidim import Cube
-from repro.olap.navigator import cheapest_rewriting
+from repro.olap.navigator import _by_cost, cheapest_rewriting
 
 SETTINGS = settings(max_examples=30, deadline=None)
 
@@ -118,6 +130,60 @@ def test_columnar_scan_equals_per_fact_scan(rows, more, other, scan_tip, scan_ol
                 assert columnar.rows_scanned == per_fact.rows_scanned == len(own_rows)
 
 
+def reference_recombine(target, views, aggregate):
+    """Definition 6 RHS cell by cell: one ``ancestor_in`` per cell of the
+    view's category, folded in the views' cell order."""
+    partials = {}
+    for view in views:
+        for member, value in view.cells.items():
+            if _INSTANCE.category_of(member) != view.category:
+                continue
+            up = _INSTANCE.ancestor_in(member, target)
+            if up is not None:
+                partials.setdefault(up, []).append(value)
+    return {member: aggregate.combine(values) for member, values in partials.items()}
+
+
+_MEMBERS = sorted(_INSTANCE.all_members())
+
+
+@SETTINGS
+@given(
+    fact_rows(),
+    fact_rows(min_size=1),
+    fact_rows(min_size=1),
+    st.sampled_from(_CATEGORIES),
+    st.lists(
+        st.tuples(st.integers(0, 2), st.sampled_from(_CATEGORIES)),
+        min_size=1,
+        max_size=3,
+    ),
+    st.frozensets(st.sampled_from(_MEMBERS)),
+)
+def test_grouped_recombine_equals_per_cell_reference(
+    rows, more, other, target, sources, dropped
+):
+    """Sources are drawn from the tip, an older handle and a branch of
+    one table; ``dropped`` members lose their cell, so views are partial
+    beyond the members no fact reached.  Cells compare with ``==``: the
+    SUM and COUNT combiner is correctly rounded."""
+    old = FactTable(_INSTANCE, rows)
+    tip = old.extended(FactTable(_INSTANCE, more))
+    branch = old.extended(FactTable(_INSTANCE, other))
+    tables = (tip, old, branch)
+    for aggregate in all_aggregates():
+        views = []
+        for table, category in sources:
+            full = cube_view(tables[table], category, aggregate, "v")
+            cells = {m: v for m, v in full.cells.items() if m not in dropped}
+            views.append(CubeView(category, aggregate, "v", cells, full.rows_scanned))
+        grouped = recombine(_INSTANCE, target, views, aggregate)
+        assert grouped.cells == reference_recombine(target, views, aggregate), (
+            aggregate.name
+        )
+        assert grouped.rows_scanned == sum(len(view) for view in views)
+
+
 @SETTINGS
 @given(fact_rows(min_size=1), st.data())
 def test_delta_maintenance_equals_rebuild(rows, data):
@@ -202,6 +268,10 @@ def test_search_returns_the_least_proven_set(sizes, proven_sets, max_sources):
         for names in [tuple(c for i, c in enumerate(below) if mask >> i & 1)]
         if len(names) <= max_sources
     )
+    # The lazy candidate order is the sorted list of every candidate.
+    assert list(_by_cost(below, sizes, max_sources)) == [
+        (cost, names) for cost, _size, names in order
+    ]
     winners = [key for key in order if frozenset(key[2]) in proven_sets]
     if not winners:
         assert found is None
